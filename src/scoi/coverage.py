@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .treepoly import Polynomial, TermVector, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, canonical_terms, manhattan, term_degree
 
 # Per-term similarity measures.  normalized-manhattan is the default;
 # cosine is only reachable through explicit configuration.
@@ -78,14 +78,7 @@ class TermPool:
     def dense(self) -> np.ndarray:
         """Distinct terms as a float matrix (multiplicity is irrelevant to max)."""
         if self._dense is None:
-            from .treepoly import decode_term
-
-            keys = sorted(self.terms)
-            mat = np.zeros((len(keys), self.dim), dtype=np.float64)
-            for row, key in enumerate(keys):
-                for label, exp in decode_term(key):
-                    mat[row, label] = exp
-            self._dense = mat
+            self._dense = canonical_terms(self.terms, self.dim)[0].astype(np.float64)
         return self._dense
 
     def __repr__(self) -> str:

@@ -23,10 +23,6 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def digest_map(paths: dict[str, Path | str]) -> dict[str, str]:
-    return {name: sha256_file(path) for name, path in paths.items()}
-
-
 class RunManifest:
     """Mutable builder for one run's manifest, with skip-check helpers."""
 

@@ -14,7 +14,9 @@ label index, so a monomial is one arbitrary-precision int and multiplying
 two monomials is integer addition.  This keeps corpus-scale construction
 fast (single-digit microseconds per node) while staying exact.  The packed
 form is bijective as long as no exponent reaches 2**32, i.e. for any tree
-with fewer than 4 billion nodes.
+with fewer than 4 billion nodes.  ``canonical_terms`` unpacks all of a
+polynomial's keys at once into an exponent matrix; ``decode_term`` and
+``encode_term`` are the one-term reference forms.
 """
 
 from __future__ import annotations
@@ -73,6 +75,57 @@ def encode_term(pairs: Iterable[tuple[int, int]] | Mapping[int, int]) -> int:
         _shifts_for(label + 1)
         key += exp * shifts[label]
     return key
+
+
+# Rank of a zero exponent that is followed by a nonzero one; above every exponent.
+_GAP = np.uint64(1 << _LABEL_BITS)
+
+
+def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unpack packed term keys into a uint32 exponent matrix plus int64 counts.
+
+    Row i holds one distinct term's exponents over ``dim`` labels and
+    ``counts[i]`` its multiplicity.  Rows are in canonical order, the order
+    of ``sorted(decode_term(k) for k in terms)``.  Every key must be below
+    ``2 ** (32 * dim)``.  The arrays may be read-only views.
+    """
+    n = len(terms)
+    mat = np.frombuffer(
+        b"".join(k.to_bytes(4 * dim, "little") for k in terms), "<u4"
+    ).reshape(n, dim)
+    counts = np.fromiter(terms.values(), np.int64, n)
+    if n > 1:
+        # Sorted (label, exponent) pairs compare column by column as: the
+        # exponent where it is nonzero; above every exponent where it is zero
+        # and a nonzero follows (that row's next pair has a larger label); 0
+        # where no nonzero follows (that row's tuple has ended).  Columns zero
+        # in every row do not change the order.  lexsort's last key is primary.
+        cols = mat.T[mat.any(axis=0)][::-1]
+        nonzero = cols != 0
+        pending = np.logical_or.accumulate(nonzero, axis=0)
+        order = np.lexsort(np.where(nonzero, cols, pending * _GAP))
+        mat = mat[order]
+        counts = counts[order]
+    return mat, counts
+
+
+def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Labels and exponents of mat's nonzero entries, row by row, and row end offsets.
+
+    Row i's entries are ``labels[ends[i-1]:ends[i]]`` (from 0 for row 0).
+    """
+    rows, labels = np.nonzero(mat)
+    ends = np.count_nonzero(mat, axis=1).cumsum()
+    return labels.tolist(), mat[rows, labels].tolist(), ends.tolist()
+
+
+def _term_vectors(terms: Mapping[int, int], dim: int) -> tuple[tuple[TermVector, int], ...]:
+    """(term vector, multiplicity) pairs in canonical order."""
+    mat, counts = canonical_terms(terms, dim)
+    labels, exps, ends = _nonzero_rows(mat)
+    pairs = list(zip(labels, exps))
+    vectors = (tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
+    return tuple(zip(vectors, counts.tolist()))
 
 
 def term_degree(term: TermVector) -> int:
@@ -231,12 +284,11 @@ class Polynomial:
     dense views used by distance and coverage computations.
     """
 
-    __slots__ = ("terms", "dim", "_decoded", "_dense")
+    __slots__ = ("terms", "dim", "_dense")
 
     def __init__(self, terms: Counter[int], dim: int):
         self.terms = terms
         self.dim = dim
-        self._decoded: tuple[tuple[TermVector, int], ...] | None = None
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -249,24 +301,18 @@ class Polynomial:
 
         Canonical order is lexicographic over the sorted (label, exponent)
         pairs; the math is order-free but serialization and golden tests
-        rely on this being stable.
+        rely on this being stable.  Not cached.
         """
-        if self._decoded is None:
-            decoded = sorted((decode_term(k), c) for k, c in self.terms.items())
-            self._decoded = tuple(decoded)
-        return self._decoded
+        return _term_vectors(self.terms, self.dim)
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct terms as a float matrix of width dim, multiplicities)."""
+        """(distinct terms as a float matrix of width dim, multiplicities).
+
+        Rows are in canonical order, as in :meth:`term_vectors`.
+        """
         if self._dense is None:
-            vectors = self.term_vectors()
-            mat = np.zeros((len(vectors), self.dim), dtype=np.float64)
-            counts = np.empty(len(vectors), dtype=np.float64)
-            for row, (pairs, count) in enumerate(vectors):
-                counts[row] = count
-                for label, exp in pairs:
-                    mat[row, label] = exp
-            self._dense = (mat, counts)
+            mat, counts = canonical_terms(self.terms, self.dim)
+            self._dense = (mat.astype(np.float64), counts.astype(np.float64))
         return self._dense
 
     def __eq__(self, other: object) -> bool:
@@ -300,7 +346,7 @@ class OriginalPolynomial:
 
     def term_vectors(self) -> tuple[tuple[TermVector, int], ...]:
         """(term vector over 2*dim variable indices, multiplicity) pairs."""
-        return tuple(sorted((decode_term(k), c) for k, c in self.terms.items()))
+        return _term_vectors(self.terms, 2 * self.dim)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OriginalPolynomial) and self.terms == other.terms
@@ -454,27 +500,61 @@ def write_polynomial_cache(
         header = {"format": _POLY_FORMAT, "version": _POLY_VERSION, "labels": vocab.labels}
         fh.write(_dump(header) + "\n")
         for example_id, poly in items:
-            record = [
-                example_id,
-                [[list(map(list, pairs)), count] for pairs, count in poly.term_vectors()],
-            ]
-            fh.write(_dump(record) + "\n")
+            mat, counts = canonical_terms(poly.terms, poly.dim)
+            labels, exps, ends = _nonzero_rows(mat)
+            pairs = [f"[{l},{e}]" for l, e in zip(labels, exps)]
+            terms = ",".join(
+                f"[[{','.join(pairs[a:b])}],{count}]"
+                for a, b, count in zip([0, *ends], ends, counts.tolist())
+            )
+            fh.write(f"[{_dump(example_id)},[{terms}]]\n")
+
+
+def _parse_terms(raw_terms, shifts: dict[int, int]) -> Counter[int]:
+    """Pack one record's [[[label, exponent], ...], multiplicity] entries.
+
+    ``shifts`` maps each label index of the vocabulary to its bit offset.
+    """
+    terms: dict[int, int] = {}
+    for pairs, count in raw_terms:
+        key = 0
+        for label, exp in pairs:
+            if not 0 < exp <= _LABEL_MASK:
+                raise ValueError(f"exponent {exp!r} of label {label!r} outside 1..{_LABEL_MASK}")
+            try:
+                key += exp << shifts[label]
+            except KeyError:
+                raise ValueError(
+                    f"label {label!r} outside the {len(shifts)}-label vocabulary"
+                ) from None
+        if count <= 0:
+            raise ValueError(f"multiplicity {count!r} is not positive")
+        terms[key] = terms.get(key, 0) + count
+    return Counter(terms)
 
 
 def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _POLY_FORMAT:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _POLY_FORMAT:
             raise DataError(f"{path}: not a polynomial cache")
         if header.get("version") != _POLY_VERSION:
             raise DataError(f"{path}: unsupported cache version {header.get('version')}")
         vocab = LabelVocabulary(header["labels"])
         dim = len(vocab)
+        shifts = {label: _LABEL_BITS * label for label in range(dim)}
         items = []
-        for line in fh:
-            example_id, raw_terms = json.loads(line)
-            terms: Counter[int] = Counter()
-            for pairs, count in raw_terms:
-                terms[encode_term((l, e) for l, e in pairs)] += count
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                example_id, raw_terms = json.loads(line)
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path}: line {line_no}: malformed record ({exc})") from None
+            try:
+                terms = _parse_terms(raw_terms, shifts)
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path}: record {example_id}: bad term ({exc})") from None
             items.append((example_id, Polynomial(terms, dim)))
     return vocab, items

@@ -173,6 +173,25 @@ class TestSelect:
         assert all(len(r["selected"]) == 4 for r in records)
 
 
+class TestCorruptCache:
+    def test_label_outside_vocabulary_exits_2_naming_record(self, built, tmp_path, capsys):
+        out = tmp_path / "corrupt"
+        shutil.copytree(built, out)
+        poly_path = out / "corpus.poly.jsonl"
+        header, first, *rest = poly_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        example_id, terms = json.loads(first)
+        terms[0][0][0][0] = 99
+        first = json.dumps([example_id, terms], separators=(",", ":")) + "\n"
+        poly_path.write_text("".join([header, first, *rest]), encoding="utf-8")
+        n_labels = len(json.loads(header)["labels"])
+        assert n_labels < 99
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
+        err = capsys.readouterr().err
+        assert f"{poly_path}: record {example_id}: bad term (label 99 outside" in err
+        assert f"{n_labels}-label vocabulary" in err
+        assert "Traceback" not in err
+
+
 def _write_tiny_corpus(tmp_path, sources, test_sources):
     def block(tokens):
         lines = [

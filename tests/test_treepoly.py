@@ -1,12 +1,17 @@
+import json
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from scoi.errors import MalformedTreeError, TermExplosionError, UnknownLabelError
+from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
 from scoi.treepoly import (
     DependencyTree,
+    Polynomial,
+    canonical_terms,
     decode_term,
     encode_term,
     manhattan,
@@ -34,6 +39,33 @@ def decoded_counter(poly) -> Counter:
     return Counter(dict(poly.term_vectors()))
 
 
+def scalar_term_vectors(poly) -> list:
+    """Reference decode: one key at a time through decode_term, then sorted."""
+    return sorted((decode_term(k), c) for k, c in poly.terms.items())
+
+
+def scalar_dense(poly) -> tuple[np.ndarray, np.ndarray]:
+    vectors = scalar_term_vectors(poly)
+    mat = np.zeros((len(vectors), poly.dim), dtype=np.float64)
+    counts = np.empty(len(vectors), dtype=np.float64)
+    for row, (pairs, count) in enumerate(vectors):
+        counts[row] = count
+        for label, exp in pairs:
+            mat[row, label] = exp
+    return mat, counts
+
+
+def scalar_cache_line(example_id, poly) -> str:
+    """One polynomial-cache record as json.dumps writes it from the reference decode."""
+    terms = [[list(map(list, pairs)), count] for pairs, count in scalar_term_vectors(poly)]
+    return json.dumps([example_id, terms], ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def chain(labels) -> DependencyTree:
+    """A path: node i hangs off node i - 1."""
+    return DependencyTree(list(labels), [-1] + list(range(len(labels) - 1)))
+
+
 class TestTermEncoding:
     def test_round_trip(self):
         pairs = ((0, 2), (3, 5), (44, 1))
@@ -54,6 +86,69 @@ class TestTermEncoding:
             encode_term({0: 0})
         with pytest.raises(ValueError):
             encode_term({-1: 1})
+
+
+class TestCanonicalTerms:
+    """The vectorized unpack must reproduce the one-term reference decode exactly."""
+
+    def assert_matches_reference(self, polys, tmp_path):
+        for poly in polys:
+            mat, counts = poly.dense()
+            ref_mat, ref_counts = scalar_dense(poly)
+            assert mat.dtype == counts.dtype == np.float64
+            assert np.array_equal(mat, ref_mat) and mat.shape == ref_mat.shape
+            assert np.array_equal(counts, ref_counts)
+            assert list(poly.term_vectors()) == scalar_term_vectors(poly)
+        vocab = make_vocab(max(p.dim for p in polys))
+        path = tmp_path / "poly.jsonl"
+        write_polynomial_cache(path, list(enumerate(polys)), vocab)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == [scalar_cache_line(i, p) for i, p in enumerate(polys)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 37, 40]).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(tree_strategy(max_nodes=30, max_labels=dim),
+                                                     min_size=1, max_size=4))
+    ))
+    def test_random_trees_match_scalar_decode(self, tmp_path_factory, dim_trees):
+        dim, trees = dim_trees
+        vocab = make_vocab(dim)
+        polys = [simplified_polynomial(tree, vocab) for tree in trees]
+        self.assert_matches_reference(polys, tmp_path_factory.mktemp("poly"))
+
+    @pytest.mark.parametrize("dim", [1, 37, 40])
+    def test_single_node_trees(self, dim, tmp_path):
+        vocab = make_vocab(dim)
+        polys = [simplified_polynomial(make_tree([label], [-1]), vocab) for label in range(dim)]
+        self.assert_matches_reference(polys, tmp_path)
+
+    @pytest.mark.parametrize("dim", [1, 37])
+    def test_deep_chains_cross_byte_boundaries(self, dim, tmp_path):
+        # Exponents of 256 and 65,536 and more need the second and third
+        # byte of each packed label; a byte-order slip shows there.
+        vocab = make_vocab(dim)
+        last = dim - 1
+        polys = [
+            simplified_polynomial(chain([0] * 300 + [last] * 3), vocab),
+            simplified_polynomial(chain([last] * 65_600 + [0] * 3), vocab),
+        ]
+        assert max(int(p.dense()[0].max()) for p in polys) >= 65_536
+        self.assert_matches_reference(polys, tmp_path)
+
+    def test_empty_polynomial_and_empty_term(self, tmp_path):
+        polys = [Polynomial(Counter(), 3), poly_from_terms([{}, {1: 2}, {0: 1}], dim=3)]
+        self.assert_matches_reference(polys, tmp_path)
+
+    def test_gap_ranks_above_every_exponent(self):
+        # {0: 2**32 - 1, 2: 1} sorts before {1: 1}: its first pair has the
+        # smaller label, however large that pair's exponent.
+        poly = poly_from_terms([{1: 1}, {0: 2**32 - 1, 2: 1}, {0: 2**32 - 1}], dim=3)
+        mat, counts = canonical_terms(poly.terms, poly.dim)
+        assert mat.dtype == np.uint32 and counts.dtype == np.int64
+        assert [tuple(row) for row in mat.tolist()] == [
+            (2**32 - 1, 0, 0), (2**32 - 1, 0, 1), (0, 1, 0)
+        ]
+        assert list(poly.term_vectors()) == scalar_term_vectors(poly)
 
 
 class TestDependencyTree:
@@ -283,10 +378,42 @@ class TestPolynomialCache:
         write_polynomial_cache(second, loaded, loaded_vocab)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "line, where",
+        [
+            ('[7,[[[[0,1]],1],[[[99,1]],1]]]', "record 7: bad term (label 99 outside"),
+            ('[7,[[[[-1,1]],1]]]', "record 7: bad term (label -1 outside"),
+            ('[7,[[[[1,0]],1]]]', "record 7: bad term (exponent 0 "),
+            ('[7,[[[[1,4294967296]],1]]]', "record 7: bad term (exponent 4294967296 "),
+            ('[7,[[[[1,-3]],1]]]', "record 7: bad term (exponent -3 "),
+            ('[7,[[[[1,1]],0]]]', "record 7: bad term (multiplicity 0 "),
+            ('[7,[[[["a",1]],1]]]', "record 7: bad term (label 'a' outside"),
+            ('[7,[[[[1,1.5]],1]]]', "record 7: bad term ("),
+            ('[7,[[[[0,1]],1]]', "line 3: malformed record"),
+            ('7', "line 3: malformed record"),
+        ],
+    )
+    def test_bad_record_names_file_and_record(self, tmp_path, line, where):
+        vocab = make_vocab(4)
+        path = tmp_path / "corpus.poly.jsonl"
+        write_polynomial_cache(path, [(3, poly_from_terms([{0: 1}], dim=4))], vocab)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError) as err:
+            read_polynomial_cache(path)
+        assert str(err.value).startswith(f"{path}: {where}")
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"format":"something-else","version":1,"labels":[]}\n')
         from scoi.errors import DataError
 
         with pytest.raises(DataError):
+            read_polynomial_cache(path)
+
+    @pytest.mark.parametrize("header", ["not json", "[1]", ""])
+    def test_rejects_header_that_is_not_an_object(self, tmp_path, header):
+        path = tmp_path / "bogus.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match="not a polynomial cache"):
             read_polynomial_cache(path)
