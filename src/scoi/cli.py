@@ -8,16 +8,17 @@ with unchanged inputs skip completed build stages.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .bench import run_bench
-from .config import RunConfig, load_config
+from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
 from .corpus import (
     apply_polynomial_cache,
     attach_polynomials,
@@ -29,7 +30,7 @@ from .corpus import (
 )
 from .coverage import TermPool, TokenBag, syn_set_cov, word_set_cov
 from .errors import ConfigError, DataError, ScoiError
-from .manifest import RunManifest, read_manifest, sha256_file, stage_is_current
+from .manifest import RunManifest, compact_json, read_manifest, sha256_file, stage_is_current
 from .prompts import render_prompt
 from .retrieval import bm25_topk, build_index, load_index, save_index
 from .selection import STRATEGIES, run_strategy
@@ -42,10 +43,6 @@ from .treepoly import (
 
 _BUILD_MANIFEST = "build-manifest.json"
 _SELECT_MANIFEST = "select-manifest.json"
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,19 +61,42 @@ def _cache_paths(out_dir: Path) -> dict[str, Path]:
 
 
 def _require_inputs(config: RunConfig) -> None:
-    needed = {
-        "corpus_source": config.corpus_source,
-        "corpus_target": config.corpus_target,
-        "corpus_conllu": config.corpus_conllu,
-        "test_source": config.test_source,
-        "test_conllu": config.test_conllu,
-    }
+    needed = {key: getattr(config, key) for key in INPUT_KEYS}
     missing = [name for name, path in needed.items() if path is None]
     if missing:
         raise ConfigError(f"missing required input paths: {', '.join(missing)}")
     absent = [f"{name} ({path})" for name, path in needed.items() if not Path(path).is_file()]
     if absent:
         raise ConfigError(f"input files not found: {'; '.join(absent)}")
+
+
+def _run_stage(
+    manifest: RunManifest,
+    previous: dict | None,
+    name: str,
+    inputs: dict[str, str],
+    outputs: dict[str, Path],
+    write: Callable[[], str],
+) -> None:
+    """Record stage ``name`` as skipped if ``previous`` proves it current, else run it.
+
+    ``inputs`` maps names to digests, ``outputs`` names to the paths the
+    stage writes; ``write()`` writes them and returns the message printed
+    before the stage's seconds.
+    """
+    start = time.perf_counter()
+    if stage_is_current(previous, name, inputs, outputs):
+        manifest.record_stage(
+            name, inputs, previous["stages"][name]["outputs"], 0.0, skipped=True
+        )
+        print(f"{name}: skipped (inputs unchanged)")
+        return
+    message = write()
+    seconds = time.perf_counter() - start
+    manifest.record_stage(
+        name, inputs, {str(k): sha256_file(p) for k, p in outputs.items()}, seconds
+    )
+    print(f"{name}: {message} ({seconds:.2f}s)")
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -86,36 +106,15 @@ def cmd_build(config: RunConfig) -> int:
     paths = _cache_paths(out_dir)
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
+    # (vocab, records) per corpus cache: kept from ingest, or read at most once.
+    loaded: dict[str, tuple] = {}
 
-    corpus_inputs = {
-        "corpus_source": sha256_file(config.corpus_source),
-        "corpus_target": sha256_file(config.corpus_target),
-        "corpus_conllu": sha256_file(config.corpus_conllu),
-        "test_source": sha256_file(config.test_source),
-        "test_conllu": sha256_file(config.test_conllu),
-        "max_tokens": str(config.max_tokens),
-        "filter_target": str(config.filter_target),
-        "fold_case": str(config.fold_case),
-        "strip_punctuation": str(config.strip_punctuation),
-        "tokenizer_version": str(TOKENIZER_VERSION),
-    }
-    corpus_outputs = {"corpus_cache": paths["corpus_cache"], "test_cache": paths["test_cache"]}
+    def records(cache: str):
+        if cache not in loaded:
+            loaded[cache] = read_corpus_cache(paths[cache])
+        return loaded[cache]
 
-    vocab: LabelVocabulary | None = None
-    corpus_records = None
-    test_records = None
-
-    start = time.perf_counter()
-    if stage_is_current(previous, "corpus", corpus_inputs, corpus_outputs):
-        manifest.record_stage(
-            "corpus",
-            corpus_inputs,
-            previous["stages"]["corpus"]["outputs"],
-            0.0,
-            skipped=True,
-        )
-        print("corpus: skipped (inputs unchanged)")
-    else:
+    def ingest() -> str:
         vocab = LabelVocabulary()
         all_records = load_parallel_corpus(
             config.corpus_source, config.corpus_target, config.corpus_conllu, vocab,
@@ -132,37 +131,16 @@ def cmd_build(config: RunConfig) -> int:
             raise DataError("every corpus record was removed by the length filter")
         write_corpus_cache(paths["corpus_cache"], corpus_records, vocab)
         write_corpus_cache(paths["test_cache"], test_records, vocab)
-        seconds = time.perf_counter() - start
-        manifest.record_stage(
-            "corpus",
-            corpus_inputs,
-            {str(k): sha256_file(p) for k, p in corpus_outputs.items()},
-            seconds,
-        )
-        print(
-            f"corpus: {len(corpus_records)} records kept, {removed} removed by the "
-            f"{config.max_tokens}-token filter ({seconds:.2f}s)"
+        loaded["corpus_cache"] = (vocab, corpus_records)
+        loaded["test_cache"] = (vocab, test_records)
+        return (
+            f"{len(corpus_records)} records kept, {removed} removed by the "
+            f"{config.max_tokens}-token filter"
         )
 
-    poly_inputs = {
-        "corpus_cache": sha256_file(paths["corpus_cache"]),
-        "test_cache": sha256_file(paths["test_cache"]),
-    }
-    poly_outputs = {"corpus_poly": paths["corpus_poly"], "test_poly": paths["test_poly"]}
-    start = time.perf_counter()
-    if stage_is_current(previous, "polynomials", poly_inputs, poly_outputs):
-        manifest.record_stage(
-            "polynomials",
-            poly_inputs,
-            previous["stages"]["polynomials"]["outputs"],
-            0.0,
-            skipped=True,
-        )
-        print("polynomials: skipped (inputs unchanged)")
-    else:
-        if corpus_records is None:
-            vocab, corpus_records = read_corpus_cache(paths["corpus_cache"])
-            _, test_records = read_corpus_cache(paths["test_cache"])
+    def polynomials() -> str:
+        vocab, corpus_records = records("corpus_cache")
+        _, test_records = records("test_cache")
         attach_polynomials(corpus_records, vocab, config.workers)
         attach_polynomials(test_records, vocab, config.workers)
         write_polynomial_cache(
@@ -171,36 +149,35 @@ def cmd_build(config: RunConfig) -> int:
         write_polynomial_cache(
             paths["test_poly"], ((r.id, r.poly) for r in test_records), vocab
         )
-        seconds = time.perf_counter() - start
-        manifest.record_stage(
-            "polynomials",
-            poly_inputs,
-            {str(k): sha256_file(p) for k, p in poly_outputs.items()},
-            seconds,
-        )
-        print(f"polynomials: {len(corpus_records) + len(test_records)} built ({seconds:.2f}s)")
+        return f"{len(corpus_records) + len(test_records)} built"
 
-    index_inputs = {"corpus_cache": sha256_file(paths["corpus_cache"])}
-    index_outputs = {"index": paths["index"]}
-    start = time.perf_counter()
-    if stage_is_current(previous, "index", index_inputs, index_outputs):
-        manifest.record_stage(
-            "index", index_inputs, previous["stages"]["index"]["outputs"], 0.0, skipped=True
-        )
-        print("index: skipped (inputs unchanged)")
-    else:
-        if corpus_records is None:
-            vocab, corpus_records = read_corpus_cache(paths["corpus_cache"])
+    def index() -> str:
+        _, corpus_records = records("corpus_cache")
         save_index(paths["index"], build_index(corpus_records))
-        seconds = time.perf_counter() - start
-        manifest.record_stage(
-            "index",
-            index_inputs,
-            {str(k): sha256_file(p) for k, p in index_outputs.items()},
-            seconds,
-        )
-        print(f"index: {len(corpus_records)} documents indexed ({seconds:.2f}s)")
+        return f"{len(corpus_records)} documents indexed"
 
+    def pick(*keys: str) -> dict[str, Path]:
+        return {key: paths[key] for key in keys}
+
+    def digests(*keys: str) -> dict[str, str]:
+        return {key: sha256_file(paths[key]) for key in keys}
+
+    corpus_inputs = {key: sha256_file(getattr(config, key)) for key in INPUT_KEYS}
+    corpus_inputs.update(
+        max_tokens=str(config.max_tokens),
+        filter_target=str(config.filter_target),
+        fold_case=str(config.fold_case),
+        strip_punctuation=str(config.strip_punctuation),
+        tokenizer_version=str(TOKENIZER_VERSION),
+    )
+    _run_stage(
+        manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), ingest
+    )
+    _run_stage(
+        manifest, previous, "polynomials", digests("corpus_cache", "test_cache"),
+        pick("corpus_poly", "test_poly"), polynomials,
+    )
+    _run_stage(manifest, previous, "index", digests("corpus_cache"), pick("index"), index)
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0
 
@@ -331,8 +308,8 @@ def cmd_select(config: RunConfig) -> int:
                 for out_strategy, record, prompt in outputs:
                     if out_strategy != strategy:
                         continue
-                    sel_fh.write(_dump(record) + "\n")
-                    prompt_fh.write(_dump(prompt) + "\n")
+                    sel_fh.write(compact_json(record) + "\n")
+                    prompt_fh.write(compact_json(prompt) + "\n")
         output_digests[sel_path.name] = sha256_file(sel_path)
         output_digests[prompt_path.name] = sha256_file(prompt_path)
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
@@ -369,7 +346,7 @@ def _format_term(pairs, vocab: LabelVocabulary) -> str:
     return "*".join(chunks)
 
 
-def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int], measure: str) -> int:
+def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int]) -> int:
     out_dir = Path(config.out_dir)
     vocab, corpus_records, test_records, _ = _load_built(out_dir)
     records = corpus_records if side == "corpus" else test_records
@@ -405,60 +382,34 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         members = [corpus_by_id[i] for i in pool_ids]
         pool_terms = TermPool.from_polynomials([m.poly for m in members])
         pool_tokens = TokenBag.union([m.tokens for m in members])
-        syn = syn_set_cov(record.poly, pool_terms, measure)
+        syn = syn_set_cov(record.poly, pool_terms, config.measure)
         word = word_set_cov(record.tokens, pool_tokens)
         print(f"  coverage against pool {pool_ids}:")
-        print(f"    syntactic ({measure}): {syn:.6f}")
+        print(f"    syntactic ({config.measure}): {syn:.6f}")
         print(f"    lexical: {word:.6f}")
     return 0
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser, selection_opts: bool = True) -> None:
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per config key, ``pool_size`` as ``--pool-size``.
+
+    A boolean flag takes no value and can only switch its key on; any other
+    flag parses its value as the config file does.
+    """
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--corpus-source", dest="corpus_source")
-    parser.add_argument("--corpus-target", dest="corpus_target")
-    parser.add_argument("--corpus-conllu", dest="corpus_conllu")
-    parser.add_argument("--test-source", dest="test_source")
-    parser.add_argument("--test-conllu", dest="test_conllu")
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--filter-target", dest="filter_target", action="store_const", const=True)
-    parser.add_argument("--fold-case", dest="fold_case", action="store_const", const=True)
-    parser.add_argument(
-        "--strip-punctuation", dest="strip_punctuation", action="store_const", const=True
-    )
-    parser.add_argument("--workers", type=int)
-    if selection_opts:
-        parser.add_argument("--strategy", choices=STRATEGIES + ("all",))
-        parser.add_argument("--k", type=int)
-        parser.add_argument("--order", dest="order")
-        parser.add_argument("--measure", dest="measure")
-        parser.add_argument("--pool-size", dest="pool_size", type=int)
-        parser.add_argument("--dpp-lambda", dest="dpp_lambda", type=float)
-        parser.add_argument("--relevance-norm", dest="relevance_norm")
-        parser.add_argument("--seed", type=int)
-        parser.add_argument("--prompt-style", dest="prompt_style")
-        parser.add_argument("--source-language", dest="source_language")
-        parser.add_argument("--target-language", dest="target_language")
-        parser.add_argument("--bm25-k1", dest="bm25_k1", type=float)
-        parser.add_argument("--bm25-b", dest="bm25_b", type=float)
-
-
-_CONFIG_KEYS = (
-    "corpus_source", "corpus_target", "corpus_conllu", "test_source", "test_conllu",
-    "out_dir", "strategy", "k", "order", "measure", "pool_size", "dpp_lambda",
-    "relevance_norm", "seed", "max_tokens", "filter_target", "fold_case",
-    "strip_punctuation", "workers",
-    "prompt_style", "source_language", "target_language", "bm25_k1", "bm25_b",
-)
+    for key, kind in KEY_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, dest=key, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=key, type=partial(coerce, key, kind))
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return load_config(args.config, overrides)
+    return load_config(args.config, {key: getattr(args, key) for key in KEY_TYPES})
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scoi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"scoi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -480,9 +431,12 @@ def main(argv=None) -> int:
     p_inspect.add_argument("--record", type=int, required=True)
     p_inspect.add_argument("--side", choices=("corpus", "test"), default="corpus")
     p_inspect.add_argument("--pool", default="", help="comma-separated corpus ids to cover with")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "build":
             return cmd_build(_config_from_args(args))
         if args.command == "select":
@@ -492,7 +446,7 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             config = _config_from_args(args)
             pool_ids = [int(x) for x in args.pool.split(",") if x.strip()]
-            return cmd_inspect(config, args.record, args.side, pool_ids, config.measure)
+            return cmd_inspect(config, args.record, args.side, pool_ids)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

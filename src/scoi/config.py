@@ -10,20 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .prompts import PROMPT_STYLES, PromptTemplate
 from .retrieval import Bm25Params
-from .selection import MEASURES, ORDERS, RELEVANCE_NORMS, STRATEGIES, SelectionPlan
-
-_PATH_KEYS = (
-    "corpus_source",
-    "corpus_target",
-    "corpus_conllu",
-    "test_source",
-    "test_conllu",
-    "out_dir",
-)
+from .selection import STRATEGIES, SelectionPlan
 
 
 @dataclass
@@ -54,26 +46,19 @@ class RunConfig:
     bm25_b: float = 0.75
 
     def validate(self) -> None:
+        """Check every key; the selection parameters via ``SelectionPlan``."""
         if self.strategy not in STRATEGIES + ("all",):
             raise ConfigError(f"strategy must be one of {STRATEGIES + ('all',)}, got {self.strategy!r}")
-        if self.order not in ORDERS:
-            raise ConfigError(f"order must be one of {ORDERS}, got {self.order!r}")
-        if self.measure not in MEASURES:
-            raise ConfigError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        if self.relevance_norm not in RELEVANCE_NORMS:
-            raise ConfigError(f"relevance_norm must be one of {RELEVANCE_NORMS}")
+        try:
+            self.plan().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.prompt_style not in PROMPT_STYLES:
             raise ConfigError(f"prompt_style must be one of {PROMPT_STYLES}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.pool_size < self.k:
-            raise ConfigError("pool_size must be >= k")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.dpp_lambda <= 0:
-            raise ConfigError("dpp_lambda must be positive")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ConfigError("bm25_b must lie in [0, 1]")
         if self.bm25_k1 <= 0:
@@ -110,7 +95,22 @@ class RunConfig:
         return out
 
 
-def _coerce(name: str, kind: type, raw: str):
+def _key_type(hint) -> type:
+    """``Path | None`` -> ``Path``; a plain type is its own key type."""
+    return next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+
+
+_HINTS = get_type_hints(RunConfig)
+# Each config key and the type its values parse to, in declaration order.
+KEY_TYPES: dict[str, type] = {f.name: _key_type(_HINTS[f.name]) for f in fields(RunConfig)}
+# The input files ``build`` reads: path keys with no default.
+INPUT_KEYS = tuple(
+    f.name for f in fields(RunConfig) if KEY_TYPES[f.name] is Path and f.default is None
+)
+
+
+def coerce(name: str, kind: type, raw: str):
+    """Parse one raw value of key ``name``, as a config file or a flag gives it."""
     if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
@@ -126,16 +126,6 @@ def _coerce(name: str, kind: type, raw: str):
 
 def parse_config_text(text: str, base_dir: Path) -> dict:
     """Parse key=value lines into typed values, resolving relative paths."""
-    types = {
-        "corpus_source": Path, "corpus_target": Path, "corpus_conllu": Path,
-        "test_source": Path, "test_conllu": Path, "out_dir": Path,
-        "strategy": str, "k": int, "order": str, "measure": str,
-        "pool_size": int, "dpp_lambda": float, "relevance_norm": str,
-        "seed": int, "max_tokens": int, "filter_target": bool, "workers": int,
-        "fold_case": bool, "strip_punctuation": bool,
-        "prompt_style": str, "source_language": str,
-        "target_language": str, "bm25_k1": float, "bm25_b": float,
-    }
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,30 +136,24 @@ def parse_config_text(text: str, base_dir: Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in types:
+        kind = KEY_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if types[key] is Path:
-            path = Path(value)
-            values[key] = path if path.is_absolute() else (base_dir / path)
-        else:
-            values[key] = _coerce(key, types[key], value)
+        values[key] = coerce(key, kind, value)
+        if kind is Path and not values[key].is_absolute():
+            values[key] = base_dir / values[key]
     return values
 
 
 def load_config(path: Path | str | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file and override mapping."""
+    """Build a RunConfig from an optional file and typed overrides (None = unset)."""
     values: dict = {}
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         values.update(parse_config_text(path.read_text(encoding="utf-8"), path.parent.resolve()))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key in _PATH_KEYS and not isinstance(value, Path):
-            value = Path(value)
-        values[key] = value
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     config = RunConfig(**values)
     config.validate()
     return config

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .conllu import load_conllu
 from .coverage import TokenBag
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, MalformedTreeError
+from .manifest import compact_json, read_header
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
@@ -158,10 +159,6 @@ _CORPUS_FORMAT = "scoi-corpus"
 _CORPUS_VERSION = 1
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocabulary) -> None:
     from .tokenizer import TOKENIZER_VERSION
 
@@ -172,7 +169,7 @@ def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocab
             "tokenizer_version": TOKENIZER_VERSION,
             "labels": vocab.labels,
         }
-        fh.write(_dump(header) + "\n")
+        fh.write(compact_json(header) + "\n")
         for record in records:
             row = {
                 "id": record.id,
@@ -182,32 +179,31 @@ def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocab
                 "labels": record.tree.labels if record.tree else None,
                 "parents": record.tree.parents if record.tree else None,
             }
-            fh.write(_dump(row) + "\n")
+            fh.write(compact_json(row) + "\n")
 
 
 def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _CORPUS_FORMAT:
-            raise DataError(f"{path}: not a corpus cache")
-        if header.get("version") != _CORPUS_VERSION:
-            raise DataError(f"{path}: unsupported cache version {header.get('version')}")
+    # Lines are decoded one by one, so that bytes that are not UTF-8 fail
+    # on their own line.
+    with open(path, "rb") as fh:
+        header = read_header(fh, path, _CORPUS_FORMAT, _CORPUS_VERSION, "corpus cache", "labels")
         vocab = LabelVocabulary(header["labels"])
         records = []
-        for line in fh:
-            row = json.loads(line)
-            tree = None
-            if row["labels"] is not None:
-                tree = DependencyTree(row["labels"], row["parents"])
-            token_list = tuple(row["tokens"])
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                row = json.loads(line.decode("utf-8"))
+                record_id, labels, parents = row["id"], row["labels"], row["parents"]
+                source, target, token_list = row["source"], row["target"], tuple(row["tokens"])
+                tree = None if labels is None else DependencyTree(labels, parents)
+            except MalformedTreeError as exc:
+                raise DataError(f"{path}: record {record_id}: {exc}") from None
+            except KeyError as exc:
+                raise DataError(f"{path}: line {line_no}: record has no {exc} key") from None
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path}: line {line_no}: malformed record ({exc})") from None
             records.append(
                 ExampleRecord(
-                    row["id"],
-                    row["source"],
-                    row["target"],
-                    token_list,
-                    TokenBag.from_tokens(token_list),
-                    tree,
+                    record_id, source, target, token_list, TokenBag.from_tokens(token_list), tree
                 )
             )
     return vocab, records

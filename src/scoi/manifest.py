@@ -3,6 +3,9 @@
 Every pipeline run writes one; a rerun whose stage inputs digest the same
 may skip the stage and keep the recorded outputs.  Wall-clock fields are
 the only part allowed to differ between identical runs.
+
+Also holds the two JSON helpers every cache file shares: the compact line
+format and the header check.
 """
 
 from __future__ import annotations
@@ -11,8 +14,34 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import DataError
+
 MANIFEST_FORMAT = "scoi-manifest"
 MANIFEST_VERSION = 1
+
+
+def compact_json(obj) -> str:
+    """One-line JSON without spaces, non-ASCII kept: the caches' line format."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def read_header(fh, path, fmt: str, version: int, what: str, listed: str) -> dict:
+    """Parse a cache file's first line, which names its format and version.
+
+    The line must be a JSON object with ``fmt``, ``version`` and a list under
+    ``listed``; anything else is a ``DataError`` naming ``path``.
+    """
+    try:
+        header = json.loads(fh.readline())
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise DataError(f"{path}: not a {what}")
+    if header.get("version") != version:
+        raise DataError(f"{path}: unsupported {what} version {header.get('version')}")
+    if not isinstance(header.get(listed), list):
+        raise DataError(f"{path}: header has no {listed} list")
+    return header
 
 
 def sha256_file(path: Path | str) -> str:

@@ -12,7 +12,6 @@ corpus stays in the low milliseconds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -21,6 +20,7 @@ import numpy as np
 
 from .coverage import TokenBag
 from .errors import DataError
+from .manifest import compact_json, read_header
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
@@ -190,7 +190,7 @@ def save_index(path, index: InvertedIndex) -> None:
     tfs = np.concatenate([index.postings[t][1] for t in tokens]) if tokens else np.zeros(0, np.float64)
     header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "tokens": tokens}
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+        fh.write(compact_json(header).encode("utf-8"))
         fh.write(b"\n")
         np.save(fh, index.ids)
         np.save(fh, index.lengths)
@@ -201,18 +201,20 @@ def save_index(path, index: InvertedIndex) -> None:
 
 def load_index(path) -> InvertedIndex:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _INDEX_FORMAT:
-            raise DataError(f"{path}: not a BM25 index file")
-        if header.get("version") != _INDEX_VERSION:
-            raise DataError(f"{path}: unsupported index version {header.get('version')}")
-        ids = np.load(fh)
-        lengths = np.load(fh)
-        offsets = np.load(fh)
-        rows = np.load(fh)
-        tfs = np.load(fh)
+        header = read_header(fh, path, _INDEX_FORMAT, _INDEX_VERSION, "BM25 index file", "tokens")
+        try:
+            ids = np.load(fh)
+            lengths = np.load(fh)
+            offsets = np.load(fh)
+            rows = np.load(fh)
+            tfs = np.load(fh)
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+    tokens = header["tokens"]
+    if offsets.shape != (len(tokens) + 1,):
+        raise DataError(f"{path}: posting offsets do not match the {len(tokens)} tokens")
     postings = {
         token: (rows[offsets[i]:offsets[i + 1]], tfs[offsets[i]:offsets[i + 1]])
-        for i, token in enumerate(header["tokens"])
+        for i, token in enumerate(tokens)
     }
     return InvertedIndex(ids, lengths, postings)

@@ -62,18 +62,19 @@ class SelectionPlan:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        """Check the parameters; ``run_strategy`` rejects an unknown strategy."""
         if self.order not in ORDERS:
-            raise ValueError(f"unknown order {self.order!r}")
+            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
         if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.relevance_norm not in RELEVANCE_NORMS:
-            raise ValueError(f"unknown relevance norm {self.relevance_norm!r}")
+            raise ValueError(
+                f"relevance_norm must be one of {RELEVANCE_NORMS}, got {self.relevance_norm!r}"
+            )
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.pool_size < self.k:
-            raise ValueError("pool size must be >= k")
+            raise ValueError("pool_size must be >= k")
         if self.dpp_lambda <= 0:
             raise ValueError("dpp_lambda must be positive")
 

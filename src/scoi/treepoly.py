@@ -29,6 +29,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
+from .manifest import compact_json, read_header
 
 ROOT = -1
 
@@ -489,16 +490,12 @@ _POLY_FORMAT = "scoi-polynomials"
 _POLY_VERSION = 1
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def write_polynomial_cache(
     path, items: Iterable[tuple[int, Polynomial]], vocab: LabelVocabulary
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": _POLY_FORMAT, "version": _POLY_VERSION, "labels": vocab.labels}
-        fh.write(_dump(header) + "\n")
+        fh.write(compact_json(header) + "\n")
         for example_id, poly in items:
             mat, counts = canonical_terms(poly.terms, poly.dim)
             labels, exps, ends = _nonzero_rows(mat)
@@ -507,7 +504,7 @@ def write_polynomial_cache(
                 f"[[{','.join(pairs[a:b])}],{count}]"
                 for a, b, count in zip([0, *ends], ends, counts.tolist())
             )
-            fh.write(f"[{_dump(example_id)},[{terms}]]\n")
+            fh.write(f"[{compact_json(example_id)},[{terms}]]\n")
 
 
 def _parse_terms(raw_terms, shifts: dict[int, int]) -> Counter[int]:
@@ -534,22 +531,17 @@ def _parse_terms(raw_terms, shifts: dict[int, int]) -> Counter[int]:
 
 
 def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != _POLY_FORMAT:
-            raise DataError(f"{path}: not a polynomial cache")
-        if header.get("version") != _POLY_VERSION:
-            raise DataError(f"{path}: unsupported cache version {header.get('version')}")
+    # Lines are decoded one by one, so that bytes that are not UTF-8 fail
+    # on their own line.
+    with open(path, "rb") as fh:
+        header = read_header(fh, path, _POLY_FORMAT, _POLY_VERSION, "polynomial cache", "labels")
         vocab = LabelVocabulary(header["labels"])
         dim = len(vocab)
         shifts = {label: _LABEL_BITS * label for label in range(dim)}
         items = []
         for line_no, line in enumerate(fh, start=2):
             try:
-                example_id, raw_terms = json.loads(line)
+                example_id, raw_terms = json.loads(line.decode("utf-8"))
             except (ValueError, TypeError) as exc:
                 raise DataError(f"{path}: line {line_no}: malformed record ({exc})") from None
             try:

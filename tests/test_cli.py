@@ -1,10 +1,14 @@
 import json
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from scoi.cli import main
+import scoi.cli
+from scoi.cli import _config_from_args, build_parser, main
+from scoi.config import RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,6 +61,45 @@ class TestBuild:
         m2 = read_manifest(other / "build-manifest.json")
         for stage in ("corpus", "polynomials", "index"):
             assert m1["stages"][stage]["outputs"] == m2["stages"][stage]["outputs"]
+
+    @pytest.mark.parametrize(
+        "deleted, rerun, reads",
+        [
+            (["bm25.idx"], ["index"], ["corpus.jsonl"]),
+            (["corpus.poly.jsonl"], ["polynomials"], ["corpus.jsonl", "test.jsonl"]),
+            (["corpus.poly.jsonl", "bm25.idx"], ["polynomials", "index"], ["corpus.jsonl", "test.jsonl"]),
+            (["test.jsonl"], ["corpus"], []),
+        ],
+    )
+    def test_partial_rebuild_reruns_only_stale_stages(
+        self, built, tmp_path, capsys, monkeypatch, deleted, rerun, reads
+    ):
+        out = tmp_path / "partial"
+        shutil.copytree(built, out)
+        for name in deleted:
+            (out / name).unlink()
+        read = scoi.cli.read_corpus_cache
+        calls = []
+        monkeypatch.setattr(
+            scoi.cli, "read_corpus_cache", lambda path: calls.append(Path(path).name) or read(path)
+        )
+        capsys.readouterr()
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = ("corpus", "polynomials", "index")
+        assert [line.split(":")[0] for line in lines] == list(stages)
+        for stage, line in zip(stages, lines):
+            assert (line == f"{stage}: skipped (inputs unchanged)") == (stage not in rerun)
+        # A skipped corpus stage reloads each corpus cache at most once.
+        assert calls == reads
+        before = read_manifest(built / "build-manifest.json")["stages"]
+        after = read_manifest(out / "build-manifest.json")["stages"]
+        for stage in stages:
+            assert after[stage]["inputs"] == before[stage]["inputs"]
+            assert after[stage]["outputs"] == before[stage]["outputs"]
+            assert after[stage]["skipped"] == (stage not in rerun)
+        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.jsonl", "test.poly.jsonl", "bm25.idx"):
+            assert sha256_file(out / name) == sha256_file(built / name)
 
     def test_missing_conllu_exits_1_without_partial_caches(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -173,6 +216,73 @@ class TestSelect:
         assert all(len(r["selected"]) == 4 for r in records)
 
 
+def _null_header_key(key):
+    def mutate(lines):
+        return [json.dumps({**json.loads(lines[0]), key: None}).encode() + b"\n", *lines[1:]]
+    return mutate
+
+
+def _edit_first_record(edit):
+    def mutate(lines):
+        row = json.loads(lines[1])
+        edit(row)
+        return [lines[0], json.dumps(row).encode() + b"\n", *lines[2:]]
+    return mutate
+
+
+# (cache file, edit of its lines, message after "data error: <path>: ").
+CORRUPTIONS = [
+    pytest.param(
+        "corpus.jsonl", lambda ls: [b"garbage\n", *ls[1:]], "not a corpus cache",
+        id="corpus-header-not-json",
+    ),
+    pytest.param(
+        "corpus.jsonl", _null_header_key("labels"), "header has no labels list",
+        id="corpus-header-without-labels",
+    ),
+    pytest.param(
+        "corpus.jsonl", lambda ls: [*ls[:2], b"{oops\n", *ls[3:]], "line 3: malformed record",
+        id="corpus-record-not-json",
+    ),
+    pytest.param(
+        "corpus.jsonl", lambda ls: [ls[0], b"\xff" + ls[1], *ls[2:]],
+        "line 2: malformed record ('utf-8' codec can't decode", id="corpus-record-not-utf8",
+    ),
+    pytest.param(
+        "corpus.jsonl", _edit_first_record(lambda row: row.pop("id")),
+        "line 2: record has no 'id' key", id="corpus-record-without-id",
+    ),
+    pytest.param(
+        "corpus.jsonl", _edit_first_record(lambda row: row.update(labels=[0, 0], parents=[-1, -1])),
+        "record 0: expected exactly one root, found 2", id="corpus-tree-two-roots",
+    ),
+    pytest.param(
+        "test.jsonl", _edit_first_record(lambda row: row.pop("tokens")),
+        "line 2: record has no 'tokens' key", id="test-record-without-tokens",
+    ),
+    pytest.param(
+        "bm25.idx", lambda ls: [b"garbage\n", *ls[1:]], "not a BM25 index file",
+        id="index-header-not-json",
+    ),
+    pytest.param(
+        "bm25.idx", _null_header_key("tokens"), "header has no tokens list",
+        id="index-header-without-tokens",
+    ),
+    pytest.param(
+        "bm25.idx", lambda ls: [ls[0], ls[1][:40]], "corrupt array segment",
+        id="index-truncated",
+    ),
+    pytest.param(
+        "corpus.poly.jsonl", _null_header_key("labels"), "header has no labels list",
+        id="poly-header-without-labels",
+    ),
+    pytest.param(
+        "corpus.poly.jsonl", lambda ls: [ls[0], b"\xff" + ls[1], *ls[2:]],
+        "line 2: malformed record ('utf-8' codec can't decode", id="poly-record-not-utf8",
+    ),
+]
+
+
 class TestCorruptCache:
     def test_label_outside_vocabulary_exits_2_naming_record(self, built, tmp_path, capsys):
         out = tmp_path / "corrupt"
@@ -189,6 +299,19 @@ class TestCorruptCache:
         err = capsys.readouterr().err
         assert f"{poly_path}: record {example_id}: bad term (label 99 outside" in err
         assert f"{n_labels}-label vocabulary" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
+    def test_corrupt_cache_exits_2_with_located_message(
+        self, built, tmp_path, capsys, name, mutate, expected
+    ):
+        out = tmp_path / "corrupt"
+        shutil.copytree(built, out)
+        path = out / name
+        path.write_bytes(b"".join(mutate(path.read_bytes().splitlines(keepends=True))))
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: {expected}" in err
         assert "Traceback" not in err
 
 
@@ -338,3 +461,103 @@ class TestConfigFile:
         cfg.write_text("corpus_source = data/x.src\n", encoding="utf-8")
         config = load_config(cfg)
         assert config.corpus_source == sub.resolve() / "data" / "x.src"
+
+
+# Values differing from the defaults that every key's checks accept.
+ALTERNATIVES = {
+    "strategy": "dpp",
+    "order": "word-first",
+    "measure": "cosine",
+    "relevance_norm": "minmax",
+    "prompt_style": "instruction",
+}
+CONFIG_FIELDS = fields(RunConfig)
+
+
+def _key_type(field) -> type:
+    return Path if field.default is None else type(field.default)
+
+
+def _flag(field) -> str:
+    return "--" + field.name.replace("_", "-")
+
+
+def _raw_value(field, tmp_path) -> str:
+    kind = _key_type(field)
+    if kind is bool:
+        return "true"
+    if issubclass(kind, Path):
+        return str(tmp_path / f"{field.name}.txt")
+    if kind in (int, float):
+        return repr(field.default + 1 if kind is int else field.default / 2)
+    return ALTERNATIVES.get(field.name, "Klingon")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+    def test_file_line_and_flag_give_the_same_value(self, field, tmp_path):
+        raw = _raw_value(field, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field.name} = {raw}\n", encoding="utf-8")
+        from_file = getattr(load_config(cfg), field.name)
+        argv = ["select", _flag(field)] + ([] if _key_type(field) is bool else [raw])
+        from_flag = getattr(_config_from_args(build_parser().parse_args(argv)), field.name)
+        assert from_file == from_flag != field.default
+        assert type(from_file) is type(from_flag)
+        assert isinstance(from_flag, _key_type(field))
+
+    @pytest.mark.parametrize(
+        "field", [f for f in CONFIG_FIELDS if _key_type(f) is bool], ids=lambda f: f.name
+    )
+    def test_bool_flag_only_switches_a_key_on(self, field, capsys):
+        parser = build_parser()
+        assert getattr(_config_from_args(parser.parse_args(["select"])), field.name) is False
+        on = parser.parse_args(["select", _flag(field)])
+        assert getattr(_config_from_args(on), field.name) is True
+        assert run("select", _flag(field), "false") == 1
+        assert "unrecognized arguments: false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", [f for f in CONFIG_FIELDS if _key_type(f) in (int, float)], ids=lambda f: f.name
+    )
+    def test_bad_flag_value_exits_1_like_a_bad_file_value(self, field, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{field.name} = four\n", encoding="utf-8")
+        assert run("select", "--config", cfg) == 1
+        from_file = capsys.readouterr().err
+        assert run("select", _flag(field), "four") == 1
+        from_flag = capsys.readouterr().err
+        expected = f"error: {field.name}: expected {_key_type(field).__name__}, got 'four'\n"
+        assert from_file == from_flag == expected
+
+
+def _readme_defaults() -> dict[str, str]:
+    """Key -> default cell of the README configuration table."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    defaults = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        values = re.findall(r"`([^`]+)`", default_cell) or [default_cell.strip()] * len(keys)
+        assert len(values) == len(keys), line
+        defaults.update(zip(keys, values))
+    return defaults
+
+
+class TestReadmeConfigTable:
+    def test_lists_exactly_the_config_keys(self):
+        assert sorted(_readme_defaults()) == sorted(f.name for f in CONFIG_FIELDS)
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+    def test_states_each_default(self, field):
+        default = field.default
+        if default is None:
+            expected = "required"
+        elif isinstance(default, bool):
+            expected = str(default).lower()
+        else:
+            expected = str(default)
+        assert _readme_defaults()[field.name] == expected
