@@ -8,7 +8,7 @@ over BM25-shortlisted candidate pools.
 
 __version__ = "0.1.0"
 
-from .coverage import TermPool, TokenBag, syn_set_cov, term_similarity, word_set_cov
+from .coverage import TokenBag, syn_set_cov, term_similarity, word_set_cov
 from .retrieval import Bm25Params, InvertedIndex, bm25_topk, build_index, word_matrix
 from .selection import (
     SelectionPlan,
@@ -39,7 +39,6 @@ __all__ = [
     "Polynomial",
     "SelectionPlan",
     "SelectionResult",
-    "TermPool",
     "TokenBag",
     "bm25_topk",
     "build_index",

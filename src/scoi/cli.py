@@ -28,15 +28,16 @@ from .corpus import (
     read_corpus_cache,
     write_corpus_cache,
 )
-from .coverage import TermPool, TokenBag, syn_set_cov, word_set_cov
+from .coverage import TokenBag, syn_set_cov, word_set_cov
 from .errors import ConfigError, DataError, ScoiError
 from .manifest import RunManifest, compact_json, read_manifest, sha256_file, stage_is_current
 from .prompts import render_prompt
 from .retrieval import bm25_topk, build_index, load_index, save_index
-from .selection import STRATEGIES, run_strategy
+from .selection import STRATEGIES, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
 from .treepoly import (
     LabelVocabulary,
+    Polynomial,
     read_polynomial_cache,
     write_polynomial_cache,
 )
@@ -215,11 +216,13 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
         size = min(config.pool_size, len(corpus_ids))
         pool = [corpus_by_id[rid] for rid in rng.sample(sorted(corpus_ids), size)]
         fallback = True
+    # Every strategy reads its per-candidate scores from this one table.
+    scores = PoolScores(test, pool, config.measure)
     outputs = []
     for strategy in strategies:
         plan = config.plan(strategy)
         result = run_strategy(
-            test, pool, plan, index=index, corpus_ids=corpus_ids, params=params
+            test, pool, plan, index=index, corpus_ids=corpus_ids, params=params, scores=scores
         )
         if fallback:
             result.flags["bm25_fallback"] = True
@@ -380,7 +383,7 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         if missing:
             raise DataError(f"pool ids not in corpus: {missing}")
         members = [corpus_by_id[i] for i in pool_ids]
-        pool_terms = TermPool.from_polynomials([m.poly for m in members])
+        pool_terms = Polynomial.union(m.poly for m in members)
         pool_tokens = TokenBag.union([m.tokens for m in members])
         syn = syn_set_cov(record.poly, pool_terms, config.measure)
         word = word_set_cov(record.tokens, pool_tokens)

@@ -17,13 +17,14 @@ from typing import Iterable, Sequence
 
 from .conllu import load_conllu
 from .coverage import TokenBag
-from .errors import AlignmentError, DataError, MalformedTreeError
+from .errors import AlignmentError, DataError, MalformedTreeError, UnknownLabelError
 from .manifest import compact_json, read_header
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
     LabelVocabulary,
     Polynomial,
+    check_labels,
     simplified_polynomial,
     simplified_term_counter,
 )
@@ -195,7 +196,9 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
                 record_id, labels, parents = row["id"], row["labels"], row["parents"]
                 source, target, token_list = row["source"], row["target"], tuple(row["tokens"])
                 tree = None if labels is None else DependencyTree(labels, parents)
-            except MalformedTreeError as exc:
+                if tree is not None:
+                    check_labels(tree, len(vocab))
+            except (MalformedTreeError, UnknownLabelError) as exc:
                 raise DataError(f"{path}: record {record_id}: {exc}") from None
             except KeyError as exc:
                 raise DataError(f"{path}: line {line_no}: record has no {exc} key") from None

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .treepoly import Polynomial, TermVector, canonical_terms, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, manhattan, term_degree
 
 # Per-term similarity measures.  normalized-manhattan is the default;
 # cosine is only reachable through explicit configuration.
@@ -50,39 +50,6 @@ class TokenBag:
 
     def __repr__(self) -> str:
         return f"TokenBag({self.total} tokens, {len(self.counts)} distinct)"
-
-
-class TermPool:
-    """Multiset union of one or more polynomials' terms."""
-
-    __slots__ = ("terms", "dim", "_dense")
-
-    def __init__(self, terms: Counter[int], dim: int):
-        self.terms = terms
-        self.dim = dim
-        self._dense: np.ndarray | None = None
-
-    @classmethod
-    def from_polynomials(cls, polys: Iterable[Polynomial]) -> "TermPool":
-        merged: Counter[int] = Counter()
-        dim = 0
-        for poly in polys:
-            merged.update(poly.terms)
-            dim = max(dim, poly.dim)
-        return cls(merged, dim)
-
-    @property
-    def n_terms(self) -> int:
-        return sum(self.terms.values())
-
-    def dense(self) -> np.ndarray:
-        """Distinct terms as a float matrix (multiplicity is irrelevant to max)."""
-        if self._dense is None:
-            self._dense = canonical_terms(self.terms, self.dim)[0].astype(np.float64)
-        return self._dense
-
-    def __repr__(self) -> str:
-        return f"TermPool({self.n_terms} terms, dim={self.dim})"
 
 
 def _check_measure(measure: str) -> None:
@@ -145,40 +112,42 @@ def similarity_matrix(x_mat: np.ndarray, pool_mat: np.ndarray, measure: str) -> 
 
 
 def max_similarities(
-    x: Polynomial, other: Polynomial | TermPool, measure: str = "normalized-manhattan"
+    x: Polynomial, other: Polynomial, measure: str = "normalized-manhattan"
 ) -> np.ndarray:
     """For each distinct term of x, its best similarity to any term of other.
 
     Rows align with ``x.term_vectors()``.  Used incrementally by selection:
-    the best match against a growing pool is the elementwise max of the
-    per-member results.
+    the best match against a pool (``Polynomial.union`` of its members) is
+    the elementwise max of the per-member results.
     """
     if not x.terms:
         raise ValueError("test polynomial is empty")
     x_mat, _ = x.dense()
-    other_mat = other.dense()[0] if isinstance(other, Polynomial) else other.dense()
+    other_mat, _ = other.dense()
     if other_mat.shape[0] == 0:
         raise ValueError("cannot score against an empty term pool")
     return similarity_matrix(x_mat, other_mat, measure).max(axis=1)
 
 
-def occurrence_sum(values: np.ndarray, counts: np.ndarray) -> float:
+def occurrence_sum(values: np.ndarray, counts: np.ndarray) -> float | np.ndarray:
     """Sum ``values`` weighted by integer ``counts``, one addition per occurrence.
 
     Coverage sums are pinned to sequential per-occurrence addition over the
     canonical term order.  Blocked summations (BLAS dot products) round
     differently depending on vector composition, which lets two candidates
     with mathematically equal coverage compare unequal; argmax ties must
-    instead fall through to the ascending-id rule.
+    instead fall through to the ascending-id rule.  A 2-D ``values`` is
+    summed row by row, one column added per occurrence, giving each row the
+    same float its 1-D sum would; a 1-D ``values`` gives a ``float``.
     """
-    total = 0.0
-    for value, count in zip(values.tolist(), counts.tolist()):
+    total = np.zeros(values.shape[:-1])
+    for column, count in zip(values.T, counts.tolist()):
         for _ in range(int(count)):
-            total += value
-    return total
+            total += column
+    return float(total) if values.ndim == 1 else total
 
 
-def syn_set_cov(x: Polynomial, pool: TermPool | Polynomial, measure: str = "normalized-manhattan") -> float:
+def syn_set_cov(x: Polynomial, pool: Polynomial, measure: str = "normalized-manhattan") -> float:
     """Mean over x's terms (with multiplicity) of the best pool-term similarity.
 
     The pool must be non-empty; when scoring a candidate against an empty

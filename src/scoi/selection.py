@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .coverage import MEASURES, TermPool, TokenBag, max_similarities, occurrence_sum
+from .coverage import MEASURES, max_similarities, occurrence_sum
 from .retrieval import Bm25Params, InvertedIndex, word_matrix
 from .treepoly import polynomial_distance
 
@@ -79,28 +79,53 @@ class SelectionPlan:
             raise ValueError("dpp_lambda must be positive")
 
 
-@dataclass
-class CoverageState:
-    """Live state of the alternating greedy loop.
+class PoolScores:
+    """Per-candidate scores of one test input against one pool, each computed once.
 
-    ``selected`` is the committed example order; ``z_curr`` the ids feeding
-    the live cover.  The pools equal the multiset unions over ``z_curr``
-    exactly; after a restart they are empty and both scores sit at
-    SENTINEL_LOW.
+    ``by_id`` is the pool in ascending-id order, and every table's rows
+    follow it.  A table is built on first use, so strategies that share a
+    (test, pool) pair share its cost and a strategy pays only for the tables
+    it reads.
     """
 
-    selected: list[int] = field(default_factory=list)
-    z_curr: list[int] = field(default_factory=list)
-    term_pool: Counter[int] = field(default_factory=Counter)
-    token_pool: Counter[str] = field(default_factory=Counter)
-    curr_syn_cov: float = SENTINEL_LOW
-    curr_word_cov: float = SENTINEL_LOW
+    def __init__(self, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str):
+        if test.poly is None or test.tokens is None:
+            raise ValueError("test record needs a polynomial and a token bag")
+        self.by_id = sorted(pool, key=lambda r: r.id)
+        for record in self.by_id:
+            if record.poly is None:
+                raise ValueError(f"pool record {record.id} has no polynomial")
+        self.test = test
+        self.measure = measure
 
-    def term_pool_view(self, dim: int) -> TermPool:
-        return TermPool(Counter(self.term_pool), dim)
+    @cached_property
+    def similarities(self) -> np.ndarray:
+        """(candidates, distinct test terms): best similarity to each test term."""
+        rows = [max_similarities(self.test.poly, r.poly, self.measure) for r in self.by_id]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.test.poly.terms))
 
-    def token_pool_view(self) -> TokenBag:
-        return TokenBag(Counter(self.token_pool))
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Polynomial distance of each candidate to the test input."""
+        return np.array(
+            [polynomial_distance(self.test.poly, r.poly) for r in self.by_id], dtype=np.float64
+        )
+
+    @cached_property
+    def token_counts(self) -> np.ndarray:
+        """int64 (candidates, distinct test tokens): each candidate's count of each token."""
+        tokens = list(self.test.tokens.counts)
+        rows = [[r.tokens.counts.get(t, 0) for t in tokens] for r in self.by_id]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(tokens))
+
+
+def _pool_scores(test, pool, plan: SelectionPlan, scores: PoolScores | None) -> PoolScores:
+    """The shared table when one is given, else a fresh one for this call."""
+    if scores is None:
+        return PoolScores(test, pool, plan.measure)
+    if scores.measure != plan.measure:
+        raise ValueError(f"scores use measure {scores.measure!r}, the plan {plan.measure!r}")
+    return scores
 
 
 @dataclass
@@ -133,79 +158,61 @@ def _mode_for_position(strategy: str, order: str, position: int) -> str:
 
 
 def _greedy_coverage(
-    test: "ExampleRecord", pool: Sequence["ExampleRecord"], plan: SelectionPlan, strategy: str
+    test: "ExampleRecord",
+    pool: Sequence["ExampleRecord"],
+    plan: SelectionPlan,
+    strategy: str,
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
-    if test.poly is None or test.tokens is None:
-        raise ValueError("test record needs a polynomial and a token bag")
-    by_id = sorted(pool, key=lambda r: r.id)
-    for record in by_id:
-        if record.poly is None:
-            raise ValueError(f"pool record {record.id} has no polynomial")
-
-    x_mat, x_counts = test.poly.dense()
+    scores = _pool_scores(test, pool, plan, scores)
+    by_id = scores.by_id
+    _, x_counts = test.poly.dense()
     n_x = test.poly.n_terms
-    x_tokens = list(test.tokens.counts.items())
+    want = np.fromiter(test.tokens.counts.values(), np.int64, len(test.tokens.counts))
     x_total = test.tokens.total
 
-    # Best similarity of each distinct test term against one candidate's
-    # terms; the best against a pool union is the elementwise max of these.
-    cand_sims = {r.id: max_similarities(test.poly, r.poly, plan.measure) for r in by_id}
-
-    state = CoverageState()
-    best_vs_cover = np.zeros(len(x_counts), dtype=np.float64)
+    # Each step scores every remaining candidate at once.  The live cover is
+    # the rows committed since the last restart; its best similarity per test
+    # term is the elementwise max of theirs (exact in any order), its token
+    # counts their sum.  np.argmax takes the first maximum, and rows are in
+    # ascending-id order, so ties go to the smallest id.
+    taken = np.zeros(len(by_id), dtype=bool)
+    live: list[int] = []
+    curr = {"syntax": SENTINEL_LOW, "word": SENTINEL_LOW}
+    selected: list[int] = []
     steps: list[dict] = []
     flags: dict = {}
-    selected_set: set[int] = set()
     event = 0
 
-    while len(state.selected) < plan.k:
-        remaining = [r for r in by_id if r.id not in selected_set]
-        if not remaining:
+    while len(selected) < plan.k:
+        rows = np.flatnonzero(~taken)
+        if rows.size == 0:
             flags["pool_exhausted"] = True
             break
-        mode = _mode_for_position(strategy, plan.order, len(state.selected))
-        best_id = -1
-        best_cov = -math.inf
-        best_vec: np.ndarray | None = None
+        mode = _mode_for_position(strategy, plan.order, len(selected))
         if mode == "syntax":
-            for cand in remaining:
-                vec = np.maximum(best_vs_cover, cand_sims[cand.id])
-                cov = occurrence_sum(vec, x_counts) / n_x
-                if cov > best_cov:
-                    best_id, best_cov, best_vec = cand.id, cov, vec
-            curr = state.curr_syn_cov
+            sims = scores.similarities
+            cover = sims[live].max(axis=0, initial=0.0)
+            covs = occurrence_sum(np.maximum(cover, sims[rows]), x_counts) / n_x
         else:
-            pool_counts = state.token_pool
-            for cand in remaining:
-                cand_counts = cand.tokens.counts
-                covered = 0
-                for token, want in x_tokens:
-                    have = pool_counts.get(token, 0) + cand_counts.get(token, 0)
-                    covered += want if have >= want else have
-                cov = covered / x_total
-                if cov > best_cov:
-                    best_id, best_cov = cand.id, cov
-            curr = state.curr_word_cov
+            counts = scores.token_counts
+            cover = counts[live].sum(axis=0)
+            covs = np.minimum(want, cover + counts[rows]).sum(axis=1) / x_total
+        pick = int(np.argmax(covs))
+        best_cov = float(covs[pick])
 
-        if best_cov > curr:
-            chosen = next(r for r in remaining if r.id == best_id)
-            state.selected.append(best_id)
-            state.z_curr.append(best_id)
-            state.term_pool.update(chosen.poly.terms)
-            state.token_pool.update(chosen.tokens.counts)
-            selected_set.add(best_id)
-            # A committed example joins the live cover for BOTH modes, so the
-            # syntactic best-match vector advances on word commits too.
-            if mode == "syntax":
-                state.curr_syn_cov = best_cov
-                best_vs_cover = best_vec
-            else:
-                state.curr_word_cov = best_cov
-                best_vs_cover = np.maximum(best_vs_cover, cand_sims[best_id])
+        if best_cov > curr[mode]:
+            row = int(rows[pick])
+            best_id = by_id[row].id
+            selected.append(best_id)
+            taken[row] = True
+            # A committed example joins the live cover for BOTH modes.
+            live.append(row)
+            curr[mode] = best_cov
             steps.append(
                 {
                     "step": event,
-                    "position": len(state.selected) - 1,
+                    "position": len(selected) - 1,
                     "mode": mode,
                     "action": "commit",
                     "chosen": best_id,
@@ -216,67 +223,67 @@ def _greedy_coverage(
             # Keep the committed examples but drop the live cover.  Both
             # scores reset; when the other mode's score was live this is
             # stricter than a literal one-score reset, so it gets flagged.
-            other_live = (
-                state.curr_word_cov != SENTINEL_LOW
-                if mode == "syntax"
-                else state.curr_syn_cov != SENTINEL_LOW
-            )
-            state.z_curr = []
-            state.term_pool = Counter()
-            state.token_pool = Counter()
-            state.curr_syn_cov = SENTINEL_LOW
-            state.curr_word_cov = SENTINEL_LOW
-            best_vs_cover = np.zeros(len(x_counts), dtype=np.float64)
+            other = "word" if mode == "syntax" else "syntax"
+            other_live = curr[other] != SENTINEL_LOW
+            live = []
+            curr = {"syntax": SENTINEL_LOW, "word": SENTINEL_LOW}
             steps.append(
                 {
                     "step": event,
-                    "position": len(state.selected),
+                    "position": len(selected),
                     "mode": mode,
                     "action": "restart",
                     "best_rejected": best_cov,
-                    "resets_other_score": bool(other_live),
+                    "resets_other_score": other_live,
                 }
             )
         event += 1
 
-    if len(state.selected) < plan.k:
+    if len(selected) < plan.k:
         # Pool exhausted: pad from the BM25 rank order and flag the result.
         for record in pool:
-            if len(state.selected) >= plan.k:
+            if len(selected) >= plan.k:
                 break
-            if record.id not in selected_set:
-                state.selected.append(record.id)
-                selected_set.add(record.id)
+            if record.id not in selected:
+                selected.append(record.id)
                 steps.append({"step": event, "action": "bm25_fill", "chosen": record.id})
                 event += 1
         flags["pool_exhausted"] = True
 
-    return SelectionResult(test.id, strategy, state.selected, steps, flags)
+    return SelectionResult(test.id, strategy, selected, steps, flags)
 
 
 def select_scoi(
-    test: "ExampleRecord", pool: Sequence["ExampleRecord"], plan: SelectionPlan
+    test: "ExampleRecord",
+    pool: Sequence["ExampleRecord"],
+    plan: SelectionPlan,
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
     """Alternating syntactic/lexical greedy coverage selection."""
-    return _greedy_coverage(test, pool, plan, "scoi")
+    return _greedy_coverage(test, pool, plan, "scoi", scores)
 
 
 def select_single_coverage(
-    test: "ExampleRecord", pool: Sequence["ExampleRecord"], plan: SelectionPlan
+    test: "ExampleRecord",
+    pool: Sequence["ExampleRecord"],
+    plan: SelectionPlan,
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
     """Single-mode ablations: the same greedy loop, one coverage throughout."""
     if plan.strategy not in ("syntax-only", "word-only"):
         raise ValueError("select_single_coverage expects a syntax-only or word-only plan")
-    return _greedy_coverage(test, pool, plan, plan.strategy)
+    return _greedy_coverage(test, pool, plan, plan.strategy, scores)
 
 
 def select_topk_poly(
-    test: "ExampleRecord", pool: Sequence["ExampleRecord"], plan: SelectionPlan
+    test: "ExampleRecord",
+    pool: Sequence["ExampleRecord"],
+    plan: SelectionPlan,
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
     """k pool members closest to the test input in polynomial distance."""
-    if test.poly is None:
-        raise ValueError("test record needs a polynomial")
-    ranked = sorted((polynomial_distance(test.poly, r.poly), r.id) for r in pool)
+    scores = _pool_scores(test, pool, plan, scores)
+    ranked = sorted(zip(scores.distances.tolist(), (r.id for r in scores.by_id)))
     chosen = ranked[: plan.k]
     steps = [
         {"rank": i, "chosen": rid, "distance": dist} for i, (dist, rid) in enumerate(chosen)
@@ -349,16 +356,14 @@ def select_dpp(
     plan: SelectionPlan,
     index: InvertedIndex,
     params: Bm25Params = Bm25Params(),
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
     """DPP MAP selection: syntactic relevance on the diagonal, lexical
     diversity from BM25-weighted word vectors off it."""
-    if test.poly is None or test.tokens is None:
-        raise ValueError("test record needs a polynomial and a token bag")
-    by_id = sorted(pool, key=lambda r: r.id)
+    scores = _pool_scores(test, pool, plan, scores)
+    by_id = scores.by_id
     wm = word_matrix(by_id, test.tokens, index, params)
-    distances = np.array(
-        [polynomial_distance(test.poly, r.poly) for r in by_id], dtype=np.float64
-    )
+    distances = scores.distances
     if plan.relevance_norm == "reciprocal":
         relevance = 1.0 / (1.0 + distances)
     else:
@@ -413,22 +418,27 @@ def run_strategy(
     index: InvertedIndex | None = None,
     corpus_ids: Sequence[int] | None = None,
     params: Bm25Params = Bm25Params(),
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
-    """Dispatch one test input to the plan's strategy."""
+    """Dispatch one test input to the plan's strategy.
+
+    ``scores`` is a ``PoolScores`` of this test and pool that callers
+    running several strategies share; without it each strategy builds its own.
+    """
     plan.validate()
     strategy = plan.strategy
     if strategy == "scoi":
-        return select_scoi(test, pool, plan)
+        return select_scoi(test, pool, plan, scores)
     if strategy in ("syntax-only", "word-only"):
-        return select_single_coverage(test, pool, plan)
+        return select_single_coverage(test, pool, plan, scores)
     if strategy == "topk-poly":
-        return select_topk_poly(test, pool, plan)
+        return select_topk_poly(test, pool, plan, scores)
     if strategy == "bm25-passthrough":
         return select_bm25(test, pool, plan)
     if strategy == "dpp":
         if index is None:
             raise ValueError("dpp strategy needs the BM25 index")
-        return select_dpp(test, pool, plan, index, params)
+        return select_dpp(test, pool, plan, index, params, scores)
     if strategy == "random":
         if corpus_ids is None:
             raise ValueError("random strategy needs the full corpus id list")

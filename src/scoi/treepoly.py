@@ -292,6 +292,16 @@ class Polynomial:
         self.dim = dim
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
 
+    @classmethod
+    def union(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """Multiset union of the polynomials' terms, at the widest of their dims."""
+        merged: Counter[int] = Counter()
+        dim = 0
+        for poly in polys:
+            merged.update(poly.terms)
+            dim = max(dim, poly.dim)
+        return cls(merged, dim)
+
     @property
     def n_terms(self) -> int:
         """Term count with multiplicity."""
@@ -359,7 +369,7 @@ class OriginalPolynomial:
         )
 
 
-def _check_labels(tree: DependencyTree, vocab_size: int) -> None:
+def check_labels(tree: DependencyTree, vocab_size: int) -> None:
     if min(tree.labels) < 0 or max(tree.labels) >= vocab_size:
         bad = next(l for l in tree.labels if l < 0 or l >= vocab_size)
         raise UnknownLabelError(f"label index {bad} outside vocabulary of size {vocab_size}")
@@ -367,7 +377,7 @@ def _check_labels(tree: DependencyTree, vocab_size: int) -> None:
 
 def simplified_term_counter(tree: DependencyTree, dim: int) -> Counter[int]:
     """Packed term keys of the simplified construction, with multiplicity."""
-    _check_labels(tree, dim)
+    check_labels(tree, dim)
     shifts = _shifts_for(dim)
     labels = tree.labels
     parents = tree.parents
@@ -415,7 +425,7 @@ def original_polynomial(
     if term_budget <= 0:
         raise ValueError("term_budget must be positive")
     d = len(vocab)
-    _check_labels(tree, d)
+    check_labels(tree, d)
     shifts = _shifts_for(2 * d)
     labels = tree.labels
     children = tree.children

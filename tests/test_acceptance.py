@@ -17,7 +17,7 @@ import pytest
 from scoi.bench import random_tree, run_bench
 from scoi.cli import main as cli_main
 from scoi.corpus import ExampleRecord
-from scoi.coverage import TermPool, TokenBag, syn_set_cov, term_similarity, word_set_cov
+from scoi.coverage import TokenBag, syn_set_cov, term_similarity, word_set_cov
 from scoi.prompts import PromptTemplate, render_prompt
 from scoi.retrieval import Bm25Params, bm25_topk, build_index
 from scoi.selection import SelectionPlan, select_dpp, select_scoi, select_single_coverage
@@ -137,13 +137,6 @@ def _poly_of(term_maps, dim):
     return Polynomial(counter, dim)
 
 
-def _pool_of(term_maps, dim):
-    counter = Counter()
-    for mapping in term_maps:
-        counter[encode_term(mapping)] += 1
-    return TermPool(counter, dim)
-
-
 def _sim_oracle(s, t, measure):
     if measure == "normalized-manhattan":
         keys = set(s) | set(t)
@@ -161,7 +154,7 @@ def test_criterion_04_coverage_oracle_equivalence():
     for case in range(10_000):
         x_terms, pool_terms, dim = _random_coverage_instance(rng)
         x = _poly_of(x_terms, dim)
-        pool = _pool_of(pool_terms, dim)
+        pool = _poly_of(pool_terms, dim)
         got = syn_set_cov(x, pool)
         want = sum(
             max(_sim_oracle(s, t, "normalized-manhattan") for t in pool_terms)
@@ -192,10 +185,10 @@ def test_criterion_05_coverage_invariants():
         x_terms, pool_terms, dim = _random_coverage_instance(rng)
         x = _poly_of(x_terms, dim)
         for measure in ("normalized-manhattan", "cosine"):
-            base = syn_set_cov(x, _pool_of(pool_terms, dim), measure)
-            grown = syn_set_cov(x, _pool_of(pool_terms + [x_terms[0]], dim), measure)
+            base = syn_set_cov(x, _poly_of(pool_terms, dim), measure)
+            grown = syn_set_cov(x, _poly_of(pool_terms + [x_terms[0]], dim), measure)
             assert grown >= base
-            self_cover = syn_set_cov(x, _pool_of(pool_terms + x_terms, dim), measure)
+            self_cover = syn_set_cov(x, _poly_of(pool_terms + x_terms, dim), measure)
             assert self_cover == pytest.approx(1.0, abs=1e-12)
             if measure == "normalized-manhattan":
                 assert 0.0 < base <= 1.0

@@ -1,15 +1,18 @@
 import json
 import re
 import shutil
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import scoi.cli
+import scoi.selection
 from scoi.cli import _config_from_args, build_parser, main
 from scoi.config import RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
+from scoi.selection import STRATEGIES
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CFG = REPO / "data" / "demo" / "demo.cfg"
@@ -301,6 +304,23 @@ class TestCorruptCache:
         assert f"{n_labels}-label vocabulary" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    def test_tree_label_outside_vocabulary_exits_2(self, built, tmp_path, capsys, command):
+        out = tmp_path / "corrupt"
+        shutil.copytree(built, out)
+        path = out / "corpus.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        n_labels = len(json.loads(lines[0])["labels"])
+        assert n_labels < 99
+        edit = _edit_first_record(lambda row: row["labels"].__setitem__(0, 99))
+        path.write_bytes(b"".join(edit(lines)))
+        extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        err = capsys.readouterr().err
+        expected = f"data error: {path}: record 0: label index 99 outside vocabulary of size {n_labels}"
+        assert expected in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
         self, built, tmp_path, capsys, name, mutate, expected
@@ -313,6 +333,45 @@ class TestCorruptCache:
         err = capsys.readouterr().err
         assert f"data error: {path}: {expected}" in err
         assert "Traceback" not in err
+
+
+def _count_scoring_calls(built, monkeypatch, strategies):
+    """Run ``_select_one`` on the first demo test input, counting the per-candidate
+    scoring calls by the id of the pool polynomial each one scores."""
+    config = load_config(DEMO_CFG, {"out_dir": built})
+    _, corpus, tests, index = scoi.cli._load_built(built)
+    corpus_by_id = {r.id: r for r in corpus}
+    test = tests[0]
+    ranked = scoi.cli.bm25_topk(index, test.tokens, config.pool_size, config.bm25_params())
+    assert len(ranked) > config.k
+    pool_polys = Counter(id(corpus_by_id[rid].poly) for rid, _ in ranked)
+    calls = {}
+    for name in ("max_similarities", "polynomial_distance"):
+        seen = calls[name] = Counter()
+        real = getattr(scoi.selection, name)
+
+        def counted(x, other, *rest, real=real, seen=seen):
+            seen[id(other)] += 1
+            return real(x, other, *rest)
+
+        monkeypatch.setattr(scoi.selection, name, counted)
+    scoi.cli._select_one(
+        test, strategies, config, corpus_by_id, tuple(sorted(corpus_by_id)), index,
+        config.template(),
+    )
+    return pool_polys, calls
+
+
+class TestSharedScores:
+    def test_all_strategies_score_each_pool_member_once(self, built, monkeypatch):
+        pool_polys, calls = _count_scoring_calls(built, monkeypatch, list(STRATEGIES))
+        assert calls["max_similarities"] == pool_polys
+        assert calls["polynomial_distance"] == pool_polys
+
+    def test_word_only_computes_no_similarities(self, built, monkeypatch):
+        _, calls = _count_scoring_calls(built, monkeypatch, ["word-only"])
+        assert sum(calls["max_similarities"].values()) == 0
+        assert sum(calls["polynomial_distance"].values()) == 0
 
 
 def _write_tiny_corpus(tmp_path, sources, test_sources):
@@ -561,3 +620,16 @@ class TestReadmeConfigTable:
         else:
             expected = str(default)
         assert _readme_defaults()[field.name] == expected
+
+
+def _readme_scripts() -> list[str]:
+    """Paths named by the bullets of the README "Scripts" section."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\* `([^`]+)`", section, flags=re.MULTILINE)
+
+
+class TestReadmeScripts:
+    def test_lists_exactly_the_scripts(self):
+        on_disk = sorted(f"scripts/{p.name}" for p in (REPO / "scripts").iterdir() if p.is_file())
+        assert sorted(_readme_scripts()) == on_disk

@@ -1,18 +1,19 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from scoi.coverage import (
-    TermPool,
     TokenBag,
+    occurrence_sum,
     syn_set_cov,
     term_similarity,
     word_set_cov,
 )
-from scoi.treepoly import encode_term
+from scoi.treepoly import Polynomial, encode_term
 
 from conftest import manhattan_oracle, poly_from_terms
 
@@ -45,11 +46,11 @@ def random_term(rng: random.Random, dim: int) -> dict:
     return {rng.randrange(dim): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
 
 
-def pool_of(term_maps: list[dict], dim: int) -> TermPool:
+def pool_of(term_maps: list[dict], dim: int) -> Polynomial:
     counter = Counter()
     for mapping in term_maps:
         counter[encode_term(mapping)] += 1
-    return TermPool(counter, dim)
+    return Polynomial(counter, dim)
 
 
 # --- term similarity -----------------------------------------------------------
@@ -89,6 +90,49 @@ class TestTermSimilarity:
                 assert term_similarity(sv, tv, measure) == pytest.approx(
                     sim_oracle(s, t, measure), rel=1e-12
                 )
+
+
+# --- per-occurrence sums --------------------------------------------------------
+
+
+def occurrence_sum_reference(values: list[float], counts: list[int]) -> float:
+    """The pinned order: one Python float addition per occurrence, term by term."""
+    total = 0.0
+    for value, count in zip(values, counts):
+        for _ in range(count):
+            total += value
+    return total
+
+
+class TestOccurrenceSum:
+    def test_each_row_equals_the_scalar_sum_exactly(self):
+        rng = np.random.default_rng(11)
+        counts = [1, 3, 1, 2, 3, 1, 2, 4, 1, 3]
+        values = rng.random((40, len(counts)))
+        # Mathematically tied rows: swap values between columns of equal count,
+        # which changes the addition order but not the exact sum.
+        ties = values[:20].copy()
+        ties[:, [0, 2]] = ties[:, [2, 0]]
+        ties[:, [1, 4]] = ties[:, [4, 1]]
+        values = np.vstack([values, ties])
+        # Dense counts are floats; rows are summed in the given column order.
+        got = occurrence_sum(values, np.array(counts, dtype=np.float64))
+        assert got.shape == (values.shape[0],)
+        for row, total in zip(values.tolist(), got.tolist()):
+            assert total == occurrence_sum_reference(row, counts)
+
+    def test_addition_order_is_the_column_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 are equal in exact arithmetic only.
+        values = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+        got = occurrence_sum(values, np.ones(3)).tolist()
+        assert got == [occurrence_sum_reference(row, [1, 1, 1]) for row in values.tolist()]
+        assert got[0] != got[1]
+
+    def test_one_dimensional_input_gives_a_float(self):
+        values = np.array([0.25, 0.5, 0.125])
+        total = occurrence_sum(values, np.array([2.0, 1.0, 3.0]))
+        assert type(total) is float
+        assert total == occurrence_sum_reference(values.tolist(), [2, 1, 3])
 
 
 # --- syntactic set coverage ----------------------------------------------------
@@ -201,6 +245,6 @@ class TestTermPool:
     def test_union_is_multiset_sum(self):
         a = poly_from_terms([{0: 1}, {1: 1}], dim=2)
         b = poly_from_terms([{1: 1}], dim=2)
-        pool = TermPool.from_polynomials([a, b])
+        pool = Polynomial.union([a, b])
         assert pool.n_terms == 3
         assert pool.terms[encode_term({1: 1})] == 2

@@ -8,7 +8,6 @@ import pytest
 
 from scoi.retrieval import Bm25Params, build_index
 from scoi.selection import (
-    SENTINEL_LOW,
     SelectionPlan,
     dpp_kernel,
     select_bm25,
@@ -556,24 +555,6 @@ class TestCosineMeasure:
         plan = SelectionPlan(strategy="scoi", k=1, measure="cosine", pool_size=3)
         result = select_scoi(test, others + [copy], plan)
         assert result.selected == [6]
-
-
-class TestCoverageState:
-    def test_views_wrap_live_pools(self):
-        from scoi.selection import CoverageState
-
-        state = CoverageState()
-        assert state.curr_syn_cov == SENTINEL_LOW
-        assert state.curr_word_cov == SENTINEL_LOW
-        state.term_pool.update({encode_key: 2 for encode_key in (5, 9)})
-        state.token_pool.update(["a", "a", "b"])
-        pool_view = state.term_pool_view(dim=2)
-        assert pool_view.n_terms == 4
-        bag_view = state.token_pool_view()
-        assert bag_view.total == 3
-        # Views are snapshots; mutating them leaves the state untouched.
-        bag_view.counts["a"] += 10
-        assert state.token_pool["a"] == 2
 
 
 class TestBm25Passthrough:
