@@ -210,8 +210,12 @@ def run_bench(
             if len(ok_rows) >= 2
             else None
         )
-        simp_slope = fit_loglog_slope(
-            [r.nodes for r in family_rows], [r.simplified_work for r in family_rows]
+        simp_slope = (
+            fit_loglog_slope(
+                [r.nodes for r in family_rows], [r.simplified_work for r in family_rows]
+            )
+            if len(family_rows) >= 2
+            else None
         )
         slopes[f"q={q}"] = {
             "original_mults_slope": orig_slope,

@@ -78,26 +78,26 @@ def _run_stage(
     inputs: dict[str, str],
     outputs: dict[str, Path],
     write: Callable[[], str],
-) -> None:
+) -> dict[str, str]:
     """Record stage ``name`` as skipped if ``previous`` proves it current, else run it.
 
     ``inputs`` maps names to digests, ``outputs`` names to the paths the
     stage writes; ``write()`` writes them and returns the message printed
-    before the stage's seconds.
+    before the stage's seconds.  Returns the output digests, verified or
+    computed, so later stages take their inputs without hashing again.
     """
     start = time.perf_counter()
     if stage_is_current(previous, name, inputs, outputs):
-        manifest.record_stage(
-            name, inputs, previous["stages"][name]["outputs"], 0.0, skipped=True
-        )
+        digests = previous["stages"][name]["outputs"]
+        manifest.record_stage(name, inputs, digests, 0.0, skipped=True)
         print(f"{name}: skipped (inputs unchanged)")
-        return
+        return digests
     message = write()
     seconds = time.perf_counter() - start
-    manifest.record_stage(
-        name, inputs, {str(k): sha256_file(p) for k, p in outputs.items()}, seconds
-    )
+    digests = {str(k): sha256_file(p) for k, p in outputs.items()}
+    manifest.record_stage(name, inputs, digests, seconds)
     print(f"{name}: {message} ({seconds:.2f}s)")
+    return digests
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -160,9 +160,6 @@ def cmd_build(config: RunConfig) -> int:
     def pick(*keys: str) -> dict[str, Path]:
         return {key: paths[key] for key in keys}
 
-    def digests(*keys: str) -> dict[str, str]:
-        return {key: sha256_file(paths[key]) for key in keys}
-
     corpus_inputs = {key: sha256_file(getattr(config, key)) for key in INPUT_KEYS}
     corpus_inputs.update(
         max_tokens=str(config.max_tokens),
@@ -171,14 +168,16 @@ def cmd_build(config: RunConfig) -> int:
         strip_punctuation=str(config.strip_punctuation),
         tokenizer_version=str(TOKENIZER_VERSION),
     )
-    _run_stage(
+    caches = _run_stage(
         manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), ingest
     )
     _run_stage(
-        manifest, previous, "polynomials", digests("corpus_cache", "test_cache"),
-        pick("corpus_poly", "test_poly"), polynomials,
+        manifest, previous, "polynomials", caches, pick("corpus_poly", "test_poly"), polynomials
     )
-    _run_stage(manifest, previous, "index", digests("corpus_cache"), pick("index"), index)
+    _run_stage(
+        manifest, previous, "index", {"corpus_cache": caches["corpus_cache"]},
+        pick("index"), index,
+    )
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0
 
@@ -292,6 +291,9 @@ def cmd_select(config: RunConfig) -> int:
             for test in test_records
         ]
     else:
+        # Load scipy once before the fork; otherwise each worker imports it.
+        import scipy.spatial.distance  # noqa: F401
+
         init_args = (test_records, strategies, config, corpus_by_id, corpus_ids, index, template)
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=_init_worker, initargs=init_args

@@ -16,9 +16,8 @@ from collections import Counter
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .treepoly import Polynomial, TermVector, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, cdist, manhattan, term_degree
 
 # Per-term similarity measures.  normalized-manhattan is the default;
 # cosine is only reachable through explicit configuration.

@@ -117,10 +117,18 @@ def bm25_topk(
         idf = index.idf(token)
         scores[rows] += qtf * idf * (tfs * (k1 + 1.0)) / (tfs + norm[rows])
     hit_rows = np.nonzero(scores > 0.0)[0]
-    if hit_rows.shape[0] == 0:
+    n_hits = hit_rows.shape[0]
+    if n_hits == 0:
         return []
-    hit_ids = index.ids[hit_rows]
     hit_scores = scores[hit_rows]
+    if n_hits > k:
+        # Only hits scoring at least the k-th best can reach the top k; ties
+        # at that score stay in, so the id tie-break below sees all of them.
+        kth = np.partition(hit_scores, n_hits - k)[n_hits - k]
+        keep = hit_scores >= kth
+        hit_rows = hit_rows[keep]
+        hit_scores = hit_scores[keep]
+    hit_ids = index.ids[hit_rows]
     order = np.lexsort((hit_ids, -hit_scores))[:k]
     return [(int(hit_ids[i]), float(hit_scores[i])) for i in order]
 

@@ -26,7 +26,6 @@ from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
 from .manifest import compact_json, read_header
@@ -466,6 +465,24 @@ def original_polynomial(
         polys[node] = acc
         sizes[node] = acc_size
     return OriginalPolynomial(polys[tree.root], d, multiplications, additions)
+
+
+_scipy_cdist = None
+
+
+def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
+    """``scipy.spatial.distance.cdist``, with scipy imported on the first call.
+
+    Only scoring computes pairwise term distances, so ``scoi build``,
+    ``bench`` and ``inspect`` without ``--pool`` never pay for the import,
+    which is most of the start-up time of ``scoi.cli``.  The function is
+    kept in a global after that: an import statement on every call would
+    cost about a fifth of a small ``cdist`` call.
+    """
+    global _scipy_cdist
+    if _scipy_cdist is None:
+        from scipy.spatial.distance import cdist as _scipy_cdist
+    return _scipy_cdist(xa, xb, metric)
 
 
 def polynomial_distance(p: Polynomial, q: Polynomial) -> float:

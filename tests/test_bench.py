@@ -93,3 +93,10 @@ class TestRunBench:
         assert by_t[8].original_status == "budget-exceeded"
         assert by_t[8].blowup_node is not None
         assert by_t[2].original_status == "ok"
+
+    def test_single_chain_length_reports_no_slope(self):
+        report = run_bench(qs=(1,), ts=(2,), budget=10_000)
+        assert report.slopes == {
+            "q=1": {"original_mults_slope": None, "simplified_work_slope": None}
+        }
+        assert "simplified_work_slope=n/a" in report.to_table()

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -8,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import scoi.cli
+import scoi.manifest
 import scoi.selection
 from scoi.cli import _config_from_args, build_parser, main
-from scoi.config import RunConfig, load_config
+from scoi.config import INPUT_KEYS, RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
 from scoi.selection import STRATEGIES
 
@@ -140,6 +144,30 @@ class TestBuild:
 
     def test_usage_error_exits_1(self, capsys):
         assert run("select", "--config", DEMO_CFG, "--strategy", "bogus") == 1
+
+
+class TestBuildHashing:
+    @pytest.mark.parametrize("rebuild", [False, True], ids=["cold", "no-op"])
+    def test_each_file_is_hashed_once(self, built, tmp_path, monkeypatch, rebuild):
+        out = tmp_path / "out"
+        if rebuild:
+            shutil.copytree(built, out)
+        real = scoi.manifest.sha256_file
+        hashed = []
+
+        def spy(path):
+            hashed.append(Path(path).resolve())
+            return real(path)
+
+        monkeypatch.setattr(scoi.cli, "sha256_file", spy)
+        monkeypatch.setattr(scoi.manifest, "sha256_file", spy)
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        config = load_config(DEMO_CFG)
+        inputs = {Path(getattr(config, key)).resolve() for key in INPUT_KEYS}
+        caches = {p.resolve() for p in scoi.cli._cache_paths(out).values()}
+        assert Counter(hashed) == Counter(inputs | caches)
+        manifest = read_manifest(out / "build-manifest.json")
+        assert all(stage["skipped"] == rebuild for stage in manifest["stages"].values())
 
 
 class TestSelect:
@@ -633,3 +661,76 @@ class TestReadmeScripts:
     def test_lists_exactly_the_scripts(self):
         on_disk = sorted(f"scripts/{p.name}" for p in (REPO / "scripts").iterdir() if p.is_file())
         assert sorted(_readme_scripts()) == on_disk
+
+
+# Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line
+# of output, the exit code, the scipy modules loaded by the end, and whether
+# scipy was loaded each time ``cmd_select`` opened its process pool.
+_IMPORT_PROBE = """
+import json, sys
+import scoi.cli
+
+at_pool = []
+
+class RecordingPool(scoi.cli.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool.append("scipy.spatial.distance" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+scoi.cli.ProcessPoolExecutor = RecordingPool
+code = scoi.cli.main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"exit": code, "scipy": scipy, "scipy_at_pool": at_pool}))
+"""
+
+
+def _fresh_cli(*args) -> dict:
+    src = str(REPO / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyImportBoundary:
+    """Only scoring loads scipy: select and inspect --pool."""
+
+    def test_build_rebuild_inspect_and_bench_leave_scipy_unloaded(self, tmp_path):
+        out = tmp_path / "out"
+        common = ("--config", DEMO_CFG, "--out-dir", out)
+        for argv in (
+            ("build", *common),
+            ("build", *common),
+            ("inspect", *common, "--record", "0"),
+            ("bench", "--t", "2", "--q", "1"),
+        ):
+            report = _fresh_cli(*argv)
+            assert report["exit"] == 0, argv
+            assert report["scipy"] == [], argv
+
+    def test_parallel_select_loads_scipy_before_the_pool(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        report = _fresh_cli("select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2")
+        assert report["exit"] == 0
+        assert "scipy.spatial.distance" in report["scipy"]
+        assert report["scipy_at_pool"] == [True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("inspect", "--record", "0", "--pool", "1,2,3"),
+            ("select", "--measure", "cosine", "--strategy", "scoi"),
+        ],
+        ids=["inspect-pool", "select-cosine"],
+    )
+    def test_scoring_commands_load_scipy_on_demand(self, built, tmp_path, argv):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        report = _fresh_cli(argv[0], "--config", DEMO_CFG, "--out-dir", out, *argv[1:])
+        assert report["exit"] == 0
+        assert "scipy.spatial.distance" in report["scipy"]

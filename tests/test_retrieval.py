@@ -127,6 +127,72 @@ class TestBm25TopK:
         assert first == second
 
 
+
+def _full_lexsort_topk(index, query, k, params=Bm25Params()):
+    """Reference ranking: score every document, lexsort every hit, cut at k."""
+    k1, b = params.k1, params.b
+    norm = k1 * (1.0 - b + b * (index.lengths / index.avgdl))
+    scores = np.zeros(index.doc_count, dtype=np.float64)
+    for token, qtf in query.counts.items():
+        posting = index.postings.get(token)
+        if posting is None:
+            continue
+        rows, tfs = posting
+        scores[rows] += qtf * index.idf(token) * (tfs * (k1 + 1.0)) / (tfs + norm[rows])
+    hit_rows = np.nonzero(scores > 0.0)[0]
+    hit_ids = index.ids[hit_rows]
+    hit_scores = scores[hit_rows]
+    order = np.lexsort((hit_ids, -hit_scores))[:k]
+    return [(int(hit_ids[i]), float(hit_scores[i])) for i in order]
+
+
+class TestBm25PartialSort:
+    """bm25_topk sorts only the hits that can reach the top k; the ranking must not change."""
+
+    @staticmethod
+    def _duplicated_corpus(seed: int):
+        # 12 distinct documents, each repeated 5-15 times under shuffled ids,
+        # so whole groups of hits share one score.
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(10)]
+        distinct = [[rng.choice(vocab) for _ in range(rng.randint(2, 7))] for _ in range(12)]
+        tokens = [doc for doc in distinct for _ in range(rng.randint(5, 15))]
+        ids = rng.sample(range(10 * len(tokens)), len(tokens))
+        return [rec(i, doc) for i, doc in zip(ids, tokens)], vocab
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 3, 7, 20, 64])
+    def test_cut_inside_a_tie_group_matches_full_sort(self, seed, k):
+        docs, vocab = self._duplicated_corpus(seed)
+        index = build_index(docs)
+        rng = random.Random(100 + seed)
+        cuts_in_ties = 0
+        for _ in range(10):
+            query = bag([rng.choice(vocab) for _ in range(rng.randint(1, 4))])
+            assert bm25_topk(index, query, k=k) == _full_lexsort_topk(index, query, k)
+            every_hit = _full_lexsort_topk(index, query, len(docs))
+            cuts_in_ties += len(every_hit) > k and every_hit[k - 1][1] == every_hit[k][1]
+        assert cuts_in_ties > 0
+
+    def test_k_at_or_above_hit_count_returns_every_hit(self):
+        docs, _ = self._duplicated_corpus(7)
+        index = build_index(docs)
+        query = bag(["w2"])
+        hits = int(np.count_nonzero([d.tokens.counts["w2"] for d in docs]))
+        assert hits > 0
+        for k in (hits, hits + 1, 10 * hits):
+            ranked = bm25_topk(index, query, k=k)
+            assert ranked == _full_lexsort_topk(index, query, k)
+            assert len(ranked) == hits
+
+    def test_query_with_no_hits(self):
+        docs, _ = self._duplicated_corpus(3)
+        index = build_index(docs)
+        query = bag(["absent", "also-absent"])
+        assert _full_lexsort_topk(index, query, 5) == []
+        assert bm25_topk(index, query, k=5) == []
+
+
 class TestWordMatrix:
     def test_absent_term_entry_is_zero(self):
         docs = [rec(0, ["a", "b"]), rec(1, ["c", "d"])]
