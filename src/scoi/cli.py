@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config problems, 2 data errors.  Every
 build/select run writes a manifest with input and output digests; reruns
-with unchanged inputs skip completed build stages.
+with unchanged inputs skip completed build stages, and select and inspect
+refuse caches whose digests differ from the build manifest.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def cmd_build(config: RunConfig) -> int:
     def polynomials() -> str:
         vocab, corpus_records = records("corpus_cache")
         _, test_records = records("test_cache")
-        attach_polynomials(corpus_records, vocab, config.workers)
-        attach_polynomials(test_records, vocab, config.workers)
+        attach_polynomials(corpus_records, vocab)
+        attach_polynomials(test_records, vocab)
         write_polynomial_cache(
             paths["corpus_poly"], ((r.id, r.poly) for r in corpus_records), vocab
         )
@@ -183,8 +184,15 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _load_built(out_dir: Path):
+    """Read the five caches and check them against the build manifest.
+
+    The digest check runs after every cache has parsed, so a malformed file
+    keeps its located message and a well-formed but stale one fails on its
+    digest.  Also returns the digests, for the select manifest.
+    """
     paths = _cache_paths(out_dir)
-    missing = [str(p) for p in paths.values() if not p.is_file()]
+    manifest_path = out_dir / _BUILD_MANIFEST
+    missing = [str(p) for p in (*paths.values(), manifest_path) if not p.is_file()]
     if missing:
         raise ConfigError(
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
@@ -193,14 +201,25 @@ def _load_built(out_dir: Path):
     test_vocab, test_records = read_corpus_cache(paths["test_cache"])
     if test_vocab != vocab:
         raise DataError("corpus and test caches disagree on the label vocabulary")
-    poly_vocab, corpus_polys = read_polynomial_cache(paths["corpus_poly"])
-    if poly_vocab != vocab:
-        raise DataError("polynomial cache disagrees with the corpus label vocabulary")
-    _, test_polys = read_polynomial_cache(paths["test_poly"])
-    apply_polynomial_cache(corpus_records, corpus_polys)
-    apply_polynomial_cache(test_records, test_polys)
+    for key, records in (("corpus_poly", corpus_records), ("test_poly", test_records)):
+        poly_vocab, polys = read_polynomial_cache(paths[key])
+        if poly_vocab != vocab:
+            raise DataError(f"{paths[key]}: label vocabulary differs from the corpus cache's")
+        apply_polynomial_cache(records, polys)
     index = load_index(paths["index"])
-    return vocab, corpus_records, test_records, index
+    built = read_manifest(manifest_path)
+    if built is None:
+        raise DataError(f"{manifest_path}: not a build manifest")
+    recorded = {}
+    for stage in built.get("stages", {}).values():
+        recorded.update(stage.get("outputs", {}))
+    digests = {key: sha256_file(path) for key, path in paths.items()}
+    for key, path in paths.items():
+        if digests[key] != recorded.get(key):
+            raise DataError(
+                f"{path}: digest differs from {manifest_path.name}; rerun 'scoi build'"
+            )
+    return vocab, corpus_records, test_records, index, digests
 
 
 def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, template):
@@ -273,7 +292,7 @@ def _worker_select(test_pos: int):
 
 def cmd_select(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
-    vocab, corpus_records, test_records, index = _load_built(out_dir)
+    _, corpus_records, test_records, index, cache_digests = _load_built(out_dir)
     corpus_by_id = {r.id: r for r in corpus_records}
     corpus_ids = tuple(sorted(corpus_by_id))
     strategies = list(STRATEGIES) if config.strategy == "all" else [config.strategy]
@@ -319,13 +338,7 @@ def cmd_select(config: RunConfig) -> int:
         output_digests[prompt_path.name] = sha256_file(prompt_path)
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
 
-    cache_paths = _cache_paths(out_dir)
-    manifest.record_stage(
-        "select",
-        {str(k): sha256_file(p) for k, p in cache_paths.items()},
-        output_digests,
-        seconds,
-    )
+    manifest.record_stage("select", cache_digests, output_digests, seconds)
     manifest.save(out_dir / _SELECT_MANIFEST)
     print(f"select: {len(test_records)} test inputs x {len(strategies)} strategies ({seconds:.2f}s)")
     return 0
@@ -353,7 +366,7 @@ def _format_term(pairs, vocab: LabelVocabulary) -> str:
 
 def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int]) -> int:
     out_dir = Path(config.out_dir)
-    vocab, corpus_records, test_records, _ = _load_built(out_dir)
+    vocab, corpus_records, test_records, _, _ = _load_built(out_dir)
     records = corpus_records if side == "corpus" else test_records
     by_id = {r.id: r for r in records}
     record = by_id.get(record_id)

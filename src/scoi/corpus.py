@@ -10,8 +10,6 @@ ids are the original line indices and survive filtering.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +24,7 @@ from .treepoly import (
     Polynomial,
     check_labels,
     simplified_polynomial,
-    simplified_term_counter,
+    simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
 )
 
 
@@ -124,30 +122,12 @@ def filter_by_length(
     return kept, len(records) - len(kept)
 
 
-def _poly_task(args: tuple[list[int], list[int], int]) -> Counter:
-    labels, parents, dim = args
-    return simplified_term_counter(DependencyTree(labels, parents), dim)
-
-
-def attach_polynomials(
-    records: Sequence[ExampleRecord], vocab: LabelVocabulary, workers: int = 1
-) -> None:
+def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> None:
     """Compute each record's polynomial in place (order-independent, pure)."""
-    dim = len(vocab)
-    if workers <= 1:
-        for record in records:
-            if record.tree is None:
-                raise DataError(f"record {record.id} has no dependency tree")
-            record.poly = simplified_polynomial(record.tree, vocab)
-        return
-    tasks = []
     for record in records:
         if record.tree is None:
             raise DataError(f"record {record.id} has no dependency tree")
-        tasks.append((record.tree.labels, record.tree.parents, dim))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for record, terms in zip(records, pool.map(_poly_task, tasks, chunksize=64)):
-            record.poly = Polynomial(terms, dim)
+        record.poly = simplified_polynomial(record.tree, vocab)
 
 
 # --- corpus cache ------------------------------------------------------------
@@ -177,8 +157,8 @@ def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocab
                 "source": record.source,
                 "target": record.target,
                 "tokens": list(record.token_list),
-                "labels": record.tree.labels if record.tree else None,
-                "parents": record.tree.parents if record.tree else None,
+                "labels": record.tree.labels,
+                "parents": record.tree.parents,
             }
             fh.write(compact_json(row) + "\n")
 
@@ -195,9 +175,8 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
                 row = json.loads(line.decode("utf-8"))
                 record_id, labels, parents = row["id"], row["labels"], row["parents"]
                 source, target, token_list = row["source"], row["target"], tuple(row["tokens"])
-                tree = None if labels is None else DependencyTree(labels, parents)
-                if tree is not None:
-                    check_labels(tree, len(vocab))
+                tree = DependencyTree(labels, parents)
+                check_labels(tree, len(vocab))
             except (MalformedTreeError, UnknownLabelError) as exc:
                 raise DataError(f"{path}: record {record_id}: {exc}") from None
             except KeyError as exc:

@@ -152,14 +152,12 @@ def word_matrix(
     query: TokenBag,
     index: InvertedIndex,
     params: Bm25Params = Bm25Params(),
-    raw_length: bool = False,
 ) -> CandidateWordMatrix:
     """BM25-weighted word vectors for the DPP diversity kernel.
 
     W[i, j] = idf_j * tf_ij * (k1 + 1) / (tf_ij + k1 * (1 - b + b * l_i))
-    with l_i the candidate length over the corpus average document length
-    (or the raw token count when ``raw_length`` is set, for fidelity
-    experiments).  idf comes from the corpus-level index statistics.
+    with l_i the candidate length over the corpus average document length.
+    idf comes from the corpus-level index statistics.
     """
     if not candidates:
         raise ValueError("word_matrix requires at least one candidate")
@@ -168,8 +166,7 @@ def word_matrix(
     k1, b = params.k1, params.b
     mat = np.zeros((len(candidates), len(terms)), dtype=np.float64)
     for i, cand in enumerate(candidates):
-        length = cand.tokens.total if raw_length else cand.tokens.total / index.avgdl
-        denom_norm = k1 * (1.0 - b + b * length)
+        denom_norm = k1 * (1.0 - b + b * (cand.tokens.total / index.avgdl))
         counts = cand.tokens.counts
         for j, term in enumerate(terms):
             tf = counts.get(term, 0)

@@ -33,8 +33,8 @@ def _is_punct(ch: str) -> bool:
     return flag
 
 
-def tokenize(text: str, lang: str = "") -> list[str]:
-    """Tokenize one sentence.  ``lang`` is reserved; rules are shared.
+def tokenize(text: str) -> list[str]:
+    """Tokenize one sentence.
 
     Raises ValueError when the text contains no tokens at all.
     """

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -107,6 +108,19 @@ class TestBuild:
             assert after[stage]["skipped"] == (stage not in rerun)
         for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.jsonl", "test.poly.jsonl", "bm25.idx"):
             assert sha256_file(out / name) == sha256_file(built / name)
+
+    def test_build_with_workers_starts_no_process_pool(self, built, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("build started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "scoi" and hasattr(module, "ProcessPoolExecutor"):
+                monkeypatch.setattr(module, "ProcessPoolExecutor", refuse)
+        out = tmp_path / "out"
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
+        for path in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / path.name) == sha256_file(path)
 
     def test_missing_conllu_exits_1_without_partial_caches(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -253,6 +267,12 @@ def _null_header_key(key):
     return mutate
 
 
+def _reverse_header_labels(lines):
+    header = json.loads(lines[0])
+    header["labels"].reverse()
+    return [json.dumps(header).encode() + b"\n", *lines[1:]]
+
+
 def _edit_first_record(edit):
     def mutate(lines):
         row = json.loads(lines[1])
@@ -288,6 +308,10 @@ CORRUPTIONS = [
         "record 0: expected exactly one root, found 2", id="corpus-tree-two-roots",
     ),
     pytest.param(
+        "corpus.jsonl", _edit_first_record(lambda row: row.update(labels=None)),
+        "line 2: malformed record (", id="corpus-tree-null-labels",
+    ),
+    pytest.param(
         "test.jsonl", _edit_first_record(lambda row: row.pop("tokens")),
         "line 2: record has no 'tokens' key", id="test-record-without-tokens",
     ),
@@ -310,6 +334,10 @@ CORRUPTIONS = [
     pytest.param(
         "corpus.poly.jsonl", lambda ls: [ls[0], b"\xff" + ls[1], *ls[2:]],
         "line 2: malformed record ('utf-8' codec can't decode", id="poly-record-not-utf8",
+    ),
+    pytest.param(
+        "test.poly.jsonl", _reverse_header_labels,
+        "label vocabulary differs from the corpus cache's", id="test-poly-labels-reversed",
     ),
 ]
 
@@ -349,6 +377,17 @@ class TestCorruptCache:
         assert expected in err
         assert "Traceback" not in err
 
+    def test_inspect_null_tree_exits_2(self, built, tmp_path, capsys):
+        out = tmp_path / "corrupt"
+        shutil.copytree(built, out)
+        path = out / "corpus.jsonl"
+        edit = _edit_first_record(lambda row: row.update(labels=None))
+        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        assert run("inspect", "--config", DEMO_CFG, "--out-dir", out, "--record", "0") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: line 2: malformed record (" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
         self, built, tmp_path, capsys, name, mutate, expected
@@ -363,11 +402,64 @@ class TestCorruptCache:
         assert "Traceback" not in err
 
 
+class TestBuildManifestCheck:
+    """select and inspect refuse caches whose digests differ from the build manifest."""
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    def test_edited_cache_exits_2_naming_file(self, built, tmp_path, capsys, command):
+        out = tmp_path / "stale"
+        shutil.copytree(built, out)
+        path = out / "test.jsonl"
+        edit = _edit_first_record(lambda row: row.update(source=row["source"] + " edited"))
+        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: digest differs from build-manifest.json" in err
+        assert "Traceback" not in err
+        assert not (out / "selections_scoi.jsonl").exists()
+
+    def test_missing_manifest_is_not_built(self, built, tmp_path, capsys):
+        out = tmp_path / "unbuilt"
+        shutil.copytree(built, out)
+        (out / "build-manifest.json").unlink()
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "caches not built yet" in err and "build-manifest.json" in err
+
+    def test_unreadable_manifest_exits_2(self, built, tmp_path, capsys):
+        out = tmp_path / "garbled"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        path.write_text("garbage\n", encoding="utf-8")
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 2
+        assert f"data error: {path}: not a build manifest" in capsys.readouterr().err
+
+    def test_select_hashes_each_cache_once(self, built, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        real = scoi.cli.sha256_file
+        hashed = []
+
+        def spy(path):
+            hashed.append(Path(path).resolve())
+            return real(path)
+
+        monkeypatch.setattr(scoi.cli, "sha256_file", spy)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
+        caches = [p.resolve() for p in scoi.cli._cache_paths(out).values()]
+        assert [p for p in hashed if p in caches] == caches
+        built_stages = read_manifest(out / "build-manifest.json")["stages"].values()
+        recorded = {k: v for stage in built_stages for k, v in stage["outputs"].items()}
+        select_stage = read_manifest(out / "select-manifest.json")["stages"]["select"]
+        assert select_stage["inputs"] == recorded
+
+
 def _count_scoring_calls(built, monkeypatch, strategies):
     """Run ``_select_one`` on the first demo test input, counting the per-candidate
     scoring calls by the id of the pool polynomial each one scores."""
     config = load_config(DEMO_CFG, {"out_dir": built})
-    _, corpus, tests, index = scoi.cli._load_built(built)
+    _, corpus, tests, index, _ = scoi.cli._load_built(built)
     corpus_by_id = {r.id: r for r in corpus}
     test = tests[0]
     ranked = scoi.cli.bm25_topk(index, test.tokens, config.pool_size, config.bm25_params())

@@ -179,15 +179,6 @@ class TestPolynomials:
         for record in records:
             assert record.poly == simplified_polynomial(record.tree, vocab)
 
-    def test_parallel_attach_matches_serial(self, tmp_path):
-        src, tgt, conllu = build_corpus_files(tmp_path, n=30)
-        vocab = LabelVocabulary()
-        serial = load_parallel_corpus(src, tgt, conllu, vocab)
-        parallel = load_parallel_corpus(src, tgt, conllu, LabelVocabulary())
-        attach_polynomials(serial, vocab)
-        attach_polynomials(parallel, vocab, workers=2)
-        assert [r.poly.terms for r in serial] == [r.poly.terms for r in parallel]
-
     def test_cache_fidelity(self, tmp_path):
         from scoi.treepoly import read_polynomial_cache, write_polynomial_cache
 

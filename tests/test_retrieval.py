@@ -224,13 +224,6 @@ class TestWordMatrix:
         assert wm.matrix[0, 1] > 0.0 and wm.matrix[1, 0] > 0.0
         assert wm.matrix[0, 0] == 0.0 and wm.matrix[1, 1] == 0.0
 
-    def test_raw_length_switch(self):
-        docs = [rec(0, ["a", "b"]), rec(1, ["a", "c"])]
-        index = build_index(docs)
-        normalized = word_matrix(docs, bag(["a"]), index)
-        raw = word_matrix(docs, bag(["a"]), index, raw_length=True)
-        assert normalized.matrix[0, 0] != raw.matrix[0, 0]
-
 
 class TestIndexPersistence:
     def _corpus(self):

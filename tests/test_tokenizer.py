@@ -46,7 +46,3 @@ def test_idempotent_on_punctuation_free_text(words):
     tokens = tokenize(" ".join(words))
     assert tokens == words
     assert tokenize(" ".join(tokens)) == tokens
-
-
-def test_language_tag_is_inert():
-    assert tokenize("Guten Tag.", "de") == tokenize("Guten Tag.", "ru")
