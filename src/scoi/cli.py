@@ -31,12 +31,20 @@ from .corpus import (
 )
 from .coverage import TokenBag, syn_set_cov, word_set_cov
 from .errors import ConfigError, DataError, ScoiError
-from .manifest import RunManifest, compact_json, read_manifest, sha256_file, stage_is_current
+from .manifest import (
+    RunManifest,
+    atomic_write,
+    compact_json,
+    read_manifest,
+    sha256_file,
+    stage_is_current,
+)
 from .prompts import render_prompt
 from .retrieval import bm25_topk, build_index, load_index, save_index
 from .selection import STRATEGIES, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
 from .treepoly import (
+    POLY_CACHE_VERSION,
     LabelVocabulary,
     Polynomial,
     read_polynomial_cache,
@@ -56,8 +64,8 @@ def _cache_paths(out_dir: Path) -> dict[str, Path]:
     return {
         "corpus_cache": out_dir / "corpus.jsonl",
         "test_cache": out_dir / "test.jsonl",
-        "corpus_poly": out_dir / "corpus.poly.jsonl",
-        "test_poly": out_dir / "test.poly.jsonl",
+        "corpus_poly": out_dir / "corpus.poly.bin",
+        "test_poly": out_dir / "test.poly.bin",
         "index": out_dir / "bm25.idx",
     }
 
@@ -172,8 +180,10 @@ def cmd_build(config: RunConfig) -> int:
     caches = _run_stage(
         manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), ingest
     )
+    poly_inputs = {**caches, "poly_cache_version": str(POLY_CACHE_VERSION)}
     _run_stage(
-        manifest, previous, "polynomials", caches, pick("corpus_poly", "test_poly"), polynomials
+        manifest, previous, "polynomials", poly_inputs, pick("corpus_poly", "test_poly"),
+        polynomials,
     )
     _run_stage(
         manifest, previous, "index", {"corpus_cache": caches["corpus_cache"]},
@@ -325,9 +335,7 @@ def cmd_select(config: RunConfig) -> int:
     for strategy in strategies:
         sel_path = out_dir / f"selections_{strategy}.jsonl"
         prompt_path = out_dir / f"prompts_{strategy}.jsonl"
-        with open(sel_path, "w", encoding="utf-8") as sel_fh, open(
-            prompt_path, "w", encoding="utf-8"
-        ) as prompt_fh:
+        with atomic_write(sel_path) as sel_fh, atomic_write(prompt_path) as prompt_fh:
             for outputs in per_test:
                 for out_strategy, record, prompt in outputs:
                     if out_strategy != strategy:
@@ -380,13 +388,13 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
     print(f"  tokens: {' '.join(record.token_list)}")
     print("  tree:")
     tree = record.tree
-
-    def walk(node: int, depth: int) -> None:
+    # Depth first, children in ascending order; an explicit stack, since
+    # test trees are not length-filtered and can be thousands of nodes deep.
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         print(f"    {'  ' * depth}[{node}] {vocab.labels[tree.labels[node]]}")
-        for child in tree.children[node]:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(tree.children[node]))
     print("  polynomial terms:")
     for pairs, count in record.poly.term_vectors():
         suffix = f"  (x{count})" if count > 1 else ""

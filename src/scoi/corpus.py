@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .conllu import load_conllu
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError, MalformedTreeError, UnknownLabelError
-from .manifest import compact_json, read_header
+from .manifest import atomic_write, compact_json, read_header
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
@@ -143,7 +143,7 @@ _CORPUS_VERSION = 1
 def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocabulary) -> None:
     from .tokenizer import TOKENIZER_VERSION
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         header = {
             "format": _CORPUS_FORMAT,
             "version": _CORPUS_VERSION,

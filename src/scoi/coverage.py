@@ -119,7 +119,7 @@ def max_similarities(
     the best match against a pool (``Polynomial.union`` of its members) is
     the elementwise max of the per-member results.
     """
-    if not x.terms:
+    if not x.n_distinct:
         raise ValueError("test polynomial is empty")
     x_mat, _ = x.dense()
     other_mat, _ = other.dense()

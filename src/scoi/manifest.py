@@ -4,14 +4,16 @@ Every pipeline run writes one; a rerun whose stage inputs digest the same
 may skip the stage and keep the recorded outputs.  Wall-clock fields are
 the only part allowed to differ between identical runs.
 
-Also holds the two JSON helpers every cache file shares: the compact line
-format and the header check.
+Also holds the helpers every cache file shares: the compact JSON line
+format, the header check and the crash-safe write.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DataError
@@ -42,6 +44,28 @@ def read_header(fh, path, fmt: str, version: int, what: str, listed: str) -> dic
     if not isinstance(header.get(listed), list):
         raise DataError(f"{path}: header has no {listed} list")
     return header
+
+
+@contextmanager
+def atomic_write(path: Path | str, mode: str = "w"):
+    """Write ``path`` through a temp file beside it, moved into place on success.
+
+    Yields the open temp file (text mode is UTF-8).  ``os.replace`` renames
+    it onto ``path`` once it is complete and closed, so a reader of ``path``
+    sees the old file or the whole new one, never part of one.  On an
+    exception the temp file is deleted and ``path`` keeps what it held.
+    A killed process can leave ``.<name>.<pid>.tmp`` behind, but never a
+    partial ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sha256_file(path: Path | str) -> str:
@@ -80,7 +104,7 @@ class RunManifest:
         }
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.data, fh, ensure_ascii=False, indent=2)
             fh.write("\n")
 

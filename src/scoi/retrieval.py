@@ -20,7 +20,7 @@ import numpy as np
 
 from .coverage import TokenBag
 from .errors import DataError
-from .manifest import compact_json, read_header
+from .manifest import atomic_write, compact_json, read_header
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
@@ -194,7 +194,7 @@ def save_index(path, index: InvertedIndex) -> None:
     rows = np.concatenate([index.postings[t][0] for t in tokens]) if tokens else np.zeros(0, np.int64)
     tfs = np.concatenate([index.postings[t][1] for t in tokens]) if tokens else np.zeros(0, np.float64)
     header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "tokens": tokens}
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8"))
         fh.write(b"\n")
         np.save(fh, index.ids)

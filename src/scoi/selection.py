@@ -102,7 +102,7 @@ class PoolScores:
     def similarities(self) -> np.ndarray:
         """(candidates, distinct test terms): best similarity to each test term."""
         rows = [max_similarities(self.test.poly, r.poly, self.measure) for r in self.by_id]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.test.poly.terms))
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.test.poly.n_distinct)
 
     @cached_property
     def distances(self) -> np.ndarray:

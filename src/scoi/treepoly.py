@@ -16,19 +16,21 @@ fast (single-digit microseconds per node) while staying exact.  The packed
 form is bijective as long as no exponent reaches 2**32, i.e. for any tree
 with fewer than 4 billion nodes.  ``canonical_terms`` unpacks all of a
 polynomial's keys at once into an exponent matrix; ``decode_term`` and
-``encode_term`` are the one-term reference forms.
+``encode_term`` are the one-term reference forms.  The polynomial cache
+stores those matrices, and a ``Polynomial`` read from it keeps its rows
+and packs keys only when asked for them.
 """
 
 from __future__ import annotations
 
-import json
+from array import array
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
-from .manifest import compact_json, read_header
+from .manifest import atomic_write, compact_json, read_header
 
 ROOT = -1
 
@@ -119,9 +121,19 @@ def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     return labels.tolist(), mat[rows, labels].tolist(), ends.tolist()
 
 
-def _term_vectors(terms: Mapping[int, int], dim: int) -> tuple[tuple[TermVector, int], ...]:
-    """(term vector, multiplicity) pairs in canonical order."""
-    mat, counts = canonical_terms(terms, dim)
+def _pack_rows(mat: np.ndarray, counts: np.ndarray) -> Counter[int]:
+    """Packed term keys of an exponent matrix's rows, with their counts: the
+    inverse of ``canonical_terms``."""
+    width = 4 * mat.shape[1]
+    raw = mat.astype("<u4").tobytes()
+    terms: Counter[int] = Counter()
+    for i, count in enumerate(counts.tolist()):
+        terms[int.from_bytes(raw[i * width:(i + 1) * width], "little")] += count
+    return terms
+
+
+def _term_vectors(mat: np.ndarray, counts: np.ndarray) -> tuple[tuple[TermVector, int], ...]:
+    """(term vector, multiplicity) pairs of an exponent matrix's rows, in row order."""
     labels, exps, ends = _nonzero_rows(mat)
     pairs = list(zip(labels, exps))
     vectors = (tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
@@ -279,17 +291,38 @@ class DependencyTree:
 class Polynomial:
     """Multiset of term vectors produced by the simplified construction.
 
-    ``terms`` maps packed term keys to multiplicities.  ``dim`` is the label
-    vocabulary size the keys were built under, which fixes the width of the
-    dense views used by distance and coverage computations.
+    ``dim`` is the label vocabulary size the terms were built under, which
+    fixes the width of the dense views used by distance and coverage
+    computations.  The terms are held in one of two forms, each derived
+    from the other on demand:
+
+    * ``terms``: packed term keys mapped to multiplicities, as construction
+      and :meth:`union` produce them;
+    * :meth:`rows`: an unsigned exponent matrix of width ``dim``, one row
+      per distinct term in canonical order, and int64 multiplicities, as
+      the polynomial cache stores them (:meth:`from_rows`).
+
+    A key-built polynomial canonicalizes on each :meth:`rows` call and keeps
+    nothing; a row-built one packs ``terms`` on first access and keeps them.
     """
 
-    __slots__ = ("terms", "dim", "_dense")
+    __slots__ = ("_terms", "_rows", "_counts", "dim")
 
     def __init__(self, terms: Counter[int], dim: int):
-        self.terms = terms
+        self._terms: Counter[int] | None = terms
+        self._rows: np.ndarray | None = None
+        self._counts: np.ndarray | None = None
         self.dim = dim
-        self._dense: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, counts: np.ndarray, dim: int) -> "Polynomial":
+        """A polynomial over canonical exponent rows (width ``dim``) and their counts."""
+        poly = cls.__new__(cls)
+        poly._terms = None
+        poly._rows = rows
+        poly._counts = counts
+        poly.dim = dim
+        return poly
 
     @classmethod
     def union(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -302,9 +335,33 @@ class Polynomial:
         return cls(merged, dim)
 
     @property
+    def terms(self) -> Counter[int]:
+        """Packed term keys mapped to multiplicities."""
+        if self._terms is None:
+            self._terms = _pack_rows(self._rows, self._counts)
+        return self._terms
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct terms as an unsigned exponent matrix of width dim, int64 counts).
+
+        Rows are in canonical order, as in :meth:`term_vectors`.  The arrays
+        may be read-only views.
+        """
+        if self._rows is None:
+            return canonical_terms(self._terms, self.dim)
+        return self._rows, self._counts
+
+    @property
     def n_terms(self) -> int:
         """Term count with multiplicity."""
-        return sum(self.terms.values())
+        if self._rows is None:
+            return sum(self._terms.values())
+        return int(self._counts.sum())
+
+    @property
+    def n_distinct(self) -> int:
+        """Distinct-term count: the number of rows of :meth:`rows` and :meth:`dense`."""
+        return len(self._terms) if self._rows is None else len(self._rows)
 
     def term_vectors(self) -> tuple[tuple[TermVector, int], ...]:
         """Decoded (term vector, multiplicity) pairs in canonical order.
@@ -313,17 +370,15 @@ class Polynomial:
         pairs; the math is order-free but serialization and golden tests
         rely on this being stable.  Not cached.
         """
-        return _term_vectors(self.terms, self.dim)
+        return _term_vectors(*self.rows())
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct terms as a float matrix of width dim, multiplicities).
 
-        Rows are in canonical order, as in :meth:`term_vectors`.
+        Rows are in canonical order, as in :meth:`term_vectors`.  Not cached.
         """
-        if self._dense is None:
-            mat, counts = canonical_terms(self.terms, self.dim)
-            self._dense = (mat.astype(np.float64), counts.astype(np.float64))
-        return self._dense
+        mat, counts = self.rows()
+        return mat.astype(np.float64), counts.astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -356,7 +411,7 @@ class OriginalPolynomial:
 
     def term_vectors(self) -> tuple[tuple[TermVector, int], ...]:
         """(term vector over 2*dim variable indices, multiplicity) pairs."""
-        return _term_vectors(self.terms, 2 * self.dim)
+        return _term_vectors(*canonical_terms(self.terms, 2 * self.dim))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OriginalPolynomial) and self.terms == other.terms
@@ -493,7 +548,7 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
     respected on both sides.  Symmetric, zero on identical multisets; the
     triangle inequality is not guaranteed.
     """
-    if not p.terms or not q.terms:
+    if not p.n_distinct or not q.n_distinct:
         raise ValueError("polynomial_distance requires non-empty polynomials")
     mat_p, counts_p = p.dense()
     mat_q, counts_q = q.dense()
@@ -508,72 +563,116 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
 
 # --- polynomial cache -------------------------------------------------------
 #
-# Line-delimited format: a JSON header carrying the format tag, version and
-# the label vocabulary, then one JSON record per example:
-#   [id, [[[label, exponent], ...], multiplicity], ...]
-# Terms appear in canonical order, so save -> load -> save is byte-identical.
+# One JSON header line (format tag, version, label vocabulary), then four raw
+# .npy segments:
+#   rows     every record's distinct terms in canonical order, one exponent
+#            row of width len(labels) each, in the narrowest unsigned type
+#            that holds the largest term count (uint8, uint16 or uint32);
+#   counts   int64 multiplicity of each row;
+#   offsets  int64, len(ids) + 1: record i owns rows offsets[i]:offsets[i+1];
+#   ids      int64 record ids.
+# Save -> load -> save is byte-identical.
 
 _POLY_FORMAT = "scoi-polynomials"
-_POLY_VERSION = 1
+POLY_CACHE_VERSION = 2
+
+_ROW_DTYPES = tuple(np.dtype(t) for t in ("u1", "<u2", "<u4"))
+
+
+def _row_dtype(largest: int) -> np.dtype:
+    """The narrowest row type that holds ``largest``."""
+    for dtype in _ROW_DTYPES:
+        if largest <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"a polynomial of {largest} terms is too large to cache")
 
 
 def write_polynomial_cache(
     path, items: Iterable[tuple[int, Polynomial]], vocab: LabelVocabulary
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"format": _POLY_FORMAT, "version": _POLY_VERSION, "labels": vocab.labels}
-        fh.write(compact_json(header) + "\n")
-        for example_id, poly in items:
-            mat, counts = canonical_terms(poly.terms, poly.dim)
-            labels, exps, ends = _nonzero_rows(mat)
-            pairs = [f"[{l},{e}]" for l, e in zip(labels, exps)]
-            terms = ",".join(
-                f"[[{','.join(pairs[a:b])}],{count}]"
-                for a, b, count in zip([0, *ends], ends, counts.tolist())
-            )
-            fh.write(f"[{compact_json(example_id)},[{terms}]]\n")
+    """Write the cache, streaming each record's rows after the rows header.
 
-
-def _parse_terms(raw_terms, shifts: dict[int, int]) -> Counter[int]:
-    """Pack one record's [[[label, exponent], ...], multiplicity] entries.
-
-    ``shifts`` maps each label index of the vocabulary to its bit offset.
+    A path exponent counts nodes, so no exponent exceeds its polynomial's
+    term count, and the largest term count fixes the row type.
     """
-    terms: dict[int, int] = {}
-    for pairs, count in raw_terms:
-        key = 0
-        for label, exp in pairs:
-            if not 0 < exp <= _LABEL_MASK:
-                raise ValueError(f"exponent {exp!r} of label {label!r} outside 1..{_LABEL_MASK}")
-            try:
-                key += exp << shifts[label]
-            except KeyError:
+    # An int64 array and a list, not a list of (id, polynomial) pairs: the
+    # pairs' memory would stay in the build's peak.
+    ids = array("q")
+    polys = []
+    for example_id, poly in items:
+        ids.append(example_id)
+        polys.append(poly)
+    dim = len(vocab)
+    offsets = np.zeros(len(polys) + 1, dtype=np.int64)
+    offsets[1:] = np.fromiter((poly.n_distinct for poly in polys), np.int64, len(polys)).cumsum()
+    n_rows = int(offsets[-1])
+    dtype = _row_dtype(max((poly.n_terms for poly in polys), default=0))
+    limit = np.iinfo(dtype).max
+    counts = np.empty(n_rows, dtype=np.int64)
+    header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
+    with atomic_write(path, "wb") as fh:
+        fh.write(compact_json(header).encode("utf-8") + b"\n")
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": dtype.str, "fortran_order": False, "shape": (n_rows, dim)}
+        )
+        bounds = offsets.tolist()
+        for example_id, poly, start, end in zip(ids, polys, bounds[:-1], bounds[1:]):
+            if poly.dim != dim:
                 raise ValueError(
-                    f"label {label!r} outside the {len(shifts)}-label vocabulary"
-                ) from None
-        if count <= 0:
-            raise ValueError(f"multiplicity {count!r} is not positive")
-        terms[key] = terms.get(key, 0) + count
-    return Counter(terms)
+                    f"record {example_id}: polynomial over {poly.dim} labels, vocabulary of {dim}"
+                )
+            mat, record_counts = poly.rows()
+            counts[start:end] = record_counts
+            if mat.size and mat.max() > limit:
+                raise ValueError(f"record {example_id}: exponent above its term count")
+            fh.write(mat.astype(dtype).tobytes())
+        np.save(fh, counts)
+        np.save(fh, offsets)
+        np.save(fh, np.frombuffer(ids, dtype=np.int64))
 
 
 def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
-    # Lines are decoded one by one, so that bytes that are not UTF-8 fail
-    # on their own line.
+    """The vocabulary and (record id, polynomial) pairs; the polynomials share
+    the file's arrays, so the rows are trusted to be in canonical order."""
     with open(path, "rb") as fh:
-        header = read_header(fh, path, _POLY_FORMAT, _POLY_VERSION, "polynomial cache", "labels")
-        vocab = LabelVocabulary(header["labels"])
-        dim = len(vocab)
-        shifts = {label: _LABEL_BITS * label for label in range(dim)}
-        items = []
-        for line_no, line in enumerate(fh, start=2):
-            try:
-                example_id, raw_terms = json.loads(line.decode("utf-8"))
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: line {line_no}: malformed record ({exc})") from None
-            try:
-                terms = _parse_terms(raw_terms, shifts)
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: record {example_id}: bad term ({exc})") from None
-            items.append((example_id, Polynomial(terms, dim)))
+        header = read_header(
+            fh, path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache", "labels"
+        )
+        try:
+            rows, counts, offsets, ids = [np.load(fh, allow_pickle=False) for _ in range(4)]
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+    vocab = LabelVocabulary(header["labels"])
+    dim = len(vocab)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DataError(f"{path}: term rows of shape {rows.shape} for a {dim}-label vocabulary")
+    if rows.dtype.kind != "u" or rows.dtype.itemsize > 4:
+        raise DataError(
+            f"{path}: term rows of dtype {rows.dtype}, not an unsigned integer of at most 32 bits"
+        )
+    if counts.shape != (len(rows),) or counts.dtype != np.int64:
+        raise DataError(
+            f"{path}: {counts.dtype} multiplicities of shape {counts.shape} "
+            f"for {len(rows)} term rows"
+        )
+    if (
+        ids.ndim != 1 or ids.dtype != np.int64 or offsets.dtype != np.int64
+        or offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != len(rows)
+        or (offsets[1:] < offsets[:-1]).any()
+    ):
+        raise DataError(
+            f"{path}: record offsets do not match the {ids.size} record ids "
+            f"and {len(rows)} term rows"
+        )
+    bad = np.flatnonzero(counts < 1)
+    if bad.size:
+        record = ids[np.searchsorted(offsets, bad[0], side="right") - 1]
+        raise DataError(f"{path}: record {record}: multiplicity {counts[bad[0]]} is not positive")
+    rows.flags.writeable = False
+    counts.flags.writeable = False
+    bounds = offsets.tolist()
+    items = [
+        (example_id, Polynomial.from_rows(rows[a:b], counts[a:b], dim))
+        for example_id, a, b in zip(ids.tolist(), bounds[:-1], bounds[1:])
+    ]
     return vocab, items

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scoi.cli
@@ -47,7 +48,7 @@ def selected(built, tmp_path_factory):
 
 class TestBuild:
     def test_caches_and_manifest(self, built):
-        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.jsonl", "test.poly.jsonl", "bm25.idx"):
+        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert (built / name).is_file()
         manifest = read_manifest(built / "build-manifest.json")
         assert manifest is not None
@@ -74,8 +75,8 @@ class TestBuild:
         "deleted, rerun, reads",
         [
             (["bm25.idx"], ["index"], ["corpus.jsonl"]),
-            (["corpus.poly.jsonl"], ["polynomials"], ["corpus.jsonl", "test.jsonl"]),
-            (["corpus.poly.jsonl", "bm25.idx"], ["polynomials", "index"], ["corpus.jsonl", "test.jsonl"]),
+            (["corpus.poly.bin"], ["polynomials"], ["corpus.jsonl", "test.jsonl"]),
+            (["corpus.poly.bin", "bm25.idx"], ["polynomials", "index"], ["corpus.jsonl", "test.jsonl"]),
             (["test.jsonl"], ["corpus"], []),
         ],
     )
@@ -106,8 +107,26 @@ class TestBuild:
             assert after[stage]["inputs"] == before[stage]["inputs"]
             assert after[stage]["outputs"] == before[stage]["outputs"]
             assert after[stage]["skipped"] == (stage not in rerun)
-        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.jsonl", "test.poly.jsonl", "bm25.idx"):
+        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert sha256_file(out / name) == sha256_file(built / name)
+
+    def test_old_polynomial_cache_version_reruns_only_polynomials(self, built, tmp_path, capsys):
+        out = tmp_path / "old"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        inputs = manifest["stages"]["polynomials"]["inputs"]
+        assert inputs["poly_cache_version"] == str(scoi.cli.POLY_CACHE_VERSION)
+        inputs["poly_cache_version"] = "1"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        stages = read_manifest(path)["stages"]
+        assert {name: stage["skipped"] for name, stage in stages.items()} == {
+            "corpus": True, "polynomials": False, "index": True,
+        }
+        assert stages["polynomials"]["inputs"]["poly_cache_version"] == "2"
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
 
     def test_build_with_workers_starts_no_process_pool(self, built, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -229,7 +248,7 @@ class TestSelect:
     def test_parallel_build_matches_serial_digests(self, built, tmp_path):
         out = tmp_path / "par-build"
         assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
-        for name in ("corpus.jsonl", "corpus.poly.jsonl", "test.poly.jsonl", "bm25.idx"):
+        for name in ("corpus.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert sha256_file(out / name) == sha256_file(built / name)
 
     def test_measure_and_order_flags_flow_through(self, built, tmp_path):
@@ -328,15 +347,15 @@ CORRUPTIONS = [
         id="index-truncated",
     ),
     pytest.param(
-        "corpus.poly.jsonl", _null_header_key("labels"), "header has no labels list",
+        "corpus.poly.bin", _null_header_key("labels"), "header has no labels list",
         id="poly-header-without-labels",
     ),
     pytest.param(
-        "corpus.poly.jsonl", lambda ls: [ls[0], b"\xff" + ls[1], *ls[2:]],
-        "line 2: malformed record ('utf-8' codec can't decode", id="poly-record-not-utf8",
+        "corpus.poly.bin", lambda ls: [ls[0], ls[1][:40]], "corrupt array segment",
+        id="poly-segment-truncated",
     ),
     pytest.param(
-        "test.poly.jsonl", _reverse_header_labels,
+        "test.poly.bin", _reverse_header_labels,
         "label vocabulary differs from the corpus cache's", id="test-poly-labels-reversed",
     ),
 ]
@@ -344,20 +363,26 @@ CORRUPTIONS = [
 
 class TestCorruptCache:
     def test_label_outside_vocabulary_exits_2_naming_record(self, built, tmp_path, capsys):
+        # A term row reaching label 99 is 100 labels wide, a width no record
+        # of this vocabulary has, so the whole file is refused.
         out = tmp_path / "corrupt"
         shutil.copytree(built, out)
-        poly_path = out / "corpus.poly.jsonl"
-        header, first, *rest = poly_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        example_id, terms = json.loads(first)
-        terms[0][0][0][0] = 99
-        first = json.dumps([example_id, terms], separators=(",", ":")) + "\n"
-        poly_path.write_text("".join([header, first, *rest]), encoding="utf-8")
+        poly_path = out / "corpus.poly.bin"
+        with open(poly_path, "rb") as fh:
+            header = fh.readline()
+            rows, *rest = [np.load(fh) for _ in range(4)]
         n_labels = len(json.loads(header)["labels"])
-        assert n_labels < 99
+        assert rows.shape[1] == n_labels < 99
+        rows = np.pad(rows, ((0, 0), (0, 100 - n_labels)))
+        rows[0, 99] = 1
+        with open(poly_path, "wb") as fh:
+            fh.write(header)
+            for array in (rows, *rest):
+                np.save(fh, array)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
         err = capsys.readouterr().err
-        assert f"{poly_path}: record {example_id}: bad term (label 99 outside" in err
-        assert f"{n_labels}-label vocabulary" in err
+        shape = f"({len(rows)}, 100)"
+        assert f"{poly_path}: term rows of shape {shape} for a {n_labels}-label vocabulary" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["select", "inspect"])
@@ -419,6 +444,31 @@ class TestBuildManifestCheck:
         assert "Traceback" not in err
         assert not (out / "selections_scoi.jsonl").exists()
 
+    def test_swapped_term_rows_exit_2_on_the_digest(self, built, tmp_path, capsys):
+        # The reader trusts each record's row order; the digest check catches a swap.
+        out = tmp_path / "swapped"
+        shutil.copytree(built, out)
+        path = out / "corpus.poly.bin"
+        with open(path, "rb") as fh:
+            fh.readline()
+            segments = fh.tell()
+            np.lib.format.read_magic(fh)
+            np.lib.format.read_array_header_1_0(fh)
+            start = fh.tell()
+            fh.seek(segments)
+            rows, _, offsets, _ = [np.load(fh) for _ in range(4)]
+        first = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+        row_bytes = rows.shape[1] * rows.dtype.itemsize
+        a = start + int(offsets[first]) * row_bytes
+        data = bytearray(path.read_bytes())
+        data[a:a + 2 * row_bytes] = data[a + row_bytes:a + 2 * row_bytes] + data[a:a + row_bytes]
+        assert bytes(data) != path.read_bytes()
+        path.write_bytes(bytes(data))
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: digest differs from build-manifest.json" in err
+        assert not (out / "selections_scoi.jsonl").exists()
+
     def test_missing_manifest_is_not_built(self, built, tmp_path, capsys):
         out = tmp_path / "unbuilt"
         shutil.copytree(built, out)
@@ -453,6 +503,89 @@ class TestBuildManifestCheck:
         recorded = {k: v for stage in built_stages for k, v in stage["outputs"].items()}
         select_stage = read_manifest(out / "select-manifest.json")["stages"]["select"]
         assert select_stage["inputs"] == recorded
+
+
+class _FailingFile:
+    """A real file whose writes fail with OSError once ``budget`` bytes are written."""
+
+    def __init__(self, fh, budget: int):
+        self._fh = fh
+        self._budget = budget
+
+    def write(self, data):
+        if len(data) >= self._budget:
+            self._fh.write(data[: self._budget])
+            raise OSError(28, "No space left on device (injected)")
+        self._budget -= len(data)
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _fail_writing(monkeypatch, name: str, budget: int) -> None:
+    """Make the next write of the file ``name`` fail partway, after ``budget`` bytes."""
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode and Path(path).name.startswith(f".{name}."):
+            return _FailingFile(fh, budget)
+        return fh
+
+    monkeypatch.setattr(scoi.manifest, "open", failing_open, raising=False)
+
+
+BUILD_OUTPUTS = ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx",
+                 "build-manifest.json")
+SELECT_OUTPUTS = ("selections_scoi.jsonl", "prompts_scoi.jsonl", "select-manifest.json")
+
+
+class TestCrashSafeWrites:
+    """A write that fails partway leaves neither a partial file nor its temp file."""
+
+    @pytest.mark.parametrize("name", BUILD_OUTPUTS)
+    def test_failed_build_write_leaves_no_partial_file(
+        self, built, tmp_path, monkeypatch, capsys, name
+    ):
+        out = tmp_path / "out"
+        _fail_writing(monkeypatch, name, (built / name).stat().st_size // 2)
+        with pytest.raises(OSError, match="injected"):
+            run("build", "--config", DEMO_CFG, "--out-dir", out)
+        monkeypatch.undo()
+        assert not (out / name).exists()
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+        # No build manifest yet, so the interrupted directory is "not built".
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 1
+        assert "caches not built yet" in capsys.readouterr().err
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        for path in scoi.cli._cache_paths(built).values():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", SELECT_OUTPUTS)
+    def test_failed_select_write_leaves_no_partial_file(
+        self, built, selected, tmp_path, monkeypatch, name
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        _fail_writing(monkeypatch, name, (selected / name).stat().st_size // 2)
+        args = ("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi")
+        with pytest.raises(OSError, match="injected"):
+            run(*args)
+        monkeypatch.undo()
+        assert not (out / name).exists()
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+        for output in SELECT_OUTPUTS[:2]:
+            if (out / output).exists():  # written in full before the failing file
+                assert (out / output).read_bytes() == (selected / output).read_bytes()
+        assert run(*args) == 0
+        for output in SELECT_OUTPUTS[:2]:
+            assert (out / output).read_bytes() == (selected / output).read_bytes()
 
 
 def _count_scoring_calls(built, monkeypatch, strategies):
@@ -583,6 +716,57 @@ class TestInspectCommand:
         assert "tree:" in out
         assert "polynomial terms:" in out
         assert "syntactic" in out and "lexical" in out
+
+    def test_inspect_tree_lines_are_a_depth_first_walk(self, built, capsys):
+        assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "0") == 0
+        out = capsys.readouterr().out
+        tree_lines = out.split("  tree:\n", 1)[1].split("  polynomial terms:\n", 1)[0]
+        vocab, corpus, _, _, _ = scoi.cli._load_built(built)
+        tree = next(r for r in corpus if r.id == 0).tree
+        expected = []
+
+        def walk(node, depth):
+            expected.append(f"    {'  ' * depth}[{node}] {vocab.labels[tree.labels[node]]}\n")
+            for child in tree.children[node]:
+                walk(child, depth + 1)
+
+        walk(tree.root, 0)
+        assert tree_lines == "".join(expected)
+
+    def test_inspect_deep_test_tree(self, tmp_path, capsys):
+        # Test inputs are not length-filtered: a 1,500-node chain is deeper
+        # than Python's default recursion limit.
+        n = 1_500
+        demo = REPO / "data" / "demo"
+        src = tmp_path / "test.src"
+        conllu = tmp_path / "test.conllu"
+        src.write_text(
+            (demo / "test.src").read_text(encoding="utf-8")
+            + " ".join(f"w{i}" for i in range(n)) + "\n",
+            encoding="utf-8",
+        )
+        chain = "".join(
+            f"{i}\tw{i - 1}\t_\t_\t_\t_\t{i - 1}\t{'root' if i == 1 else 'nmod'}\t_\t_\n"
+            for i in range(1, n + 1)
+        )
+        conllu.write_text(
+            (demo / "test.conllu").read_text(encoding="utf-8") + chain + "\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        inputs = ("--config", DEMO_CFG, "--out-dir", out, "--test-source", src,
+                  "--test-conllu", conllu)
+        assert run("build", *inputs) == 0
+        capsys.readouterr()
+        assert run("inspect", *inputs, "--side", "test", "--record", "8") == 0
+        out_text = capsys.readouterr().out
+        tree_lines = out_text.split("  tree:\n", 1)[1].split("  polynomial terms:\n", 1)[0]
+        assert tree_lines.splitlines() == [
+            f"    {'  ' * i}[{i}] {'root' if i == 0 else 'nmod'}" for i in range(n)
+        ]
+        assert out_text.endswith(f"    root*nmod^{n - 1}\n")
+        with open(out / "test.poly.bin", "rb") as fh:
+            fh.readline()
+            assert np.load(fh).dtype == np.uint16
 
     def test_inspect_unknown_record_exits_2(self, built, capsys):
         assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "99999") == 2

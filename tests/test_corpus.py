@@ -186,7 +186,7 @@ class TestPolynomials:
         vocab = LabelVocabulary()
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         attach_polynomials(records, vocab)
-        path = tmp_path / "poly.jsonl"
+        path = tmp_path / "poly.bin"
         write_polynomial_cache(path, ((r.id, r.poly) for r in records), vocab)
         _, items = read_polynomial_cache(path)
 

@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 
@@ -55,10 +54,18 @@ def scalar_dense(poly) -> tuple[np.ndarray, np.ndarray]:
     return mat, counts
 
 
-def scalar_cache_line(example_id, poly) -> str:
-    """One polynomial-cache record as json.dumps writes it from the reference decode."""
-    terms = [[list(map(list, pairs)), count] for pairs, count in scalar_term_vectors(poly)]
-    return json.dumps([example_id, terms], ensure_ascii=False, separators=(",", ":")) + "\n"
+def read_segments(path) -> tuple[bytes, list[np.ndarray]]:
+    """A polynomial cache's header line and its four arrays: rows, counts, offsets, ids."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        return header, [np.load(fh) for _ in range(4)]
+
+
+def write_segments(path, header: bytes, arrays) -> None:
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for array in arrays:
+            np.save(fh, array)
 
 
 def chain(labels) -> DependencyTree:
@@ -91,19 +98,33 @@ class TestTermEncoding:
 class TestCanonicalTerms:
     """The vectorized unpack must reproduce the one-term reference decode exactly."""
 
-    def assert_matches_reference(self, polys, tmp_path):
-        for poly in polys:
-            mat, counts = poly.dense()
-            ref_mat, ref_counts = scalar_dense(poly)
-            assert mat.dtype == counts.dtype == np.float64
-            assert np.array_equal(mat, ref_mat) and mat.shape == ref_mat.shape
-            assert np.array_equal(counts, ref_counts)
-            assert list(poly.term_vectors()) == scalar_term_vectors(poly)
+    def assert_matches_reference(self, polys, tmp_path, name="poly.bin") -> np.dtype:
+        """Check polys and their cached copies against the reference decode;
+        returns the cache's row type."""
         vocab = make_vocab(max(p.dim for p in polys))
-        path = tmp_path / "poly.jsonl"
+        path = tmp_path / name
         write_polynomial_cache(path, list(enumerate(polys)), vocab)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines[1:] == [scalar_cache_line(i, p) for i, p in enumerate(polys)]
+        _, loaded = read_polynomial_cache(path)
+        assert [i for i, _ in loaded] == list(range(len(polys)))
+        for poly, (_, cached) in zip(polys, loaded):
+            ref_mat, ref_counts = scalar_dense(poly)
+            rows, row_counts = cached.rows()
+            assert rows.dtype.kind == "u" and row_counts.dtype == np.int64
+            assert np.array_equal(rows.astype(np.float64), ref_mat) and rows.shape == ref_mat.shape
+            assert np.array_equal(row_counts, ref_counts)
+            for p in (poly, cached):
+                mat, counts = p.dense()
+                assert mat.dtype == counts.dtype == np.float64
+                assert np.array_equal(mat, ref_mat) and mat.shape == ref_mat.shape
+                assert np.array_equal(counts, ref_counts)
+                assert list(p.term_vectors()) == scalar_term_vectors(poly)
+            assert cached.terms == poly.terms
+            assert cached.n_terms == poly.n_terms
+            assert cached.n_distinct == poly.n_distinct
+        again = tmp_path / f"again-{name}"
+        write_polynomial_cache(again, loaded, vocab)
+        assert again.read_bytes() == path.read_bytes()
+        return read_segments(path)[1][0].dtype
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2, 5, 37, 40]).flatmap(
@@ -114,7 +135,7 @@ class TestCanonicalTerms:
         dim, trees = dim_trees
         vocab = make_vocab(dim)
         polys = [simplified_polynomial(tree, vocab) for tree in trees]
-        self.assert_matches_reference(polys, tmp_path_factory.mktemp("poly"))
+        assert self.assert_matches_reference(polys, tmp_path_factory.mktemp("poly")) == np.uint8
 
     @pytest.mark.parametrize("dim", [1, 37, 40])
     def test_single_node_trees(self, dim, tmp_path):
@@ -126,18 +147,22 @@ class TestCanonicalTerms:
     def test_deep_chains_cross_byte_boundaries(self, dim, tmp_path):
         # Exponents of 256 and 65,536 and more need the second and third
         # byte of each packed label; a byte-order slip shows there.
+        # The cache stores a chain of more than 255 nodes as uint16 and one
+        # of more than 65,535 as uint32.
         vocab = make_vocab(dim)
         last = dim - 1
-        polys = [
-            simplified_polynomial(chain([0] * 300 + [last] * 3), vocab),
-            simplified_polynomial(chain([last] * 65_600 + [0] * 3), vocab),
-        ]
-        assert max(int(p.dense()[0].max()) for p in polys) >= 65_536
-        self.assert_matches_reference(polys, tmp_path)
+        short = simplified_polynomial(chain([0] * 300 + [last] * 3), vocab)
+        long = simplified_polynomial(chain([last] * 65_600 + [0] * 3), vocab)
+        assert int(long.dense()[0].max()) >= 65_536
+        assert self.assert_matches_reference([short], tmp_path, "short.bin") == np.uint16
+        assert self.assert_matches_reference([short, long], tmp_path, "long.bin") == np.uint32
 
     def test_empty_polynomial_and_empty_term(self, tmp_path):
         polys = [Polynomial(Counter(), 3), poly_from_terms([{}, {1: 2}, {0: 1}], dim=3)]
         self.assert_matches_reference(polys, tmp_path)
+        _, loaded = read_polynomial_cache(tmp_path / "poly.bin")
+        assert loaded[0][1].n_distinct == loaded[0][1].n_terms == 0
+        assert loaded[1][1].terms[0] == 1
 
     def test_gap_ranks_above_every_exponent(self):
         # {0: 2**32 - 1, 2: 1} sorts before {1: 1}: its first pair has the
@@ -350,6 +375,79 @@ class TestPolynomialDistance:
             polynomial_distance(empty, p)
 
 
+def _with(arrays, position, value):
+    arrays = list(arrays)
+    arrays[position] = value
+    return arrays
+
+
+def _set(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# (edit of the four arrays [rows, counts, offsets, ids] of a cache holding
+# record 3 with one term row and record 7 with two, message after "<path>: ").
+CACHE_CORRUPTIONS = [
+    pytest.param(
+        lambda a: _with(a, 0, np.pad(a[0], ((0, 0), (0, 96)))),
+        "term rows of shape (3, 100) for a 4-label vocabulary", id="label-outside-vocabulary",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, a[0][:, :3]),
+        "term rows of shape (3, 3) for a 4-label vocabulary", id="rows-narrower-than-vocabulary",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, a[0].astype(np.int16)),
+        "term rows of dtype int16, not an unsigned integer of at most 32 bits",
+        id="exponent-signed",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, a[0].astype(np.uint64)),
+        "term rows of dtype uint64, not an unsigned integer of at most 32 bits",
+        id="exponent-wider-than-32-bits",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, a[0].astype(np.float64)),
+        "term rows of dtype float64, not an unsigned integer of at most 32 bits",
+        id="exponent-not-integer",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, _set(a[1], 2, 0)),
+        "record 7: multiplicity 0 is not positive", id="multiplicity-zero",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, _set(a[1], 0, -2)),
+        "record 3: multiplicity -2 is not positive", id="multiplicity-negative",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, a[1].astype(np.float64)),
+        "float64 multiplicities of shape (3,) for 3 term rows", id="multiplicity-not-integer",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, a[1][:2]),
+        "int64 multiplicities of shape (2,) for 3 term rows", id="multiplicity-missing",
+    ),
+    pytest.param(
+        lambda a: _with(a, 2, _set(a[2], 2, 4)),
+        "record offsets do not match the 2 record ids and 3 term rows", id="offsets-past-rows",
+    ),
+    pytest.param(
+        lambda a: _with(a, 2, np.array([0, 4, 3])),
+        "record offsets do not match the 2 record ids and 3 term rows", id="offsets-decreasing",
+    ),
+    pytest.param(
+        lambda a: _with(a, 3, a[3][:1]),
+        "record offsets do not match the 1 record ids and 3 term rows", id="offsets-without-ids",
+    ),
+    pytest.param(
+        lambda a: _with(a, 3, np.array([3, None], dtype=object)),
+        "corrupt array segment (", id="pickled-segment",
+    ),
+]
+
+
 class TestPolynomialCache:
     def test_round_trip_equals_recomputation(self, tmp_path):
         rng = random.Random(5)
@@ -358,7 +456,7 @@ class TestPolynomialCache:
         for i in range(40):
             tree = random_recursive_tree(rng, rng.randint(1, 30), 6)
             items.append((i, simplified_polynomial(tree, vocab)))
-        path = tmp_path / "poly.jsonl"
+        path = tmp_path / "poly.bin"
         write_polynomial_cache(path, items, vocab)
         loaded_vocab, loaded = read_polynomial_cache(path)
         assert loaded_vocab.labels == vocab.labels
@@ -371,41 +469,55 @@ class TestPolynomialCache:
             (i, simplified_polynomial(random_recursive_tree(rng, rng.randint(1, 12), 4), vocab))
             for i in range(10)
         ]
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
+        first = tmp_path / "a.bin"
+        second = tmp_path / "b.bin"
         write_polynomial_cache(first, items, vocab)
         loaded_vocab, loaded = read_polynomial_cache(first)
         write_polynomial_cache(second, loaded, loaded_vocab)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize(
-        "line, where",
-        [
-            ('[7,[[[[0,1]],1],[[[99,1]],1]]]', "record 7: bad term (label 99 outside"),
-            ('[7,[[[[-1,1]],1]]]', "record 7: bad term (label -1 outside"),
-            ('[7,[[[[1,0]],1]]]', "record 7: bad term (exponent 0 "),
-            ('[7,[[[[1,4294967296]],1]]]', "record 7: bad term (exponent 4294967296 "),
-            ('[7,[[[[1,-3]],1]]]', "record 7: bad term (exponent -3 "),
-            ('[7,[[[[1,1]],0]]]', "record 7: bad term (multiplicity 0 "),
-            ('[7,[[[["a",1]],1]]]', "record 7: bad term (label 'a' outside"),
-            ('[7,[[[[1,1.5]],1]]]', "record 7: bad term ("),
-            ('[7,[[[[0,1]],1]]', "line 3: malformed record"),
-            ('7', "line 3: malformed record"),
-        ],
-    )
-    def test_bad_record_names_file_and_record(self, tmp_path, line, where):
-        vocab = make_vocab(4)
-        path = tmp_path / "corpus.poly.jsonl"
-        write_polynomial_cache(path, [(3, poly_from_terms([{0: 1}], dim=4))], vocab)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+    def write_two_records(self, path):
+        items = [
+            (3, poly_from_terms([{0: 1}], dim=4)),
+            (7, poly_from_terms([{0: 1}, {0: 1, 1: 1}], dim=4)),
+        ]
+        write_polynomial_cache(path, items, make_vocab(4))
+
+    @pytest.mark.parametrize("mutate, where", CACHE_CORRUPTIONS)
+    def test_bad_record_names_file_and_record(self, tmp_path, mutate, where):
+        path = tmp_path / "corpus.poly.bin"
+        self.write_two_records(path)
+        header, arrays = read_segments(path)
+        assert [a.shape for a in arrays] == [(3, 4), (3,), (3,), (2,)]
+        write_segments(path, header, mutate(arrays))
         with pytest.raises(DataError) as err:
             read_polynomial_cache(path)
         assert str(err.value).startswith(f"{path}: {where}")
 
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda data, header: data[: len(header) + 130], lambda data, header: data[:-1]],
+        ids=["rows-cut", "ids-cut"],
+    )
+    def test_truncated_file_is_a_corrupt_array_segment(self, tmp_path, cut):
+        path = tmp_path / "corpus.poly.bin"
+        self.write_two_records(path)
+        header, _ = read_segments(path)
+        path.write_bytes(cut(path.read_bytes(), header))
+        with pytest.raises(DataError) as err:
+            read_polynomial_cache(path)
+        assert str(err.value).startswith(f"{path}: corrupt array segment (")
+
+    def test_writer_rejects_an_exponent_above_the_term_count(self, tmp_path):
+        # One term, so uint8 rows; its exponent of 300 does not fit them.
+        poly = poly_from_terms([{0: 300}], dim=1)
+        with pytest.raises(ValueError, match="record 5: exponent above its term count"):
+            write_polynomial_cache(tmp_path / "p.bin", [(5, poly)], make_vocab(1))
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format":"something-else","version":1,"labels":[]}\n')
+        path = tmp_path / "bogus.bin"
+        path.write_text('{"format":"something-else","version":2,"labels":[]}\n')
         from scoi.errors import DataError
 
         with pytest.raises(DataError):
@@ -413,7 +525,7 @@ class TestPolynomialCache:
 
     @pytest.mark.parametrize("header", ["not json", "[1]", ""])
     def test_rejects_header_that_is_not_an_object(self, tmp_path, header):
-        path = tmp_path / "bogus.jsonl"
+        path = tmp_path / "bogus.bin"
         path.write_text(header + "\n")
         with pytest.raises(DataError, match="not a polynomial cache"):
             read_polynomial_cache(path)
