@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -387,12 +388,39 @@ def _set(array, index, value):
     return array
 
 
+def _record_case(line, where):
+    """A case that replaces record 7 by `line`, a record in the JSON notation
+    [id, [[[[label, exponent], ...], multiplicity], ...]], stored the way a
+    writer that checked nothing would: rows widened and typed to hold it."""
+    example_id, terms = json.loads(line)
+    pairs = [pair for term, _ in terms for pair in term]
+
+    def mutate(arrays):
+        rows, counts, offsets, ids = arrays
+        assert ids[-1] == example_id
+        width = max(rows.shape[1], 1 + max(label for label, _ in pairs))
+        dtype = np.result_type(rows.dtype, *(np.min_scalar_type(e) for _, e in pairs))
+        kept = np.zeros((offsets[-2], width), dtype)
+        kept[:, : rows.shape[1]] = rows[: offsets[-2]]
+        record = np.zeros((len(terms), width), dtype)
+        for row, (term, _) in enumerate(terms):
+            for label, exponent in term:
+                record[row, label] = exponent
+        return [
+            np.concatenate([kept, record]),
+            np.concatenate([counts[: offsets[-2]], [m for _, m in terms]]).astype(np.int64),
+            np.append(offsets[:-1], offsets[-2] + len(terms)),
+            ids,
+        ]
+
+    return pytest.param(mutate, where, id=f"{line}-{where}")
+
+
 # (edit of the four arrays [rows, counts, offsets, ids] of a cache holding
 # record 3 with one term row and record 7 with two, message after "<path>: ").
 CACHE_CORRUPTIONS = [
-    pytest.param(
-        lambda a: _with(a, 0, np.pad(a[0], ((0, 0), (0, 96)))),
-        "term rows of shape (3, 100) for a 4-label vocabulary", id="label-outside-vocabulary",
+    _record_case(
+        "[7,[[[[0,1]],1],[[[99,1]],1]]]", "term rows of shape (3, 100) for a 4-label vocabulary"
     ),
     pytest.param(
         lambda a: _with(a, 0, a[0][:, :3]),
@@ -403,20 +431,16 @@ CACHE_CORRUPTIONS = [
         "term rows of dtype int16, not an unsigned integer of at most 32 bits",
         id="exponent-signed",
     ),
-    pytest.param(
-        lambda a: _with(a, 0, a[0].astype(np.uint64)),
+    _record_case(
+        "[7,[[[[1,4294967296]],1]]]",
         "term rows of dtype uint64, not an unsigned integer of at most 32 bits",
-        id="exponent-wider-than-32-bits",
     ),
     pytest.param(
         lambda a: _with(a, 0, a[0].astype(np.float64)),
         "term rows of dtype float64, not an unsigned integer of at most 32 bits",
         id="exponent-not-integer",
     ),
-    pytest.param(
-        lambda a: _with(a, 1, _set(a[1], 2, 0)),
-        "record 7: multiplicity 0 is not positive", id="multiplicity-zero",
-    ),
+    _record_case("[7,[[[[1,1]],0]]]", "record 7: multiplicity 0 is not positive"),
     pytest.param(
         lambda a: _with(a, 1, _set(a[1], 0, -2)),
         "record 3: multiplicity -2 is not positive", id="multiplicity-negative",
