@@ -1,9 +1,10 @@
 """Command-line pipeline: build caches, select examples, bench, inspect.
 
-Exit codes: 0 success, 1 usage/config problems, 2 data errors.  Every
-build/select run writes a manifest with input and output digests; reruns
-with unchanged inputs skip completed build stages, and select and inspect
-refuse caches whose digests differ from the build manifest.
+Exit codes: 0 success, 1 usage/config problems, 2 data errors and failed
+file operations.  Every build/select run writes a manifest with input and
+output digests; reruns with unchanged inputs skip completed build stages,
+and select and inspect refuse caches whose digests differ from the build
+manifest.
 """
 
 from __future__ import annotations
@@ -320,8 +321,9 @@ def cmd_select(config: RunConfig) -> int:
             for test in test_records
         ]
     else:
-        # Load scipy once before the fork; otherwise each worker imports it.
-        import scipy.spatial.distance  # noqa: F401
+        if config.measure == "cosine":
+            # Load scipy once before the fork; otherwise each worker imports it.
+            import scipy.spatial.distance  # noqa: F401
 
         init_args = (test_records, strategies, config, corpus_by_id, corpus_ids, index, template)
         with ProcessPoolExecutor(
@@ -335,15 +337,13 @@ def cmd_select(config: RunConfig) -> int:
     for strategy in strategies:
         sel_path = out_dir / f"selections_{strategy}.jsonl"
         prompt_path = out_dir / f"prompts_{strategy}.jsonl"
-        with atomic_write(sel_path) as sel_fh, atomic_write(prompt_path) as prompt_fh:
-            for outputs in per_test:
-                for out_strategy, record, prompt in outputs:
-                    if out_strategy != strategy:
-                        continue
-                    sel_fh.write(compact_json(record) + "\n")
-                    prompt_fh.write(compact_json(prompt) + "\n")
-        output_digests[sel_path.name] = sha256_file(sel_path)
-        output_digests[prompt_path.name] = sha256_file(prompt_path)
+        rows = [row for outputs in per_test for row in outputs if row[0] == strategy]
+        # One file open at a time, so a failed write is reported against its own file.
+        for path, column in ((sel_path, 1), (prompt_path, 2)):
+            with atomic_write(path) as fh:
+                for row in rows:
+                    fh.write(compact_json(row[column]) + "\n")
+            output_digests[path.name] = sha256_file(path)
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
 
     manifest.record_stage("select", cache_digests, output_digests, seconds)
@@ -482,6 +482,10 @@ def main(argv=None) -> int:
         return 2
     except ScoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

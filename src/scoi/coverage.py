@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .treepoly import Polynomial, TermVector, cdist, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, cdist, cityblock, manhattan, term_degree
 
 # Per-term similarity measures.  normalized-manhattan is the default;
 # cosine is only reachable through explicit configuration.
@@ -96,18 +96,19 @@ def _pad_to(mat: np.ndarray, width: int) -> np.ndarray:
 
 
 def similarity_matrix(x_mat: np.ndarray, pool_mat: np.ndarray, measure: str) -> np.ndarray:
-    """Pairwise term similarities between two dense term matrices."""
+    """Pairwise term similarities between two exponent matrices (nonnegative integers)."""
     _check_measure(measure)
-    width = max(x_mat.shape[1], pool_mat.shape[1])
-    x_mat = _pad_to(x_mat, width)
-    pool_mat = _pad_to(pool_mat, width)
     if measure == "normalized-manhattan":
-        return 1.0 / (1.0 + cdist(x_mat, pool_mat, "cityblock"))
-    # cdist computes every entry from just its two rows, so a pair's
-    # similarity cannot drift with the pool's shape (a BLAS matrix product
-    # rounds gemv and gemm paths differently, which breaks exact
-    # monotonicity under pool growth).  Clip rounding overshoot to [0, 1].
-    return np.clip(1.0 - cdist(x_mat, pool_mat, "cosine"), 0.0, 1.0)
+        return 1.0 / (1.0 + cityblock(x_mat, pool_mat))
+    width = max(x_mat.shape[1], pool_mat.shape[1])
+    # Like cityblock, cdist computes every entry from just its two rows, so
+    # a pair's similarity cannot drift with the pool's shape (a BLAS matrix
+    # product of the raw rows rounds gemv and gemm paths differently, which
+    # breaks exact monotonicity under pool growth).  Clip rounding overshoot
+    # to [0, 1].
+    return np.clip(
+        1.0 - cdist(_pad_to(x_mat, width), _pad_to(pool_mat, width), "cosine"), 0.0, 1.0
+    )
 
 
 def max_similarities(
@@ -115,14 +116,15 @@ def max_similarities(
 ) -> np.ndarray:
     """For each distinct term of x, its best similarity to any term of other.
 
-    Rows align with ``x.term_vectors()``.  Used incrementally by selection:
-    the best match against a pool (``Polynomial.union`` of its members) is
-    the elementwise max of the per-member results.
+    Rows align with ``x.term_vectors()``.  The best match against a pool
+    (``Polynomial.union`` of its members) is the elementwise max of the
+    per-member results; ``selection.PoolScores`` computes all members'
+    rows at once.
     """
     if not x.n_distinct:
         raise ValueError("test polynomial is empty")
-    x_mat, _ = x.dense()
-    other_mat, _ = other.dense()
+    x_mat, _ = x.rows()
+    other_mat, _ = other.rows()
     if other_mat.shape[0] == 0:
         raise ValueError("cannot score against an empty term pool")
     return similarity_matrix(x_mat, other_mat, measure).max(axis=1)

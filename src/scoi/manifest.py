@@ -55,7 +55,8 @@ def atomic_write(path: Path | str, mode: str = "w"):
     sees the old file or the whole new one, never part of one.  On an
     exception the temp file is deleted and ``path`` keeps what it held.
     A killed process can leave ``.<name>.<pid>.tmp`` behind, but never a
-    partial ``path``.
+    partial ``path``.  An ``OSError`` that names the temp file or no file is
+    re-raised naming ``path``, so the body should write to no other file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -63,8 +64,11 @@ def atomic_write(path: Path | str, mode: str = "w"):
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (None, str(tmp)):
+            exc.filename = str(path)
+            exc.filename2 = None
         raise
 
 

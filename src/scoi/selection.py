@@ -24,9 +24,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .coverage import MEASURES, max_similarities, occurrence_sum
+from .coverage import MEASURES, _pad_to, occurrence_sum, similarity_matrix
 from .retrieval import Bm25Params, InvertedIndex, word_matrix
-from .treepoly import polynomial_distance
+from .treepoly import cityblock
+
+# The per-candidate forms of PoolScores' tables.  Selection does not call
+# them; they stay importable here because the traced benchmark run wraps
+# them under these names.
+from .coverage import max_similarities  # noqa: F401
+from .treepoly import polynomial_distance  # noqa: F401
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
@@ -85,7 +91,9 @@ class PoolScores:
     ``by_id`` is the pool in ascending-id order, and every table's rows
     follow it.  A table is built on first use, so strategies that share a
     (test, pool) pair share its cost and a strategy pays only for the tables
-    it reads.
+    it reads.  The similarity and distance tables reduce one matrix of L1
+    distances from the test's terms to the pool's concatenated terms;
+    candidate i owns its columns from ``starts[i]``.
     """
 
     def __init__(self, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str):
@@ -99,16 +107,58 @@ class PoolScores:
         self.measure = measure
 
     @cached_property
+    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pool's concatenated exponent rows, their counts as float64, and ``starts``."""
+        if not self.test.poly.n_distinct:
+            raise ValueError("test polynomial is empty")
+        parts = [r.poly.rows() for r in self.by_id]
+        sizes = np.array([len(mat) for mat, _ in parts], dtype=np.int64)
+        if not sizes.all():
+            # reduceat would hand an empty member its neighbour's first column.
+            raise ValueError("cannot score against an empty term pool")
+        width = max((mat.shape[1] for mat, _ in parts), default=0)
+        rows = np.concatenate(
+            [np.zeros((0, width), np.uint8), *(_pad_to(mat, width) for mat, _ in parts)]
+        )
+        counts = np.concatenate([np.zeros(0), *(counts for _, counts in parts)])
+        return rows, counts, sizes.cumsum() - sizes
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """(distinct test terms, pool terms): every L1 distance, one kernel call."""
+        return cityblock(self.test.poly.rows()[0], self._pool_terms[0])
+
+    def _per_candidate(self, ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+        """(candidates, distinct test terms): ``ufunc`` over each candidate's columns."""
+        return np.ascontiguousarray(ufunc.reduceat(table, self._pool_terms[2], axis=1).T)
+
+    @cached_property
     def similarities(self) -> np.ndarray:
         """(candidates, distinct test terms): best similarity to each test term."""
-        rows = [max_similarities(self.test.poly, r.poly, self.measure) for r in self.by_id]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), self.test.poly.n_distinct)
+        if self.measure == "normalized-manhattan":
+            table = 1.0 / (1.0 + self._distances)
+        else:
+            table = similarity_matrix(self.test.poly.rows()[0], self._pool_terms[0], self.measure)
+        return self._per_candidate(np.maximum, table)
 
     @cached_property
     def distances(self) -> np.ndarray:
         """Polynomial distance of each candidate to the test input."""
+        _, counts, starts = self._pool_terms
+        x_counts = self.test.poly.rows()[1].astype(np.float64)
+        n_x = self.test.poly.n_terms
+        row_mins = self._per_candidate(np.minimum, self._distances)
+        col_mins = self._distances.min(axis=0)
+        bounds = [*starts.tolist(), len(counts)]
+        # Two dot products per candidate on contiguous vectors, as
+        # polynomial_distance takes them; a matrix product rounds differently.
         return np.array(
-            [polynomial_distance(self.test.poly, r.poly) for r in self.by_id], dtype=np.float64
+            [
+                (float(x_counts @ mins) + float(counts[a:b] @ col_mins[a:b]))
+                / (n_x + record.poly.n_terms)
+                for record, mins, a, b in zip(self.by_id, row_mins, bounds, bounds[1:])
+            ],
+            dtype=np.float64,
         )
 
     @cached_property

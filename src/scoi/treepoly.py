@@ -528,9 +528,9 @@ _scipy_cdist = None
 def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     """``scipy.spatial.distance.cdist``, with scipy imported on the first call.
 
-    Only scoring computes pairwise term distances, so ``scoi build``,
-    ``bench`` and ``inspect`` without ``--pool`` never pay for the import,
-    which is most of the start-up time of ``scoi.cli``.  The function is
+    Only the ``cosine`` measure needs it (L1 distances come from
+    :func:`cityblock`), so every other run never pays for the import, which
+    costs more than the whole scoring of a small select.  The function is
     kept in a global after that: an import statement on every call would
     cost about a fifth of a small ``cdist`` call.
     """
@@ -538,6 +538,45 @@ def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     if _scipy_cdist is None:
         from scipy.spatial.distance import cdist as _scipy_cdist
     return _scipy_cdist(xa, xb, metric)
+
+
+# Above this many level columns per label column, cityblock compares the
+# columns directly instead: the level matrices would outgrow the result.
+_LEVELS_PER_LABEL = 16
+
+
+def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float64 L1 distances between the rows of two nonnegative integer matrices.
+
+    Uses |a - b| = sum(a) + sum(b) - 2 * sum(min(a, b)), with the sum of
+    minima one matrix product of 0/1 level matrices: column (l, t) is set
+    in a row whose exponent of label l is at least t, for t up to the
+    smaller of the two sides' largest exponent of l.  Columns past the
+    narrower matrix's width count as zeros.  Every partial sum is an
+    integer below 2**53, so each entry is exact, the same float as
+    ``scipy.spatial.distance.cdist(a, b, "cityblock")`` gives, and
+    independent of the other rows.
+    """
+    width = min(a.shape[1], b.shape[1])
+    a_sums = a.sum(axis=1, dtype=np.int64)
+    b_sums = b.sum(axis=1, dtype=np.int64)
+    top = np.minimum(
+        a[:, :width].max(axis=0, initial=0), b[:, :width].max(axis=0, initial=0)
+    ).astype(np.int64)
+    n_levels = int(top.sum())
+    if n_levels <= _LEVELS_PER_LABEL * max(width, 1):
+        labels = np.repeat(np.arange(width), top)
+        thresholds = np.arange(1, n_levels + 1) - np.repeat(top.cumsum() - top, top)
+        a_levels = (a[:, labels] >= thresholds).astype(np.float64)
+        b_levels = (b[:, labels] >= thresholds).astype(np.float64)
+        common = a_levels @ b_levels.T
+    else:
+        common = np.zeros((len(a), len(b)), dtype=np.int64)
+        for label in np.flatnonzero(top).tolist():
+            common += np.minimum(
+                a[:, label, None].astype(np.int64), b[:, label].astype(np.int64)
+            )
+    return (a_sums[:, None] + b_sums).astype(np.float64) - 2.0 * common
 
 
 def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
@@ -550,14 +589,12 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
     """
     if not p.n_distinct or not q.n_distinct:
         raise ValueError("polynomial_distance requires non-empty polynomials")
-    mat_p, counts_p = p.dense()
-    mat_q, counts_q = q.dense()
-    if p.dim != q.dim:
-        width = max(p.dim, q.dim)
-        mat_p = np.pad(mat_p, ((0, 0), (0, width - p.dim)))
-        mat_q = np.pad(mat_q, ((0, 0), (0, width - q.dim)))
-    dists = cdist(mat_p, mat_q, "cityblock")
-    total = float(counts_p @ dists.min(axis=1)) + float(counts_q @ dists.min(axis=0))
+    mat_p, counts_p = p.rows()
+    mat_q, counts_q = q.rows()
+    dists = cityblock(mat_p, mat_q)
+    total = float(counts_p.astype(np.float64) @ dists.min(axis=1)) + float(
+        counts_q.astype(np.float64) @ dists.min(axis=0)
+    )
     return total / (p.n_terms + q.n_terms)
 
 

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import scoi.cli
+import scoi.coverage
 import scoi.manifest
 import scoi.selection
+import scoi.treepoly
 from scoi.cli import _config_from_args, build_parser, main
 from scoi.config import INPUT_KEYS, RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
@@ -541,6 +543,11 @@ def _fail_writing(monkeypatch, name: str, budget: int) -> None:
     monkeypatch.setattr(scoi.manifest, "open", failing_open, raising=False)
 
 
+def _write_error(path: Path) -> str:
+    """The message ``main`` prints when ``_fail_writing`` fails the write of ``path``."""
+    return f"error: {path}: No space left on device (injected)\n"
+
+
 BUILD_OUTPUTS = ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx",
                  "build-manifest.json")
 SELECT_OUTPUTS = ("selections_scoi.jsonl", "prompts_scoi.jsonl", "select-manifest.json")
@@ -555,8 +562,8 @@ class TestCrashSafeWrites:
     ):
         out = tmp_path / "out"
         _fail_writing(monkeypatch, name, (built / name).stat().st_size // 2)
-        with pytest.raises(OSError, match="injected"):
-            run("build", "--config", DEMO_CFG, "--out-dir", out)
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 2
+        assert _write_error(out / name) in capsys.readouterr().err
         monkeypatch.undo()
         assert not (out / name).exists()
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
@@ -569,14 +576,14 @@ class TestCrashSafeWrites:
 
     @pytest.mark.parametrize("name", SELECT_OUTPUTS)
     def test_failed_select_write_leaves_no_partial_file(
-        self, built, selected, tmp_path, monkeypatch, name
+        self, built, selected, tmp_path, monkeypatch, capsys, name
     ):
         out = tmp_path / "out"
         shutil.copytree(built, out)
         _fail_writing(monkeypatch, name, (selected / name).stat().st_size // 2)
         args = ("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi")
-        with pytest.raises(OSError, match="injected"):
-            run(*args)
+        assert run(*args) == 2
+        assert _write_error(out / name) in capsys.readouterr().err
         monkeypatch.undo()
         assert not (out / name).exists()
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
@@ -589,42 +596,56 @@ class TestCrashSafeWrites:
 
 
 def _count_scoring_calls(built, monkeypatch, strategies):
-    """Run ``_select_one`` on the first demo test input, counting the per-candidate
-    scoring calls by the id of the pool polynomial each one scores."""
+    """Run ``_select_one`` on the first demo test input, recording the arguments
+    of each ``cityblock`` call and counting per-candidate scoring calls."""
     config = load_config(DEMO_CFG, {"out_dir": built})
     _, corpus, tests, index, _ = scoi.cli._load_built(built)
     corpus_by_id = {r.id: r for r in corpus}
     test = tests[0]
     ranked = scoi.cli.bm25_topk(index, test.tokens, config.pool_size, config.bm25_params())
     assert len(ranked) > config.k
-    pool_polys = Counter(id(corpus_by_id[rid].poly) for rid, _ in ranked)
-    calls = {}
-    for name in ("max_similarities", "polynomial_distance"):
-        seen = calls[name] = Counter()
-        real = getattr(scoi.selection, name)
+    pool_rows = np.concatenate([corpus_by_id[rid].poly.rows()[0] for rid in sorted(dict(ranked))])
+    calls = {"cityblock": [], "max_similarities": 0, "polynomial_distance": 0}
+    real_cityblock = scoi.selection.cityblock
 
-        def counted(x, other, *rest, real=real, seen=seen):
-            seen[id(other)] += 1
-            return real(x, other, *rest)
+    def cityblock(a, b):
+        calls["cityblock"].append((np.array(a), np.array(b)))
+        return real_cityblock(a, b)
 
-        monkeypatch.setattr(scoi.selection, name, counted)
+    monkeypatch.setattr(scoi.selection, "cityblock", cityblock)
+    for module, name in (
+        (scoi.selection, "max_similarities"),
+        (scoi.coverage, "max_similarities"),
+        (scoi.selection, "polynomial_distance"),
+        (scoi.treepoly, "polynomial_distance"),
+    ):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
     scoi.cli._select_one(
         test, strategies, config, corpus_by_id, tuple(sorted(corpus_by_id)), index,
         config.template(),
     )
-    return pool_polys, calls
+    return test, pool_rows, calls
 
 
 class TestSharedScores:
     def test_all_strategies_score_each_pool_member_once(self, built, monkeypatch):
-        pool_polys, calls = _count_scoring_calls(built, monkeypatch, list(STRATEGIES))
-        assert calls["max_similarities"] == pool_polys
-        assert calls["polynomial_distance"] == pool_polys
+        test, pool_rows, calls = _count_scoring_calls(built, monkeypatch, list(STRATEGIES))
+        # One kernel call, on the test's rows against every member's rows in id order.
+        [(a, b)] = calls["cityblock"]
+        assert a.shape == test.poly.rows()[0].shape and np.array_equal(a, test.poly.rows()[0])
+        assert b.shape == pool_rows.shape and np.array_equal(b, pool_rows)
+        assert calls["max_similarities"] == 0
+        assert calls["polynomial_distance"] == 0
 
     def test_word_only_computes_no_similarities(self, built, monkeypatch):
-        _, calls = _count_scoring_calls(built, monkeypatch, ["word-only"])
-        assert sum(calls["max_similarities"].values()) == 0
-        assert sum(calls["polynomial_distance"].values()) == 0
+        _, _, calls = _count_scoring_calls(built, monkeypatch, ["word-only"])
+        assert calls["cityblock"] == []
+        assert calls["max_similarities"] == 0
+        assert calls["polynomial_distance"] == 0
 
 
 def _write_tiny_corpus(tmp_path, sources, test_sources):
@@ -960,20 +981,21 @@ print(json.dumps({"exit": code, "scipy": scipy, "scipy_at_pool": at_pool}))
 """
 
 
-def _fresh_cli(*args) -> dict:
+def _fresh_cli(*args, python_flags=()) -> dict:
+    """The probe's report on ``scoi <args>``, plus the interpreter's stderr."""
     src = str(REPO / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *map(str, args)],
+        [sys.executable, *python_flags, "-c", _IMPORT_PROBE, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return {**json.loads(proc.stdout.splitlines()[-1]), "stderr": proc.stderr}
 
 
 class TestScipyImportBoundary:
-    """Only scoring loads scipy: select and inspect --pool."""
+    """Only the cosine measure loads scipy: select and inspect --pool with it."""
 
     def test_build_rebuild_inspect_and_bench_leave_scipy_unloaded(self, tmp_path):
         out = tmp_path / "out"
@@ -988,25 +1010,53 @@ class TestScipyImportBoundary:
             assert report["exit"] == 0, argv
             assert report["scipy"] == [], argv
 
-    def test_parallel_select_loads_scipy_before_the_pool(self, built, tmp_path):
+    def test_parallel_select_leaves_scipy_unloaded(self, built, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(built, out)
         report = _fresh_cli("select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2")
+        assert report["exit"] == 0
+        assert report["scipy"] == []
+        assert report["scipy_at_pool"] == [False]
+
+    def test_parallel_select_loads_scipy_before_the_pool(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        report = _fresh_cli(
+            "select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2",
+            "--measure", "cosine",
+        )
         assert report["exit"] == 0
         assert "scipy.spatial.distance" in report["scipy"]
         assert report["scipy_at_pool"] == [True]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, loads_scipy",
         [
-            ("inspect", "--record", "0", "--pool", "1,2,3"),
-            ("select", "--measure", "cosine", "--strategy", "scoi"),
+            (("inspect", "--record", "0", "--pool", "1,2,3"), False),
+            (("inspect", "--record", "0", "--pool", "1,2,3", "--measure", "cosine"), True),
+            (("select", "--measure", "cosine", "--strategy", "scoi"), True),
         ],
-        ids=["inspect-pool", "select-cosine"],
+        ids=["inspect-pool", "inspect-pool-cosine", "select-cosine"],
     )
-    def test_scoring_commands_load_scipy_on_demand(self, built, tmp_path, argv):
+    def test_scoring_commands_load_scipy_on_demand(self, built, tmp_path, argv, loads_scipy):
         out = tmp_path / "out"
         shutil.copytree(built, out)
         report = _fresh_cli(argv[0], "--config", DEMO_CFG, "--out-dir", out, *argv[1:])
         assert report["exit"] == 0
-        assert "scipy.spatial.distance" in report["scipy"]
+        if loads_scipy:
+            assert "scipy.spatial.distance" in report["scipy"]
+        else:
+            assert report["scipy"] == []
+
+    def test_dev_mode_build_and_select_warn_nothing(self, tmp_path):
+        """Under ``-X dev`` with ResourceWarning an error, the demo build and
+        default select leave no file handle unclosed and load no scipy."""
+        out = tmp_path / "out"
+        for command in ("build", "select"):
+            report = _fresh_cli(
+                command, "--config", DEMO_CFG, "--out-dir", out,
+                python_flags=("-X", "dev", "-W", "error::ResourceWarning"),
+            )
+            assert report["exit"] == 0, command
+            assert "ResourceWarning" not in report["stderr"], command
+            assert report["scipy"] == [], command

@@ -8,14 +8,31 @@ import hypothesis.strategies as st
 
 from scoi.coverage import (
     TokenBag,
+    max_similarities,
     occurrence_sum,
     syn_set_cov,
     term_similarity,
     word_set_cov,
 )
-from scoi.treepoly import Polynomial, encode_term
+from scoi.selection import PoolScores
+from scoi.treepoly import (
+    Polynomial,
+    encode_term,
+    polynomial_distance,
+    read_polynomial_cache,
+    write_polynomial_cache,
+)
+from scipy.spatial.distance import cdist
 
-from conftest import manhattan_oracle, poly_from_terms
+from conftest import (
+    make_record,
+    make_vocab,
+    manhattan_oracle,
+    poly_from_terms,
+    random_pool,
+    random_record,
+    random_recursive_tree,
+)
 
 
 # --- independent naive oracles ------------------------------------------------
@@ -248,3 +265,79 @@ class TestTermPool:
         pool = Polynomial.union([a, b])
         assert pool.n_terms == 3
         assert pool.terms[encode_term({1: 1})] == 2
+
+
+# --- batched pool scores ---------------------------------------------------------
+
+
+def scipy_max_similarities(x: Polynomial, other: Polynomial, measure: str) -> np.ndarray:
+    """The per-candidate similarity row as scipy's cdist gives it."""
+    x_mat, _ = x.dense()
+    other_mat, _ = other.dense()
+    if measure == "normalized-manhattan":
+        return (1.0 / (1.0 + cdist(x_mat, other_mat, "cityblock"))).max(axis=1)
+    return np.clip(1.0 - cdist(x_mat, other_mat, "cosine"), 0.0, 1.0).max(axis=1)
+
+
+def scipy_polynomial_distance(p: Polynomial, q: Polynomial) -> float:
+    """The chamfer distance on scipy's cityblock distances."""
+    mat_p, counts_p = p.dense()
+    mat_q, counts_q = q.dense()
+    dists = cdist(mat_p, mat_q, "cityblock")
+    total = float(counts_p @ dists.min(axis=1)) + float(counts_q @ dists.min(axis=0))
+    return total / (p.n_terms + q.n_terms)
+
+
+def cached_polys(records, vocab, tmp_path):
+    """The records' polynomials as the polynomial cache stores them (narrow rows)."""
+    path = tmp_path / "pool.poly.bin"
+    write_polynomial_cache(path, ((r.id, r.poly) for r in records), vocab)
+    return dict(read_polynomial_cache(path)[1])
+
+
+WORDS = [f"w{i}" for i in range(30)]
+
+
+class TestPoolScores:
+    """One kernel call per (test, pool) gives the per-candidate scores bit for bit."""
+
+    @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["key-built", "cached"])
+    def test_batched_tables_equal_per_candidate_calls(self, measure, cached, tmp_path):
+        rng = random.Random(23)
+        vocab = make_vocab(6)
+        for trial in range(20):
+            # Up to 80 nodes, so the dot products run past BLAS's unrolled blocks.
+            nodes = 8 if trial % 2 else 80
+            pool = [
+                make_record(rid, random_recursive_tree(rng, rng.randint(1, nodes), 6), ["w"], vocab)
+                for rid in rng.sample(range(1000), rng.randint(1, 30))
+            ]
+            test = make_record(1000, random_recursive_tree(rng, rng.randint(1, nodes), 6), ["w"],
+                               vocab)
+            if cached:
+                polys = cached_polys([test, *pool], vocab, tmp_path)
+                for record in (test, *pool):
+                    record.poly = polys[record.id]
+            scores = PoolScores(test, pool, measure)
+            sims = np.array([max_similarities(test.poly, r.poly, measure) for r in scores.by_id])
+            dists = np.array([polynomial_distance(test.poly, r.poly) for r in scores.by_id])
+            assert np.array_equal(scores.similarities, sims)
+            assert np.array_equal(scores.distances, dists)
+            assert np.array_equal(
+                sims, [scipy_max_similarities(test.poly, r.poly, measure) for r in scores.by_id]
+            )
+            assert np.array_equal(
+                dists, [scipy_polynomial_distance(test.poly, r.poly) for r in scores.by_id]
+            )
+
+    def test_empty_member_polynomial_rejected(self):
+        rng = random.Random(4)
+        vocab = make_vocab(3)
+        pool = random_pool(rng, 5, vocab, WORDS)
+        test = random_record(rng, 2000, vocab, WORDS)
+        pool[2].poly = Polynomial(Counter(), len(vocab))
+        for table in ("similarities", "distances"):
+            scores = PoolScores(test, pool, "normalized-manhattan")
+            with pytest.raises(ValueError, match="cannot score against an empty term pool"):
+                getattr(scores, table)

@@ -2,16 +2,19 @@ import json
 import random
 from collections import Counter
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.spatial.distance import cdist
 
 from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
 from scoi.treepoly import (
     DependencyTree,
     Polynomial,
     canonical_terms,
+    cityblock,
     decode_term,
     encode_term,
     manhattan,
@@ -374,6 +377,82 @@ class TestPolynomialDistance:
             polynomial_distance(p, empty)
         with pytest.raises(ValueError):
             polynomial_distance(empty, p)
+
+
+def _row_vectors(mat: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Each row of an exponent matrix as a sparse term vector."""
+    return [tuple((int(l), int(e)) for l, e in enumerate(row) if e) for row in mat]
+
+
+@st.composite
+def exponent_matrices(draw, dtype):
+    """Two exponent matrices of one dtype, widths possibly differing."""
+    top = draw(st.sampled_from([1, 3, 40, 255, 1500 if dtype != np.uint8 else 255]))
+    shapes = st.tuples(st.integers(0, 12), st.integers(0, 6))
+    a = draw(hnp.arrays(dtype, shapes, elements=st.integers(0, top)))
+    b = draw(hnp.arrays(dtype, shapes, elements=st.integers(0, top)))
+    return a, b
+
+
+class TestCityblock:
+    """The level-matrix L1 kernel against scipy and the scalar ``manhattan``."""
+
+    @staticmethod
+    def check(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        got = cityblock(a, b)
+        assert got.dtype == np.float64 and got.shape == (len(a), len(b))
+        width = max(a.shape[1], b.shape[1])
+        pad = lambda m: np.pad(m, ((0, 0), (0, width - m.shape[1])))  # noqa: E731
+        if len(a) and len(b):
+            expected = cdist(pad(a).astype(np.float64), pad(b).astype(np.float64), "cityblock")
+            assert np.array_equal(got, expected)
+        scalar = [[manhattan(s, t) for t in _row_vectors(b)] for s in _row_vectors(a)]
+        assert np.array_equal(got, np.array(scalar, dtype=np.float64).reshape(got.shape))
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy_and_manhattan(self, dtype, data):
+        self.check(*data.draw(exponent_matrices(dtype)))
+
+    def test_all_zero_columns(self):
+        a = np.array([[0, 2, 0, 1], [0, 0, 0, 3]], dtype=np.uint8)
+        b = np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 5, 0, 1]], dtype=np.uint8)
+        got = self.check(a, b)
+        assert got.tolist() == [[2, 3, 3], [4, 3, 7]]
+
+    def test_disjoint_label_sets(self):
+        a = np.array([[3, 1, 0, 0], [1, 0, 0, 0]], dtype=np.uint16)
+        b = np.array([[0, 0, 2, 4], [0, 0, 1, 0]], dtype=np.uint16)
+        got = self.check(a, b)
+        # No label in common: every distance is the sum of both rows.
+        assert got.tolist() == [[10, 5], [7, 2]]
+
+    def test_deep_chain_against_short_rows(self):
+        rng = random.Random(5)
+        chain_poly = simplified_polynomial(chain([rng.randrange(3) for _ in range(1500)]),
+                                           make_vocab(4))
+        chain_rows, _ = chain_poly.rows()
+        assert chain_rows.max() > 400
+        # Rows of at most 8 nodes.
+        short = np.array([[rng.randint(0, 2) for _ in range(4)] for _ in range(30)],
+                         dtype=np.uint8)
+        self.check(chain_rows, short)
+        self.check(short, chain_rows)
+
+    def test_two_deep_chains_take_the_direct_path(self):
+        # Both sides' largest exponents are large, so levels would outgrow
+        # the result; the per-label path must give the same exact values.
+        a = np.arange(1200, dtype=np.uint32).reshape(-1, 1)
+        b = np.arange(0, 2400, 7, dtype=np.uint32).reshape(-1, 1)
+        got = self.check(a, b)
+        assert np.array_equal(got, np.abs(a.astype(np.int64) - b.T).astype(np.float64))
+
+    def test_mixed_dtypes_and_widths(self):
+        a = np.array([[1, 2, 3]], dtype=np.uint8)
+        b = np.array([[300, 2], [0, 0]], dtype=np.uint16)
+        assert self.check(a, b).tolist() == [[302, 6]]
 
 
 def _with(arrays, position, value):
