@@ -337,13 +337,15 @@ def cmd_select(config: RunConfig) -> int:
     for strategy in strategies:
         sel_path = out_dir / f"selections_{strategy}.jsonl"
         prompt_path = out_dir / f"prompts_{strategy}.jsonl"
-        rows = [row for outputs in per_test for row in outputs if row[0] == strategy]
-        # One file open at a time, so a failed write is reported against its own file.
-        for path, column in ((sel_path, 1), (prompt_path, 2)):
-            with atomic_write(path) as fh:
-                for row in rows:
-                    fh.write(compact_json(row[column]) + "\n")
-            output_digests[path.name] = sha256_file(path)
+        with atomic_write(sel_path) as sel_fh, atomic_write(prompt_path) as prompt_fh:
+            for outputs in per_test:
+                for out_strategy, record, prompt in outputs:
+                    if out_strategy != strategy:
+                        continue
+                    sel_fh.write(compact_json(record) + "\n")
+                    prompt_fh.write(compact_json(prompt) + "\n")
+        output_digests[sel_path.name] = sha256_file(sel_path)
+        output_digests[prompt_path.name] = sha256_file(prompt_path)
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
 
     manifest.record_stage("select", cache_digests, output_digests, seconds)

@@ -46,6 +46,19 @@ def read_header(fh, path, fmt: str, version: int, what: str, listed: str) -> dic
     return header
 
 
+def _naming(path: Path, write):
+    """``write`` with each ``OSError`` it raises re-raised naming ``path``."""
+
+    def named_write(data):
+        try:
+            return write(data)
+        except OSError as exc:
+            exc.filename, exc.filename2 = str(path), None
+            raise
+
+    return named_write
+
+
 @contextmanager
 def atomic_write(path: Path | str, mode: str = "w"):
     """Write ``path`` through a temp file beside it, moved into place on success.
@@ -55,13 +68,16 @@ def atomic_write(path: Path | str, mode: str = "w"):
     sees the old file or the whole new one, never part of one.  On an
     exception the temp file is deleted and ``path`` keeps what it held.
     A killed process can leave ``.<name>.<pid>.tmp`` behind, but never a
-    partial ``path``.  An ``OSError`` that names the temp file or no file is
-    re-raised naming ``path``, so the body should write to no other file.
+    partial ``path``.  An ``OSError`` from the handle's ``write``, or one
+    that names the temp file or no file, is re-raised naming ``path``; the
+    handle's own errors are named first, so nested writes each report
+    against their own file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            fh.write = _naming(path, fh.write)
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:

@@ -149,17 +149,12 @@ class PoolScores:
         n_x = self.test.poly.n_terms
         row_mins = self._per_candidate(np.minimum, self._distances)
         col_mins = self._distances.min(axis=0)
-        bounds = [*starts.tolist(), len(counts)]
-        # Two dot products per candidate on contiguous vectors, as
-        # polynomial_distance takes them; a matrix product rounds differently.
-        return np.array(
-            [
-                (float(x_counts @ mins) + float(counts[a:b] @ col_mins[a:b]))
-                / (n_x + record.poly.n_terms)
-                for record, mins, a, b in zip(self.by_id, row_mins, bounds, bounds[1:])
-            ],
-            dtype=np.float64,
-        )
+        n_terms = np.array([record.poly.n_terms for record in self.by_id], dtype=np.int64)
+        # Every term is an integer-valued float and every partial sum an
+        # integer below 2**53, so the sums are exact in any order and equal
+        # polynomial_distance's bit for bit.
+        totals = row_mins @ x_counts + np.add.reduceat(counts * col_mins, starts)
+        return totals / (n_x + n_terms)
 
     @cached_property
     def token_counts(self) -> np.ndarray:

@@ -540,11 +540,6 @@ def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     return _scipy_cdist(xa, xb, metric)
 
 
-# Above this many level columns per label column, cityblock compares the
-# columns directly instead: the level matrices would outgrow the result.
-_LEVELS_PER_LABEL = 16
-
-
 def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """float64 L1 distances between the rows of two nonnegative integer matrices.
 
@@ -563,19 +558,11 @@ def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     top = np.minimum(
         a[:, :width].max(axis=0, initial=0), b[:, :width].max(axis=0, initial=0)
     ).astype(np.int64)
-    n_levels = int(top.sum())
-    if n_levels <= _LEVELS_PER_LABEL * max(width, 1):
-        labels = np.repeat(np.arange(width), top)
-        thresholds = np.arange(1, n_levels + 1) - np.repeat(top.cumsum() - top, top)
-        a_levels = (a[:, labels] >= thresholds).astype(np.float64)
-        b_levels = (b[:, labels] >= thresholds).astype(np.float64)
-        common = a_levels @ b_levels.T
-    else:
-        common = np.zeros((len(a), len(b)), dtype=np.int64)
-        for label in np.flatnonzero(top).tolist():
-            common += np.minimum(
-                a[:, label, None].astype(np.int64), b[:, label].astype(np.int64)
-            )
+    labels = np.repeat(np.arange(width), top)
+    thresholds = np.arange(1, len(labels) + 1) - np.repeat(top.cumsum() - top, top)
+    a_levels = (a[:, labels] >= thresholds).astype(np.float64)
+    b_levels = (b[:, labels] >= thresholds).astype(np.float64)
+    common = a_levels @ b_levels.T
     return (a_sums[:, None] + b_sums).astype(np.float64) - 2.0 * common
 
 

@@ -587,8 +587,11 @@ class TestCrashSafeWrites:
         monkeypatch.undo()
         assert not (out / name).exists()
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
-        for output in SELECT_OUTPUTS[:2]:
-            if (out / output).exists():  # written in full before the failing file
+        pair = SELECT_OUTPUTS[:2]  # a strategy's selections and prompts fail together
+        for output in pair:
+            if name in pair:
+                assert not (out / output).exists()
+            else:
                 assert (out / output).read_bytes() == (selected / output).read_bytes()
         assert run(*args) == 0
         for output in SELECT_OUTPUTS[:2]:

@@ -441,9 +441,8 @@ class TestCityblock:
         self.check(chain_rows, short)
         self.check(short, chain_rows)
 
-    def test_two_deep_chains_take_the_direct_path(self):
-        # Both sides' largest exponents are large, so levels would outgrow
-        # the result; the per-label path must give the same exact values.
+    def test_two_deep_chains(self):
+        # Both sides' largest exponents are large: about 1,200 level columns.
         a = np.arange(1200, dtype=np.uint32).reshape(-1, 1)
         b = np.arange(0, 2400, 7, dtype=np.uint32).reshape(-1, 1)
         got = self.check(a, b)
