@@ -2,13 +2,17 @@
 """Regenerate the frozen demo-corpus golden fixtures used by the CLI tests.
 
 Runs a clean build+select on the bundled demo corpus into a temp directory
-and copies a pinned subset of outputs into tests/fixtures/.  Only run this
+and copies a pinned subset of outputs into tests/fixtures/, together with
+what a few `scoi inspect` calls print (demo_inspect.json).  Only run this
 deliberately after an intended behavior change; the point of the fixtures
 is to make unintended output drift loud.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -22,6 +26,13 @@ GOLDENS = {
     "selections_random.jsonl": "demo_selections_random.jsonl",
     "prompts_scoi.jsonl": "demo_prompts_scoi.jsonl",
 }
+# `scoi inspect` arguments whose output demo_inspect.json pins, keyed by them.
+INSPECT_ARGS = (
+    "--record 0",
+    "--record 0 --pool 1,2,3",
+    "--record 0 --side test",
+    "--record 5 --pool 1,2,3 --measure cosine",
+)
 
 
 def run() -> None:
@@ -34,6 +45,16 @@ def run() -> None:
         for source, target in GOLDENS.items():
             shutil.copyfile(out / source, FIXTURES / target)
             print(f"froze {target}")
+        printed = {}
+        for args in INSPECT_ARGS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                argv = ["inspect", "--config", str(config), "--out-dir", str(out), *args.split()]
+                assert main(argv) == 0
+            printed[args] = buf.getvalue()
+        text = json.dumps(printed, indent=1, ensure_ascii=False) + "\n"
+        (FIXTURES / "demo_inspect.json").write_text(text, encoding="utf-8")
+        print("froze demo_inspect.json")
 
 
 if __name__ == "__main__":

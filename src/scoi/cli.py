@@ -22,6 +22,7 @@ from . import __version__
 from .bench import run_bench
 from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
 from .corpus import (
+    CORPUS_CACHE_VERSION,
     apply_polynomial_cache,
     attach_polynomials,
     filter_by_length,
@@ -63,8 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cache_paths(out_dir: Path) -> dict[str, Path]:
     return {
-        "corpus_cache": out_dir / "corpus.jsonl",
-        "test_cache": out_dir / "test.jsonl",
+        "corpus_cache": out_dir / "corpus.bin",
+        "test_cache": out_dir / "test.bin",
         "corpus_poly": out_dir / "corpus.poly.bin",
         "test_poly": out_dir / "test.poly.bin",
         "index": out_dir / "bm25.idx",
@@ -177,6 +178,7 @@ def cmd_build(config: RunConfig) -> int:
         fold_case=str(config.fold_case),
         strip_punctuation=str(config.strip_punctuation),
         tokenizer_version=str(TOKENIZER_VERSION),
+        corpus_cache_version=str(CORPUS_CACHE_VERSION),
     )
     caches = _run_stage(
         manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), ingest
@@ -246,7 +248,7 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
         pool = [corpus_by_id[rid] for rid in rng.sample(sorted(corpus_ids), size)]
         fallback = True
     # Every strategy reads its per-candidate scores from this one table.
-    scores = PoolScores(test, pool, config.measure)
+    scores = PoolScores(test, pool, config.measure, index)
     outputs = []
     for strategy in strategies:
         plan = config.plan(strategy)

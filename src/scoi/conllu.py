@@ -33,10 +33,10 @@ def _iter_blocks(fh: TextIO) -> Iterator[list[tuple[int, str]]]:
 
 
 def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_index: int) -> DependencyTree:
-    ids: list[int] = []
     heads: list[int] = []
     label_ids: list[int] = []
     lines: list[int] = []
+    position: dict[int, int] = {}
     for lineno, line in block:
         if line.startswith("#"):
             continue
@@ -53,14 +53,15 @@ def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_ind
             head = int(cols[_HEAD_COL])
         except ValueError as exc:
             raise DataError(f"line {lineno}: non-integer ID or HEAD column") from exc
-        ids.append(tid)
+        if tid in position:
+            raise DataError(f"line {lineno}: duplicate token ID {tid}")
+        position[tid] = len(heads)
         heads.append(head)
         label_ids.append(vocab.add(cols[_DEPREL_COL]))
         lines.append(lineno)
-    if not ids:
+    if not position:
         raise DataError(f"sentence block {block_index} has no syntactic tokens")
 
-    position = {tid: i for i, tid in enumerate(ids)}
     root_lines = [lines[i] for i, h in enumerate(heads) if h == 0]
     if len(root_lines) != 1:
         raise MalformedTreeError(

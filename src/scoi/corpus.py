@@ -9,20 +9,23 @@ ids are the original line indices and survive filtering.
 
 from __future__ import annotations
 
-import json
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .conllu import load_conllu
 from .coverage import TokenBag
-from .errors import AlignmentError, DataError, MalformedTreeError, UnknownLabelError
+from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
     LabelVocabulary,
     Polynomial,
-    check_labels,
+    first_bad_tree,
     simplified_polynomial,
     simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
 )
@@ -132,63 +135,122 @@ def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary)
 
 # --- corpus cache ------------------------------------------------------------
 #
-# JSON-lines: a header with the format tag, version, tokenizer version and
-# label vocabulary, then one record per line carrying text, ordered tokens
-# and the tree skeleton.  Ingesting the same inputs rewrites the same bytes.
+# One JSON header line (format tag, version, tokenizer version, label
+# vocabulary, token list in first-seen order), then the .npy segments of
+# _SEGMENTS in that order: the record ids, then per column its int64 offsets
+# (record i owns entries offsets[i]:offsets[i+1]) and its entries: source and
+# target UTF-8 bytes, token ids into the header's list, and the tree's labels
+# and parents, which share the node offsets.  Rewrites are byte-identical.
 
 _CORPUS_FORMAT = "scoi-corpus"
-_CORPUS_VERSION = 1
+CORPUS_CACHE_VERSION = 2
+_SEGMENTS = {  # name -> dtype
+    "ids": "<i8", "source_offsets": "<i8", "source": "u1", "target_offsets": "<i8",
+    "target": "u1", "token_offsets": "<i8", "tokens": "<i4", "node_offsets": "<i8",
+    "labels": "<i4", "parents": "<i4",
+}
+_OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "token_offsets",
+            "labels": "node_offsets", "parents": "node_offsets"}
 
 
 def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocabulary) -> None:
     from .tokenizer import TOKENIZER_VERSION
 
-    with atomic_write(path) as fh:
-        header = {
-            "format": _CORPUS_FORMAT,
-            "version": _CORPUS_VERSION,
-            "tokenizer_version": TOKENIZER_VERSION,
-            "labels": vocab.labels,
-        }
-        fh.write(compact_json(header) + "\n")
-        for record in records:
-            row = {
-                "id": record.id,
-                "source": record.source,
-                "target": record.target,
-                "tokens": list(record.token_list),
-                "labels": record.tree.labels,
-                "parents": record.tree.parents,
-            }
-            fh.write(compact_json(row) + "\n")
+    token_ids: dict[str, int] = {}
+    cols = {name: bytearray() if t == "u1" else array("q") for name, t in _SEGMENTS.items()}
+    for offsets in set(_OFFSETS.values()):
+        cols[offsets].append(0)
+    for record in records:
+        cols["ids"].append(record.id)
+        cols["source"] += record.source.encode("utf-8")
+        cols["target"] += record.target.encode("utf-8")
+        cols["tokens"].extend(token_ids.setdefault(t, len(token_ids)) for t in record.token_list)
+        cols["labels"].extend(record.tree.labels)
+        cols["parents"].extend(record.tree.parents)
+        for name in ("source", "target", "tokens", "labels"):
+            cols[_OFFSETS[name]].append(len(cols[name]))
+    header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
+              "tokenizer_version": TOKENIZER_VERSION, "labels": vocab.labels,
+              "tokens": list(token_ids)}
+    with atomic_write(path, "wb") as fh:
+        fh.write(compact_json(header).encode("utf-8") + b"\n")
+        for name, dtype in _SEGMENTS.items():
+            raw = np.uint8 if dtype == "u1" else np.int64
+            np.save(fh, np.frombuffer(cols[name], raw).astype(dtype))
+
+
+class _CachedRecord(ExampleRecord):
+    """A row of a corpus cache; its text, tokens and tree are decoded on first access."""
+
+    def __init__(self, cols: dict, row: int, record_id: int):
+        self.id, self.poly, self._cols, self._row = record_id, None, cols, row
+
+    def _slice(self, name: str) -> np.ndarray:
+        offsets = self._cols[_OFFSETS[name]]
+        return self._cols[name][offsets[self._row]:offsets[self._row + 1]]
+
+    source = cached_property(lambda self: self._slice("source").tobytes().decode("utf-8"))
+    target = cached_property(lambda self: self._slice("target").tobytes().decode("utf-8"))
+    token_list = cached_property(
+        lambda self: tuple(self._cols["names"][i] for i in self._slice("tokens").tolist())
+    )
+    tokens = cached_property(lambda self: TokenBag.from_tokens(self.token_list))
+    tree = cached_property(
+        lambda self: DependencyTree(self._slice("labels").tolist(), self._slice("parents").tolist())
+    )
 
 
 def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
-    # Lines are decoded one by one, so that bytes that are not UTF-8 fail
-    # on their own line.
+    """The vocabulary and the records; every tree is validated here, in bulk."""
     with open(path, "rb") as fh:
-        header = read_header(fh, path, _CORPUS_FORMAT, _CORPUS_VERSION, "corpus cache", "labels")
-        vocab = LabelVocabulary(header["labels"])
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            try:
-                row = json.loads(line.decode("utf-8"))
-                record_id, labels, parents = row["id"], row["labels"], row["parents"]
-                source, target, token_list = row["source"], row["target"], tuple(row["tokens"])
-                tree = DependencyTree(labels, parents)
-                check_labels(tree, len(vocab))
-            except (MalformedTreeError, UnknownLabelError) as exc:
-                raise DataError(f"{path}: record {record_id}: {exc}") from None
-            except KeyError as exc:
-                raise DataError(f"{path}: line {line_no}: record has no {exc} key") from None
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}: line {line_no}: malformed record ({exc})") from None
-            records.append(
-                ExampleRecord(
-                    record_id, source, target, token_list, TokenBag.from_tokens(token_list), tree
-                )
+        header = read_header(
+            fh, path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache", "labels"
+        )
+        if not isinstance(header.get("tokens"), list):
+            raise DataError(f"{path}: header has no tokens list")
+        try:
+            cols = {name: np.load(fh, allow_pickle=False) for name in _SEGMENTS}
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+    for name, dtype in _SEGMENTS.items():
+        if cols[name].ndim != 1 or cols[name].dtype != dtype:
+            raise DataError(f"{path}: segment {name} is not a one-dimensional {dtype} array")
+    ids = cols["ids"]
+    for name, offsets in _OFFSETS.items():
+        bounds, size = cols[offsets], len(cols[name])
+        if (bounds.shape != (len(ids) + 1,) or bounds[0] != 0 or bounds[-1] != size
+                or (np.diff(bounds) < 0).any()):
+            raise DataError(
+                f"{path}: {name} offsets do not match the {len(ids)} record ids and {size} entries"
             )
-    return vocab, records
+
+    def fail(name: str, entry: int, reason: str):
+        record = ids[np.searchsorted(cols[_OFFSETS[name]], entry, side="right") - 1]
+        raise DataError(f"{path}: record {record}: {reason}")
+
+    n_tokens = len(header["tokens"])
+    bad = np.flatnonzero((cols["tokens"] < 0) | (cols["tokens"] >= n_tokens))
+    if bad.size:
+        token = cols["tokens"][bad[0]]
+        fail("tokens", bad[0], f"token id {token} outside the token list of size {n_tokens}")
+    for side in ("source", "target"):
+        blob, starts = cols[side], cols[_OFFSETS[side]][:-1]
+        starts = starts[starts < len(blob)]
+        # A record that starts on a continuation byte cuts a character in two;
+        # the record holding its first byte is the first one broken.
+        bad = (starts[(blob[starts] & 0xC0) == 0x80][:1] - 1).tolist()
+        try:
+            blob.tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad.append(exc.start)
+        if bad:
+            fail(side, min(bad), f"{side} is not UTF-8")
+    vocab = LabelVocabulary(header["labels"])
+    bad_tree = first_bad_tree(cols["labels"], cols["parents"], cols["node_offsets"], len(vocab))
+    if bad_tree is not None:
+        raise DataError(f"{path}: record {ids[bad_tree[0]]}: {bad_tree[1]}")
+    cols["names"] = header["tokens"]
+    return vocab, [_CachedRecord(cols, row, rid) for row, rid in enumerate(ids.tolist())]
 
 
 def apply_polynomial_cache(

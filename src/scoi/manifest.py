@@ -135,9 +135,15 @@ def read_manifest(path: Path | str) -> dict | None:
         return None
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, OSError):  # not JSON, or not UTF-8
         return None
-    if data.get("format") != MANIFEST_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
+        return None
+    stages = data.get("stages")
+    if not isinstance(stages, dict) or not all(
+        isinstance(stage, dict) and isinstance(stage.get("outputs", {}), dict)
+        for stage in stages.values()
+    ):
         return None
     return data
 

@@ -54,6 +54,14 @@ class InvertedIndex:
         self.postings = postings
         self.doc_count = int(ids.shape[0])
 
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        """The row of each document id; every id must be indexed."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self.ids.searchsorted(ids)
+        if not np.array_equal(self.ids.take(rows, mode="clip"), ids):
+            raise ValueError("a document id is not in the index")
+        return rows
+
     def df(self, token: str) -> int:
         posting = self.postings.get(token)
         return 0 if posting is None else int(posting[0].shape[0])
@@ -133,46 +141,43 @@ def bm25_topk(
     return [(int(hit_ids[i]), float(hit_scores[i])) for i in order]
 
 
-@dataclass
-class CandidateWordMatrix:
-    """Per-candidate BM25-weighted vectors over the test input's terms.
-
-    Row i belongs to candidate ``ids[i]``; column j to ``terms[j]`` (the
-    test input's distinct tokens in first-occurrence order).  Entries are
-    nonzero only where the candidate contains the term.
-    """
-
-    ids: tuple[int, ...]
-    terms: tuple[str, ...]
-    matrix: np.ndarray
+def token_table(index: InvertedIndex, rows: np.ndarray, tokens: Sequence[str]) -> np.ndarray:
+    """int64 (documents at ``rows``, ``tokens``): each document's count of each
+    token, scattered from the postings' (exact, integer) term frequencies.
+    Posting rows must ascend, as ``build_index`` and ``load_index`` give them."""
+    table = np.zeros((len(rows), len(tokens)), dtype=np.int64)
+    for j, token in enumerate(tokens):
+        posting = index.postings.get(token)
+        if posting is not None:
+            posting_rows, tfs = posting
+            at = posting_rows.searchsorted(rows)
+            hit = posting_rows.take(at, mode="clip") == rows
+            table[hit, j] = tfs[at[hit]]
+    return table
 
 
 def word_matrix(
-    candidates: Sequence["ExampleRecord"],
+    rows: np.ndarray,
+    counts: np.ndarray,
     query: TokenBag,
     index: InvertedIndex,
     params: Bm25Params = Bm25Params(),
-) -> CandidateWordMatrix:
+) -> np.ndarray:
     """BM25-weighted word vectors for the DPP diversity kernel.
 
+    Row i belongs to the document at index row ``rows[i]``, column j to the
+    query's j-th distinct token; ``counts`` is their ``token_table``.
     W[i, j] = idf_j * tf_ij * (k1 + 1) / (tf_ij + k1 * (1 - b + b * l_i))
-    with l_i the candidate length over the corpus average document length.
+    with l_i the document length over the corpus average document length.
     idf comes from the corpus-level index statistics.
     """
-    if not candidates:
+    if not len(rows):
         raise ValueError("word_matrix requires at least one candidate")
-    terms = tuple(query.counts)
-    idfs = np.array([index.idf(t) for t in terms], dtype=np.float64)
+    idfs = np.array([index.idf(t) for t in query.counts], dtype=np.float64)
     k1, b = params.k1, params.b
-    mat = np.zeros((len(candidates), len(terms)), dtype=np.float64)
-    for i, cand in enumerate(candidates):
-        denom_norm = k1 * (1.0 - b + b * (cand.tokens.total / index.avgdl))
-        counts = cand.tokens.counts
-        for j, term in enumerate(terms):
-            tf = counts.get(term, 0)
-            if tf:
-                mat[i, j] = idfs[j] * (tf * (k1 + 1.0)) / (tf + denom_norm)
-    return CandidateWordMatrix(tuple(c.id for c in candidates), terms, mat)
+    denom_norm = k1 * (1.0 - b + b * (index.lengths[rows] / index.avgdl))
+    tf = counts.astype(np.float64)
+    return idfs * (tf * (k1 + 1.0)) / (tf + denom_norm[:, None])
 
 
 # --- index persistence -------------------------------------------------------

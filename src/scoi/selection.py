@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .coverage import MEASURES, _pad_to, occurrence_sum, similarity_matrix
-from .retrieval import Bm25Params, InvertedIndex, word_matrix
+from .retrieval import Bm25Params, InvertedIndex, build_index, token_table, word_matrix
 from .treepoly import cityblock
 
 # The per-candidate forms of PoolScores' tables.  Selection does not call
@@ -93,10 +93,12 @@ class PoolScores:
     (test, pool) pair share its cost and a strategy pays only for the tables
     it reads.  The similarity and distance tables reduce one matrix of L1
     distances from the test's terms to the pool's concatenated terms;
-    candidate i owns its columns from ``starts[i]``.
+    candidate i owns its columns from ``starts[i]``.  Token counts come from
+    the postings of ``index``, or of an index of the pool when none is given.
     """
 
-    def __init__(self, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str):
+    def __init__(self, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str,
+                 index: InvertedIndex | None = None):
         if test.poly is None or test.tokens is None:
             raise ValueError("test record needs a polynomial and a token bag")
         self.by_id = sorted(pool, key=lambda r: r.id)
@@ -105,6 +107,7 @@ class PoolScores:
                 raise ValueError(f"pool record {record.id} has no polynomial")
         self.test = test
         self.measure = measure
+        self._index = index
 
     @cached_property
     def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,15 +162,20 @@ class PoolScores:
     @cached_property
     def token_counts(self) -> np.ndarray:
         """int64 (candidates, distinct test tokens): each candidate's count of each token."""
-        tokens = list(self.test.tokens.counts)
-        rows = [[r.tokens.counts.get(t, 0) for t in tokens] for r in self.by_id]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(tokens))
+        if self._index is None:
+            # The pool's own index has one row per candidate, in by_id order.
+            index, rows = build_index(self.by_id), np.arange(len(self.by_id))
+        else:
+            index, rows = self._index, self._index.rows([r.id for r in self.by_id])
+        return token_table(index, rows, tuple(self.test.tokens.counts))
 
 
-def _pool_scores(test, pool, plan: SelectionPlan, scores: PoolScores | None) -> PoolScores:
+def _pool_scores(
+    test, pool, plan: SelectionPlan, scores: PoolScores | None, index: InvertedIndex | None = None
+) -> PoolScores:
     """The shared table when one is given, else a fresh one for this call."""
     if scores is None:
-        return PoolScores(test, pool, plan.measure)
+        return PoolScores(test, pool, plan.measure, index)
     if scores.measure != plan.measure:
         raise ValueError(f"scores use measure {scores.measure!r}, the plan {plan.measure!r}")
     return scores
@@ -405,9 +413,10 @@ def select_dpp(
 ) -> SelectionResult:
     """DPP MAP selection: syntactic relevance on the diagonal, lexical
     diversity from BM25-weighted word vectors off it."""
-    scores = _pool_scores(test, pool, plan, scores)
+    scores = _pool_scores(test, pool, plan, scores, index)
     by_id = scores.by_id
-    wm = word_matrix(by_id, test.tokens, index, params)
+    index_rows = index.rows([r.id for r in by_id])
+    wm = word_matrix(index_rows, scores.token_counts, test.tokens, index, params)
     distances = scores.distances
     if plan.relevance_norm == "reciprocal":
         relevance = 1.0 / (1.0 + distances)
@@ -417,7 +426,7 @@ def select_dpp(
             relevance = (distances.max() - distances) / span
         else:
             relevance = np.ones_like(distances)
-    kernel = dpp_kernel(wm.matrix, relevance, plan.dpp_lambda)
+    kernel = dpp_kernel(wm, relevance, plan.dpp_lambda)
 
     flags: dict = {}
     rows = _greedy_map(kernel, plan.k)

@@ -429,6 +429,41 @@ def check_labels(tree: DependencyTree, vocab_size: int) -> None:
         raise UnknownLabelError(f"label index {bad} outside vocabulary of size {vocab_size}")
 
 
+def first_bad_tree(
+    labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, vocab_size: int
+) -> tuple[int, str] | None:
+    """(position, message) of the first tree that ``DependencyTree`` or
+    ``check_labels`` rejects, or None.  Tree i owns entries ``offsets[i]:
+    offsets[i+1]``; its parents index its own nodes.  Whole-array checks find
+    it: a root count other than one, a node that does not reach the root, a
+    label outside the vocabulary.  Roots and nodes with a parent out of range
+    point at themselves, and ceil(log2(n)) + 1 squarings of the ancestor map
+    take every node of an acyclic n-node tree to its root.  The message comes
+    from the per-tree path on the tree found, so wording and precedence match.
+    """
+    sizes = np.diff(offsets)
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
+    parents = parents.astype(np.int64)
+    is_root = parents == ROOT
+    stray = ~is_root & ((parents < 0) | (parents >= sizes[tree_of]))
+    anc = np.where(is_root | stray, np.arange(len(parents)), offsets[tree_of] + parents)
+    for _ in range(int(sizes.max(initial=1) - 1).bit_length() + 1):
+        anc = anc[anc]
+    bad_nodes = ~is_root[anc] | (labels < 0) | (labels >= vocab_size)
+    bad = (np.bincount(tree_of[is_root], minlength=len(sizes)) != 1) | (
+        np.bincount(tree_of[bad_nodes], minlength=len(sizes)) > 0
+    )
+    if not bad.any():
+        return None
+    tree = int(np.argmax(bad))
+    a, b = offsets[tree], offsets[tree + 1]
+    try:
+        check_labels(DependencyTree(labels[a:b].tolist(), parents[a:b].tolist()), vocab_size)
+    except (MalformedTreeError, UnknownLabelError) as exc:
+        return tree, str(exc)
+    raise AssertionError(f"tree {tree} failed a whole-array check but builds")
+
+
 def simplified_term_counter(tree: DependencyTree, dim: int) -> Counter[int]:
     """Packed term keys of the simplified construction, with multiplicity."""
     check_labels(tree, dim)

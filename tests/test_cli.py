@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import io
 import json
 import os
 import re
@@ -13,8 +15,11 @@ import numpy as np
 import pytest
 
 import scoi.cli
+import scoi.conllu
+import scoi.corpus
 import scoi.coverage
 import scoi.manifest
+import scoi.retrieval
 import scoi.selection
 import scoi.treepoly
 from scoi.cli import _config_from_args, build_parser, main
@@ -50,7 +55,7 @@ def selected(built, tmp_path_factory):
 
 class TestBuild:
     def test_caches_and_manifest(self, built):
-        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
+        for name in ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert (built / name).is_file()
         manifest = read_manifest(built / "build-manifest.json")
         assert manifest is not None
@@ -76,10 +81,10 @@ class TestBuild:
     @pytest.mark.parametrize(
         "deleted, rerun, reads",
         [
-            (["bm25.idx"], ["index"], ["corpus.jsonl"]),
-            (["corpus.poly.bin"], ["polynomials"], ["corpus.jsonl", "test.jsonl"]),
-            (["corpus.poly.bin", "bm25.idx"], ["polynomials", "index"], ["corpus.jsonl", "test.jsonl"]),
-            (["test.jsonl"], ["corpus"], []),
+            (["bm25.idx"], ["index"], ["corpus.bin"]),
+            (["corpus.poly.bin"], ["polynomials"], ["corpus.bin", "test.bin"]),
+            (["corpus.poly.bin", "bm25.idx"], ["polynomials", "index"], ["corpus.bin", "test.bin"]),
+            (["test.bin"], ["corpus"], []),
         ],
     )
     def test_partial_rebuild_reruns_only_stale_stages(
@@ -109,8 +114,46 @@ class TestBuild:
             assert after[stage]["inputs"] == before[stage]["inputs"]
             assert after[stage]["outputs"] == before[stage]["outputs"]
             assert after[stage]["skipped"] == (stage not in rerun)
-        for name in ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
+        for name in ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert sha256_file(out / name) == sha256_file(built / name)
+
+    def test_old_corpus_cache_version_reruns_the_corpus_stage(self, built, tmp_path):
+        out = tmp_path / "old"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        inputs = manifest["stages"]["corpus"]["inputs"]
+        assert inputs["corpus_cache_version"] == str(scoi.cli.CORPUS_CACHE_VERSION)
+        inputs["corpus_cache_version"] = "1"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        # The rewritten caches are byte-identical, so later stages stay current.
+        stages = read_manifest(path)["stages"]
+        assert {name: stage["skipped"] for name, stage in stages.items()} == {
+            "corpus": False, "polynomials": True, "index": True,
+        }
+
+    def test_version_1_build_directory_reruns_every_stage(self, built, tmp_path):
+        # Version 1 wrote corpus.jsonl / test.jsonl and recorded no version
+        # input; those files stay behind and are never read.
+        out = tmp_path / "old"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+        del stages["corpus"]["inputs"]["corpus_cache_version"]
+        for key, name in (("corpus_cache", "corpus"), ("test_cache", "test")):
+            (out / f"{name}.bin").unlink()
+            (out / f"{name}.jsonl").write_bytes(b"\xffnot a cache\n")
+            stages["corpus"]["outputs"][key] = sha256_file(out / f"{name}.jsonl")
+            stages["polynomials"]["inputs"][key] = stages["corpus"]["outputs"][key]
+        stages["index"]["inputs"]["corpus_cache"] = stages["corpus"]["outputs"]["corpus_cache"]
+        path.write_text(json.dumps({**read_manifest(path), "stages": stages}), encoding="utf-8")
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        stages = read_manifest(path)["stages"]
+        assert not any(stage["skipped"] for stage in stages.values())
+        for cache in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / cache.name) == sha256_file(cache)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
 
     def test_old_polynomial_cache_version_reruns_only_polynomials(self, built, tmp_path, capsys):
         out = tmp_path / "old"
@@ -153,7 +196,7 @@ class TestBuild:
         )
         assert code == 1
         assert "not found" in capsys.readouterr().err
-        assert not (out / "corpus.jsonl").exists()
+        assert not (out / "corpus.bin").exists()
 
     def test_malformed_parse_exits_2_with_context(self, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
@@ -175,7 +218,19 @@ class TestBuild:
         assert code == 2
         err = capsys.readouterr().err
         assert "HEAD=0" in err and "lines" in err
-        assert not (out / "corpus.jsonl").exists()
+        assert not (out / "corpus.bin").exists()
+
+    def test_duplicate_token_id_exits_2_naming_the_line(self, tmp_path, capsys):
+        paths = _write_tiny_corpus(tmp_path, ["a b", "c d"], ["a c"])
+        conllu = paths["corpus_conllu"].read_text(encoding="utf-8").replace("\n2\t", "\n1\t", 1)
+        paths["corpus_conllu"].write_text(conllu, encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["build", "--out-dir", out] + [
+            arg for key, path in paths.items() for arg in (f"--{key.replace('_', '-')}", path)
+        ]
+        assert run(*args) == 2
+        assert capsys.readouterr().err == "data error: line 2: duplicate token ID 1\n"
+        assert not (out / "corpus.bin").exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert run("select", "--config", DEMO_CFG, "--strategy", "bogus") == 1
@@ -250,7 +305,7 @@ class TestSelect:
     def test_parallel_build_matches_serial_digests(self, built, tmp_path):
         out = tmp_path / "par-build"
         assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
-        for name in ("corpus.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
+        for name in ("corpus.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
             assert sha256_file(out / name) == sha256_file(built / name)
 
     def test_measure_and_order_flags_flow_through(self, built, tmp_path):
@@ -294,47 +349,79 @@ def _reverse_header_labels(lines):
     return [json.dumps(header).encode() + b"\n", *lines[1:]]
 
 
-def _edit_first_record(edit):
+def _edit_segments(edit):
+    """A mutation of a corpus cache's lines: ``edit(segments)`` changes its
+    arrays, by name, in place."""
     def mutate(lines):
-        row = json.loads(lines[1])
-        edit(row)
-        return [lines[0], json.dumps(row).encode() + b"\n", *lines[2:]]
+        fh = io.BytesIO(b"".join(lines))
+        header = fh.readline()
+        segments = {name: np.load(fh) for name in scoi.corpus._SEGMENTS}
+        edit(segments)
+        out = io.BytesIO()
+        out.write(header)
+        for array in segments.values():
+            np.save(out, array)
+        return [out.getvalue()]
     return mutate
+
+
+def _with_first_tree(labels, parents):
+    """A corpus cache mutation that replaces record 0's tree."""
+    def edit(segments):
+        end = segments["node_offsets"][1]
+        for name, nodes in (("labels", labels), ("parents", parents)):
+            segments[name] = np.concatenate([np.array(nodes, "<i4"), segments[name][end:]])
+        segments["node_offsets"] = np.concatenate(
+            [[0], segments["node_offsets"][1:] - end + len(labels)]
+        )
+    return _edit_segments(edit)
 
 
 # (cache file, edit of its lines, message after "data error: <path>: ").
 CORRUPTIONS = [
     pytest.param(
-        "corpus.jsonl", lambda ls: [b"garbage\n", *ls[1:]], "not a corpus cache",
+        "corpus.bin", lambda ls: [b"garbage\n", *ls[1:]], "not a corpus cache",
         id="corpus-header-not-json",
     ),
     pytest.param(
-        "corpus.jsonl", _null_header_key("labels"), "header has no labels list",
+        "corpus.bin", _null_header_key("labels"), "header has no labels list",
         id="corpus-header-without-labels",
     ),
     pytest.param(
-        "corpus.jsonl", lambda ls: [*ls[:2], b"{oops\n", *ls[3:]], "line 3: malformed record",
-        id="corpus-record-not-json",
+        "corpus.bin", lambda ls: [ls[0], ls[1][:40]], "corrupt array segment",
+        id="corpus-segment-truncated",
     ),
     pytest.param(
-        "corpus.jsonl", lambda ls: [ls[0], b"\xff" + ls[1], *ls[2:]],
-        "line 2: malformed record ('utf-8' codec can't decode", id="corpus-record-not-utf8",
+        "corpus.bin", _edit_segments(lambda s: s["source"].__setitem__(0, 0xFF)),
+        "record 0: source is not UTF-8", id="corpus-record-not-utf8",
     ),
     pytest.param(
-        "corpus.jsonl", _edit_first_record(lambda row: row.pop("id")),
-        "line 2: record has no 'id' key", id="corpus-record-without-id",
+        "corpus.bin", _edit_segments(lambda s: s.update(ids=s["ids"][1:])),
+        "source offsets do not match the 199 record ids", id="corpus-ids-short",
     ),
     pytest.param(
-        "corpus.jsonl", _edit_first_record(lambda row: row.update(labels=[0, 0], parents=[-1, -1])),
+        "corpus.bin", _with_first_tree([0, 0], [-1, -1]),
         "record 0: expected exactly one root, found 2", id="corpus-tree-two-roots",
     ),
     pytest.param(
-        "corpus.jsonl", _edit_first_record(lambda row: row.update(labels=None)),
-        "line 2: malformed record (", id="corpus-tree-null-labels",
+        "corpus.bin", _with_first_tree([0, 0], [-1, 2]),
+        "record 0: node 1 has out-of-range parent 2", id="corpus-tree-parent-out-of-range",
     ),
     pytest.param(
-        "test.jsonl", _edit_first_record(lambda row: row.pop("tokens")),
-        "line 2: record has no 'tokens' key", id="test-record-without-tokens",
+        "corpus.bin", _with_first_tree([0, 0, 0], [-1, 2, 1]),
+        "record 0: parent relation contains a cycle", id="corpus-tree-cycle",
+    ),
+    pytest.param(
+        "corpus.bin", _edit_segments(lambda s: s.update(labels=s["labels"].astype(float))),
+        "segment labels is not a one-dimensional <i4 array", id="corpus-labels-not-int32",
+    ),
+    pytest.param(
+        "test.bin", _null_header_key("tokens"), "header has no tokens list",
+        id="test-header-without-tokens",
+    ),
+    pytest.param(
+        "test.bin", _edit_segments(lambda s: s["tokens"].__setitem__(0, 10_000)),
+        "record 0: token id 10000 outside the token list of size", id="test-token-id-out-of-range",
     ),
     pytest.param(
         "bm25.idx", lambda ls: [b"garbage\n", *ls[1:]], "not a BM25 index file",
@@ -363,6 +450,15 @@ CORRUPTIONS = [
 ]
 
 
+def _corrupt(built, tmp_path, name, mutate) -> tuple[Path, Path]:
+    """A copy of ``built`` whose cache ``name`` is mutated; (out dir, cache path)."""
+    out = tmp_path / "corrupt"
+    shutil.copytree(built, out)
+    path = out / name
+    path.write_bytes(b"".join(mutate(path.read_bytes().splitlines(keepends=True))))
+    return out, path
+
+
 class TestCorruptCache:
     def test_label_outside_vocabulary_exits_2_naming_record(self, built, tmp_path, capsys):
         # A term row reaching label 99 is 100 labels wide, a width no record
@@ -389,14 +485,10 @@ class TestCorruptCache:
 
     @pytest.mark.parametrize("command", ["select", "inspect"])
     def test_tree_label_outside_vocabulary_exits_2(self, built, tmp_path, capsys, command):
-        out = tmp_path / "corrupt"
-        shutil.copytree(built, out)
-        path = out / "corpus.jsonl"
-        lines = path.read_bytes().splitlines(keepends=True)
-        n_labels = len(json.loads(lines[0])["labels"])
+        n_labels = len(json.loads((built / "corpus.bin").read_bytes().split(b"\n", 1)[0])["labels"])
         assert n_labels < 99
-        edit = _edit_first_record(lambda row: row["labels"].__setitem__(0, 99))
-        path.write_bytes(b"".join(edit(lines)))
+        edit = _edit_segments(lambda s: s["labels"].__setitem__(0, 99))
+        out, path = _corrupt(built, tmp_path, "corpus.bin", edit)
         extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
         assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
         err = capsys.readouterr().err
@@ -405,24 +497,17 @@ class TestCorruptCache:
         assert "Traceback" not in err
 
     def test_inspect_null_tree_exits_2(self, built, tmp_path, capsys):
-        out = tmp_path / "corrupt"
-        shutil.copytree(built, out)
-        path = out / "corpus.jsonl"
-        edit = _edit_first_record(lambda row: row.update(labels=None))
-        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        out, path = _corrupt(built, tmp_path, "corpus.bin", _with_first_tree([], []))
         assert run("inspect", "--config", DEMO_CFG, "--out-dir", out, "--record", "0") == 2
         err = capsys.readouterr().err
-        assert f"data error: {path}: line 2: malformed record (" in err
+        assert f"data error: {path}: record 0: tree must have at least one node" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
         self, built, tmp_path, capsys, name, mutate, expected
     ):
-        out = tmp_path / "corrupt"
-        shutil.copytree(built, out)
-        path = out / name
-        path.write_bytes(b"".join(mutate(path.read_bytes().splitlines(keepends=True))))
+        out, path = _corrupt(built, tmp_path, name, mutate)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
         err = capsys.readouterr().err
         assert f"data error: {path}: {expected}" in err
@@ -434,11 +519,9 @@ class TestBuildManifestCheck:
 
     @pytest.mark.parametrize("command", ["select", "inspect"])
     def test_edited_cache_exits_2_naming_file(self, built, tmp_path, capsys, command):
-        out = tmp_path / "stale"
-        shutil.copytree(built, out)
-        path = out / "test.jsonl"
-        edit = _edit_first_record(lambda row: row.update(source=row["source"] + " edited"))
-        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        # A valid cache with one source letter changed.
+        edit = _edit_segments(lambda s: s["source"].__setitem__(0, ord("X")))
+        out, path = _corrupt(built, tmp_path, "test.bin", edit)
         extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
         assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
         err = capsys.readouterr().err
@@ -486,6 +569,37 @@ class TestBuildManifestCheck:
         path.write_text("garbage\n", encoding="utf-8")
         assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 2
         assert f"data error: {path}: not a build manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "build"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[]\n",
+            b"\xff\xfe",
+            json.dumps({"format": "scoi-manifest", "version": 1, "stages": []}).encode(),
+        ],
+        ids=["not-an-object", "not-utf8", "stages-not-an-object"],
+    )
+    def test_malformed_manifest_is_refused_or_rebuilt(
+        self, built, tmp_path, capsys, command, content
+    ):
+        out = tmp_path / "malformed"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        path.write_bytes(content)
+        capsys.readouterr()
+        if command == "select":
+            assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 2
+            err = capsys.readouterr().err
+            assert f"data error: {path}: not a build manifest" in err
+            assert "Traceback" not in err
+            return
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert "skipped" not in capsys.readouterr().out
+        stages = read_manifest(path)["stages"]
+        assert not any(stage["skipped"] for stage in stages.values())
+        for cache in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / cache.name) == sha256_file(cache)
 
     def test_select_hashes_each_cache_once(self, built, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -548,7 +662,7 @@ def _write_error(path: Path) -> str:
     return f"error: {path}: No space left on device (injected)\n"
 
 
-BUILD_OUTPUTS = ("corpus.jsonl", "test.jsonl", "corpus.poly.bin", "test.poly.bin", "bm25.idx",
+BUILD_OUTPUTS = ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx",
                  "build-manifest.json")
 SELECT_OUTPUTS = ("selections_scoi.jsonl", "prompts_scoi.jsonl", "select-manifest.json")
 
@@ -729,7 +843,42 @@ class TestBenchCommand:
         assert len(payload["rows"]) == 2
 
 
+class TestSelectReadsColumns:
+    def test_select_builds_no_tree_and_no_corpus_token_bag(self, built, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        trees, bags = [], []
+        real_tree, real_bag = scoi.treepoly.DependencyTree, scoi.corpus.TokenBag
+
+        class SpyBag(real_bag):
+            @classmethod
+            def from_tokens(cls, tokens):
+                bags.append(tuple(tokens))
+                return real_bag.from_tokens(tokens)
+
+        def spy_tree(*args):
+            trees.append(args)
+            return real_tree(*args)
+
+        for module in (scoi.treepoly, scoi.corpus, scoi.conllu):
+            monkeypatch.setattr(module, "DependencyTree", spy_tree)
+        monkeypatch.setattr(scoi.corpus, "TokenBag", SpyBag)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert trees == []
+        _, tests = scoi.corpus.read_corpus_cache(out / "test.bin")
+        # Each test input's bag, built once; no corpus record's.
+        assert sorted(bags) == sorted(t.token_list for t in tests)
+
+
+INSPECT_GOLDEN = json.loads((FIXTURES / "demo_inspect.json").read_text(encoding="utf-8"))
+
+
 class TestInspectCommand:
+    @pytest.mark.parametrize("args", list(INSPECT_GOLDEN))
+    def test_inspect_prints_the_frozen_lines(self, built, capsys, args):
+        assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, *args.split()) == 0
+        assert capsys.readouterr().out == INSPECT_GOLDEN[args]
+
     def test_inspect_dumps_tree_poly_coverage(self, built, capsys):
         code = run(
             "inspect", "--config", DEMO_CFG, "--out-dir", built,
@@ -788,6 +937,9 @@ class TestInspectCommand:
             f"    {'  ' * i}[{i}] {'root' if i == 0 else 'nmod'}" for i in range(n)
         ]
         assert out_text.endswith(f"    root*nmod^{n - 1}\n")
+        # The whole output as the JSON-lines corpus cache printed it.
+        digest = hashlib.sha256(out_text.encode("utf-8")).hexdigest()
+        assert digest == "1e2d9a6233916461b50283724382702498134833767c85126cddbd4b488f2eb9"
         with open(out / "test.poly.bin", "rb") as fh:
             fh.readline()
             assert np.load(fh).dtype == np.uint16
@@ -961,6 +1113,42 @@ class TestReadmeScripts:
     def test_lists_exactly_the_scripts(self):
         on_disk = sorted(f"scripts/{p.name}" for p in (REPO / "scripts").iterdir() if p.is_file())
         assert sorted(_readme_scripts()) == on_disk
+
+
+def _readme_file_formats() -> dict[str, str]:
+    """File name -> its bullet of the README "File formats" section."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for bullet in re.split(r"^\* ", section, flags=re.MULTILINE)[1:]:
+        for name in re.findall(r"`([^`]+)`", bullet.split(":", 1)[0]):
+            bullets[name] = bullet
+    return bullets
+
+
+CACHE_VERSIONS = {
+    "corpus_cache": scoi.corpus.CORPUS_CACHE_VERSION,
+    "test_cache": scoi.corpus.CORPUS_CACHE_VERSION,
+    "corpus_poly": scoi.treepoly.POLY_CACHE_VERSION,
+    "test_poly": scoi.treepoly.POLY_CACHE_VERSION,
+    "index": scoi.retrieval._INDEX_VERSION,
+}
+OUTPUT_FILES = ("selections_<strategy>.jsonl", "prompts_<strategy>.jsonl",
+                "build-manifest.json", "select-manifest.json")
+
+
+class TestReadmeFileFormats:
+    def test_names_exactly_the_caches_and_outputs(self):
+        paths = scoi.cli._cache_paths(Path("out"))
+        assert set(paths) == set(CACHE_VERSIONS)
+        caches = [path.name for path in paths.values()]
+        assert sorted(_readme_file_formats()) == sorted([*caches, *OUTPUT_FILES])
+
+    @pytest.mark.parametrize("key", sorted(CACHE_VERSIONS))
+    def test_states_each_cache_format_version(self, key):
+        bullet = _readme_file_formats()[scoi.cli._cache_paths(Path("out"))[key].name]
+        # The first version a bullet names is its format's current one.
+        assert re.search(r"\bversion (\d+)\b", bullet).group(1) == str(CACHE_VERSIONS[key])
 
 
 # Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line

@@ -75,6 +75,20 @@ def test_dangling_head_rejected(tmp_path):
     assert "HEAD 9" in str(err.value)
 
 
+def test_duplicate_token_id_rejected_with_its_line(tmp_path):
+    # Keeping either token 2 would attach token 3 to the wrong node.
+    text = (
+        "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        "2\tb\t_\t_\t_\t_\t1\tnsubj\t_\t_\n"
+        "2\tc\t_\t_\t_\t_\t1\tobj\t_\t_\n"
+        "3\td\t_\t_\t_\t_\t2\tamod\t_\t_\n"
+        "\n"
+    )
+    with pytest.raises(DataError) as err:
+        load_conllu(write(tmp_path, text), LabelVocabulary())
+    assert str(err.value) == "line 3: duplicate token ID 2"
+
+
 def test_short_row_rejected(tmp_path):
     text = "1\ta\t0\troot\n\n"
     with pytest.raises(DataError):

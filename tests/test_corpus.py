@@ -1,9 +1,12 @@
+import io
 import random
 
+import numpy as np
 import pytest
 
 from scoi.conllu import tree_to_conllu
 from scoi.corpus import (
+    _SEGMENTS,
     ExampleRecord,
     apply_polynomial_cache,
     attach_polynomials,
@@ -145,18 +148,36 @@ class TestCorpusCache:
         src, tgt, conllu = build_corpus_files(tmp_path, n=10)
         vocab = LabelVocabulary()
         records = load_parallel_corpus(src, tgt, conllu, vocab)
-        path = tmp_path / "corpus.jsonl"
+        records[3].target = "naïve ✓ 😀"
+        path = tmp_path / "corpus.bin"
         write_corpus_cache(path, records, vocab)
         loaded_vocab, loaded = read_corpus_cache(path)
         assert loaded_vocab == vocab
         assert [(r.id, r.source, r.target, r.token_list) for r in loaded] == [
             (r.id, r.source, r.target, r.token_list) for r in records
         ]
-        assert [r.tree.parents for r in loaded] == [r.tree.parents for r in records]
+        assert [r.tokens for r in loaded] == [r.tokens for r in records]
+        assert [(r.tree.labels, r.tree.parents) for r in loaded] == [
+            (r.tree.labels, r.tree.parents) for r in records
+        ]
+        assert all(r.poly is None for r in loaded)
+
+    def test_fields_are_decoded_on_first_access(self, tmp_path):
+        src, tgt, conllu = build_corpus_files(tmp_path, n=4)
+        vocab = LabelVocabulary()
+        path = tmp_path / "corpus.bin"
+        write_corpus_cache(path, load_parallel_corpus(src, tgt, conllu, vocab), vocab)
+        _, loaded = read_corpus_cache(path)
+        record = loaded[2]
+        assert set(vars(record)) == {"id", "poly", "_cols", "_row"}
+        assert record.tree is record.tree
+        assert record.tokens is record.tokens
+        assert set(vars(record)) == {"id", "poly", "_cols", "_row", "tree", "tokens",
+                                     "token_list"}
 
     def test_two_ingests_are_byte_identical(self, tmp_path):
         src, tgt, conllu = build_corpus_files(tmp_path, n=10)
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         vocab_a = LabelVocabulary()
         write_corpus_cache(a, load_parallel_corpus(src, tgt, conllu, vocab_a), vocab_a)
         vocab_b = LabelVocabulary()
@@ -164,9 +185,37 @@ class TestCorpusCache:
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "x.jsonl"
+        path = tmp_path / "x.bin"
         path.write_text('{"format":"other","version":1,"labels":[]}\n', encoding="utf-8")
         with pytest.raises(DataError):
+            read_corpus_cache(path)
+
+    def test_rejects_version_1(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"format":"scoi-corpus","version":1,"tokenizer_version":1,"labels":[]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match="unsupported corpus cache version 1"):
+            read_corpus_cache(path)
+
+    def test_record_cut_inside_a_character_is_not_utf8(self, tmp_path):
+        src, tgt, conllu = build_corpus_files(tmp_path, n=3)
+        vocab = LabelVocabulary()
+        records = load_parallel_corpus(src, tgt, conllu, vocab)
+        records[0].target, records[1].target = "é", "è"
+        path = tmp_path / "corpus.bin"
+        write_corpus_cache(path, records, vocab)
+        fh = io.BytesIO(path.read_bytes())
+        header = fh.readline()
+        segments = {name: np.load(fh) for name in _SEGMENTS}
+        assert segments["target_offsets"][1] == 2
+        segments["target_offsets"][1] = 1  # record 1 now starts on a continuation byte
+        with open(path, "wb") as out:
+            out.write(header)
+            for array in segments.values():
+                np.save(out, array)
+        with pytest.raises(DataError, match=r"record 0: target is not UTF-8"):
             read_corpus_cache(path)
 
 

@@ -14,7 +14,9 @@ from scoi.coverage import (
     term_similarity,
     word_set_cov,
 )
-from scoi.selection import PoolScores
+import scoi.selection
+from scoi.retrieval import Bm25Params, build_index, word_matrix
+from scoi.selection import STRATEGIES, PoolScores, SelectionPlan, run_strategy
 from scoi.treepoly import (
     Polynomial,
     encode_term,
@@ -298,6 +300,39 @@ def cached_polys(records, vocab, tmp_path):
 WORDS = [f"w{i}" for i in range(30)]
 
 
+# The per-candidate token tables PoolScores and select_dpp built before
+# both read the BM25 postings; kept as references.
+
+
+def per_candidate_token_counts(test, by_id) -> np.ndarray:
+    tokens = list(test.tokens.counts)
+    rows = [[r.tokens.counts.get(t, 0) for t in tokens] for r in by_id]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(tokens))
+
+
+def per_candidate_word_matrix(candidates, query, index, params=Bm25Params()) -> np.ndarray:
+    terms = tuple(query.counts)
+    idfs = np.array([index.idf(t) for t in terms], dtype=np.float64)
+    k1, b = params.k1, params.b
+    mat = np.zeros((len(candidates), len(terms)), dtype=np.float64)
+    for i, cand in enumerate(candidates):
+        denom_norm = k1 * (1.0 - b + b * (cand.tokens.total / index.avgdl))
+        counts = cand.tokens.counts
+        for j, term in enumerate(terms):
+            tf = counts.get(term, 0)
+            if tf:
+                mat[i, j] = idfs[j] * (tf * (k1 + 1.0)) / (tf + denom_norm)
+    return mat
+
+
+class PerCandidateScores(PoolScores):
+    """PoolScores with the per-candidate token table."""
+
+    @property
+    def token_counts(self):
+        return per_candidate_token_counts(self.test, self.by_id)
+
+
 class TestPoolScores:
     """One kernel call per (test, pool) gives the per-candidate scores bit for bit."""
 
@@ -330,6 +365,48 @@ class TestPoolScores:
             assert np.array_equal(
                 dists, [scipy_polynomial_distance(test.poly, r.poly) for r in scores.by_id]
             )
+
+    @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
+    @pytest.mark.parametrize("indexed", [False, True], ids=["pool-index", "corpus-index"])
+    def test_token_tables_equal_per_candidate_formulas(self, measure, indexed, monkeypatch):
+        rng = random.Random(29)
+        vocab = make_vocab(4)
+        for _ in range(15):
+            corpus = random_pool(rng, 40, vocab, WORDS[:12])
+            pool = rng.sample(corpus, rng.randint(1, 20))
+            test = random_record(rng, 5000, vocab, WORDS[:15])
+            index = build_index(corpus)
+            scores = PoolScores(test, pool, measure, index if indexed else None)
+            table = per_candidate_token_counts(test, scores.by_id)
+            assert scores.token_counts.dtype == np.int64
+            assert np.array_equal(scores.token_counts, table)
+            rows = index.rows([r.id for r in scores.by_id])
+            wm = word_matrix(rows, scores.token_counts, test.tokens, index)
+            assert np.array_equal(wm, per_candidate_word_matrix(scores.by_id, test.tokens, index))
+
+            # Every strategy selects as it did on the per-candidate tables.
+            corpus_ids = [r.id for r in corpus]
+            new = {}
+            for strategy in STRATEGIES:
+                plan = SelectionPlan(strategy=strategy, k=3, measure=measure, pool_size=3)
+                new[strategy] = run_strategy(
+                    test, pool, plan, index=index, corpus_ids=corpus_ids, scores=scores
+                ).to_record()
+            with monkeypatch.context() as patch:
+                by_id = {r.id: r for r in pool}
+                patch.setattr(
+                    scoi.selection, "word_matrix",
+                    lambda rows, counts, query, index, params: per_candidate_word_matrix(
+                        [by_id[i] for i in index.ids[rows].tolist()], query, index, params
+                    ),
+                )
+                old_scores = PerCandidateScores(test, pool, measure)
+                for strategy in STRATEGIES:
+                    plan = SelectionPlan(strategy=strategy, k=3, measure=measure, pool_size=3)
+                    old = run_strategy(
+                        test, pool, plan, index=index, corpus_ids=corpus_ids, scores=old_scores
+                    )
+                    assert old.to_record() == new[strategy], strategy
 
     def test_empty_member_polynomial_rejected(self):
         rng = random.Random(4)

@@ -14,6 +14,7 @@ from scoi.retrieval import (
     build_index,
     load_index,
     save_index,
+    token_table,
     word_matrix,
 )
 
@@ -193,36 +194,61 @@ class TestBm25PartialSort:
         assert bm25_topk(index, query, k=5) == []
 
 
+def _word_matrix(docs, query, index):
+    """word_matrix of ``docs`` (in their order) over the query's tokens."""
+    rows = index.rows([d.id for d in docs])
+    counts = token_table(index, rows, tuple(query.counts))
+    return word_matrix(rows, counts, query, index)
+
+
 class TestWordMatrix:
     def test_absent_term_entry_is_zero(self):
         docs = [rec(0, ["a", "b"]), rec(1, ["c", "d"])]
         index = build_index(docs)
-        wm = word_matrix(docs, bag(["a"]), index)
-        assert wm.matrix[1, 0] == 0.0
-        assert wm.matrix[0, 0] > 0.0
+        wm = _word_matrix(docs, bag(["a"]), index)
+        assert wm[1, 0] == 0.0
+        assert wm[0, 0] > 0.0
 
     def test_unit_length_candidate_entry_equals_idf(self):
         # tf = 1 and l_i = 1 make the saturation factor cancel exactly.
         docs = [rec(0, ["a", "b"])]
         index = build_index(docs)  # avgdl == 2 == doc length -> l_i = 1
-        wm = word_matrix(docs, bag(["a", "b"]), index)
-        for j, term in enumerate(wm.terms):
-            assert wm.matrix[0, j] == pytest.approx(index.idf(term), abs=1e-12)
+        query = bag(["a", "b"])
+        wm = _word_matrix(docs, query, index)
+        for j, term in enumerate(query.counts):
+            assert wm[0, j] == pytest.approx(index.idf(term), abs=1e-12)
 
     def test_longer_candidate_scores_strictly_less(self):
         docs = [rec(0, ["a", "b"]), rec(1, ["a", "b", "c", "d"])]
         index = build_index(docs)
-        wm = word_matrix(docs, bag(["a"]), index)
-        assert wm.matrix[1, 0] < wm.matrix[0, 0]
+        wm = _word_matrix(docs, bag(["a"]), index)
+        assert wm[1, 0] < wm[0, 0]
 
     def test_row_column_alignment(self):
         docs = [rec(7, ["x"]), rec(3, ["y"])]
         index = build_index(docs)
-        wm = word_matrix(docs, bag(["y", "x"]), index)
-        assert wm.ids == (7, 3)
-        assert wm.terms == ("y", "x")
-        assert wm.matrix[0, 1] > 0.0 and wm.matrix[1, 0] > 0.0
-        assert wm.matrix[0, 0] == 0.0 and wm.matrix[1, 1] == 0.0
+        wm = _word_matrix(docs, bag(["y", "x"]), index)
+        assert wm[0, 1] > 0.0 and wm[1, 0] > 0.0
+        assert wm[0, 0] == 0.0 and wm[1, 1] == 0.0
+
+
+class TestTokenTable:
+    def test_equals_each_documents_token_counts(self):
+        rng = random.Random(8)
+        docs = [rec(i, [rng.choice("abcdef") for _ in range(rng.randint(1, 9))])
+                for i in rng.sample(range(500), 60)]
+        index = build_index(docs)
+        query = tuple("fbazc")
+        picked = rng.sample(docs, 25)
+        table = token_table(index, index.rows([d.id for d in picked]), query)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[d.tokens.counts.get(t, 0) for t in query] for d in picked]
+
+    def test_unindexed_id_rejected(self):
+        index = build_index([rec(1, ["a"]), rec(4, ["b"])])
+        for ids in ([2], [5], [0]):
+            with pytest.raises(ValueError, match="not in the index"):
+                index.rows(ids)
 
 
 class TestIndexPersistence:

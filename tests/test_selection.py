@@ -17,7 +17,7 @@ from scoi.selection import (
     select_single_coverage,
     select_topk_poly,
 )
-from scoi.retrieval import word_matrix
+from scoi.retrieval import token_table, word_matrix
 from scoi.treepoly import polynomial_distance
 
 from conftest import make_record, make_tree, make_vocab, random_pool, random_record
@@ -366,10 +366,12 @@ def _dpp_setup(records, test, plan, params=Bm25Params()):
     """Rebuild the kernel exactly as select_dpp does, for oracle checks."""
     index = build_index(records)
     by_id = sorted(records, key=lambda r: r.id)
-    wm = word_matrix(by_id, test.tokens, index, params)
+    rows = index.rows([r.id for r in by_id])
+    counts = token_table(index, rows, tuple(test.tokens.counts))
+    wm = word_matrix(rows, counts, test.tokens, index, params)
     dists = np.array([polynomial_distance(test.poly, r.poly) for r in by_id])
     relevance = 1.0 / (1.0 + dists)
-    kernel = dpp_kernel(wm.matrix, relevance, plan.dpp_lambda)
+    kernel = dpp_kernel(wm, relevance, plan.dpp_lambda)
     return index, by_id, kernel
 
 

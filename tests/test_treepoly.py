@@ -6,7 +6,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from scipy.spatial.distance import cdist
 
 from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
@@ -14,9 +14,11 @@ from scoi.treepoly import (
     DependencyTree,
     Polynomial,
     canonical_terms,
+    check_labels,
     cityblock,
     decode_term,
     encode_term,
+    first_bad_tree,
     manhattan,
     original_polynomial,
     polynomial_distance,
@@ -200,6 +202,119 @@ class TestDependencyTree:
         tree = make_tree([0, 1, 1], [-1, 0, 0])
         assert tree.children[0] == [1, 2]
         assert tree.root == 0
+
+
+# --- whole-forest validation -----------------------------------------------------
+
+FOREST_LABELS = 5
+MUTATIONS = (
+    "extra-root", "no-root", "parent-out-of-range", "two-cycle", "long-cycle",
+    "label-outside-vocabulary", "offsets-moved",
+)
+
+
+def per_tree_first_bad(labels, parents, offsets, vocab_size):
+    """The reference: each tree through DependencyTree and check_labels, in order."""
+    for i in range(len(offsets) - 1):
+        a, b = offsets[i], offsets[i + 1]
+        try:
+            check_labels(DependencyTree(labels[a:b], parents[a:b]), vocab_size)
+        except (MalformedTreeError, UnknownLabelError) as exc:
+            return i, str(exc)
+    return None
+
+
+@st.composite
+def shuffled_tree(draw, max_nodes=10):
+    """(labels, parents) of a random tree whose nodes are in random order."""
+    n = draw(st.integers(1, max_nodes))
+    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    shuffled = [0] * n
+    for node, parent in enumerate(parents):
+        shuffled[perm[node]] = -1 if parent == -1 else perm[parent]
+    labels = draw(st.lists(st.integers(0, FOREST_LABELS - 1), min_size=n, max_size=n))
+    return labels, shuffled
+
+
+@st.composite
+def mutated_forest(draw):
+    """(labels, parents, offsets) of a forest with one tree broken one way."""
+    trees = draw(st.lists(shuffled_tree(), min_size=1, max_size=6))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    t = draw(st.integers(0, len(trees) - 1))
+    labels, parents = trees[t]
+    n = len(parents)
+    root = parents.index(-1)
+    others = [i for i in range(n) if i != root]
+    if mutation == "extra-root":
+        assume(others)
+        parents[draw(st.sampled_from(others))] = -1
+    elif mutation == "no-root":
+        parents[root] = draw(st.integers(0, n - 1))
+    elif mutation == "parent-out-of-range":
+        node = draw(st.integers(0, n - 1))
+        parents[node] = draw(st.one_of(st.integers(n, n + 5), st.integers(-8, -2)))
+    elif mutation in ("two-cycle", "long-cycle"):
+        size = 2 if mutation == "two-cycle" else draw(st.integers(3, 6))
+        assume(len(others) >= size)
+        cycle = draw(st.permutations(others))[:size]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            parents[a] = b
+    elif mutation == "label-outside-vocabulary":
+        labels[draw(st.integers(0, n - 1))] = draw(
+            st.one_of(st.integers(FOREST_LABELS, FOREST_LABELS + 3), st.integers(-3, -1))
+        )
+    offsets = [0]
+    for tree_labels, _ in trees:
+        offsets.append(offsets[-1] + len(tree_labels))
+    if mutation == "offsets-moved":
+        assume(len(trees) >= 2)
+        i = draw(st.integers(1, len(trees) - 1))
+        moved = draw(st.integers(offsets[i - 1], offsets[i + 1]))
+        assume(moved != offsets[i])
+        offsets[i] = moved
+    labels = [label for tree_labels, _ in trees for label in tree_labels]
+    parents = [parent for _, tree_parents in trees for parent in tree_parents]
+    return labels, parents, offsets
+
+
+def _forest_arrays(labels, parents, offsets):
+    return (np.array(labels, "<i4"), np.array(parents, "<i4"), np.array(offsets, np.int64))
+
+
+class TestFirstBadTree:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_forest())
+    def test_reports_the_first_tree_the_per_tree_path_rejects(self, forest):
+        expected = per_tree_first_bad(*forest, FOREST_LABELS)
+        assert first_bad_tree(*_forest_arrays(*forest), FOREST_LABELS) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(shuffled_tree(max_nodes=40), min_size=1, max_size=5))
+    def test_valid_forest_passes(self, trees):
+        offsets = [0]
+        for labels, _ in trees:
+            offsets.append(offsets[-1] + len(labels))
+        labels = [label for tree_labels, _ in trees for label in tree_labels]
+        parents = [parent for _, tree_parents in trees for parent in tree_parents]
+        assert first_bad_tree(*_forest_arrays(labels, parents, offsets), FOREST_LABELS) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 17, 1500])
+    def test_chain_with_its_root_last(self, n):
+        # Node i hangs off node i + 1: every node is as far from the root as
+        # the tree allows, so the ancestor squarings must all be needed.
+        parents = list(range(1, n)) + [-1]
+        arrays = _forest_arrays([0] * n, parents, [0, n])
+        assert first_bad_tree(*arrays, 1) is None
+        looped = _forest_arrays([0] * n, parents[:-1] + [0] if n > 1 else [0], [0, n])
+        # A chain closed into a loop has no root; with a root spliced in, a cycle.
+        assert first_bad_tree(*looped, 1) == (0, "expected exactly one root, found 0")
+        if n > 2:
+            cycle = [-1] + list(range(2, n)) + [1]
+            assert first_bad_tree(*_forest_arrays([0] * n, cycle, [0, n]), 1) == (
+                0, "parent relation contains a cycle"
+            )
 
 
 class TestSimplifiedPolynomial:
