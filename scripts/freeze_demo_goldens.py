@@ -3,7 +3,8 @@
 
 Runs a clean build+select on the bundled demo corpus into a temp directory
 and copies a pinned subset of outputs into tests/fixtures/, together with
-what a few `scoi inspect` calls print (demo_inspect.json).  Only run this
+what a few `scoi inspect` calls print (demo_inspect.json) and the SHA-256
+of each build cache (demo_cache_digests.json).  Only run this
 deliberately after an intended behavior change; the point of the fixtures
 is to make unintended output drift loud.
 """
@@ -11,6 +12,7 @@ is to make unintended output drift loud.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -33,6 +35,8 @@ INSPECT_ARGS = (
     "--record 0 --side test",
     "--record 5 --pool 1,2,3 --measure cosine",
 )
+# Build caches whose bytes demo_cache_digests.json pins.
+CACHES = ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx")
 
 
 def run() -> None:
@@ -55,6 +59,10 @@ def run() -> None:
         text = json.dumps(printed, indent=1, ensure_ascii=False) + "\n"
         (FIXTURES / "demo_inspect.json").write_text(text, encoding="utf-8")
         print("froze demo_inspect.json")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CACHES}
+        text = json.dumps(digests, indent=1) + "\n"
+        (FIXTURES / "demo_cache_digests.json").write_text(text, encoding="utf-8")
+        print("froze demo_cache_digests.json")
 
 
 if __name__ == "__main__":

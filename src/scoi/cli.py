@@ -42,7 +42,14 @@ from .manifest import (
     stage_is_current,
 )
 from .prompts import render_prompt
-from .retrieval import bm25_topk, build_index, load_index, save_index
+from .retrieval import (
+    bm25_topk,
+    build_index,  # noqa: F401  unused; perfbench/traced.py wraps this name
+    index_from_tokens,
+    intern_tokens,
+    load_index,
+    save_index,
+)
 from .selection import STRATEGIES, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
 from .treepoly import (
@@ -118,7 +125,8 @@ def cmd_build(config: RunConfig) -> int:
     paths = _cache_paths(out_dir)
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
-    # (vocab, records) per corpus cache: kept from ingest, or read at most once.
+    # (vocab, records, token column) per corpus cache: kept from ingest, or
+    # read at most once.
     loaded: dict[str, tuple] = {}
 
     def records(cache: str):
@@ -141,18 +149,21 @@ def cmd_build(config: RunConfig) -> int:
         )
         if not corpus_records:
             raise DataError("every corpus record was removed by the length filter")
-        write_corpus_cache(paths["corpus_cache"], corpus_records, vocab)
-        write_corpus_cache(paths["test_cache"], test_records, vocab)
-        loaded["corpus_cache"] = (vocab, corpus_records)
-        loaded["test_cache"] = (vocab, test_records)
+        # One interning of the corpus tokens feeds corpus.bin and the index.
+        corpus_tokens = intern_tokens(corpus_records)
+        test_tokens = intern_tokens(test_records)
+        write_corpus_cache(paths["corpus_cache"], corpus_records, vocab, corpus_tokens)
+        write_corpus_cache(paths["test_cache"], test_records, vocab, test_tokens)
+        loaded["corpus_cache"] = (vocab, corpus_records, corpus_tokens)
+        loaded["test_cache"] = (vocab, test_records, test_tokens)
         return (
             f"{len(corpus_records)} records kept, {removed} removed by the "
             f"{config.max_tokens}-token filter"
         )
 
     def polynomials() -> str:
-        vocab, corpus_records = records("corpus_cache")
-        _, test_records = records("test_cache")
+        vocab, corpus_records, _ = records("corpus_cache")
+        _, test_records, _ = records("test_cache")
         attach_polynomials(corpus_records, vocab)
         attach_polynomials(test_records, vocab)
         write_polynomial_cache(
@@ -164,8 +175,8 @@ def cmd_build(config: RunConfig) -> int:
         return f"{len(corpus_records) + len(test_records)} built"
 
     def index() -> str:
-        _, corpus_records = records("corpus_cache")
-        save_index(paths["index"], build_index(corpus_records))
+        _, corpus_records, corpus_tokens = records("corpus_cache")
+        save_index(paths["index"], index_from_tokens(corpus_tokens))
         return f"{len(corpus_records)} documents indexed"
 
     def pick(*keys: str) -> dict[str, Path]:
@@ -210,8 +221,8 @@ def _load_built(out_dir: Path):
         raise ConfigError(
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
         )
-    vocab, corpus_records = read_corpus_cache(paths["corpus_cache"])
-    test_vocab, test_records = read_corpus_cache(paths["test_cache"])
+    vocab, corpus_records, _ = read_corpus_cache(paths["corpus_cache"])
+    test_vocab, test_records, _ = read_corpus_cache(paths["test_cache"])
     if test_vocab != vocab:
         raise DataError("corpus and test caches disagree on the label vocabulary")
     for key, records in (("corpus_poly", corpus_records), ("test_poly", test_records)):

@@ -9,10 +9,9 @@ ids are the original line indices and survive filtering.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .conllu import load_conllu
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
+from .retrieval import TokenColumn
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
@@ -31,17 +31,33 @@ from .treepoly import (
 )
 
 
-@dataclass
 class ExampleRecord:
-    """One corpus entry; ``tokens``/``tree``/``poly`` are source-side."""
+    """One corpus entry; ``tokens``/``tree``/``poly`` are source-side.
 
-    id: int
-    source: str
-    target: str
-    token_list: tuple[str, ...]
-    tokens: TokenBag
-    tree: DependencyTree | None = None
-    poly: Polynomial | None = None
+    ``tokens``, the bag of ``token_list``, is built on first access unless
+    given: ``build`` and ``select`` count corpus tokens from the token ids.
+    """
+
+    def __init__(
+        self,
+        id: int,
+        source: str,
+        target: str,
+        token_list: tuple[str, ...],
+        tokens: TokenBag | None = None,
+        tree: DependencyTree | None = None,
+        poly: Polynomial | None = None,
+    ):
+        self.id = id
+        self.source = source
+        self.target = target
+        self.token_list = token_list
+        if tokens is not None:
+            self.tokens = tokens
+        self.tree = tree
+        self.poly = poly
+
+    tokens = cached_property(lambda self: TokenBag.from_tokens(self.token_list))
 
     @classmethod
     def build(
@@ -56,8 +72,7 @@ class ExampleRecord:
         tokens = apply_token_flags(tokenize(source), fold_case, strip_punctuation)
         if not tokens:
             raise DataError(f"record {record_id}: no tokens left after token flags")
-        token_list = tuple(tokens)
-        return cls(record_id, source, target, token_list, TokenBag.from_tokens(token_list), tree)
+        return cls(record_id, source, target, tuple(tokens), tree=tree)
 
 
 def _read_lines(path) -> list[str]:
@@ -117,7 +132,7 @@ def filter_by_length(
     """
     kept = []
     for record in records:
-        over = record.tokens.total > max_tokens
+        over = len(record.token_list) > max_tokens
         if not over and count_target and record.target:
             over = len(tokenize(record.target)) > max_tokens
         if not over:
@@ -153,30 +168,35 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
             "labels": "node_offsets", "parents": "node_offsets"}
 
 
-def write_corpus_cache(path, records: Iterable[ExampleRecord], vocab: LabelVocabulary) -> None:
+def _offsets(sizes: Sequence[int]) -> np.ndarray:
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def write_corpus_cache(
+    path, records: Sequence[ExampleRecord], vocab: LabelVocabulary, tokens: TokenColumn
+) -> None:
+    """Write the cache; ``tokens`` is ``intern_tokens(records)``."""
     from .tokenizer import TOKENIZER_VERSION
 
-    token_ids: dict[str, int] = {}
-    cols = {name: bytearray() if t == "u1" else array("q") for name, t in _SEGMENTS.items()}
-    for offsets in set(_OFFSETS.values()):
-        cols[offsets].append(0)
-    for record in records:
-        cols["ids"].append(record.id)
-        cols["source"] += record.source.encode("utf-8")
-        cols["target"] += record.target.encode("utf-8")
-        cols["tokens"].extend(token_ids.setdefault(t, len(token_ids)) for t in record.token_list)
-        cols["labels"].extend(record.tree.labels)
-        cols["parents"].extend(record.tree.parents)
-        for name in ("source", "target", "tokens", "labels"):
-            cols[_OFFSETS[name]].append(len(cols[name]))
+    cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids}
+    for side in ("source", "target"):
+        encoded = [getattr(r, side).encode("utf-8") for r in records]
+        cols[_OFFSETS[side]] = _offsets(list(map(len, encoded)))
+        cols[side] = np.frombuffer(b"".join(encoded), np.uint8)
+    trees = [r.tree for r in records]
+    cols["node_offsets"] = _offsets([len(t.labels) for t in trees])
+    for name in ("labels", "parents"):
+        values = chain.from_iterable(getattr(t, name) for t in trees)
+        cols[name] = np.fromiter(values, np.int32, int(cols["node_offsets"][-1]))
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
               "tokenizer_version": TOKENIZER_VERSION, "labels": vocab.labels,
-              "tokens": list(token_ids)}
+              "tokens": tokens.names}
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8") + b"\n")
         for name, dtype in _SEGMENTS.items():
-            raw = np.uint8 if dtype == "u1" else np.int64
-            np.save(fh, np.frombuffer(cols[name], raw).astype(dtype))
+            np.save(fh, cols[name].astype(dtype, copy=False))
 
 
 class _CachedRecord(ExampleRecord):
@@ -194,14 +214,14 @@ class _CachedRecord(ExampleRecord):
     token_list = cached_property(
         lambda self: tuple(self._cols["names"][i] for i in self._slice("tokens").tolist())
     )
-    tokens = cached_property(lambda self: TokenBag.from_tokens(self.token_list))
     tree = cached_property(
         lambda self: DependencyTree(self._slice("labels").tolist(), self._slice("parents").tolist())
     )
 
 
-def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
-    """The vocabulary and the records; every tree is validated here, in bulk."""
+def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], TokenColumn]:
+    """The vocabulary, the records and their token column; every tree is
+    validated here, in bulk."""
     with open(path, "rb") as fh:
         header = read_header(
             fh, path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache", "labels"
@@ -250,7 +270,8 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord]]:
     if bad_tree is not None:
         raise DataError(f"{path}: record {ids[bad_tree[0]]}: {bad_tree[1]}")
     cols["names"] = header["tokens"]
-    return vocab, [_CachedRecord(cols, row, rid) for row, rid in enumerate(ids.tolist())]
+    records = [_CachedRecord(cols, row, rid) for row, rid in enumerate(ids.tolist())]
+    return vocab, records, TokenColumn(ids, cols["token_offsets"], cols["tokens"], cols["names"])
 
 
 def apply_polynomial_cache(

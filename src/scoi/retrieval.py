@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,29 +76,66 @@ class InvertedIndex:
         return f"InvertedIndex({self.doc_count} docs, {len(self.postings)} tokens)"
 
 
-def build_index(corpus: Sequence["ExampleRecord"]) -> InvertedIndex:
-    """Index a corpus by its source-side token bags."""
-    if not corpus:
+class TokenColumn(NamedTuple):
+    """Records' token lists as one column of ids into ``names``.
+
+    Record ``record_ids[i]`` owns ``token_ids[offsets[i]:offsets[i+1]]``;
+    ``names`` lists the distinct tokens in first-seen order, record by
+    record, which is the order of the corpus cache's token list and of the
+    index's postings.
+    """
+
+    record_ids: np.ndarray  # int64
+    offsets: np.ndarray  # int64, len(record_ids) + 1
+    token_ids: np.ndarray  # int32
+    names: list[str]
+
+
+def intern_tokens(records: Sequence["ExampleRecord"]) -> TokenColumn:
+    """The records' ``token_list``s as a ``TokenColumn``, in record order."""
+    token_lists = [r.token_list for r in records]
+    flat = list(chain.from_iterable(token_lists))
+    names = list(dict.fromkeys(flat))
+    index = dict(zip(names, range(len(names))))
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, token_lists), np.int64, len(records)), out=offsets[1:])
+    return TokenColumn(
+        np.fromiter((r.id for r in records), np.int64, len(records)),
+        offsets,
+        np.fromiter(map(index.__getitem__, flat), np.int32, len(flat)),
+        names,
+    )
+
+
+def index_from_tokens(column: TokenColumn) -> InvertedIndex:
+    """Index a ``TokenColumn`` whose record ids ascend, as ``intern_tokens``
+    gives it for records in id order.
+
+    Row i is record i.  All postings come from one ``np.unique`` over the
+    (token id, row) pairs: rows ascend within a posting, and postings follow
+    ``names``, so the index equals ``build_index`` of the same records.
+    """
+    n = len(column.record_ids)
+    if not n:
         raise DataError("cannot build an index over an empty corpus")
-    records = sorted(corpus, key=lambda r: r.id)
-    ids = np.array([r.id for r in records], dtype=np.int64)
-    lengths = np.array([r.tokens.total for r in records], dtype=np.int64)
+    lengths = np.diff(column.offsets)
     if lengths.min() < 1:
         raise DataError("every indexed document needs at least one token")
-    raw: dict[str, tuple[list[int], list[int]]] = {}
-    for row, record in enumerate(records):
-        for token, count in record.tokens.counts.items():
-            entry = raw.get(token)
-            if entry is None:
-                raw[token] = ([row], [count])
-            else:
-                entry[0].append(row)
-                entry[1].append(count)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    pairs, tfs = np.unique(column.token_ids.astype(np.int64) * n + rows, return_counts=True)
+    token_of, rows = np.divmod(pairs, n)
+    bounds = token_of.searchsorted(np.arange(len(column.names) + 1)).tolist()
+    tfs = tfs.astype(np.float64)
     postings = {
-        token: (np.array(rows, dtype=np.int64), np.array(tfs, dtype=np.float64))
-        for token, (rows, tfs) in raw.items()
+        name: (rows[a:b], tfs[a:b])
+        for name, a, b in zip(column.names, bounds[:-1], bounds[1:])
     }
-    return InvertedIndex(ids, lengths, postings)
+    return InvertedIndex(column.record_ids, lengths, postings)
+
+
+def build_index(corpus: Sequence["ExampleRecord"]) -> InvertedIndex:
+    """Index a corpus by its source-side tokens."""
+    return index_from_tokens(intern_tokens(sorted(corpus, key=lambda r: r.id)))
 
 
 def bm25_topk(

@@ -22,15 +22,16 @@ import unicodedata
 
 TOKENIZER_VERSION = 1
 
-_punct_cache: dict[str, bool] = {}
+
+class _PunctTable(dict):
+    """Character -> whether it is punctuation; filled on first lookup."""
+
+    def __missing__(self, ch: str) -> bool:
+        flag = self[ch] = unicodedata.category(ch).startswith("P")
+        return flag
 
 
-def _is_punct(ch: str) -> bool:
-    flag = _punct_cache.get(ch)
-    if flag is None:
-        flag = unicodedata.category(ch).startswith("P")
-        _punct_cache[ch] = flag
-    return flag
+_PUNCT = _PunctTable()
 
 
 def tokenize(text: str) -> list[str]:
@@ -39,19 +40,22 @@ def tokenize(text: str) -> list[str]:
     Raises ValueError when the text contains no tokens at all.
     """
     tokens: list[str] = []
+    append = tokens.append
+    punct = _PUNCT
     for chunk in text.split():
-        lead: list[str] = []
-        while chunk and _is_punct(chunk[0]):
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail: list[str] = []
-        while chunk and _is_punct(chunk[-1]):
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
+        # One lookup per end: most chunks have no punctuation at either.
+        if not punct[chunk[0]] and not punct[chunk[-1]]:
+            append(chunk)
+            continue
+        start, end = 0, len(chunk)
+        while start < end and punct[chunk[start]]:
+            start += 1
+        while end > start and punct[chunk[end - 1]]:
+            end -= 1
+        tokens.extend(chunk[:start])
+        if start < end:
+            append(chunk[start:end])
+        tokens.extend(chunk[end:])
     if not tokens:
         raise ValueError("text produced no tokens")
     return tokens
@@ -67,7 +71,7 @@ def apply_token_flags(
     flags instead of being baked into the frozen rule set.
     """
     if strip_punctuation:
-        tokens = [t for t in tokens if not all(_is_punct(ch) for ch in t)]
+        tokens = [t for t in tokens if not all(_PUNCT[ch] for ch in t)]
     if fold_case:
         tokens = [t.lower() for t in tokens]
     return tokens

@@ -14,17 +14,19 @@ label index, so a monomial is one arbitrary-precision int and multiplying
 two monomials is integer addition.  This keeps corpus-scale construction
 fast (single-digit microseconds per node) while staying exact.  The packed
 form is bijective as long as no exponent reaches 2**32, i.e. for any tree
-with fewer than 4 billion nodes.  ``canonical_terms`` unpacks all of a
-polynomial's keys at once into an exponent matrix; ``decode_term`` and
-``encode_term`` are the one-term reference forms.  The polynomial cache
-stores those matrices, and a ``Polynomial`` read from it keeps its rows
-and packs keys only when asked for them.
+with fewer than 4 billion nodes.  ``canonical_batch`` unpacks the keys of
+a batch of polynomials at once into one exponent matrix, each polynomial's
+rows in canonical order, and ``canonical_terms`` is its one-polynomial
+call; ``decode_term`` and ``encode_term`` are the one-term reference
+forms.  The polynomial cache stores those matrices, and a ``Polynomial``
+read from it keeps its rows and packs keys only when asked for them.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -79,35 +81,59 @@ def encode_term(pairs: Iterable[tuple[int, int]] | Mapping[int, int]) -> int:
     return key
 
 
-# Rank of a zero exponent that is followed by a nonzero one; above every exponent.
-_GAP = np.uint64(1 << _LABEL_BITS)
+# Big-endian rank types of the batch sort key, narrowest first.
+_RANK_DTYPES = tuple(np.dtype(t) for t in (">u1", ">u2", ">u4", ">u8"))
+
+
+def canonical_batch(
+    term_maps: Sequence[Mapping[int, int]], dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unpack several polynomials' packed term keys in one pass.
+
+    Returns a uint32 exponent matrix over ``dim`` labels, one row per
+    distinct term, with int64 ``counts`` (multiplicities) and int64
+    ``offsets``: polynomial i owns rows ``offsets[i]:offsets[i+1]``, in
+    canonical order, the order of ``sorted(decode_term(k) for k in
+    term_maps[i])``.  Every key must be below ``2 ** (32 * dim)``.  The
+    arrays may be read-only views.
+    """
+    sizes = np.fromiter(map(len, term_maps), np.int64, len(term_maps))
+    offsets = np.zeros(len(term_maps) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    n = int(offsets[-1])
+    keys = chain.from_iterable(term_maps)
+    raw = b"".join(map(int.to_bytes, keys, repeat(4 * dim), repeat("little")))
+    mat = np.frombuffer(raw, "<u4").reshape(n, dim)
+    counts = np.fromiter(chain.from_iterable(t.values() for t in term_maps), np.int64, n)
+    if n > len(term_maps):
+        # One sort orders every polynomial's rows.  A row's key is its
+        # polynomial's position, then per column its rank, as big-endian
+        # bytes: sorted (label, exponent) pairs compare column by column as
+        # the exponent where it is nonzero; above every exponent where it is
+        # zero and a nonzero follows (that row's next pair has a larger
+        # label); 0 where no nonzero follows (that row's tuple has ended).
+        # Distinct terms have distinct keys, and the polynomials' rows come
+        # in polynomial order, which a stable sort makes use of.
+        gap = int(mat.max()) + 1
+        rank = next(t for t in _RANK_DTYPES if gap <= np.iinfo(t).max)
+        ranks = mat.astype(rank.newbyteorder("="))
+        nonzero = ranks != 0
+        column = np.arange(1, dim + 1, dtype=np.min_scalar_type(dim))
+        last = (nonzero * column).max(axis=1)
+        ranks[~nonzero & (column <= last[:, None])] = gap
+        key = np.empty((n, 4 + dim * rank.itemsize), dtype=np.uint8)
+        position = np.repeat(np.arange(len(term_maps), dtype=">u4"), sizes)
+        key[:, :4] = position[:, None].view(np.uint8)
+        key[:, 4:] = ranks.astype(rank).view(np.uint8)
+        order = np.argsort(key.view(f"S{key.shape[1]}")[:, 0], kind="stable")
+        mat = mat[order]
+        counts = counts[order]
+    return mat, counts, offsets
 
 
 def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unpack packed term keys into a uint32 exponent matrix plus int64 counts.
-
-    Row i holds one distinct term's exponents over ``dim`` labels and
-    ``counts[i]`` its multiplicity.  Rows are in canonical order, the order
-    of ``sorted(decode_term(k) for k in terms)``.  Every key must be below
-    ``2 ** (32 * dim)``.  The arrays may be read-only views.
-    """
-    n = len(terms)
-    mat = np.frombuffer(
-        b"".join(k.to_bytes(4 * dim, "little") for k in terms), "<u4"
-    ).reshape(n, dim)
-    counts = np.fromiter(terms.values(), np.int64, n)
-    if n > 1:
-        # Sorted (label, exponent) pairs compare column by column as: the
-        # exponent where it is nonzero; above every exponent where it is zero
-        # and a nonzero follows (that row's next pair has a larger label); 0
-        # where no nonzero follows (that row's tuple has ended).  Columns zero
-        # in every row do not change the order.  lexsort's last key is primary.
-        cols = mat.T[mat.any(axis=0)][::-1]
-        nonzero = cols != 0
-        pending = np.logical_or.accumulate(nonzero, axis=0)
-        order = np.lexsort(np.where(nonzero, cols, pending * _GAP))
-        mat = mat[order]
-        counts = counts[order]
+    """``canonical_batch`` of one polynomial: its exponent matrix and counts."""
+    mat, counts, _ = canonical_batch([terms], dim)
     return mat, counts
 
 
@@ -646,10 +672,15 @@ def _row_dtype(largest: int) -> np.dtype:
     raise ValueError(f"a polynomial of {largest} terms is too large to cache")
 
 
+# Term rows per canonicalization sort: few sorts, and a bounded key matrix.
+_BATCH_ROWS = 1 << 12
+
+
 def write_polynomial_cache(
     path, items: Iterable[tuple[int, Polynomial]], vocab: LabelVocabulary
 ) -> None:
-    """Write the cache, streaming each record's rows after the rows header.
+    """Write the cache, streaming rows after the rows header one batch of
+    records (about ``_BATCH_ROWS`` rows, at least one record) at a time.
 
     A path exponent counts nodes, so no exponent exceeds its polynomial's
     term count, and the largest term count fixes the row type.
@@ -662,6 +693,11 @@ def write_polynomial_cache(
         ids.append(example_id)
         polys.append(poly)
     dim = len(vocab)
+    for example_id, poly in zip(ids, polys):
+        if poly.dim != dim:
+            raise ValueError(
+                f"record {example_id}: polynomial over {poly.dim} labels, vocabulary of {dim}"
+            )
     offsets = np.zeros(len(polys) + 1, dtype=np.int64)
     offsets[1:] = np.fromiter((poly.n_distinct for poly in polys), np.int64, len(polys)).cumsum()
     n_rows = int(offsets[-1])
@@ -674,17 +710,19 @@ def write_polynomial_cache(
         np.lib.format.write_array_header_1_0(
             fh, {"descr": dtype.str, "fortran_order": False, "shape": (n_rows, dim)}
         )
-        bounds = offsets.tolist()
-        for example_id, poly, start, end in zip(ids, polys, bounds[:-1], bounds[1:]):
-            if poly.dim != dim:
-                raise ValueError(
-                    f"record {example_id}: polynomial over {poly.dim} labels, vocabulary of {dim}"
-                )
-            mat, record_counts = poly.rows()
-            counts[start:end] = record_counts
-            if mat.size and mat.max() > limit:
-                raise ValueError(f"record {example_id}: exponent above its term count")
+        start = 0
+        while start < len(polys):
+            end = int(offsets.searchsorted(offsets[start] + _BATCH_ROWS, "right")) - 1
+            end = max(start + 1, end)
+            mat, counts[offsets[start]:offsets[end]], bounds = canonical_batch(
+                [poly.terms for poly in polys[start:end]], dim
+            )
+            bad = np.flatnonzero(mat.max(axis=1, initial=0) > limit)
+            if bad.size:
+                record = ids[start + int(bounds.searchsorted(bad[0], "right")) - 1]
+                raise ValueError(f"record {record}: exponent above its term count")
             fh.write(mat.astype(dtype).tobytes())
+            start = end
         np.save(fh, counts)
         np.save(fh, offsets)
         np.save(fh, np.frombuffer(ids, dtype=np.int64))

@@ -70,6 +70,39 @@ class TestBuild:
         manifest = read_manifest(built / "build-manifest.json")
         assert all(stage["skipped"] for stage in manifest["stages"].values())
 
+    def test_cold_build_matches_the_frozen_cache_digests(self, tmp_path):
+        # scripts/freeze_demo_goldens.py writes these; every cache byte is pinned.
+        frozen = json.loads((FIXTURES / "demo_cache_digests.json").read_text(encoding="utf-8"))
+        out = tmp_path / "cold"
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert {name: sha256_file(out / name) for name in frozen} == frozen
+        assert set(frozen) == {p.name for p in scoi.cli._cache_paths(out).values()}
+
+    def test_build_makes_no_token_bag(self, tmp_path, monkeypatch):
+        bags = []
+        real_bag = scoi.corpus.TokenBag
+
+        class SpyBag(real_bag):
+            @classmethod
+            def from_tokens(cls, tokens):
+                bags.append(tuple(tokens))
+                return real_bag.from_tokens(tokens)
+
+        monkeypatch.setattr(scoi.corpus, "TokenBag", SpyBag)
+        assert run("build", "--config", DEMO_CFG, "--out-dir", tmp_path / "out") == 0
+        assert bags == []
+
+    def test_stale_index_alone_is_rewritten_byte_identical(self, built, tmp_path, capsys):
+        out = tmp_path / "stale"
+        shutil.copytree(built, out)
+        (out / "bm25.idx").write_bytes(b"stale")
+        capsys.readouterr()
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "corpus: skipped (inputs unchanged)", "polynomials: skipped (inputs unchanged)",
+        ]
+        assert (out / "bm25.idx").read_bytes() == (built / "bm25.idx").read_bytes()
+
     def test_double_build_digests_stable(self, tmp_path, built):
         other = tmp_path / "again"
         assert run("build", "--config", DEMO_CFG, "--out-dir", other) == 0
@@ -865,7 +898,7 @@ class TestSelectReadsColumns:
         monkeypatch.setattr(scoi.corpus, "TokenBag", SpyBag)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 0
         assert trees == []
-        _, tests = scoi.corpus.read_corpus_cache(out / "test.bin")
+        _, tests, _ = scoi.corpus.read_corpus_cache(out / "test.bin")
         # Each test input's bag, built once; no corpus record's.
         assert sorted(bags) == sorted(t.token_list for t in tests)
 

@@ -17,6 +17,7 @@ from scoi.corpus import (
     write_corpus_cache,
 )
 from scoi.errors import AlignmentError, DataError
+from scoi.retrieval import intern_tokens
 from scoi.treepoly import LabelVocabulary, simplified_polynomial
 
 from conftest import random_recursive_tree
@@ -150,8 +151,8 @@ class TestCorpusCache:
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         records[3].target = "naïve ✓ 😀"
         path = tmp_path / "corpus.bin"
-        write_corpus_cache(path, records, vocab)
-        loaded_vocab, loaded = read_corpus_cache(path)
+        write_corpus_cache(path, records, vocab, intern_tokens(records))
+        loaded_vocab, loaded, _ = read_corpus_cache(path)
         assert loaded_vocab == vocab
         assert [(r.id, r.source, r.target, r.token_list) for r in loaded] == [
             (r.id, r.source, r.target, r.token_list) for r in records
@@ -166,8 +167,9 @@ class TestCorpusCache:
         src, tgt, conllu = build_corpus_files(tmp_path, n=4)
         vocab = LabelVocabulary()
         path = tmp_path / "corpus.bin"
-        write_corpus_cache(path, load_parallel_corpus(src, tgt, conllu, vocab), vocab)
-        _, loaded = read_corpus_cache(path)
+        records = load_parallel_corpus(src, tgt, conllu, vocab)
+        write_corpus_cache(path, records, vocab, intern_tokens(records))
+        _, loaded, _ = read_corpus_cache(path)
         record = loaded[2]
         assert set(vars(record)) == {"id", "poly", "_cols", "_row"}
         assert record.tree is record.tree
@@ -178,10 +180,10 @@ class TestCorpusCache:
     def test_two_ingests_are_byte_identical(self, tmp_path):
         src, tgt, conllu = build_corpus_files(tmp_path, n=10)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        vocab_a = LabelVocabulary()
-        write_corpus_cache(a, load_parallel_corpus(src, tgt, conllu, vocab_a), vocab_a)
-        vocab_b = LabelVocabulary()
-        write_corpus_cache(b, load_parallel_corpus(src, tgt, conllu, vocab_b), vocab_b)
+        for path in (a, b):
+            vocab = LabelVocabulary()
+            records = load_parallel_corpus(src, tgt, conllu, vocab)
+            write_corpus_cache(path, records, vocab, intern_tokens(records))
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -205,7 +207,7 @@ class TestCorpusCache:
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         records[0].target, records[1].target = "é", "è"
         path = tmp_path / "corpus.bin"
-        write_corpus_cache(path, records, vocab)
+        write_corpus_cache(path, records, vocab, intern_tokens(records))
         fh = io.BytesIO(path.read_bytes())
         header = fh.readline()
         segments = {name: np.load(fh) for name in _SEGMENTS}

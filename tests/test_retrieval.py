@@ -2,21 +2,27 @@ import math
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from scoi.corpus import ExampleRecord
+from scoi.corpus import ExampleRecord, read_corpus_cache, write_corpus_cache
 from scoi.coverage import TokenBag
 from scoi.errors import DataError
 from scoi.retrieval import (
     Bm25Params,
+    InvertedIndex,
     bm25_topk,
     build_index,
+    index_from_tokens,
+    intern_tokens,
     load_index,
     save_index,
     token_table,
     word_matrix,
 )
+from scoi.treepoly import DependencyTree, LabelVocabulary
 
 
 def rec(i: int, tokens: list[str]) -> ExampleRecord:
@@ -47,6 +53,69 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
             build_index([])
+
+
+def oracle_build_index(corpus) -> InvertedIndex:
+    """Reference index: each id-sorted record's token bag, one posting entry at a time."""
+    records = sorted(corpus, key=lambda r: r.id)
+    ids = np.array([r.id for r in records], dtype=np.int64)
+    lengths = np.array([r.tokens.total for r in records], dtype=np.int64)
+    raw: dict[str, tuple[list[int], list[int]]] = {}
+    for row, record in enumerate(records):
+        for token, count in record.tokens.counts.items():
+            entry = raw.setdefault(token, ([], []))
+            entry[0].append(row)
+            entry[1].append(count)
+    postings = {
+        token: (np.array(rows, dtype=np.int64), np.array(tfs, dtype=np.float64))
+        for token, (rows, tfs) in raw.items()
+    }
+    return InvertedIndex(ids, lengths, postings)
+
+
+@st.composite
+def corpora(draw):
+    """Records with distinct, shuffled ids and tokens drawn with repeats from a small set."""
+    words = draw(st.lists(st.text("abcé.,", min_size=1, max_size=3), min_size=1, max_size=8,
+                          unique=True))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=30, unique=True))
+    return [
+        rec(i, draw(st.lists(st.sampled_from(words), min_size=1, max_size=12))) for i in ids
+    ]
+
+
+class TestIndexEquivalence:
+    """Every way to build an index writes the oracle's bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_every_path_saves_the_oracle_bytes(self, tmp_path_factory, corpus):
+        tmp = tmp_path_factory.mktemp("index")
+        ordered = sorted(corpus, key=lambda r: r.id)
+        for r in ordered:
+            r.tree = DependencyTree([0] * len(r.token_list), [-1, *range(len(r.token_list) - 1)])
+        vocab = LabelVocabulary(["dep"])
+        write_corpus_cache(tmp / "corpus.bin", ordered, vocab, intern_tokens(ordered))
+        _, _, cached_column = read_corpus_cache(tmp / "corpus.bin")
+        indexes = {
+            "oracle": oracle_build_index(corpus),
+            "records": build_index(corpus),
+            "column": index_from_tokens(intern_tokens(ordered)),
+            "cache": index_from_tokens(cached_column),
+        }
+        for name, index in indexes.items():
+            save_index(tmp / f"{name}.idx", index)
+        oracle = (tmp / "oracle.idx").read_bytes()
+        assert {name: (tmp / f"{name}.idx").read_bytes() == oracle for name in indexes} == {
+            name: True for name in indexes
+        }
+
+    def test_column_lists_tokens_in_first_seen_order(self):
+        column = intern_tokens([rec(4, ["b", "a", "b"]), rec(2, ["c", "a"])])
+        assert column.names == ["b", "a", "c"]
+        assert column.record_ids.tolist() == [4, 2]
+        assert column.offsets.tolist() == [0, 3, 5]
+        assert column.token_ids.tolist() == [0, 1, 0, 2, 1]
 
 
 class TestBm25TopK:

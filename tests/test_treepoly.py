@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from scipy.spatial.distance import cdist
 
+import scoi.treepoly
 from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
 from scoi.treepoly import (
     DependencyTree,
     Polynomial,
+    canonical_batch,
     canonical_terms,
     check_labels,
     cityblock,
@@ -180,6 +182,83 @@ class TestCanonicalTerms:
             (2**32 - 1, 0, 0), (2**32 - 1, 0, 1), (0, 1, 0)
         ]
         assert list(poly.term_vectors()) == scalar_term_vectors(poly)
+
+
+# Exponents around the rank byte widths: top + 1 above 255 needs two bytes
+# per rank, above 65,535 four, above 2**32 - 1 eight.
+EXPONENTS = st.one_of(
+    st.integers(1, 4), st.sampled_from([254, 255, 256, 65_534, 65_535, 65_536, 2**32 - 1])
+)
+
+
+@st.composite
+def term_maps(draw, dim: int):
+    """One polynomial's packed keys with multiplicities; terms may skip labels."""
+    terms = draw(st.lists(
+        st.dictionaries(st.integers(0, dim - 1), EXPONENTS, min_size=1, max_size=dim),
+        min_size=1, max_size=8,
+    ))
+    return {encode_term(t): draw(st.integers(1, 5)) for t in terms}
+
+
+def oracle_rows(term_map, dim) -> tuple[list, list]:
+    """Rows and counts in canonical order: ``sorted(decode_term(k))`` with multiplicities."""
+    rows, counts = [], []
+    for pairs, count in sorted((decode_term(k), c) for k, c in term_map.items()):
+        row = [0] * dim
+        for label, exp in pairs:
+            row[label] = exp
+        rows.append(row)
+        counts.append(count)
+    return rows, counts
+
+
+class TestCanonicalBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 6, 40]).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(term_maps(dim), min_size=1, max_size=6))
+    ))
+    def test_rows_and_counts_match_the_sorted_decode(self, dim_maps):
+        dim, maps = dim_maps
+        mat, counts, offsets = canonical_batch(maps, dim)
+        assert mat.dtype == np.uint32 and counts.dtype == offsets.dtype == np.int64
+        assert offsets.tolist() == [0, *np.cumsum([len(m) for m in maps]).tolist()]
+        for i, term_map in enumerate(maps):
+            a, b = offsets[i], offsets[i + 1]
+            assert (mat[a:b].tolist(), counts[a:b].tolist()) == oracle_rows(term_map, dim)
+            one_mat, one_counts = canonical_terms(term_map, dim)
+            assert np.array_equal(one_mat, mat[a:b]) and np.array_equal(one_counts, counts[a:b])
+
+    def test_zero_gaps_and_single_term_records(self):
+        maps = [
+            {encode_term({2: 1}): 1},
+            {encode_term({0: 1, 2: 1}): 2, encode_term({1: 1}): 1, encode_term({0: 1}): 3},
+            {encode_term({3: 7}): 1},
+        ]
+        mat, counts, offsets = canonical_batch(maps, 4)
+        assert offsets.tolist() == [0, 1, 4, 5]
+        assert mat.tolist() == [
+            [0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 7]
+        ]
+        assert counts.tolist() == [1, 3, 2, 1, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.lists(tree_strategy(max_nodes=12, max_labels=5), min_size=1,
+                                       max_size=12))
+    def test_cache_bytes_do_not_depend_on_the_batch_cap(self, tmp_path_factory, cap, trees):
+        # A cap of a few rows makes batches end inside and across records.
+        tmp = tmp_path_factory.mktemp("cap")
+        vocab = make_vocab(5)
+        items = [(i, simplified_polynomial(tree, vocab)) for i, tree in enumerate(trees)]
+        write_polynomial_cache(tmp / "default.bin", items, vocab)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoi.treepoly, "_BATCH_ROWS", cap)
+            write_polynomial_cache(tmp / "capped.bin", items, vocab)
+        assert (tmp / "capped.bin").read_bytes() == (tmp / "default.bin").read_bytes()
+        _, loaded = read_polynomial_cache(tmp / "capped.bin")
+        for (_, poly), (_, cached) in zip(items, loaded):
+            rows, counts = cached.rows()
+            assert (rows.tolist(), counts.tolist()) == oracle_rows(poly.terms, 5)
 
 
 class TestDependencyTree:
