@@ -14,7 +14,6 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -256,7 +255,7 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
         # No lexical overlap with the corpus: deterministic random pool.
         rng = random.Random(f"{config.seed}:bm25-fallback:{test.id}")
         size = min(config.pool_size, len(corpus_ids))
-        pool = [corpus_by_id[rid] for rid in rng.sample(sorted(corpus_ids), size)]
+        pool = [corpus_by_id[rid] for rid in rng.sample(corpus_ids, size)]
         fallback = True
     # Every strategy reads its per-candidate scores from this one table.
     scores = PoolScores(test, pool, config.measure, index)
@@ -286,34 +285,6 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
     return outputs
 
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(tests, strategies, config, corpus_by_id, corpus_ids, index, template):
-    _WORKER_CTX.update(
-        tests=tests,
-        strategies=strategies,
-        config=config,
-        corpus_by_id=corpus_by_id,
-        corpus_ids=corpus_ids,
-        index=index,
-        template=template,
-    )
-
-
-def _worker_select(test_pos: int):
-    ctx = _WORKER_CTX
-    return _select_one(
-        ctx["tests"][test_pos],
-        ctx["strategies"],
-        ctx["config"],
-        ctx["corpus_by_id"],
-        ctx["corpus_ids"],
-        ctx["index"],
-        ctx["template"],
-    )
-
-
 def cmd_select(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     _, corpus_records, test_records, index, cache_digests = _load_built(out_dir)
@@ -328,21 +299,10 @@ def cmd_select(config: RunConfig) -> int:
     template = config.template()
 
     start = time.perf_counter()
-    if config.workers <= 1:
-        per_test = [
-            _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, template)
-            for test in test_records
-        ]
-    else:
-        if config.measure == "cosine":
-            # Load scipy once before the fork; otherwise each worker imports it.
-            import scipy.spatial.distance  # noqa: F401
-
-        init_args = (test_records, strategies, config, corpus_by_id, corpus_ids, index, template)
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=init_args
-        ) as pool:
-            per_test = list(pool.map(_worker_select, range(len(test_records))))
+    per_test = [
+        _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, template)
+        for test in test_records
+    ]
     seconds = time.perf_counter() - start
 
     manifest = RunManifest(config.snapshot(), __version__)

@@ -38,7 +38,7 @@ class RunConfig:
     filter_target: bool = False
     fold_case: bool = False
     strip_punctuation: bool = False
-    workers: int = 1
+    workers: int = 1  # accepted and unused: build and select run in one process
     prompt_style: str = "delimiter"
     source_language: str = "source"
     target_language: str = "target"

@@ -10,8 +10,7 @@ baseline round out the strategy set.
 
 Every strategy is a pure, deterministic function of its inputs (``random``
 included, through its per-test seed derivation): byte-identical outputs
-across runs and worker counts.  Ties in every argmax break by ascending
-example id.
+across runs.  Ties in every argmax break by ascending example id.
 """
 
 from __future__ import annotations
@@ -136,12 +135,18 @@ class PoolScores:
         return np.ascontiguousarray(ufunc.reduceat(table, self._pool_terms[2], axis=1).T)
 
     @cached_property
+    def _row_mins(self) -> np.ndarray:
+        """(candidates, distinct test terms): each candidate's nearest L1 distance."""
+        return self._per_candidate(np.minimum, self._distances)
+
+    @cached_property
     def similarities(self) -> np.ndarray:
         """(candidates, distinct test terms): best similarity to each test term."""
         if self.measure == "normalized-manhattan":
-            table = 1.0 / (1.0 + self._distances)
-        else:
-            table = similarity_matrix(self.test.poly.rows()[0], self._pool_terms[0], self.measure)
+            # fl(1 / fl(1 + d)) never rises as d grows, so the best 1 / (1 + d)
+            # over a candidate's columns is 1 / (1 + its nearest d), bit for bit.
+            return 1.0 / (1.0 + self._row_mins)
+        table = similarity_matrix(self.test.poly.rows()[0], self._pool_terms[0], self.measure)
         return self._per_candidate(np.maximum, table)
 
     @cached_property
@@ -150,13 +155,12 @@ class PoolScores:
         _, counts, starts = self._pool_terms
         x_counts = self.test.poly.rows()[1].astype(np.float64)
         n_x = self.test.poly.n_terms
-        row_mins = self._per_candidate(np.minimum, self._distances)
         col_mins = self._distances.min(axis=0)
         n_terms = np.array([record.poly.n_terms for record in self.by_id], dtype=np.int64)
         # Every term is an integer-valued float and every partial sum an
         # integer below 2**53, so the sums are exact in any order and equal
         # polynomial_distance's bit for bit.
-        totals = row_mins @ x_counts + np.add.reduceat(counts * col_mins, starts)
+        totals = self._row_mins @ x_counts + np.add.reduceat(counts * col_mins, starts)
         return totals / (n_x + n_terms)
 
     @cached_property

@@ -608,8 +608,10 @@ def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     minima one matrix product of 0/1 level matrices: column (l, t) is set
     in a row whose exponent of label l is at least t, for t up to the
     smaller of the two sides' largest exponent of l.  Columns past the
-    narrower matrix's width count as zeros.  Every partial sum is an
-    integer below 2**53, so each entry is exact, the same float as
+    narrower matrix's width count as zeros.  The product is reduced in
+    place, -2 * common + sum(a) + sum(b), with no table-sized temporary.
+    Every partial result is an integer below 2**53, so each step is exact
+    and the order changes no bit: each entry is the same float as
     ``scipy.spatial.distance.cdist(a, b, "cityblock")`` gives, and
     independent of the other rows.
     """
@@ -623,8 +625,11 @@ def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     thresholds = np.arange(1, len(labels) + 1) - np.repeat(top.cumsum() - top, top)
     a_levels = (a[:, labels] >= thresholds).astype(np.float64)
     b_levels = (b[:, labels] >= thresholds).astype(np.float64)
-    common = a_levels @ b_levels.T
-    return (a_sums[:, None] + b_sums).astype(np.float64) - 2.0 * common
+    out = a_levels @ b_levels.T
+    out *= -2.0
+    out += a_sums[:, None]
+    out += b_sums
+    return out
 
 
 def polynomial_distance(p: Polynomial, q: Polynomial) -> float:

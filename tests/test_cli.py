@@ -206,9 +206,12 @@ class TestBuild:
         assert stages["polynomials"]["inputs"]["poly_cache_version"] == "2"
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
 
-    def test_build_with_workers_starts_no_process_pool(self, built, tmp_path, monkeypatch):
+    def test_build_with_workers_starts_no_process_pool(
+        self, built, selected, tmp_path, monkeypatch
+    ):
+        """``workers`` is accepted and changes nothing: build and select stay serial."""
         def refuse(*args, **kwargs):
-            raise RuntimeError("build started a process pool")
+            raise RuntimeError("started a process pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         for name, module in list(sys.modules.items()):
@@ -218,6 +221,10 @@ class TestBuild:
         assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
         for path in scoi.cli._cache_paths(built).values():
             assert sha256_file(out / path.name) == sha256_file(path)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
+        for strategy in STRATEGIES:
+            for name in (f"selections_{strategy}.jsonl", f"prompts_{strategy}.jsonl"):
+                assert (out / name).read_bytes() == (selected / name).read_bytes()
 
     def test_missing_conllu_exits_1_without_partial_caches(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1185,23 +1192,14 @@ class TestReadmeFileFormats:
 
 
 # Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line
-# of output, the exit code, the scipy modules loaded by the end, and whether
-# scipy was loaded each time ``cmd_select`` opened its process pool.
+# of output, the exit code and the scipy modules loaded by the end.
 _IMPORT_PROBE = """
 import json, sys
 import scoi.cli
 
-at_pool = []
-
-class RecordingPool(scoi.cli.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        at_pool.append("scipy.spatial.distance" in sys.modules)
-        super().__init__(*args, **kwargs)
-
-scoi.cli.ProcessPoolExecutor = RecordingPool
 code = scoi.cli.main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"exit": code, "scipy": scipy, "scipy_at_pool": at_pool}))
+print(json.dumps({"exit": code, "scipy": scipy}))
 """
 
 
@@ -1234,33 +1232,15 @@ class TestScipyImportBoundary:
             assert report["exit"] == 0, argv
             assert report["scipy"] == [], argv
 
-    def test_parallel_select_leaves_scipy_unloaded(self, built, tmp_path):
-        out = tmp_path / "out"
-        shutil.copytree(built, out)
-        report = _fresh_cli("select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2")
-        assert report["exit"] == 0
-        assert report["scipy"] == []
-        assert report["scipy_at_pool"] == [False]
-
-    def test_parallel_select_loads_scipy_before_the_pool(self, built, tmp_path):
-        out = tmp_path / "out"
-        shutil.copytree(built, out)
-        report = _fresh_cli(
-            "select", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2",
-            "--measure", "cosine",
-        )
-        assert report["exit"] == 0
-        assert "scipy.spatial.distance" in report["scipy"]
-        assert report["scipy_at_pool"] == [True]
-
     @pytest.mark.parametrize(
         "argv, loads_scipy",
         [
             (("inspect", "--record", "0", "--pool", "1,2,3"), False),
             (("inspect", "--record", "0", "--pool", "1,2,3", "--measure", "cosine"), True),
+            (("select", "--strategy", "all"), False),
             (("select", "--measure", "cosine", "--strategy", "scoi"), True),
         ],
-        ids=["inspect-pool", "inspect-pool-cosine", "select-cosine"],
+        ids=["inspect-pool", "inspect-pool-cosine", "select", "select-cosine"],
     )
     def test_scoring_commands_load_scipy_on_demand(self, built, tmp_path, argv, loads_scipy):
         out = tmp_path / "out"

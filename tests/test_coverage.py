@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -365,6 +366,31 @@ class TestPoolScores:
             assert np.array_equal(
                 dists, [scipy_polynomial_distance(test.poly, r.poly) for r in scores.by_id]
             )
+
+    def test_manhattan_tables_peak_below_twice_the_distance_table(self):
+        """``select`` runs in one process, so one (test, pool)'s transient
+        memory is its peak: the similarity and distance tables may hold the
+        L1 table and little more, however large it is."""
+        rng = random.Random(31)
+        vocab = make_vocab(12)
+        test = make_record(5000, random_recursive_tree(rng, 900, 12), ["w"], vocab)
+        pool = [
+            make_record(rid, random_recursive_tree(rng, 110, 12), ["w"], vocab)
+            for rid in range(8)
+        ]
+        scores = PoolScores(test, pool, "normalized-manhattan")
+        test.poly.rows()
+        scores._pool_terms  # the inputs, not the tables, are outside the bound
+        tracemalloc.start()
+        try:
+            scores.similarities
+            scores.distances
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = test.poly.n_distinct * len(scores._pool_terms[0]) * 8
+        assert table_bytes >= 4 << 20
+        assert peak <= 2 * table_bytes
 
     @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
     @pytest.mark.parametrize("indexed", [False, True], ids=["pool-index", "corpus-index"])
