@@ -1,35 +1,98 @@
-"""CoNLL-U ingestion: one dependency tree per sentence block.
+"""CoNLL-U ingestion as columns: one dependency tree per sentence block.
 
-Only the tree skeleton is consumed: token order, HEAD, and DEPREL.
-Multiword-token ranges (ids like ``3-4``) and empty nodes (``5.1``) are
-skipped; comment lines are ignored; extra columns are tolerated.  DEPREL
-strings are interned into the shared label vocabulary as they appear.
+Only the tree skeleton is read: token order, HEAD and DEPREL.  Multiword-token
+ranges (ids like ``3-4``) and empty nodes (``5.1``) are skipped, comment lines
+are ignored and extra columns are tolerated.  ``\\r\\n`` and ``\\r`` end a line
+as ``\\n`` does, and a line that is empty or only whitespace ends a block.
+
+The file is read as bytes in chunks of about ``_CHUNK_BYTES``, each cut after
+an empty line, so no block spans two chunks.  A chunk is scanned as one byte
+array: ``np.flatnonzero`` finds its lines and tabs, ID and HEAD are read as
+ASCII digits, and the DEPREL strings are interned with one stable sort over
+fixed-width keys (length, then the bytes as 64-bit words), new labels going
+into the vocabulary in first-seen order.  Each HEAD is mapped to a position
+within its block, and ``first_bad_tree`` checks every tree at once.
+
+A block the scan cannot vouch for (a short row, an ID or HEAD that is not 1 to
+9 ASCII digits, a duplicate ID, no tokens, a root count other than one, a
+dangling HEAD, a cycle) goes through the per-line parser ``_parse_block``, in
+file order: either it raises that block's located error, or, for odd but valid
+input such as a ``+3`` HEAD, its tree is spliced in.  A chunk that is not
+UTF-8 fails at its first bad line, after the blocks before that line have been
+parsed.  Every error names the file.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, TextIO
+from collections.abc import Sequence
+from functools import cached_property
+from itertools import chain
+from typing import BinaryIO, Iterator
+
+import numpy as np
 
 from .errors import DataError, MalformedTreeError
-from .treepoly import ROOT, DependencyTree, LabelVocabulary
+from .treepoly import ROOT, DependencyTree, LabelVocabulary, first_bad_tree
 
+_CHUNK_BYTES = 1 << 20
 _HEAD_COL = 6
 _DEPREL_COL = 7
+# The scan reads an ID or HEAD of up to this many digits; a longer one takes
+# the per-line path.
+_DIGITS = 9
+# DEPRELs up to this many bytes are interned as fixed-width keys; a chunk with
+# a longer one interns its DEPRELs as bytes objects.
+_KEY_BYTES = 64
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # masks of n low bytes
+# First bytes of the UTF-8 forms of the characters ``str.strip()`` removes: a
+# line that starts with none of them is not blank.
+_SPACE_LEAD = np.zeros(256, bool)
+_SPACE_LEAD[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f \xc2\xe1\xe2\xe3")] = True
 
 
-def _iter_blocks(fh: TextIO) -> Iterator[list[tuple[int, str]]]:
-    """Yield sentence blocks as lists of (line number, line) pairs."""
-    block: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            if block:
-                yield block
-                block = []
-            continue
-        block.append((lineno, line))
-    if block:
-        yield block
+def offsets_from_sizes(sizes) -> np.ndarray:
+    """int64 offsets: item i owns entries ``offsets[i]:offsets[i+1]``."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+class TreeColumns(Sequence):
+    """Trees as columns: tree i owns the int32 ``labels`` and ``parents``
+    entries ``offsets[i]:offsets[i+1]``, and its parents index its own nodes
+    (``ROOT`` for the root).  Each item is a ``DependencyTree`` built on
+    access; none is kept."""
+
+    def __init__(self, labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray):
+        self.labels, self.parents, self.offsets = labels, parents, offsets
+
+    _bounds = cached_property(lambda self: self.offsets.tolist())
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[DependencyTree]) -> "TreeColumns":
+        offsets = offsets_from_sizes([len(t.labels) for t in trees])
+        n = int(offsets[-1])
+        labels = np.fromiter(chain.from_iterable(t.labels for t in trees), np.int32, n)
+        parents = np.fromiter(chain.from_iterable(t.parents for t in trees), np.int32, n)
+        return cls(labels, parents, offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> DependencyTree:
+        i = range(len(self))[i]
+        a, b = self._bounds[i], self._bounds[i + 1]
+        return DependencyTree(self.labels[a:b].tolist(), self.parents[a:b].tolist())
+
+    def __iter__(self) -> Iterator[DependencyTree]:
+        return map(self.__getitem__, range(len(self)))
+
+    def take(self, rows: np.ndarray) -> "TreeColumns":
+        """The trees at ``rows``, in that order, as new columns."""
+        sizes = np.diff(self.offsets)[rows]
+        offsets = offsets_from_sizes(sizes)
+        entries = np.repeat(self.offsets[rows] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return TreeColumns(self.labels[entries], self.parents[entries], offsets)
 
 
 def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_index: int) -> DependencyTree:
@@ -86,13 +149,202 @@ def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_ind
         raise MalformedTreeError(f"sentence block {block_index}: {exc}") from None
 
 
-def load_conllu(path, vocab: LabelVocabulary) -> list[DependencyTree]:
-    """Parse a CoNLL-U file into trees, one per block, in file order."""
-    trees: list[DependencyTree] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for block_index, block in enumerate(_iter_blocks(fh)):
-            trees.append(_parse_block(block, vocab, block_index))
-    return trees
+def _chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """(number of its first line, chunk) pairs, each chunk about _CHUNK_BYTES.
+
+    Line ends are translated to ``\\n``.  Every chunk ends with one, and every
+    chunk but the last ends with an empty line.
+    """
+    lineno, carry, held = 1, b"", b""
+    while True:
+        raw = fh.read(_CHUNK_BYTES)
+        eof = not raw
+        raw, held = held + raw, b""
+        if not eof and raw.endswith(b"\r"):  # it may be the first half of \r\n
+            raw, held = raw[:-1], b"\r"
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf = carry + raw
+        # carry holds no empty line, so the search starts at its last byte.
+        cut = len(buf) if eof else buf.rfind(b"\n\n", max(len(carry) - 1, 0)) + 2
+        if not eof and cut == 1:  # no empty line yet
+            carry = buf
+            continue
+        chunk, carry = buf[:cut], buf[cut:]
+        if chunk:
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            yield lineno, chunk
+            lineno += chunk.count(b"\n")
+        if eof:
+            return
+
+
+def _digits(b: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field ``b[start:end]`` read as a number, and whether it is 1 to
+    ``_DIGITS`` ASCII digits (where it is not, the number means nothing)."""
+    width = end - start
+    ok = (width >= 1) & (width <= _DIGITS)
+    value = np.zeros(len(start), np.int64)
+    for k in range(min(int(width.max(initial=0)), _DIGITS)):  # the k-th digit from the right
+        digit = b[np.maximum(end - 1 - k, 0)] - np.uint8(ord("0"))
+        inside = width > k
+        ok &= ~inside | (digit <= 9)
+        value += np.where(inside, digit, 0).astype(np.int64) * 10**k
+    return value, ok
+
+
+def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
+            vocab: LabelVocabulary) -> np.ndarray:
+    """Vocabulary ids of the UTF-8 strings ``b[start:start+width]``; the new
+    ones are added in first-seen order."""
+    if not len(start):
+        return np.empty(0, np.int32)
+    longest = int(width.max())
+    if longest <= _KEY_BYTES:
+        # A key is the width, then the bytes as little-endian words, zeroed
+        # past the end; the words are read through a view with a one-byte stride.
+        padded = np.concatenate((b, np.zeros(8, np.uint8)))
+        words = np.ndarray(len(b), "<u8", padded, strides=(1,))
+        keys = [width] + [words[np.minimum(start + k, len(b) - 1)] & _LOW_BYTES[np.clip(width - k, 0, 8)]
+                          for k in range(0, longest, 8)]
+        order = np.lexsort(keys)
+        ordered = [key[order] for key in keys]
+        differs = np.logical_or.reduce([key[1:] != key[:-1] for key in ordered])
+    else:
+        strings = np.array([data[s:s + n] for s, n in zip(start.tolist(), width.tolist())], object)
+        order = np.argsort(strings, kind="stable")
+        ordered = strings[order]
+        differs = ordered[1:] != ordered[:-1]
+    # Sorting is stable, so a run of equal keys starts with its first-seen row.
+    opens = np.concatenate(([True], differs))
+    first = order[opens]
+    ids = np.empty(len(first), np.int32)
+    for g in np.argsort(first).tolist():
+        s = int(start[first[g]])
+        ids[g] = vocab.add(data[s:s + int(width[first[g]])].decode("utf-8"))
+    labels = np.empty(len(start), np.int32)
+    labels[order] = ids[np.cumsum(opens) - 1]
+    return labels
+
+
+def _raise_not_utf8(data: bytes, bad: int, first_line: int, first_block: int,
+                    vocab: LabelVocabulary) -> None:
+    """Raise what a line-by-line read of ``data`` meets first, when byte ``bad``
+    starts its first invalid UTF-8 sequence: the error of a block that ends
+    before the line holding that byte, or that line's own."""
+    line_start = data.rfind(b"\n", 0, bad) + 1
+    # The blocks before that line's block end at the last blank line above it.
+    cut = line_start
+    while cut:
+        above = data.rfind(b"\n", 0, cut - 1) + 1
+        if not data[above:cut].decode("utf-8").strip():
+            break
+        cut = above
+    _scan(data[:cut], first_line, first_block, vocab)
+    lineno = first_line + data.count(b"\n", 0, line_start)
+    raise DataError(f"line {lineno}: not UTF-8")
+
+
+def _scan(data: bytes, first_line: int, first_block: int,
+          vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int32 labels, int32 parents and int64 node counts of the blocks of
+    ``data``, newline-terminated lines that start at line ``first_line`` and
+    block ``first_block``."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _raise_not_utf8(data, exc.start, first_line, first_block, vocab)
+    b = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1)) if len(ends) else ends
+    lead = b[starts]  # an empty line's lead byte is its \n
+    blank = starts == ends
+    maybe = np.flatnonzero(~blank & _SPACE_LEAD[lead])
+    blank[maybe] = [not data[s:e].decode("utf-8").strip()
+                    for s, e in zip(starts[maybe].tolist(), ends[maybe].tolist())]
+    opens = ~blank
+    opens[1:] &= blank[:-1]
+    n_blocks = int(np.count_nonzero(opens))
+    block_of_line = np.cumsum(opens) - 1
+    bad = np.zeros(n_blocks, bool)
+
+    # Rows are the lines of blocks that are not comments; short ones fail.
+    rows = np.flatnonzero(~blank & (lead != ord("#")))
+    row_end = ends[rows]
+    # Tab positions, padded with ones past every line so tab k + 7 of a line exists.
+    tabs = np.append(np.flatnonzero(b == ord("\t")), np.full(_DEPREL_COL + 1, len(b)))
+    first_tab = np.searchsorted(tabs, starts[rows])
+    full = tabs[first_tab + _DEPREL_COL - 1] < row_end
+    bad[block_of_line[rows[~full]]] = True
+    rows, row_end, first_tab = rows[full], row_end[full], first_tab[full]
+    id_end = tabs[first_tab]
+    ids, id_ok = _digits(b, starts[rows], id_end)
+    # An ID that is not digits is skipped if it holds "-" or "." (a range or
+    # an empty node).
+    token = np.ones(len(rows), bool)
+    odd = np.flatnonzero(~id_ok)
+    for i, s, e in zip(odd.tolist(), starts[rows[odd]].tolist(), id_end[odd].tolist()):
+        token[i] = b"-" not in data[s:e] and b"." not in data[s:e]
+    rows, row_end, first_tab = rows[token], row_end[token], first_tab[token]
+    ids, id_ok = ids[token], id_ok[token]
+
+    block = block_of_line[rows]
+    heads, head_ok = _digits(b, tabs[first_tab + _HEAD_COL - 1] + 1, tabs[first_tab + _HEAD_COL])
+    deprel_start = tabs[first_tab + _DEPREL_COL - 1] + 1
+    deprel_end = np.minimum(tabs[first_tab + _DEPREL_COL], row_end)
+    labels = _intern(data, b, deprel_start, deprel_end - deprel_start, vocab)
+
+    bad[block[~(id_ok & head_ok)]] = True
+    sizes = np.bincount(block, minlength=n_blocks)
+    is_root = heads == 0
+    bad |= (sizes == 0) | (np.bincount(block[is_root], minlength=n_blocks) != 1)
+    # Keyed by (block, ID) and sorted, equal neighbours are duplicate IDs, and
+    # each HEAD is looked up as (block, HEAD).
+    keys = (block << 32) | ids
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    bad[block[order[1:][ordered[1:] == ordered[:-1]]]] = True
+    head_keys = (block << 32) | heads
+    target = np.minimum(np.searchsorted(ordered, head_keys), max(len(keys) - 1, 0))
+    bad[block[~is_root & (ordered[target] != head_keys)]] = True
+    offsets = offsets_from_sizes(sizes)
+    local = np.arange(len(block)) - offsets[block]
+    parents = np.where(is_root, ROOT, order[target] - offsets[block]).astype(np.int32)
+    # A block already refused stands in as a star, so first_bad_tree finds the
+    # first cycle among the others.
+    in_bad = bad[block]
+    parents[in_bad] = np.where(local[in_bad] == 0, ROOT, 0)
+    nonempty = np.flatnonzero(sizes)
+    cyclic = first_bad_tree(labels, parents, np.append(offsets[nonempty], offsets[-1]), len(vocab))
+    if cyclic is not None:
+        bad[nonempty[cyclic[0]]] = True
+
+    first_lines = np.flatnonzero(opens)
+    last_lines = np.flatnonzero(~blank & np.append(blank[1:], True))
+    for index in np.flatnonzero(bad).tolist():
+        lo, hi = first_lines[index], last_lines[index]
+        text = data[starts[lo]:ends[hi]].decode("utf-8").split("\n")
+        lines = list(zip(range(first_line + lo, first_line + hi + 1), text))
+        tree = _parse_block(lines, vocab, first_block + index)
+        parents[offsets[index]:offsets[index + 1]] = tree.parents
+    return labels, parents, sizes
+
+
+def load_conllu(path, vocab: LabelVocabulary) -> TreeColumns:
+    """Parse a CoNLL-U file into tree columns, one tree per block, in file
+    order.  Every error message starts with ``path``."""
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int64))]
+    try:
+        with open(path, "rb") as fh:
+            n_blocks = 0
+            for first_line, chunk in _chunks(fh):
+                parts.append(_scan(chunk, first_line, n_blocks, vocab))
+                n_blocks += len(parts[-1][2])
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    labels, parents, sizes = (np.concatenate(column) for column in zip(*parts))
+    return TreeColumns(labels, parents, offsets_from_sizes(sizes))
 
 
 def tree_to_conllu(tree: DependencyTree, vocab: LabelVocabulary, forms: list[str] | None = None) -> str:

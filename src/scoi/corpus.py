@@ -10,12 +10,11 @@ ids are the original line indices and survive filtering.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .conllu import load_conllu
+from .conllu import TreeColumns, load_conllu, offsets_from_sizes
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
@@ -38,6 +37,8 @@ class ExampleRecord:
     given: ``build`` and ``select`` count corpus tokens from the token ids.
     """
 
+    tree: DependencyTree | None = None
+
     def __init__(
         self,
         id: int,
@@ -54,30 +55,52 @@ class ExampleRecord:
         self.token_list = token_list
         if tokens is not None:
             self.tokens = tokens
-        self.tree = tree
+        if tree is not None:
+            self.tree = tree
         self.poly = poly
 
     tokens = cached_property(lambda self: TokenBag.from_tokens(self.token_list))
 
-    @classmethod
-    def build(
-        cls,
-        record_id: int,
-        source: str,
-        target: str,
-        tree: DependencyTree | None,
-        fold_case: bool = False,
-        strip_punctuation: bool = False,
-    ) -> "ExampleRecord":
-        tokens = apply_token_flags(tokenize(source), fold_case, strip_punctuation)
-        if not tokens:
-            raise DataError(f"record {record_id}: no tokens left after token flags")
-        return cls(record_id, source, target, tuple(tokens), tree=tree)
+
+class _ParsedRecord(ExampleRecord):
+    """A record read at ingest.  Record i's tree is row i of the columns the
+    CoNLL-U file was parsed into; it is built on each access and not kept."""
+
+    def __init__(self, id: int, source: str, target: str, token_list: tuple[str, ...],
+                 trees: TreeColumns):
+        super().__init__(id, source, target, token_list)
+        self.trees = trees
+
+    tree = property(lambda self: self.trees[self.id])
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    """The lines of a UTF-8 text file, read as text mode would split them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {lineno}: not UTF-8") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _parsed_records(
+    sources: list[str], targets: list[str], trees: TreeColumns,
+    fold_case: bool, strip_punctuation: bool,
+) -> list[ExampleRecord]:
+    records = []
+    for i, (source, target) in enumerate(zip(sources, targets)):
+        tokens = apply_token_flags(tokenize(source), fold_case, strip_punctuation)
+        if not tokens:
+            raise DataError(f"record {i}: no tokens left after token flags")
+        records.append(_ParsedRecord(i, source, target, tuple(tokens), trees))
+    return records
 
 
 def load_parallel_corpus(
@@ -96,10 +119,7 @@ def load_parallel_corpus(
             f"corpus misaligned: {len(sources)} source lines, {len(targets)} target "
             f"lines, {len(trees)} parsed sentences"
         )
-    return [
-        ExampleRecord.build(i, src, tgt, tree, fold_case, strip_punctuation)
-        for i, (src, tgt, tree) in enumerate(zip(sources, targets, trees))
-    ]
+    return _parsed_records(sources, targets, trees, fold_case, strip_punctuation)
 
 
 def load_test_inputs(
@@ -115,10 +135,7 @@ def load_test_inputs(
         raise AlignmentError(
             f"test inputs misaligned: {len(sources)} source lines, {len(trees)} parsed sentences"
         )
-    return [
-        ExampleRecord.build(i, src, "", tree, fold_case, strip_punctuation)
-        for i, (src, tree) in enumerate(zip(sources, trees))
-    ]
+    return _parsed_records(sources, [""] * len(sources), trees, fold_case, strip_punctuation)
 
 
 def filter_by_length(
@@ -143,9 +160,10 @@ def filter_by_length(
 def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> None:
     """Compute each record's polynomial in place (order-independent, pure)."""
     for record in records:
-        if record.tree is None:
+        tree = record.tree
+        if tree is None:
             raise DataError(f"record {record.id} has no dependency tree")
-        record.poly = simplified_polynomial(record.tree, vocab)
+        record.poly = simplified_polynomial(tree, vocab)
 
 
 # --- corpus cache ------------------------------------------------------------
@@ -168,10 +186,13 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
             "labels": "node_offsets", "parents": "node_offsets"}
 
 
-def _offsets(sizes: Sequence[int]) -> np.ndarray:
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
+def _tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
+    """The records' trees as columns.  Rows of one parsed file are copied as
+    they are, without building a tree."""
+    parsed = getattr(records[0], "trees", None) if records else None
+    if parsed is not None and all(getattr(r, "trees", None) is parsed for r in records):
+        return parsed.take(np.fromiter((r.id for r in records), np.int64, len(records)))
+    return TreeColumns.from_trees([r.tree for r in records])
 
 
 def write_corpus_cache(
@@ -183,13 +204,10 @@ def write_corpus_cache(
     cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids}
     for side in ("source", "target"):
         encoded = [getattr(r, side).encode("utf-8") for r in records]
-        cols[_OFFSETS[side]] = _offsets(list(map(len, encoded)))
+        cols[_OFFSETS[side]] = offsets_from_sizes(list(map(len, encoded)))
         cols[side] = np.frombuffer(b"".join(encoded), np.uint8)
-    trees = [r.tree for r in records]
-    cols["node_offsets"] = _offsets([len(t.labels) for t in trees])
-    for name in ("labels", "parents"):
-        values = chain.from_iterable(getattr(t, name) for t in trees)
-        cols[name] = np.fromiter(values, np.int32, int(cols["node_offsets"][-1]))
+    trees = _tree_columns(records)
+    cols.update(node_offsets=trees.offsets, labels=trees.labels, parents=trees.parents)
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
               "tokenizer_version": TOKENIZER_VERSION, "labels": vocab.labels,
               "tokens": tokens.names}
@@ -214,9 +232,7 @@ class _CachedRecord(ExampleRecord):
     token_list = cached_property(
         lambda self: tuple(self._cols["names"][i] for i in self._slice("tokens").tolist())
     )
-    tree = cached_property(
-        lambda self: DependencyTree(self._slice("labels").tolist(), self._slice("parents").tolist())
-    )
+    tree = cached_property(lambda self: self._cols["trees"][self._row])
 
 
 def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], TokenColumn]:
@@ -270,6 +286,7 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], Token
     if bad_tree is not None:
         raise DataError(f"{path}: record {ids[bad_tree[0]]}: {bad_tree[1]}")
     cols["names"] = header["tokens"]
+    cols["trees"] = TreeColumns(cols["labels"], cols["parents"], cols["node_offsets"])
     records = [_CachedRecord(cols, row, rid) for row, rid in enumerate(ids.tolist())]
     return vocab, records, TokenColumn(ids, cols["token_offsets"], cols["tokens"], cols["names"])
 

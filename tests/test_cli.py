@@ -269,7 +269,23 @@ class TestBuild:
             arg for key, path in paths.items() for arg in (f"--{key.replace('_', '-')}", path)
         ]
         assert run(*args) == 2
-        assert capsys.readouterr().err == "data error: line 2: duplicate token ID 1\n"
+        assert capsys.readouterr().err == (
+            f"data error: {paths['corpus_conllu']}: line 2: duplicate token ID 1\n"
+        )
+        assert not (out / "corpus.bin").exists()
+
+    @pytest.mark.parametrize("key", ["corpus_conllu", "corpus_source"])
+    def test_non_utf8_input_exits_2_naming_file_and_line(self, tmp_path, capsys, key):
+        paths = _write_tiny_corpus(tmp_path, ["a b", "c d"], ["a c"])
+        data = paths[key].read_bytes()
+        line_2 = data.index(b"\n") + 1
+        paths[key].write_bytes(data[:line_2] + b"\xff" + data[line_2:])
+        out = tmp_path / "out"
+        args = ["build", "--out-dir", out] + [
+            arg for name, path in paths.items() for arg in (f"--{name.replace('_', '-')}", path)
+        ]
+        assert run(*args) == 2
+        assert capsys.readouterr().err == f"data error: {paths[key]}: line 2: not UTF-8\n"
         assert not (out / "corpus.bin").exists()
 
     def test_usage_error_exits_1(self, capsys):
