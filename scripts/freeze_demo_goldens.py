@@ -4,7 +4,9 @@
 Runs a clean build+select on the bundled demo corpus into a temp directory
 and copies a pinned subset of outputs into tests/fixtures/, together with
 what a few `scoi inspect` calls print (demo_inspect.json) and the SHA-256
-of each build cache (demo_cache_digests.json).  Only run this
+of each build cache plus that of the BM25 index `select` derives from them,
+as `retrieval.save_index` writes it, under the name `bm25.idx`
+(demo_cache_digests.json).  Only run this
 deliberately after an intended behavior change; the point of the fixtures
 is to make unintended output drift loud.
 """
@@ -19,7 +21,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from scoi.cli import main
+from scoi.cli import _cache_paths, _load_built, main
+from scoi.retrieval import save_index
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "tests" / "fixtures"
@@ -35,8 +38,6 @@ INSPECT_ARGS = (
     "--record 0 --side test",
     "--record 5 --pool 1,2,3 --measure cosine",
 )
-# Build caches whose bytes demo_cache_digests.json pins.
-CACHES = ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx")
 
 
 def run() -> None:
@@ -59,7 +60,10 @@ def run() -> None:
         text = json.dumps(printed, indent=1, ensure_ascii=False) + "\n"
         (FIXTURES / "demo_inspect.json").write_text(text, encoding="utf-8")
         print("froze demo_inspect.json")
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CACHES}
+        index_path = Path(tmp) / "bm25.idx"
+        save_index(index_path, _load_built(out)[3])
+        pinned = [*_cache_paths(out).values(), index_path]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in pinned}
         text = json.dumps(digests, indent=1) + "\n"
         (FIXTURES / "demo_cache_digests.json").write_text(text, encoding="utf-8")
         print("froze demo_cache_digests.json")

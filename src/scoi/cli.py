@@ -41,14 +41,8 @@ from .manifest import (
     stage_is_current,
 )
 from .prompts import render_prompt
-from .retrieval import (
-    bm25_topk,
-    build_index,  # noqa: F401  unused; perfbench/traced.py wraps this name
-    index_from_tokens,
-    intern_tokens,
-    load_index,
-    save_index,
-)
+from .retrieval import bm25_topk, index_from_tokens, intern_tokens
+from .retrieval import build_index, load_index, save_index  # noqa: F401  perfbench/traced.py wraps these
 from .selection import STRATEGIES, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
 from .treepoly import (
@@ -74,7 +68,6 @@ def _cache_paths(out_dir: Path) -> dict[str, Path]:
         "test_cache": out_dir / "test.bin",
         "corpus_poly": out_dir / "corpus.poly.bin",
         "test_poly": out_dir / "test.poly.bin",
-        "index": out_dir / "bm25.idx",
     }
 
 
@@ -124,14 +117,11 @@ def cmd_build(config: RunConfig) -> int:
     paths = _cache_paths(out_dir)
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
-    # (vocab, records, token column) per corpus cache: kept from ingest, or
-    # read at most once.
+    # (vocab, records) per corpus cache, kept from ingest for the polynomial stage.
     loaded: dict[str, tuple] = {}
 
     def records(cache: str):
-        if cache not in loaded:
-            loaded[cache] = read_corpus_cache(paths[cache])
-        return loaded[cache]
+        return loaded.get(cache) or read_corpus_cache(paths[cache])[:2]
 
     def ingest() -> str:
         vocab = LabelVocabulary()
@@ -148,21 +138,17 @@ def cmd_build(config: RunConfig) -> int:
         )
         if not corpus_records:
             raise DataError("every corpus record was removed by the length filter")
-        # One interning of the corpus tokens feeds corpus.bin and the index.
-        corpus_tokens = intern_tokens(corpus_records)
-        test_tokens = intern_tokens(test_records)
-        write_corpus_cache(paths["corpus_cache"], corpus_records, vocab, corpus_tokens)
-        write_corpus_cache(paths["test_cache"], test_records, vocab, test_tokens)
-        loaded["corpus_cache"] = (vocab, corpus_records, corpus_tokens)
-        loaded["test_cache"] = (vocab, test_records, test_tokens)
+        for cache, cache_records in (("corpus_cache", corpus_records), ("test_cache", test_records)):
+            write_corpus_cache(paths[cache], cache_records, vocab, intern_tokens(cache_records))
+            loaded[cache] = (vocab, cache_records)
         return (
             f"{len(corpus_records)} records kept, {removed} removed by the "
             f"{config.max_tokens}-token filter"
         )
 
     def polynomials() -> str:
-        vocab, corpus_records, _ = records("corpus_cache")
-        _, test_records, _ = records("test_cache")
+        vocab, corpus_records = records("corpus_cache")
+        _, test_records = records("test_cache")
         attach_polynomials(corpus_records, vocab)
         attach_polynomials(test_records, vocab)
         write_polynomial_cache(
@@ -172,11 +158,6 @@ def cmd_build(config: RunConfig) -> int:
             paths["test_poly"], ((r.id, r.poly) for r in test_records), vocab
         )
         return f"{len(corpus_records) + len(test_records)} built"
-
-    def index() -> str:
-        _, corpus_records, corpus_tokens = records("corpus_cache")
-        save_index(paths["index"], index_from_tokens(corpus_tokens))
-        return f"{len(corpus_records)} documents indexed"
 
     def pick(*keys: str) -> dict[str, Path]:
         return {key: paths[key] for key in keys}
@@ -198,17 +179,15 @@ def cmd_build(config: RunConfig) -> int:
         manifest, previous, "polynomials", poly_inputs, pick("corpus_poly", "test_poly"),
         polynomials,
     )
-    _run_stage(
-        manifest, previous, "index", {"corpus_cache": caches["corpus_cache"]},
-        pick("index"), index,
-    )
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0
 
 
 def _load_built(out_dir: Path):
-    """Read the five caches and check them against the build manifest.
+    """Read the four caches and check them against the build manifest.
 
+    The BM25 index is derived from the corpus cache's token column, before
+    the other caches load so that fewer arrays are alive while it is built.
     The digest check runs after every cache has parsed, so a malformed file
     keeps its located message and a well-formed but stale one fails on its
     digest.  Also returns the digests, for the select manifest.
@@ -220,7 +199,10 @@ def _load_built(out_dir: Path):
         raise ConfigError(
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
         )
-    vocab, corpus_records, _ = read_corpus_cache(paths["corpus_cache"])
+    vocab, corpus_records, corpus_tokens = read_corpus_cache(paths["corpus_cache"])
+    if not corpus_records:
+        raise DataError(f"{paths['corpus_cache']}: no records to index")
+    index = index_from_tokens(corpus_tokens)
     test_vocab, test_records, _ = read_corpus_cache(paths["test_cache"])
     if test_vocab != vocab:
         raise DataError("corpus and test caches disagree on the label vocabulary")
@@ -229,7 +211,6 @@ def _load_built(out_dir: Path):
         if poly_vocab != vocab:
             raise DataError(f"{paths[key]}: label vocabulary differs from the corpus cache's")
         apply_polynomial_cache(records, polys)
-    index = load_index(paths["index"])
     built = read_manifest(manifest_path)
     if built is None:
         raise DataError(f"{manifest_path}: not a build manifest")
@@ -415,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scoi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="ingest corpus, build caches and BM25 index")
+    p_build = sub.add_parser("build", help="ingest corpus and build caches")
     _add_config_arguments(p_build)
 
     p_select = sub.add_parser("select", help="select demonstrations and render prompts")

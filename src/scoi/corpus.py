@@ -269,6 +269,10 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], Token
     if bad.size:
         token = cols["tokens"][bad[0]]
         fail("tokens", bad[0], f"token id {token} outside the token list of size {n_tokens}")
+    # Ingest refuses a record without tokens; the BM25 index cannot hold one.
+    bad = np.flatnonzero(np.diff(cols["token_offsets"]) == 0)
+    if bad.size:
+        raise DataError(f"{path}: record {ids[bad[0]]}: no tokens")
     for side in ("source", "target"):
         blob, starts = cols[side], cols[_OFFSETS[side]][:-1]
         starts = starts[starts < len(blob)]

@@ -182,7 +182,7 @@ def bm25_topk(
 def token_table(index: InvertedIndex, rows: np.ndarray, tokens: Sequence[str]) -> np.ndarray:
     """int64 (documents at ``rows``, ``tokens``): each document's count of each
     token, scattered from the postings' (exact, integer) term frequencies.
-    Posting rows must ascend, as ``build_index`` and ``load_index`` give them."""
+    Posting rows must ascend, as ``index_from_tokens`` gives them."""
     table = np.zeros((len(rows), len(tokens)), dtype=np.int64)
     for j, token in enumerate(tokens):
         posting = index.postings.get(token)
@@ -220,10 +220,11 @@ def word_matrix(
 
 # --- index persistence -------------------------------------------------------
 #
+# The pipeline saves no index: ``select`` derives it from the corpus cache.
 # One JSON header line (format tag, version, token list in postings order),
 # then five raw .npy segments: ids, lengths, posting offsets, concatenated
 # posting rows, concatenated posting tfs.  Every byte is deterministic, so
-# rebuilds digest identically.
+# the same index always saves to the same digest.
 
 _INDEX_FORMAT = "scoi-bm25"
 _INDEX_VERSION = 1

@@ -1,3 +1,4 @@
+import builtins
 import concurrent.futures
 import hashlib
 import io
@@ -55,28 +56,32 @@ def selected(built, tmp_path_factory):
 
 class TestBuild:
     def test_caches_and_manifest(self, built):
-        for name in ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
+        for name in ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin"):
             assert (built / name).is_file()
+        assert not (built / "bm25.idx").exists()
         manifest = read_manifest(built / "build-manifest.json")
         assert manifest is not None
-        assert set(manifest["stages"]) == {"corpus", "polynomials", "index"}
+        assert set(manifest["stages"]) == {"corpus", "polynomials"}
         for stage in manifest["stages"].values():
             assert stage["outputs"]
 
     def test_rerun_skips_all_stages(self, built, capsys):
         assert run("build", "--config", DEMO_CFG, "--out-dir", built) == 0
         out = capsys.readouterr().out
-        assert out.count("skipped") == 3
+        assert out.count("skipped") == 2
         manifest = read_manifest(built / "build-manifest.json")
         assert all(stage["skipped"] for stage in manifest["stages"].values())
 
     def test_cold_build_matches_the_frozen_cache_digests(self, tmp_path):
-        # scripts/freeze_demo_goldens.py writes these; every cache byte is pinned.
+        # scripts/freeze_demo_goldens.py writes these; every cache byte is
+        # pinned, and so is the derived index, as save_index writes it.
         frozen = json.loads((FIXTURES / "demo_cache_digests.json").read_text(encoding="utf-8"))
         out = tmp_path / "cold"
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
-        assert {name: sha256_file(out / name) for name in frozen} == frozen
-        assert set(frozen) == {p.name for p in scoi.cli._cache_paths(out).values()}
+        index_path = tmp_path / "bm25.idx"
+        scoi.retrieval.save_index(index_path, scoi.cli._load_built(out)[3])
+        pinned = [*scoi.cli._cache_paths(out).values(), index_path]
+        assert {p.name: sha256_file(p) for p in pinned} == frozen
 
     def test_build_makes_no_token_bag(self, tmp_path, monkeypatch):
         bags = []
@@ -92,31 +97,57 @@ class TestBuild:
         assert run("build", "--config", DEMO_CFG, "--out-dir", tmp_path / "out") == 0
         assert bags == []
 
-    def test_stale_index_alone_is_rewritten_byte_identical(self, built, tmp_path, capsys):
-        out = tmp_path / "stale"
+    def test_index_stage_of_an_older_build_is_dropped_unread(
+        self, built, selected, tmp_path, capsys, monkeypatch
+    ):
+        # Older builds wrote bm25.idx in a third, "index" stage.  The file is
+        # left in place and never read, even when it is garbage.
+        out = tmp_path / "older"
         shutil.copytree(built, out)
-        (out / "bm25.idx").write_bytes(b"stale")
+        path = out / "build-manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        frozen = json.loads((FIXTURES / "demo_cache_digests.json").read_text(encoding="utf-8"))
+        manifest["stages"]["index"] = {
+            "inputs": {"corpus_cache": frozen["corpus.bin"]}, "outputs": {"index": frozen["bm25.idx"]},
+            "seconds": 0.01, "skipped": False,
+        }
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        (out / "bm25.idx").write_bytes(b"\xffgarbage\n")
+        real_open = open
+        opened = []
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(Path(file).name if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
         capsys.readouterr()
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
-        assert capsys.readouterr().out.splitlines()[:2] == [
+        assert capsys.readouterr().out.splitlines() == [
             "corpus: skipped (inputs unchanged)", "polynomials: skipped (inputs unchanged)",
         ]
-        assert (out / "bm25.idx").read_bytes() == (built / "bm25.idx").read_bytes()
+        assert set(read_manifest(path)["stages"]) == {"corpus", "polynomials"}
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 0
+        for strategy in STRATEGIES:
+            for name in (f"selections_{strategy}.jsonl", f"prompts_{strategy}.jsonl"):
+                assert (out / name).read_bytes() == (selected / name).read_bytes()
+        assert "corpus.bin" in opened and "bm25.idx" not in opened
+        assert (out / "bm25.idx").read_bytes() == b"\xffgarbage\n"
 
     def test_double_build_digests_stable(self, tmp_path, built):
         other = tmp_path / "again"
         assert run("build", "--config", DEMO_CFG, "--out-dir", other) == 0
         m1 = read_manifest(built / "build-manifest.json")
         m2 = read_manifest(other / "build-manifest.json")
-        for stage in ("corpus", "polynomials", "index"):
+        for stage in ("corpus", "polynomials"):
             assert m1["stages"][stage]["outputs"] == m2["stages"][stage]["outputs"]
 
     @pytest.mark.parametrize(
         "deleted, rerun, reads",
         [
-            (["bm25.idx"], ["index"], ["corpus.bin"]),
             (["corpus.poly.bin"], ["polynomials"], ["corpus.bin", "test.bin"]),
-            (["corpus.poly.bin", "bm25.idx"], ["polynomials", "index"], ["corpus.bin", "test.bin"]),
+            (["test.poly.bin"], ["polynomials"], ["corpus.bin", "test.bin"]),
+            (["corpus.bin", "corpus.poly.bin"], ["corpus", "polynomials"], []),
             (["test.bin"], ["corpus"], []),
         ],
     )
@@ -135,7 +166,7 @@ class TestBuild:
         capsys.readouterr()
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
         lines = capsys.readouterr().out.splitlines()
-        stages = ("corpus", "polynomials", "index")
+        stages = ("corpus", "polynomials")
         assert [line.split(":")[0] for line in lines] == list(stages)
         for stage, line in zip(stages, lines):
             assert (line == f"{stage}: skipped (inputs unchanged)") == (stage not in rerun)
@@ -147,8 +178,8 @@ class TestBuild:
             assert after[stage]["inputs"] == before[stage]["inputs"]
             assert after[stage]["outputs"] == before[stage]["outputs"]
             assert after[stage]["skipped"] == (stage not in rerun)
-        for name in ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
-            assert sha256_file(out / name) == sha256_file(built / name)
+        for path in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / path.name) == sha256_file(path)
 
     def test_old_corpus_cache_version_reruns_the_corpus_stage(self, built, tmp_path):
         out = tmp_path / "old"
@@ -163,7 +194,7 @@ class TestBuild:
         # The rewritten caches are byte-identical, so later stages stay current.
         stages = read_manifest(path)["stages"]
         assert {name: stage["skipped"] for name, stage in stages.items()} == {
-            "corpus": False, "polynomials": True, "index": True,
+            "corpus": False, "polynomials": True,
         }
 
     def test_version_1_build_directory_reruns_every_stage(self, built, tmp_path):
@@ -179,7 +210,6 @@ class TestBuild:
             (out / f"{name}.jsonl").write_bytes(b"\xffnot a cache\n")
             stages["corpus"]["outputs"][key] = sha256_file(out / f"{name}.jsonl")
             stages["polynomials"]["inputs"][key] = stages["corpus"]["outputs"][key]
-        stages["index"]["inputs"]["corpus_cache"] = stages["corpus"]["outputs"]["corpus_cache"]
         path.write_text(json.dumps({**read_manifest(path), "stages": stages}), encoding="utf-8")
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
         stages = read_manifest(path)["stages"]
@@ -201,7 +231,7 @@ class TestBuild:
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
         stages = read_manifest(path)["stages"]
         assert {name: stage["skipped"] for name, stage in stages.items()} == {
-            "corpus": True, "polynomials": False, "index": True,
+            "corpus": True, "polynomials": False,
         }
         assert stages["polynomials"]["inputs"]["poly_cache_version"] == "2"
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
@@ -361,8 +391,8 @@ class TestSelect:
     def test_parallel_build_matches_serial_digests(self, built, tmp_path):
         out = tmp_path / "par-build"
         assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--workers", "2") == 0
-        for name in ("corpus.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx"):
-            assert sha256_file(out / name) == sha256_file(built / name)
+        for path in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / path.name) == sha256_file(path)
 
     def test_measure_and_order_flags_flow_through(self, built, tmp_path):
         out = tmp_path / "cosine"
@@ -433,6 +463,17 @@ def _with_first_tree(labels, parents):
     return _edit_segments(edit)
 
 
+def _first_record_without_tokens(segments):
+    end = segments["token_offsets"][1]
+    segments["tokens"] = segments["tokens"][end:]
+    segments["token_offsets"] = np.concatenate([[0], segments["token_offsets"][1:] - end])
+
+
+def _no_records(segments):
+    for name, array in segments.items():
+        segments[name] = array[:1] * 0 if name.endswith("offsets") else array[:0]
+
+
 # (cache file, edit of its lines, message after "data error: <path>: ").
 CORRUPTIONS = [
     pytest.param(
@@ -478,18 +519,6 @@ CORRUPTIONS = [
     pytest.param(
         "test.bin", _edit_segments(lambda s: s["tokens"].__setitem__(0, 10_000)),
         "record 0: token id 10000 outside the token list of size", id="test-token-id-out-of-range",
-    ),
-    pytest.param(
-        "bm25.idx", lambda ls: [b"garbage\n", *ls[1:]], "not a BM25 index file",
-        id="index-header-not-json",
-    ),
-    pytest.param(
-        "bm25.idx", _null_header_key("tokens"), "header has no tokens list",
-        id="index-header-without-tokens",
-    ),
-    pytest.param(
-        "bm25.idx", lambda ls: [ls[0], ls[1][:40]], "corrupt array segment",
-        id="index-truncated",
     ),
     pytest.param(
         "corpus.poly.bin", _null_header_key("labels"), "header has no labels list",
@@ -558,6 +587,21 @@ class TestCorruptCache:
         err = capsys.readouterr().err
         assert f"data error: {path}: record 0: tree must have at least one node" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [(_first_record_without_tokens, "record 0: no tokens"), (_no_records, "no records to index")],
+        ids=["record-without-tokens", "no-records"],
+    )
+    def test_unindexable_corpus_exits_2_naming_the_file(
+        self, built, tmp_path, capsys, command, edit, expected
+    ):
+        # The BM25 index is derived from these tokens, so neither case reaches the digest check.
+        out, path = _corrupt(built, tmp_path, "corpus.bin", _edit_segments(edit))
+        extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {expected}\n"
 
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
@@ -718,7 +762,7 @@ def _write_error(path: Path) -> str:
     return f"error: {path}: No space left on device (injected)\n"
 
 
-BUILD_OUTPUTS = ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin", "bm25.idx",
+BUILD_OUTPUTS = ("corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin",
                  "build-manifest.json")
 SELECT_OUTPUTS = ("selections_scoi.jsonl", "prompts_scoi.jsonl", "select-manifest.json")
 
@@ -1187,7 +1231,6 @@ CACHE_VERSIONS = {
     "test_cache": scoi.corpus.CORPUS_CACHE_VERSION,
     "corpus_poly": scoi.treepoly.POLY_CACHE_VERSION,
     "test_poly": scoi.treepoly.POLY_CACHE_VERSION,
-    "index": scoi.retrieval._INDEX_VERSION,
 }
 OUTPUT_FILES = ("selections_<strategy>.jsonl", "prompts_<strategy>.jsonl",
                 "build-manifest.json", "select-manifest.json")
