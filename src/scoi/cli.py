@@ -37,11 +37,12 @@ from .manifest import (
     atomic_write,
     compact_json,
     read_manifest,
+    remove_stale_temps,
     sha256_file,
     stage_is_current,
 )
 from .prompts import render_prompt
-from .retrieval import bm25_topk, index_from_tokens, intern_tokens
+from .retrieval import bm25_topk, index_from_tokens
 from .retrieval import build_index, load_index, save_index  # noqa: F401  perfbench/traced.py wraps these
 from .selection import STRATEGIES, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
@@ -115,6 +116,10 @@ def cmd_build(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = _cache_paths(out_dir)
+    remove_stale_temps(out_dir, {
+        *(p.name for p in paths.values()), _BUILD_MANIFEST, _SELECT_MANIFEST,
+        *(f"{kind}_{s}.jsonl" for s in STRATEGIES for kind in ("selections", "prompts")),
+    })
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
     # (vocab, records) per corpus cache, kept from ingest for the polynomial stage.
@@ -139,7 +144,7 @@ def cmd_build(config: RunConfig) -> int:
         if not corpus_records:
             raise DataError("every corpus record was removed by the length filter")
         for cache, cache_records in (("corpus_cache", corpus_records), ("test_cache", test_records)):
-            write_corpus_cache(paths[cache], cache_records, vocab, intern_tokens(cache_records))
+            write_corpus_cache(paths[cache], cache_records, vocab)
             loaded[cache] = (vocab, cache_records)
         return (
             f"{len(corpus_records)} records kept, {removed} removed by the "
@@ -391,6 +396,19 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, {key: getattr(args, key) for key in KEY_TYPES})
 
 
+def _pool_ids(text: str) -> list[int]:
+    """The corpus ids of ``--pool``: integers, each named once."""
+    ids: list[int] = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            ids.append(int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part.strip()!r} is not an integer id") from None
+        if ids[-1] in ids[:-1]:
+            raise argparse.ArgumentTypeError(f"id {ids[-1]} is named twice")
+    return ids
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scoi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"scoi {__version__}")
@@ -412,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p_inspect)
     p_inspect.add_argument("--record", type=int, required=True)
     p_inspect.add_argument("--side", choices=("corpus", "test"), default="corpus")
-    p_inspect.add_argument("--pool", default="", help="comma-separated corpus ids to cover with")
+    p_inspect.add_argument("--pool", type=_pool_ids, default=[],
+                           help="comma-separated corpus ids to cover with")
     return parser
 
 
@@ -427,8 +446,7 @@ def main(argv=None) -> int:
             return cmd_bench(args)
         if args.command == "inspect":
             config = _config_from_args(args)
-            pool_ids = [int(x) for x in args.pool.split(",") if x.strip()]
-            return cmd_inspect(config, args.record, args.side, pool_ids)
+            return cmd_inspect(config, args.record, args.side, args.pool)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

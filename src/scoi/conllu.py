@@ -13,13 +13,13 @@ fixed-width keys (length, then the bytes as 64-bit words), new labels going
 into the vocabulary in first-seen order.  Each HEAD is mapped to a position
 within its block, and ``first_bad_tree`` checks every tree at once.
 
-A block the scan cannot vouch for (a short row, an ID or HEAD that is not 1 to
-9 ASCII digits, a duplicate ID, no tokens, a root count other than one, a
-dangling HEAD, a cycle) goes through the per-line parser ``_parse_block``, in
-file order: either it raises that block's located error, or, for odd but valid
-input such as a ``+3`` HEAD, its tree is spliced in.  A chunk that is not
-UTF-8 fails at its first bad line, after the blocks before that line have been
-parsed.  Every error names the file.
+The scan vouches for a whole chunk or for none of it.  A chunk that is not
+UTF-8, or that has a line led by a whitespace byte, a short row, an ID or HEAD
+that is not 1 to 9 ASCII digits, a DEPREL longer than ``_KEY_BYTES`` bytes, a
+duplicate ID, a dangling HEAD or a block that is not a tree, is parsed instead
+by the per-line parser ``_parse_lines``.  It raises the first error in file
+order, located by line or block, or, for odd but valid input such as a ``+3``
+HEAD, returns the chunk's trees.  Every error names the file.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ _DEPREL_COL = 7
 # the per-line path.
 _DIGITS = 9
 # DEPRELs up to this many bytes are interned as fixed-width keys; a chunk with
-# a longer one interns its DEPRELs as bytes objects.
+# a longer one takes the per-line path.
 _KEY_BYTES = 64
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # masks of n low bytes
 # First bytes of the UTF-8 forms of the characters ``str.strip()`` removes: a
-# line that starts with none of them is not blank.
+# line that starts with none of them is not blank, and a chunk with a
+# non-empty line that starts with one takes the per-line path.
 _SPACE_LEAD = np.zeros(256, bool)
 _SPACE_LEAD[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f \xc2\xe1\xe2\xe3")] = True
 
@@ -196,28 +197,20 @@ def _digits(b: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarr
 
 def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
             vocab: LabelVocabulary) -> np.ndarray:
-    """Vocabulary ids of the UTF-8 strings ``b[start:start+width]``; the new
-    ones are added in first-seen order."""
+    """Vocabulary ids of the UTF-8 strings ``b[start:start+width]``, none
+    longer than ``_KEY_BYTES``; the new ones are added in first-seen order."""
     if not len(start):
         return np.empty(0, np.int32)
-    longest = int(width.max())
-    if longest <= _KEY_BYTES:
-        # A key is the width, then the bytes as little-endian words, zeroed
-        # past the end; the words are read through a view with a one-byte stride.
-        padded = np.concatenate((b, np.zeros(8, np.uint8)))
-        words = np.ndarray(len(b), "<u8", padded, strides=(1,))
-        keys = [width] + [words[np.minimum(start + k, len(b) - 1)] & _LOW_BYTES[np.clip(width - k, 0, 8)]
-                          for k in range(0, longest, 8)]
-        order = np.lexsort(keys)
-        ordered = [key[order] for key in keys]
-        differs = np.logical_or.reduce([key[1:] != key[:-1] for key in ordered])
-    else:
-        strings = np.array([data[s:s + n] for s, n in zip(start.tolist(), width.tolist())], object)
-        order = np.argsort(strings, kind="stable")
-        ordered = strings[order]
-        differs = ordered[1:] != ordered[:-1]
+    # A key is the width, then the bytes as little-endian words, zeroed past
+    # the end; the words are read through a view with a one-byte stride.
+    padded = np.concatenate((b, np.zeros(8, np.uint8)))
+    words = np.ndarray(len(b), "<u8", padded, strides=(1,))
+    keys = [width] + [words[np.minimum(start + k, len(b) - 1)] & _LOW_BYTES[np.clip(width - k, 0, 8)]
+                      for k in range(0, int(width.max()), 8)]
+    order = np.lexsort(keys)
+    ordered = [key[order] for key in keys]
     # Sorting is stable, so a run of equal keys starts with its first-seen row.
-    opens = np.concatenate(([True], differs))
+    opens = np.concatenate(([True], np.logical_or.reduce([key[1:] != key[:-1] for key in ordered])))
     first = order[opens]
     ids = np.empty(len(first), np.int32)
     for g in np.argsort(first).tolist():
@@ -228,107 +221,87 @@ def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
     return labels
 
 
-def _raise_not_utf8(data: bytes, bad: int, first_line: int, first_block: int,
-                    vocab: LabelVocabulary) -> None:
-    """Raise what a line-by-line read of ``data`` meets first, when byte ``bad``
-    starts its first invalid UTF-8 sequence: the error of a block that ends
-    before the line holding that byte, or that line's own."""
-    line_start = data.rfind(b"\n", 0, bad) + 1
-    # The blocks before that line's block end at the last blank line above it.
-    cut = line_start
-    while cut:
-        above = data.rfind(b"\n", 0, cut - 1) + 1
-        if not data[above:cut].decode("utf-8").strip():
-            break
-        cut = above
-    _scan(data[:cut], first_line, first_block, vocab)
-    lineno = first_line + data.count(b"\n", 0, line_start)
-    raise DataError(f"line {lineno}: not UTF-8")
-
-
-def _scan(data: bytes, first_line: int, first_block: int,
-          vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(data: bytes, vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """int32 labels, int32 parents and int64 node counts of the blocks of
-    ``data``, newline-terminated lines that start at line ``first_line`` and
-    block ``first_block``."""
+    ``data``, newline-terminated lines, or None if any block needs the
+    per-line parser: for its error, or for a field the scan does not read."""
     try:
         data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        _raise_not_utf8(data, exc.start, first_line, first_block, vocab)
+    except UnicodeDecodeError:
+        return None
     b = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1)) if len(ends) else ends
     lead = b[starts]  # an empty line's lead byte is its \n
     blank = starts == ends
-    maybe = np.flatnonzero(~blank & _SPACE_LEAD[lead])
-    blank[maybe] = [not data[s:e].decode("utf-8").strip()
-                    for s, e in zip(starts[maybe].tolist(), ends[maybe].tolist())]
+    if _SPACE_LEAD[lead[~blank]].any():
+        return None
     opens = ~blank
     opens[1:] &= blank[:-1]
     n_blocks = int(np.count_nonzero(opens))
-    block_of_line = np.cumsum(opens) - 1
-    bad = np.zeros(n_blocks, bool)
 
-    # Rows are the lines of blocks that are not comments; short ones fail.
+    # Rows are the lines of blocks that are not comments.
     rows = np.flatnonzero(~blank & (lead != ord("#")))
     row_end = ends[rows]
     # Tab positions, padded with ones past every line so tab k + 7 of a line exists.
     tabs = np.append(np.flatnonzero(b == ord("\t")), np.full(_DEPREL_COL + 1, len(b)))
     first_tab = np.searchsorted(tabs, starts[rows])
-    full = tabs[first_tab + _DEPREL_COL - 1] < row_end
-    bad[block_of_line[rows[~full]]] = True
-    rows, row_end, first_tab = rows[full], row_end[full], first_tab[full]
+    if (tabs[first_tab + _DEPREL_COL - 1] >= row_end).any():  # a short row
+        return None
     id_end = tabs[first_tab]
     ids, id_ok = _digits(b, starts[rows], id_end)
-    # An ID that is not digits is skipped if it holds "-" or "." (a range or
-    # an empty node).
-    token = np.ones(len(rows), bool)
-    odd = np.flatnonzero(~id_ok)
-    for i, s, e in zip(odd.tolist(), starts[rows[odd]].tolist(), id_end[odd].tolist()):
-        token[i] = b"-" not in data[s:e] and b"." not in data[s:e]
-    rows, row_end, first_tab = rows[token], row_end[token], first_tab[token]
-    ids, id_ok = ids[token], id_ok[token]
-
-    block = block_of_line[rows]
+    # A row whose ID is not digits is skipped if the ID holds "-" or "." (a
+    # range or an empty node).
+    for s, e in zip(starts[rows[~id_ok]].tolist(), id_end[~id_ok].tolist()):
+        if b"-" not in data[s:e] and b"." not in data[s:e]:
+            return None
+    rows, row_end, first_tab, ids = rows[id_ok], row_end[id_ok], first_tab[id_ok], ids[id_ok]
     heads, head_ok = _digits(b, tabs[first_tab + _HEAD_COL - 1] + 1, tabs[first_tab + _HEAD_COL])
     deprel_start = tabs[first_tab + _DEPREL_COL - 1] + 1
-    deprel_end = np.minimum(tabs[first_tab + _DEPREL_COL], row_end)
-    labels = _intern(data, b, deprel_start, deprel_end - deprel_start, vocab)
+    deprel_width = np.minimum(tabs[first_tab + _DEPREL_COL], row_end) - deprel_start
+    if not head_ok.all() or deprel_width.max(initial=0) > _KEY_BYTES:
+        return None
 
-    bad[block[~(id_ok & head_ok)]] = True
-    sizes = np.bincount(block, minlength=n_blocks)
-    is_root = heads == 0
-    bad |= (sizes == 0) | (np.bincount(block[is_root], minlength=n_blocks) != 1)
     # Keyed by (block, ID) and sorted, equal neighbours are duplicate IDs, and
     # each HEAD is looked up as (block, HEAD).
+    block = (np.cumsum(opens) - 1)[rows]
     keys = (block << 32) | ids
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    bad[block[order[1:][ordered[1:] == ordered[:-1]]]] = True
     head_keys = (block << 32) | heads
     target = np.minimum(np.searchsorted(ordered, head_keys), max(len(keys) - 1, 0))
-    bad[block[~is_root & (ordered[target] != head_keys)]] = True
+    is_root = heads == 0
+    if (ordered[1:] == ordered[:-1]).any() or (~is_root & (ordered[target] != head_keys)).any():
+        return None
+    sizes = np.bincount(block, minlength=n_blocks)
     offsets = offsets_from_sizes(sizes)
-    local = np.arange(len(block)) - offsets[block]
     parents = np.where(is_root, ROOT, order[target] - offsets[block]).astype(np.int32)
-    # A block already refused stands in as a star, so first_bad_tree finds the
-    # first cycle among the others.
-    in_bad = bad[block]
-    parents[in_bad] = np.where(local[in_bad] == 0, ROOT, 0)
-    nonempty = np.flatnonzero(sizes)
-    cyclic = first_bad_tree(labels, parents, np.append(offsets[nonempty], offsets[-1]), len(vocab))
-    if cyclic is not None:
-        bad[nonempty[cyclic[0]]] = True
-
-    first_lines = np.flatnonzero(opens)
-    last_lines = np.flatnonzero(~blank & np.append(blank[1:], True))
-    for index in np.flatnonzero(bad).tolist():
-        lo, hi = first_lines[index], last_lines[index]
-        text = data[starts[lo]:ends[hi]].decode("utf-8").split("\n")
-        lines = list(zip(range(first_line + lo, first_line + hi + 1), text))
-        tree = _parse_block(lines, vocab, first_block + index)
-        parents[offsets[index]:offsets[index + 1]] = tree.parents
+    labels = _intern(data, b, deprel_start, deprel_width, vocab)
+    # This also refuses a block with no tokens or a root count other than one.
+    if first_bad_tree(labels, parents, offsets, len(vocab)) is not None:
+        return None
     return labels, parents, sizes
+
+
+def _parse_lines(data: bytes, first_line: int, first_block: int,
+                 vocab: LabelVocabulary) -> TreeColumns:
+    """The blocks of ``data``, newline-terminated lines that start at line
+    ``first_line`` and block ``first_block``, parsed one line at a time."""
+    trees: list[DependencyTree] = []
+    block: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(data.split(b"\n")[:-1], first_line):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"line {lineno}: not UTF-8") from None
+        if line.strip():
+            block.append((lineno, line))
+        elif block:
+            trees.append(_parse_block(block, vocab, first_block + len(trees)))
+            block = []
+    if block:
+        trees.append(_parse_block(block, vocab, first_block + len(trees)))
+    return TreeColumns.from_trees(trees)
 
 
 def load_conllu(path, vocab: LabelVocabulary) -> TreeColumns:
@@ -339,8 +312,12 @@ def load_conllu(path, vocab: LabelVocabulary) -> TreeColumns:
         with open(path, "rb") as fh:
             n_blocks = 0
             for first_line, chunk in _chunks(fh):
-                parts.append(_scan(chunk, first_line, n_blocks, vocab))
-                n_blocks += len(parts[-1][2])
+                part = _scan(chunk, vocab)
+                if part is None:
+                    trees = _parse_lines(chunk, first_line, n_blocks, vocab)
+                    part = trees.labels, trees.parents, np.diff(trees.offsets)
+                parts.append(part)
+                n_blocks += len(part[2])
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     labels, parents, sizes = (np.concatenate(column) for column in zip(*parts))

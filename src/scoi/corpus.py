@@ -18,7 +18,7 @@ from .conllu import TreeColumns, load_conllu, offsets_from_sizes
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
-from .retrieval import TokenColumn
+from .retrieval import TokenColumn, intern_tokens
 from .tokenizer import apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
@@ -195,12 +195,11 @@ def _tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
     return TreeColumns.from_trees([r.tree for r in records])
 
 
-def write_corpus_cache(
-    path, records: Sequence[ExampleRecord], vocab: LabelVocabulary, tokens: TokenColumn
-) -> None:
-    """Write the cache; ``tokens`` is ``intern_tokens(records)``."""
+def write_corpus_cache(path, records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> None:
+    """Write the cache; tokens are interned in first-seen order."""
     from .tokenizer import TOKENIZER_VERSION
 
+    tokens = intern_tokens(records)
     cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids}
     for side in ("source", "target"):
         encoded = [getattr(r, side).encode("utf-8") for r in records]
@@ -252,6 +251,12 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], Token
         if cols[name].ndim != 1 or cols[name].dtype != dtype:
             raise DataError(f"{path}: segment {name} is not a one-dimensional {dtype} array")
     ids = cols["ids"]
+    # select looks records up by id with a binary search.
+    bad = np.flatnonzero(np.diff(ids) <= 0)
+    if bad.size:
+        raise DataError(
+            f"{path}: record {ids[bad[0] + 1]}: id is not above the id {ids[bad[0]]} before it"
+        )
     for name, offsets in _OFFSETS.items():
         bounds, size = cols[offsets], len(cols[name])
         if (bounds.shape != (len(ids) + 1,) or bounds[0] != 0 or bounds[-1] != size

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .errors import DataError
 
 MANIFEST_FORMAT = "scoi-manifest"
 MANIFEST_VERSION = 1
+# The temp file of an ``atomic_write`` of <name> by process <pid>.
+_TEMP_NAME = re.compile(r"\.(.+)\.([1-9][0-9]{0,8})\.tmp")
 
 
 def compact_json(obj) -> str:
@@ -86,6 +89,22 @@ def atomic_write(path: Path | str, mode: str = "w"):
             exc.filename = str(path)
             exc.filename2 = None
         raise
+
+
+def remove_stale_temps(directory: Path, names: set[str]) -> None:
+    """Delete the temp files ``atomic_write`` left in ``directory`` for any
+    of ``names`` when killed: ``.<name>.<pid>.tmp`` where no process ``pid``
+    runs.  A file whose writer may still be alive is kept."""
+    for entry in directory.iterdir():
+        match = _TEMP_NAME.fullmatch(entry.name)
+        if match is None or match[1] not in names:
+            continue
+        try:
+            os.kill(int(match[2]), 0)
+        except ProcessLookupError:
+            entry.unlink(missing_ok=True)
+        except PermissionError:  # the process exists but is not ours to signal
+            pass
 
 
 def sha256_file(path: Path | str) -> str:

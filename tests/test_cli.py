@@ -318,6 +318,28 @@ class TestBuild:
         assert capsys.readouterr().err == f"data error: {paths[key]}: line 2: not UTF-8\n"
         assert not (out / "corpus.bin").exists()
 
+    def test_rebuild_removes_temp_files_of_dead_writers_only(self, built, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        assert dead.wait(timeout=60) == 0
+        live = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                                stdin=subprocess.PIPE)
+        try:
+            stale = [f".{name}.{dead.pid}.tmp"
+                     for name in ("corpus.bin", "build-manifest.json", "prompts_dpp.jsonl")]
+            kept = [f".corpus.bin.{live.pid}.tmp", f".notes.txt.{dead.pid}.tmp",
+                    f".corpus.bin.0{dead.pid}.tmp", ".test.bin.x.tmp"]
+            for name in stale + kept:
+                (out / name).write_bytes(b"partial")
+            assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+            assert live.poll() is None
+        finally:
+            live.stdin.close()
+            live.wait(timeout=60)
+        assert sorted(p.name for p in out.glob(".*.tmp")) == sorted(kept)
+        assert capsys.readouterr().out.count("skipped") == 2
+
     def test_usage_error_exits_1(self, capsys):
         assert run("select", "--config", DEMO_CFG, "--strategy", "bogus") == 1
 
@@ -602,6 +624,31 @@ class TestCorruptCache:
         extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
         assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
         assert capsys.readouterr().err == f"data error: {path}: {expected}\n"
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    def test_ids_out_of_order_exit_2_before_the_digest_check(
+        self, built, tmp_path, capsys, command
+    ):
+        # Records 0 and 1 swap ids in both corpus caches, and the manifest
+        # records the new digests, so only the id order is wrong.
+        def swap(segments):
+            segments["ids"][[0, 1]] = segments["ids"][[1, 0]]
+
+        out, path = _corrupt(built, tmp_path, "corpus.bin", _edit_segments(swap))
+        poly_path = out / "corpus.poly.bin"
+        vocab, items = scoi.treepoly.read_polynomial_cache(poly_path)
+        items[0], items[1] = (items[1][0], items[0][1]), (items[0][0], items[1][1])
+        scoi.treepoly.write_polynomial_cache(poly_path, items, vocab)
+        manifest_path = out / "build-manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["stages"]["corpus"]["outputs"]["corpus_cache"] = sha256_file(path)
+        manifest["stages"]["polynomials"]["outputs"]["corpus_poly"] = sha256_file(poly_path)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: record 0: id is not above the id 1 before it\n"
+        )
 
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
@@ -1043,6 +1090,19 @@ class TestInspectCommand:
         with open(out / "test.poly.bin", "rb") as fh:
             fh.readline()
             assert np.load(fh).dtype == np.uint16
+
+    @pytest.mark.parametrize("pool, message", [
+        ("x", "'x' is not an integer id"),
+        ("1, 2.5", "'2.5' is not an integer id"),
+        ("2,2", "id 2 is named twice"),
+        ("5,3,5,5", "id 5 is named twice"),
+    ])
+    def test_bad_pool_is_a_usage_error(self, built, capsys, pool, message):
+        args = ("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "0")
+        assert run(*args, "--pool", pool) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --pool: {message}\n"
 
     def test_inspect_unknown_record_exits_2(self, built, capsys):
         assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "99999") == 2

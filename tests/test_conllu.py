@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -433,3 +435,32 @@ def test_parse_peak_memory_is_bounded_by_the_chunk(tmp_path):
         tracemalloc.stop()
     assert len(trees) == path.stat().st_size // len(block)
     assert peak < 32 * 2**20
+
+
+def _perfbench_gen():
+    """``perfbench/gen.py``, loaded read-only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_canonical_input_never_takes_the_per_line_path(tmp_path):
+    gen = _perfbench_gen()
+    demo = Path(__file__).resolve().parent.parent / "data" / "demo"
+    paths = [demo / "corpus.conllu", demo / "test.conllu"]
+    for seed, (low, high) in enumerate([(8, 40), (40, 130)]):
+        spec = gen.CorpusSpec(pairs=200, min_tokens=low, max_tokens=high,
+                              tests=20, test_min_tokens=low, test_max_tokens=high)
+        written = gen.generate(spec, seed, tmp_path / str(seed))
+        paths += [written["corpus.conllu"], written["test.conllu"]]
+    with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        for path in paths:
+            assert len(load_conllu(path, LabelVocabulary())) >= 8
+    assert spy.call_count == 0
+    # The same spy does see odd but valid input.
+    with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        test_odd_but_valid_fields_take_the_per_line_path(tmp_path)
+    assert spy.call_count == 1

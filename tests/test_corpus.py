@@ -17,7 +17,6 @@ from scoi.corpus import (
     write_corpus_cache,
 )
 from scoi.errors import AlignmentError, DataError
-from scoi.retrieval import intern_tokens
 from scoi.treepoly import LabelVocabulary, simplified_polynomial
 
 from conftest import random_recursive_tree
@@ -151,7 +150,7 @@ class TestCorpusCache:
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         records[3].target = "naïve ✓ 😀"
         path = tmp_path / "corpus.bin"
-        write_corpus_cache(path, records, vocab, intern_tokens(records))
+        write_corpus_cache(path, records, vocab)
         loaded_vocab, loaded, _ = read_corpus_cache(path)
         assert loaded_vocab == vocab
         assert [(r.id, r.source, r.target, r.token_list) for r in loaded] == [
@@ -168,7 +167,7 @@ class TestCorpusCache:
         vocab = LabelVocabulary()
         path = tmp_path / "corpus.bin"
         records = load_parallel_corpus(src, tgt, conllu, vocab)
-        write_corpus_cache(path, records, vocab, intern_tokens(records))
+        write_corpus_cache(path, records, vocab)
         _, loaded, _ = read_corpus_cache(path)
         record = loaded[2]
         assert set(vars(record)) == {"id", "poly", "_cols", "_row"}
@@ -183,7 +182,7 @@ class TestCorpusCache:
         for path in (a, b):
             vocab = LabelVocabulary()
             records = load_parallel_corpus(src, tgt, conllu, vocab)
-            write_corpus_cache(path, records, vocab, intern_tokens(records))
+            write_corpus_cache(path, records, vocab)
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -207,7 +206,7 @@ class TestCorpusCache:
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         records[0].target, records[1].target = "é", "è"
         path = tmp_path / "corpus.bin"
-        write_corpus_cache(path, records, vocab, intern_tokens(records))
+        write_corpus_cache(path, records, vocab)
         fh = io.BytesIO(path.read_bytes())
         header = fh.readline()
         segments = {name: np.load(fh) for name in _SEGMENTS}

@@ -95,7 +95,7 @@ class TestIndexEquivalence:
         for r in ordered:
             r.tree = DependencyTree([0] * len(r.token_list), [-1, *range(len(r.token_list) - 1)])
         vocab = LabelVocabulary(["dep"])
-        write_corpus_cache(tmp / "corpus.bin", ordered, vocab, intern_tokens(ordered))
+        write_corpus_cache(tmp / "corpus.bin", ordered, vocab)
         _, _, cached_column = read_corpus_cache(tmp / "corpus.bin")
         indexes = {
             "oracle": oracle_build_index(corpus),
