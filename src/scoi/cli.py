@@ -23,13 +23,14 @@ from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
 from .corpus import (
     CORPUS_CACHE_VERSION,
     apply_polynomial_cache,
-    attach_polynomials,
     filter_by_length,
     load_parallel_corpus,
     load_test_inputs,
     read_corpus_cache,
+    tree_columns,
     write_corpus_cache,
 )
+from .corpus import attach_polynomials  # noqa: F401  perfbench/traced.py wraps this
 from .coverage import TokenBag, syn_set_cov, word_set_cov
 from .errors import ConfigError, DataError, ScoiError
 from .manifest import (
@@ -51,6 +52,7 @@ from .treepoly import (
     LabelVocabulary,
     Polynomial,
     read_polynomial_cache,
+    simplified_rows,
     write_polynomial_cache,
 )
 
@@ -122,11 +124,15 @@ def cmd_build(config: RunConfig) -> int:
     })
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
-    # (vocab, records) per corpus cache, kept from ingest for the polynomial stage.
+    # (vocab, record ids, tree columns) per corpus cache, kept from ingest
+    # for the polynomial stage.
     loaded: dict[str, tuple] = {}
 
-    def records(cache: str):
-        return loaded.get(cache) or read_corpus_cache(paths[cache])[:2]
+    def trees(cache: str):
+        if cache not in loaded:
+            vocab, cache_records, tokens = read_corpus_cache(paths[cache])
+            loaded[cache] = (vocab, tokens.record_ids, tree_columns(cache_records))
+        return loaded[cache]
 
     def ingest() -> str:
         vocab = LabelVocabulary()
@@ -144,25 +150,20 @@ def cmd_build(config: RunConfig) -> int:
         if not corpus_records:
             raise DataError("every corpus record was removed by the length filter")
         for cache, cache_records in (("corpus_cache", corpus_records), ("test_cache", test_records)):
-            write_corpus_cache(paths[cache], cache_records, vocab)
-            loaded[cache] = (vocab, cache_records)
+            loaded[cache] = (vocab, *write_corpus_cache(paths[cache], cache_records, vocab))
         return (
             f"{len(corpus_records)} records kept, {removed} removed by the "
             f"{config.max_tokens}-token filter"
         )
 
     def polynomials() -> str:
-        vocab, corpus_records = records("corpus_cache")
-        _, test_records = records("test_cache")
-        attach_polynomials(corpus_records, vocab)
-        attach_polynomials(test_records, vocab)
-        write_polynomial_cache(
-            paths["corpus_poly"], ((r.id, r.poly) for r in corpus_records), vocab
-        )
-        write_polynomial_cache(
-            paths["test_poly"], ((r.id, r.poly) for r in test_records), vocab
-        )
-        return f"{len(corpus_records) + len(test_records)} built"
+        built = 0
+        for cache, poly in (("corpus_cache", "corpus_poly"), ("test_cache", "test_poly")):
+            vocab, ids, columns = trees(cache)
+            polys = simplified_rows(columns.labels, columns.parents, columns.offsets, len(vocab))
+            write_polynomial_cache(paths[poly], ids, *polys, vocab)
+            built += len(ids)
+        return f"{built} built"
 
     def pick(*keys: str) -> dict[str, Path]:
         return {key: paths[key] for key in keys}

@@ -71,6 +71,7 @@ class _ParsedRecord(ExampleRecord):
         super().__init__(id, source, target, token_list)
         self.trees = trees
 
+    _row = property(lambda self: self.id)
     tree = property(lambda self: self.trees[self.id])
 
 
@@ -186,17 +187,20 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
             "labels": "node_offsets", "parents": "node_offsets"}
 
 
-def _tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
-    """The records' trees as columns.  Rows of one parsed file are copied as
-    they are, without building a tree."""
-    parsed = getattr(records[0], "trees", None) if records else None
-    if parsed is not None and all(getattr(r, "trees", None) is parsed for r in records):
-        return parsed.take(np.fromiter((r.id for r in records), np.int64, len(records)))
+def tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
+    """The records' trees as columns.  Rows of one parsed file or one cache
+    are copied as they are, without building a tree."""
+    trees = getattr(records[0], "trees", None) if records else None
+    if trees is not None and all(getattr(r, "trees", None) is trees for r in records):
+        return trees.take(np.fromiter((r._row for r in records), np.int64, len(records)))
     return TreeColumns.from_trees([r.tree for r in records])
 
 
-def write_corpus_cache(path, records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> None:
-    """Write the cache; tokens are interned in first-seen order."""
+def write_corpus_cache(
+    path, records: Sequence[ExampleRecord], vocab: LabelVocabulary
+) -> tuple[np.ndarray, TreeColumns]:
+    """Write the cache; tokens are interned in first-seen order.  Returns the
+    record ids and the tree columns written, for the polynomial stage."""
     from .tokenizer import TOKENIZER_VERSION
 
     tokens = intern_tokens(records)
@@ -205,7 +209,7 @@ def write_corpus_cache(path, records: Sequence[ExampleRecord], vocab: LabelVocab
         encoded = [getattr(r, side).encode("utf-8") for r in records]
         cols[_OFFSETS[side]] = offsets_from_sizes(list(map(len, encoded)))
         cols[side] = np.frombuffer(b"".join(encoded), np.uint8)
-    trees = _tree_columns(records)
+    trees = tree_columns(records)
     cols.update(node_offsets=trees.offsets, labels=trees.labels, parents=trees.parents)
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
               "tokenizer_version": TOKENIZER_VERSION, "labels": vocab.labels,
@@ -214,6 +218,7 @@ def write_corpus_cache(path, records: Sequence[ExampleRecord], vocab: LabelVocab
         fh.write(compact_json(header).encode("utf-8") + b"\n")
         for name, dtype in _SEGMENTS.items():
             np.save(fh, cols[name].astype(dtype, copy=False))
+    return tokens.record_ids, trees
 
 
 class _CachedRecord(ExampleRecord):
@@ -231,7 +236,8 @@ class _CachedRecord(ExampleRecord):
     token_list = cached_property(
         lambda self: tuple(self._cols["names"][i] for i in self._slice("tokens").tolist())
     )
-    tree = cached_property(lambda self: self._cols["trees"][self._row])
+    trees = property(lambda self: self._cols["trees"])
+    tree = cached_property(lambda self: self.trees[self._row])
 
 
 def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], TokenColumn]:

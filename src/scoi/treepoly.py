@@ -9,22 +9,27 @@ Two constructions are provided:
   variable blocks (an ``x`` and a ``y`` variable per label).  Its term count
   can blow up combinatorially, so it runs under an explicit term budget.
 
-Terms are stored internally as packed integers: 32 bits of exponent per
+The per-tree API stores terms as packed integers: 32 bits of exponent per
 label index, so a monomial is one arbitrary-precision int and multiplying
-two monomials is integer addition.  This keeps corpus-scale construction
-fast (single-digit microseconds per node) while staying exact.  The packed
-form is bijective as long as no exponent reaches 2**32, i.e. for any tree
-with fewer than 4 billion nodes.  ``canonical_batch`` unpacks the keys of
-a batch of polynomials at once into one exponent matrix, each polynomial's
-rows in canonical order, and ``canonical_terms`` is its one-polynomial
-call; ``decode_term`` and ``encode_term`` are the one-term reference
-forms.  The polynomial cache stores those matrices, and a ``Polynomial``
-read from it keeps its rows and packs keys only when asked for them.
+two monomials is integer addition.  The packed form is bijective as long
+as no exponent reaches 2**32, i.e. for any tree with fewer than 4 billion
+nodes.  ``canonical_batch`` unpacks the keys of a batch of polynomials at
+once into one exponent matrix, each polynomial's rows in canonical order,
+and ``canonical_terms`` is its one-polynomial call; ``decode_term`` and
+``encode_term`` are the one-term reference forms.
+
+The build computes the polynomial cache's rows from tree columns instead
+(``simplified_rows``), with no tree and no key: a node's term is its
+parent's plus one of its own label, so pointer doubling over the parent
+map sums every root-to-node path in ceil(log2(depth)) whole-array rounds.
+It works on batches of whole trees of at most ``_BATCH_NODES`` nodes and
+orders each batch's rows with the sort ``canonical_batch`` uses
+(``_canonical_order``).  A ``Polynomial`` read from the cache keeps its
+rows and packs keys only when asked for them.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
@@ -106,29 +111,35 @@ def canonical_batch(
     mat = np.frombuffer(raw, "<u4").reshape(n, dim)
     counts = np.fromiter(chain.from_iterable(t.values() for t in term_maps), np.int64, n)
     if n > len(term_maps):
-        # One sort orders every polynomial's rows.  A row's key is its
-        # polynomial's position, then per column its rank, as big-endian
-        # bytes: sorted (label, exponent) pairs compare column by column as
-        # the exponent where it is nonzero; above every exponent where it is
-        # zero and a nonzero follows (that row's next pair has a larger
-        # label); 0 where no nonzero follows (that row's tuple has ended).
-        # Distinct terms have distinct keys, and the polynomials' rows come
-        # in polynomial order, which a stable sort makes use of.
-        gap = int(mat.max()) + 1
-        rank = next(t for t in _RANK_DTYPES if gap <= np.iinfo(t).max)
-        ranks = mat.astype(rank.newbyteorder("="))
-        nonzero = ranks != 0
-        column = np.arange(1, dim + 1, dtype=np.min_scalar_type(dim))
-        last = (nonzero * column).max(axis=1)
-        ranks[~nonzero & (column <= last[:, None])] = gap
-        key = np.empty((n, 4 + dim * rank.itemsize), dtype=np.uint8)
-        position = np.repeat(np.arange(len(term_maps), dtype=">u4"), sizes)
-        key[:, :4] = position[:, None].view(np.uint8)
-        key[:, 4:] = ranks.astype(rank).view(np.uint8)
-        order = np.argsort(key.view(f"S{key.shape[1]}")[:, 0], kind="stable")
+        order = _canonical_order(mat, np.repeat(np.arange(len(term_maps)), sizes))
         mat = mat[order]
         counts = counts[order]
     return mat, counts, offsets
+
+
+def _canonical_order(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the rows of ``mat`` by ``position``, then
+    in canonical order.
+
+    One sort over fixed-width byte keys: a row's key is its position, then
+    per column its rank, as big-endian bytes.  Sorted (label, exponent)
+    pairs compare column by column as the exponent where it is nonzero;
+    above every exponent where it is zero and a nonzero follows (that row's
+    next pair has a larger label); 0 where no nonzero follows (that row's
+    tuple has ended).  Equal keys are equal rows of one position.
+    """
+    n, dim = mat.shape
+    gap = int(mat.max(initial=0)) + 1
+    rank = next(t for t in _RANK_DTYPES if gap <= np.iinfo(t).max)
+    ranks = mat.astype(rank.newbyteorder("="))
+    nonzero = ranks != 0
+    column = np.arange(1, dim + 1, dtype=np.min_scalar_type(dim))
+    last = (nonzero * column).max(axis=1, initial=0)
+    ranks[~nonzero & (column <= last[:, None])] = gap
+    key = np.empty((n, 4 + dim * rank.itemsize), dtype=np.uint8)
+    key[:, :4] = position.astype(">u4")[:, None].view(np.uint8)
+    key[:, 4:] = ranks.astype(rank).view(np.uint8)
+    return np.argsort(key.view(f"S{key.shape[1]}")[:, 0], kind="stable")
 
 
 def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +466,26 @@ def check_labels(tree: DependencyTree, vocab_size: int) -> None:
         raise UnknownLabelError(f"label index {bad} outside vocabulary of size {vocab_size}")
 
 
+def _jump(anc: np.ndarray, depth: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Pointer jumping: square the ancestor map ``anc``, whose roots point at
+    fixed points, until every node points at a fixed point, or for the
+    ceil(log2(depth)) + 1 rounds that take every node of a path at most
+    ``depth`` long there.  Returns the last map.
+
+    With ``rows``, each round first adds row ``anc[v]`` to row v, so once v
+    points at a fixed point with a zero row, row v sums the initial rows of
+    every node on v's path: after k rounds it sums v's first 2**k.
+    """
+    for _ in range((depth - 1).bit_length() + 1):
+        up = anc[anc]
+        if np.array_equal(up, anc):
+            break
+        if rows is not None:
+            rows += rows[anc]
+        anc = up
+    return anc
+
+
 def first_bad_tree(
     labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, vocab_size: int
 ) -> tuple[int, str] | None:
@@ -463,9 +494,9 @@ def first_bad_tree(
     offsets[i+1]``; its parents index its own nodes.  Whole-array checks find
     it: a root count other than one, a node that does not reach the root, a
     label outside the vocabulary.  Roots and nodes with a parent out of range
-    point at themselves, and ceil(log2(n)) + 1 squarings of the ancestor map
-    take every node of an acyclic n-node tree to its root.  The message comes
-    from the per-tree path on the tree found, so wording and precedence match.
+    point at themselves, and ``_jump`` takes every node of an acyclic tree
+    to its root.  The message comes from the per-tree path on the tree
+    found, so wording and precedence match.
     """
     sizes = np.diff(offsets)
     tree_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -473,8 +504,7 @@ def first_bad_tree(
     is_root = parents == ROOT
     stray = ~is_root & ((parents < 0) | (parents >= sizes[tree_of]))
     anc = np.where(is_root | stray, np.arange(len(parents)), offsets[tree_of] + parents)
-    for _ in range(int(sizes.max(initial=1) - 1).bit_length() + 1):
-        anc = anc[anc]
+    anc = _jump(anc, int(sizes.max(initial=1)))
     bad_nodes = ~is_root[anc] | (labels < 0) | (labels >= vocab_size)
     bad = (np.bincount(tree_of[is_root], minlength=len(sizes)) != 1) | (
         np.bincount(tree_of[bad_nodes], minlength=len(sizes)) > 0
@@ -677,38 +707,73 @@ def _row_dtype(largest: int) -> np.dtype:
     raise ValueError(f"a polynomial of {largest} terms is too large to cache")
 
 
-# Term rows per canonicalization sort: few sorts, and a bounded key matrix.
-_BATCH_ROWS = 1 << 12
+# Nodes per batch of ``simplified_rows``: few sorts, and small batch matrices.
+_BATCH_NODES = 1 << 12
+
+
+def simplified_rows(
+    labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, dim: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The simplified polynomials of trees given as columns, as the
+    polynomial cache stores them; no tree or term key is built.
+
+    Tree i owns entries ``offsets[i]:offsets[i+1]``, its parents index its
+    own nodes, and it has passed ``first_bad_tree`` for ``dim`` labels.
+    Returns the distinct term rows as one matrix per batch of whole trees
+    (at most ``_BATCH_NODES`` nodes, or one larger tree), in the row type of
+    the largest tree; int64 ``counts`` (multiplicities); and int64
+    ``offsets``: tree i owns rows ``offsets[i]:offsets[i+1]``, in canonical
+    order.  These equal ``canonical_batch`` of the trees'
+    ``simplified_term_counter``.
+    """
+    sizes = np.diff(offsets)
+    dtype = _row_dtype(int(sizes.max(initial=0)))
+    # The leading 0 of ``distinct`` makes its cumulative sum the row offsets.
+    batches, counts, distinct = [], [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
+    start = 0
+    while start < len(sizes):
+        end = int(offsets.searchsorted(offsets[start] + _BATCH_NODES, "right")) - 1
+        end = max(start + 1, end)
+        a, n = int(offsets[start]), int(offsets[end] - offsets[start])
+        position = np.repeat(np.arange(end - start), sizes[start:end])
+        local = parents[a:a + n]
+        # A node's term is its parent's plus one of its own label.  A root's
+        # parent is the extra zero row n, and pointer jumping sums each path.
+        anc = np.full(n + 1, n)
+        is_child = local != ROOT
+        anc[:n][is_child] = (offsets[start:end] - a)[position[is_child]] + local[is_child]
+        rows = np.zeros((n + 1, dim), dtype)
+        rows[np.arange(n), labels[a:a + n]] = 1
+        _jump(anc, int(sizes[start:end].max()), rows)
+        rows = rows[:n][_canonical_order(rows[:n], position)]
+        # Sorted rows of one tree that are equal are one term.
+        first = np.ones(n, bool)
+        first[1:] = (position[1:] != position[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+        first = np.flatnonzero(first)
+        batches.append(rows[first])
+        counts.append(np.diff(first, append=n))
+        distinct.append(np.bincount(position[first], minlength=end - start))
+        start = end
+    return batches, np.concatenate(counts), np.concatenate(distinct).cumsum()
 
 
 def write_polynomial_cache(
-    path, items: Iterable[tuple[int, Polynomial]], vocab: LabelVocabulary
+    path, ids: np.ndarray, rows: Sequence[np.ndarray], counts: np.ndarray,
+    offsets: np.ndarray, vocab: LabelVocabulary,
 ) -> None:
-    """Write the cache, streaming rows after the rows header one batch of
-    records (about ``_BATCH_ROWS`` rows, at least one record) at a time.
+    """Write the cache from columns, as ``simplified_rows`` gives them:
+    record ``ids[i]`` owns term rows ``offsets[i]:offsets[i+1]`` and their
+    ``counts``.  The row matrices of ``rows`` are streamed after the rows
+    header one after another, and not joined.
 
     A path exponent counts nodes, so no exponent exceeds its polynomial's
     term count, and the largest term count fixes the row type.
     """
-    # An int64 array and a list, not a list of (id, polynomial) pairs: the
-    # pairs' memory would stay in the build's peak.
-    ids = array("q")
-    polys = []
-    for example_id, poly in items:
-        ids.append(example_id)
-        polys.append(poly)
     dim = len(vocab)
-    for example_id, poly in zip(ids, polys):
-        if poly.dim != dim:
-            raise ValueError(
-                f"record {example_id}: polynomial over {poly.dim} labels, vocabulary of {dim}"
-            )
-    offsets = np.zeros(len(polys) + 1, dtype=np.int64)
-    offsets[1:] = np.fromiter((poly.n_distinct for poly in polys), np.int64, len(polys)).cumsum()
-    n_rows = int(offsets[-1])
-    dtype = _row_dtype(max((poly.n_terms for poly in polys), default=0))
+    n_rows = sum(map(len, rows))
+    terms = np.concatenate(([0], np.cumsum(counts)))[offsets]
+    dtype = _row_dtype(int(np.diff(terms).max(initial=0)))
     limit = np.iinfo(dtype).max
-    counts = np.empty(n_rows, dtype=np.int64)
     header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8") + b"\n")
@@ -716,21 +781,17 @@ def write_polynomial_cache(
             fh, {"descr": dtype.str, "fortran_order": False, "shape": (n_rows, dim)}
         )
         start = 0
-        while start < len(polys):
-            end = int(offsets.searchsorted(offsets[start] + _BATCH_ROWS, "right")) - 1
-            end = max(start + 1, end)
-            mat, counts[offsets[start]:offsets[end]], bounds = canonical_batch(
-                [poly.terms for poly in polys[start:end]], dim
-            )
-            bad = np.flatnonzero(mat.max(axis=1, initial=0) > limit)
-            if bad.size:
-                record = ids[start + int(bounds.searchsorted(bad[0], "right")) - 1]
-                raise ValueError(f"record {record}: exponent above its term count")
-            fh.write(mat.astype(dtype).tobytes())
-            start = end
-        np.save(fh, counts)
-        np.save(fh, offsets)
-        np.save(fh, np.frombuffer(ids, dtype=np.int64))
+        for batch in rows:
+            if not np.can_cast(batch.dtype, dtype):
+                bad = np.flatnonzero(batch.max(axis=1, initial=0) > limit)
+                if bad.size:
+                    record = ids[int(offsets.searchsorted(start + bad[0], "right")) - 1]
+                    raise ValueError(f"record {record}: exponent above its term count")
+            fh.write(batch.astype(dtype, copy=False).tobytes())
+            start += len(batch)
+        np.save(fh, counts.astype(np.int64, copy=False))
+        np.save(fh, offsets.astype(np.int64, copy=False))
+        np.save(fh, np.asarray(ids, dtype=np.int64))
 
 
 def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:

@@ -7,7 +7,14 @@ from collections import Counter
 
 import hypothesis.strategies as st
 
-from scoi.treepoly import DependencyTree, LabelVocabulary, Polynomial, encode_term
+from scoi.treepoly import (
+    DependencyTree,
+    LabelVocabulary,
+    Polynomial,
+    canonical_batch,
+    encode_term,
+    write_polynomial_cache,
+)
 
 
 def make_vocab(n_labels: int) -> LabelVocabulary:
@@ -24,6 +31,13 @@ def poly_from_terms(term_maps, dim) -> Polynomial:
     for mapping in term_maps:
         counter[encode_term(dict(mapping))] += 1
     return Polynomial(counter, dim)
+
+
+def write_poly_items(path, items, vocab: LabelVocabulary) -> None:
+    """Write (record id, polynomial) pairs through the column writer."""
+    items = list(items)
+    rows, counts, offsets = canonical_batch([poly.terms for _, poly in items], len(vocab))
+    write_polynomial_cache(path, [rid for rid, _ in items], [rows], counts, offsets, vocab)
 
 
 def random_recursive_tree(rng: random.Random, n: int, n_labels: int) -> DependencyTree:

@@ -28,6 +28,8 @@ from scoi.config import INPUT_KEYS, RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
 from scoi.selection import STRATEGIES
 
+from conftest import write_poly_items
+
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CFG = REPO / "data" / "demo" / "demo.cfg"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -52,6 +54,27 @@ def selected(built, tmp_path_factory):
     shutil.copytree(built, out)
     assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 0
     return out
+
+
+def spy_tree_stages(monkeypatch) -> list:
+    """The build stage running at each ``DependencyTree`` construction, in order."""
+    stages, running = [], [None]
+    run_stage, init = scoi.cli._run_stage, scoi.treepoly.DependencyTree.__init__
+
+    def spy_run_stage(manifest, previous, name, *args):
+        running[0] = name
+        try:
+            return run_stage(manifest, previous, name, *args)
+        finally:
+            running[0] = None
+
+    def spy_init(self, *args, **kwargs):
+        stages.append(running[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scoi.cli, "_run_stage", spy_run_stage)
+    monkeypatch.setattr(scoi.treepoly.DependencyTree, "__init__", spy_init)
+    return stages
 
 
 class TestBuild:
@@ -134,6 +157,16 @@ class TestBuild:
         assert "corpus.bin" in opened and "bm25.idx" not in opened
         assert (out / "bm25.idx").read_bytes() == b"\xffgarbage\n"
 
+    def test_polynomial_stage_builds_no_tree(self, built, tmp_path, monkeypatch):
+        # The stage reads the tree columns that ingest kept, and checks none
+        # of them again.
+        stages = spy_tree_stages(monkeypatch)
+        out = tmp_path / "cold"
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert "polynomials" not in stages
+        for path in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / path.name) == sha256_file(path)
+
     def test_double_build_digests_stable(self, tmp_path, built):
         other = tmp_path / "again"
         assert run("build", "--config", DEMO_CFG, "--out-dir", other) == 0
@@ -163,8 +196,12 @@ class TestBuild:
         monkeypatch.setattr(
             scoi.cli, "read_corpus_cache", lambda path: calls.append(Path(path).name) or read(path)
         )
+        tree_stages = spy_tree_stages(monkeypatch)
         capsys.readouterr()
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        # The polynomial stage takes the trees as columns, from ingest or
+        # from the corpus caches, and builds none.
+        assert "polynomials" not in tree_stages
         lines = capsys.readouterr().out.splitlines()
         stages = ("corpus", "polynomials")
         assert [line.split(":")[0] for line in lines] == list(stages)
@@ -638,7 +675,7 @@ class TestCorruptCache:
         poly_path = out / "corpus.poly.bin"
         vocab, items = scoi.treepoly.read_polynomial_cache(poly_path)
         items[0], items[1] = (items[1][0], items[0][1]), (items[0][0], items[1][1])
-        scoi.treepoly.write_polynomial_cache(poly_path, items, vocab)
+        write_poly_items(poly_path, items, vocab)
         manifest_path = out / "build-manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest["stages"]["corpus"]["outputs"]["corpus_cache"] = sha256_file(path)

@@ -19,7 +19,7 @@ from scoi.corpus import (
 from scoi.errors import AlignmentError, DataError
 from scoi.treepoly import LabelVocabulary, simplified_polynomial
 
-from conftest import random_recursive_tree
+from conftest import random_recursive_tree, write_poly_items
 
 
 def build_corpus_files(tmp_path, n=12, seed=0, long_source_at=None):
@@ -230,14 +230,14 @@ class TestPolynomials:
             assert record.poly == simplified_polynomial(record.tree, vocab)
 
     def test_cache_fidelity(self, tmp_path):
-        from scoi.treepoly import read_polynomial_cache, write_polynomial_cache
+        from scoi.treepoly import read_polynomial_cache
 
         src, tgt, conllu = build_corpus_files(tmp_path, n=10)
         vocab = LabelVocabulary()
         records = load_parallel_corpus(src, tgt, conllu, vocab)
         attach_polynomials(records, vocab)
         path = tmp_path / "poly.bin"
-        write_polynomial_cache(path, ((r.id, r.poly) for r in records), vocab)
+        write_poly_items(path, ((r.id, r.poly) for r in records), vocab)
         _, items = read_polynomial_cache(path)
 
         fresh = load_parallel_corpus(src, tgt, conllu, LabelVocabulary())

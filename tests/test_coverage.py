@@ -23,7 +23,6 @@ from scoi.treepoly import (
     encode_term,
     polynomial_distance,
     read_polynomial_cache,
-    write_polynomial_cache,
 )
 from scipy.spatial.distance import cdist
 
@@ -35,6 +34,7 @@ from conftest import (
     random_pool,
     random_record,
     random_recursive_tree,
+    write_poly_items,
 )
 
 
@@ -294,7 +294,7 @@ def scipy_polynomial_distance(p: Polynomial, q: Polynomial) -> float:
 def cached_polys(records, vocab, tmp_path):
     """The records' polynomials as the polynomial cache stores them (narrow rows)."""
     path = tmp_path / "pool.poly.bin"
-    write_polynomial_cache(path, ((r.id, r.poly) for r in records), vocab)
+    write_poly_items(path, ((r.id, r.poly) for r in records), vocab)
     return dict(read_polynomial_cache(path)[1])
 
 

@@ -26,6 +26,8 @@ from scoi.treepoly import (
     polynomial_distance,
     read_polynomial_cache,
     simplified_polynomial,
+    simplified_rows,
+    simplified_term_counter,
     write_polynomial_cache,
 )
 
@@ -39,6 +41,7 @@ from conftest import (
     poly_from_terms,
     random_recursive_tree,
     tree_strategy,
+    write_poly_items,
 )
 
 
@@ -111,7 +114,7 @@ class TestCanonicalTerms:
         returns the cache's row type."""
         vocab = make_vocab(max(p.dim for p in polys))
         path = tmp_path / name
-        write_polynomial_cache(path, list(enumerate(polys)), vocab)
+        write_poly_items(path, list(enumerate(polys)), vocab)
         _, loaded = read_polynomial_cache(path)
         assert [i for i, _ in loaded] == list(range(len(polys)))
         for poly, (_, cached) in zip(polys, loaded):
@@ -130,7 +133,7 @@ class TestCanonicalTerms:
             assert cached.n_terms == poly.n_terms
             assert cached.n_distinct == poly.n_distinct
         again = tmp_path / f"again-{name}"
-        write_polynomial_cache(again, loaded, vocab)
+        write_poly_items(again, loaded, vocab)
         assert again.read_bytes() == path.read_bytes()
         return read_segments(path)[1][0].dtype
 
@@ -243,22 +246,29 @@ class TestCanonicalBatch:
         assert counts.tolist() == [1, 3, 2, 1, 1]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 7), st.lists(tree_strategy(max_nodes=12, max_labels=5), min_size=1,
-                                       max_size=12))
+    @given(st.integers(1, 30), st.lists(tree_strategy(max_nodes=12, max_labels=5), min_size=1,
+                                        max_size=12))
     def test_cache_bytes_do_not_depend_on_the_batch_cap(self, tmp_path_factory, cap, trees):
-        # A cap of a few rows makes batches end inside and across records.
+        # A cap of a few nodes makes batches of one tree, some of them larger
+        # than the cap, as well as batches of several trees.
         tmp = tmp_path_factory.mktemp("cap")
         vocab = make_vocab(5)
-        items = [(i, simplified_polynomial(tree, vocab)) for i, tree in enumerate(trees)]
-        write_polynomial_cache(tmp / "default.bin", items, vocab)
+        columns = _forest_arrays(
+            [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
+            np.cumsum([0] + [t.n for t in trees]),
+        )
+        ids = np.arange(len(trees))
+        write_polynomial_cache(tmp / "default.bin", ids, *simplified_rows(*columns, 5), vocab)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scoi.treepoly, "_BATCH_ROWS", cap)
-            write_polynomial_cache(tmp / "capped.bin", items, vocab)
+            mp.setattr(scoi.treepoly, "_BATCH_NODES", cap)
+            write_polynomial_cache(tmp / "capped.bin", ids, *simplified_rows(*columns, 5), vocab)
         assert (tmp / "capped.bin").read_bytes() == (tmp / "default.bin").read_bytes()
         _, loaded = read_polynomial_cache(tmp / "capped.bin")
-        for (_, poly), (_, cached) in zip(items, loaded):
+        for tree, (_, cached) in zip(trees, loaded):
             rows, counts = cached.rows()
-            assert (rows.tolist(), counts.tolist()) == oracle_rows(poly.terms, 5)
+            assert (rows.tolist(), counts.tolist()) == oracle_rows(
+                simplified_polynomial(tree, vocab).terms, 5
+            )
 
 
 class TestDependencyTree:
@@ -394,6 +404,70 @@ class TestFirstBadTree:
             assert first_bad_tree(*_forest_arrays([0] * n, cycle, [0, n]), 1) == (
                 0, "parent relation contains a cycle"
             )
+
+
+def per_tree_rows(labels, parents, offsets, dim):
+    """The reference: ``simplified_term_counter`` per tree, then ``canonical_batch``."""
+    maps = [
+        simplified_term_counter(DependencyTree(labels[a:b], parents[a:b]), dim)
+        for a, b in zip(offsets[:-1], offsets[1:])
+    ]
+    return canonical_batch(maps, dim)
+
+
+class TestSimplifiedRows:
+    """The columns builder against the per-tree path, row for row."""
+
+    def assert_matches_per_tree(self, labels, parents, offsets, dim, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoi.treepoly, "_BATCH_NODES", cap)
+            batches, counts, bounds = simplified_rows(
+                *_forest_arrays(labels, parents, offsets), dim
+            )
+        ref_rows, ref_counts, ref_bounds = per_tree_rows(labels, parents, offsets, dim)
+        sizes = np.diff(offsets)
+        dtype = np.dtype("u1" if sizes.max() <= 255 else "<u2" if sizes.max() <= 65_535 else "<u4")
+        assert all(batch.dtype == dtype and batch.shape[1] == dim for batch in batches)
+        assert counts.dtype == bounds.dtype == np.int64
+        assert np.array_equal(np.concatenate(batches), ref_rows)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(bounds, ref_bounds)
+        # Batches hold whole trees, at most ``cap`` nodes unless one tree.
+        ends = np.cumsum([len(batch) for batch in batches])
+        trees_at = np.searchsorted(bounds, ends)
+        assert np.array_equal(bounds[trees_at], ends)
+        for first, last in zip([0, *trees_at[:-1]], trees_at):
+            assert last - first == 1 or offsets[last] - offsets[first] <= cap
+        return dtype
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(shuffled_tree(max_nodes=40), min_size=1, max_size=8),
+           st.sampled_from([1, 5, 40, 4096]))
+    def test_random_forests_match_the_per_tree_path(self, trees, cap):
+        offsets = np.cumsum([0] + [len(labels) for labels, _ in trees]).tolist()
+        labels = [label for tree_labels, _ in trees for label in tree_labels]
+        parents = [parent for _, tree_parents in trees for parent in tree_parents]
+        self.assert_matches_per_tree(labels, parents, offsets, FOREST_LABELS, cap)
+
+    @pytest.mark.parametrize("dim", [1, 37])
+    def test_single_node_trees(self, dim):
+        self.assert_matches_per_tree(list(range(dim)), [-1] * dim, list(range(dim + 1)), dim, 3)
+
+    @pytest.mark.parametrize("n, dtype", [
+        (255, "u1"), (256, "<u2"), (1_200, "<u2"), (10_000, "<u2"), (65_536, "<u4"),
+    ])
+    def test_chains_at_the_row_type_edges(self, n, dtype):
+        # Node i hangs off node i + 1, so the root is last and every node is
+        # as deep as the tree allows.  A small tree follows, and a cap below
+        # the chain's size puts it in a batch of its own.
+        labels = [i % 3 for i in range(n)] + [2, 0]
+        parents = list(range(1, n)) + [-1] + [-1, 0]
+        for cap in (100, 4096):
+            assert self.assert_matches_per_tree(labels, parents, [0, n, n + 2], 3, cap) == dtype
+
+    def test_no_trees(self):
+        batches, counts, bounds = simplified_rows(*_forest_arrays([], [], [0]), 4)
+        assert batches == [] and counts.tolist() == [] and bounds.tolist() == [0]
 
 
 class TestSimplifiedPolynomial:
@@ -753,7 +827,7 @@ class TestPolynomialCache:
             tree = random_recursive_tree(rng, rng.randint(1, 30), 6)
             items.append((i, simplified_polynomial(tree, vocab)))
         path = tmp_path / "poly.bin"
-        write_polynomial_cache(path, items, vocab)
+        write_poly_items(path, items, vocab)
         loaded_vocab, loaded = read_polynomial_cache(path)
         assert loaded_vocab.labels == vocab.labels
         assert [(i, p.terms) for i, p in loaded] == [(i, p.terms) for i, p in items]
@@ -767,9 +841,9 @@ class TestPolynomialCache:
         ]
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
-        write_polynomial_cache(first, items, vocab)
+        write_poly_items(first, items, vocab)
         loaded_vocab, loaded = read_polynomial_cache(first)
-        write_polynomial_cache(second, loaded, loaded_vocab)
+        write_poly_items(second, loaded, loaded_vocab)
         assert first.read_bytes() == second.read_bytes()
 
     def write_two_records(self, path):
@@ -777,7 +851,7 @@ class TestPolynomialCache:
             (3, poly_from_terms([{0: 1}], dim=4)),
             (7, poly_from_terms([{0: 1}, {0: 1, 1: 1}], dim=4)),
         ]
-        write_polynomial_cache(path, items, make_vocab(4))
+        write_poly_items(path, items, make_vocab(4))
 
     @pytest.mark.parametrize("mutate, where", CACHE_CORRUPTIONS)
     def test_bad_record_names_file_and_record(self, tmp_path, mutate, where):
@@ -805,10 +879,14 @@ class TestPolynomialCache:
         assert str(err.value).startswith(f"{path}: corrupt array segment (")
 
     def test_writer_rejects_an_exponent_above_the_term_count(self, tmp_path):
-        # One term, so uint8 rows; its exponent of 300 does not fit them.
-        poly = poly_from_terms([{0: 300}], dim=1)
+        # Records of one term each, so uint8 rows; record 5's exponent of 300
+        # does not fit them, and it is in the second batch.
+        rows = [np.array([[1]], np.uint32), np.array([[1], [300]], np.uint32)]
         with pytest.raises(ValueError, match="record 5: exponent above its term count"):
-            write_polynomial_cache(tmp_path / "p.bin", [(5, poly)], make_vocab(1))
+            write_polynomial_cache(
+                tmp_path / "p.bin", np.array([2, 3, 5]), rows, np.array([1, 1, 1]),
+                np.array([0, 1, 2, 3]), make_vocab(1),
+            )
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_foreign_file(self, tmp_path):
