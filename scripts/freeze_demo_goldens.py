@@ -61,7 +61,7 @@ def run() -> None:
         (FIXTURES / "demo_inspect.json").write_text(text, encoding="utf-8")
         print("froze demo_inspect.json")
         index_path = Path(tmp) / "bm25.idx"
-        save_index(index_path, _load_built(out)[3])
+        save_index(index_path, _load_built(out).index)
         pinned = [*_cache_paths(out).values(), index_path]
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in pinned}
         text = json.dumps(digests, indent=1) + "\n"

@@ -16,21 +16,27 @@ import time
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .bench import run_bench
 from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
 from .corpus import (
     CORPUS_CACHE_VERSION,
-    apply_polynomial_cache,
+    CorpusColumns,
     filter_by_length,
     load_parallel_corpus,
     load_test_inputs,
-    read_corpus_cache,
-    tree_columns,
+    read_corpus_columns,
     write_corpus_cache,
 )
-from .corpus import attach_polynomials  # noqa: F401  perfbench/traced.py wraps this
+from .corpus import (  # noqa: F401  perfbench/traced.py wraps these
+    apply_polynomial_cache,
+    attach_polynomials,
+    read_corpus_cache,
+)
 from .coverage import TokenBag, syn_set_cov, word_set_cov
 from .errors import ConfigError, DataError, ScoiError
 from .manifest import (
@@ -43,18 +49,20 @@ from .manifest import (
     stage_is_current,
 )
 from .prompts import render_prompt
-from .retrieval import bm25_topk, index_from_tokens
+from .retrieval import InvertedIndex, bm25_topk, index_from_tokens
 from .retrieval import build_index, load_index, save_index  # noqa: F401  perfbench/traced.py wraps these
-from .selection import STRATEGIES, PoolScores, run_strategy
+from .selection import STRATEGIES, Candidates, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
 from .treepoly import (
     POLY_CACHE_VERSION,
     LabelVocabulary,
     Polynomial,
-    read_polynomial_cache,
+    PolyColumns,
+    read_polynomial_columns,
     simplified_rows,
     write_polynomial_cache,
 )
+from .treepoly import read_polynomial_cache  # noqa: F401  perfbench/traced.py wraps this
 
 _BUILD_MANIFEST = "build-manifest.json"
 _SELECT_MANIFEST = "select-manifest.json"
@@ -130,8 +138,8 @@ def cmd_build(config: RunConfig) -> int:
 
     def trees(cache: str):
         if cache not in loaded:
-            vocab, cache_records, tokens = read_corpus_cache(paths[cache])
-            loaded[cache] = (vocab, tokens.record_ids, tree_columns(cache_records))
+            columns = read_corpus_columns(paths[cache])
+            loaded[cache] = (columns.vocab, columns.ids, columns.trees)
         return loaded[cache]
 
     def ingest() -> str:
@@ -189,14 +197,39 @@ def cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def _load_built(out_dir: Path):
-    """Read the four caches and check them against the build manifest.
+class _Built(NamedTuple):
+    """The validated columns of the four caches, the BM25 index derived from
+    the corpus cache, and the caches' digests."""
+
+    corpus: CorpusColumns
+    test: CorpusColumns
+    corpus_poly: PolyColumns
+    test_poly: PolyColumns
+    index: InvertedIndex
+    digests: dict[str, str]
+
+
+def _check_ids(path: Path, ids: np.ndarray, cache_path: Path, cache_ids: np.ndarray) -> None:
+    """Refuse a polynomial cache whose record ids are not its corpus cache's, row for row."""
+    n = min(len(ids), len(cache_ids))
+    differ = np.flatnonzero(ids[:n] != cache_ids[:n])
+    row = int(differ[0]) if differ.size else n
+    if row < len(cache_ids):
+        raise DataError(
+            f"{path}: record {cache_ids[row]}: not at row {row}, as in {cache_path.name}"
+        )
+    if row < len(ids):
+        raise DataError(f"{path}: record {ids[row]}: not in {cache_path.name}")
+
+
+def _load_built(out_dir: Path, keep_trees: bool = True) -> _Built:
+    """Read the four caches as columns and check them against the build manifest.
 
     The BM25 index is derived from the corpus cache's token column, before
     the other caches load so that fewer arrays are alive while it is built.
     The digest check runs after every cache has parsed, so a malformed file
     keeps its located message and a well-formed but stale one fails on its
-    digest.  Also returns the digests, for the select manifest.
+    digest.  Without ``keep_trees`` the trees are validated and dropped.
     """
     paths = _cache_paths(out_dir)
     manifest_path = out_dir / _BUILD_MANIFEST
@@ -205,18 +238,20 @@ def _load_built(out_dir: Path):
         raise ConfigError(
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
         )
-    vocab, corpus_records, corpus_tokens = read_corpus_cache(paths["corpus_cache"])
-    if not corpus_records:
+    corpus = read_corpus_columns(paths["corpus_cache"], keep_trees)
+    if not len(corpus.ids):
         raise DataError(f"{paths['corpus_cache']}: no records to index")
-    index = index_from_tokens(corpus_tokens)
-    test_vocab, test_records, _ = read_corpus_cache(paths["test_cache"])
-    if test_vocab != vocab:
+    index = index_from_tokens(corpus.tokens)
+    test = read_corpus_columns(paths["test_cache"], keep_trees)
+    if test.vocab != corpus.vocab:
         raise DataError("corpus and test caches disagree on the label vocabulary")
-    for key, records in (("corpus_poly", corpus_records), ("test_poly", test_records)):
-        poly_vocab, polys = read_polynomial_cache(paths[key])
-        if poly_vocab != vocab:
+    polys = {}
+    for key, cache, columns in (("corpus_poly", "corpus_cache", corpus),
+                                ("test_poly", "test_cache", test)):
+        poly_vocab, polys[key] = read_polynomial_columns(paths[key])
+        if poly_vocab != corpus.vocab:
             raise DataError(f"{paths[key]}: label vocabulary differs from the corpus cache's")
-        apply_polynomial_cache(records, polys)
+        _check_ids(paths[key], polys[key].ids, paths[cache], columns.ids)
     built = read_manifest(manifest_path)
     if built is None:
         raise DataError(f"{manifest_path}: not a build manifest")
@@ -229,23 +264,25 @@ def _load_built(out_dir: Path):
             raise DataError(
                 f"{path}: digest differs from {manifest_path.name}; rerun 'scoi build'"
             )
-    return vocab, corpus_records, test_records, index, digests
+    return _Built(corpus, test, polys["corpus_poly"], polys["test_poly"], index, digests)
 
 
-def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, template):
+def _select_one(test, strategies, config, built, candidates, corpus_ids, template):
     params = config.bm25_params()
+    index = built.index
     ranked = bm25_topk(index, test.tokens, config.pool_size, params)
     fallback = False
     if ranked:
-        pool = [corpus_by_id[rid] for rid, _ in ranked]
+        pool = [rid for rid, _ in ranked]
     else:
         # No lexical overlap with the corpus: deterministic random pool.
         rng = random.Random(f"{config.seed}:bm25-fallback:{test.id}")
         size = min(config.pool_size, len(corpus_ids))
-        pool = [corpus_by_id[rid] for rid in rng.sample(corpus_ids, size)]
+        pool = rng.sample(corpus_ids, size)
         fallback = True
     # Every strategy reads its per-candidate scores from this one table.
-    scores = PoolScores(test, pool, config.measure, index)
+    # Corpus rows are index rows.
+    scores = PoolScores(test, candidates, index.ids.searchsorted(pool), config.measure)
     outputs = []
     for strategy in strategies:
         plan = config.plan(strategy)
@@ -255,7 +292,8 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
         if fallback:
             result.flags["bm25_fallback"] = True
         examples = [
-            (corpus_by_id[rid].source, corpus_by_id[rid].target) for rid in result.selected
+            (built.corpus.decode("source", row), built.corpus.decode("target", row))
+            for row in index.ids.searchsorted(result.selected).tolist()
         ]
         short_ok = result.flags.get("pool_exhausted") or result.flags.get("bm25_fallback")
         prompt = render_prompt(
@@ -274,9 +312,8 @@ def _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, templ
 
 def cmd_select(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
-    _, corpus_records, test_records, index, cache_digests = _load_built(out_dir)
-    corpus_by_id = {r.id: r for r in corpus_records}
-    corpus_ids = tuple(sorted(corpus_by_id))
+    built = _load_built(out_dir, keep_trees=False)
+    corpus_ids = tuple(built.corpus.ids.tolist())
     strategies = list(STRATEGIES) if config.strategy == "all" else [config.strategy]
     if "random" in strategies and len(corpus_ids) < config.k:
         raise ConfigError(
@@ -284,10 +321,15 @@ def cmd_select(config: RunConfig) -> int:
             f"its {len(corpus_ids)} records"
         )
     template = config.template()
+    test_records = [
+        built.test.record(row, built.test_poly.polynomial(row))
+        for row in range(len(built.test.ids))
+    ]
+    candidates = Candidates.from_columns(built.corpus_poly, built.corpus.tokens)
 
     start = time.perf_counter()
     per_test = [
-        _select_one(test, strategies, config, corpus_by_id, corpus_ids, index, template)
+        _select_one(test, strategies, config, built, candidates, corpus_ids, template)
         for test in test_records
     ]
     seconds = time.perf_counter() - start
@@ -308,7 +350,7 @@ def cmd_select(config: RunConfig) -> int:
         output_digests[prompt_path.name] = sha256_file(prompt_path)
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
 
-    manifest.record_stage("select", cache_digests, output_digests, seconds)
+    manifest.record_stage("select", built.digests, output_digests, seconds)
     manifest.save(out_dir / _SELECT_MANIFEST)
     print(f"select: {len(test_records)} test inputs x {len(strategies)} strategies ({seconds:.2f}s)")
     return 0
@@ -334,14 +376,23 @@ def _format_term(pairs, vocab: LabelVocabulary) -> str:
     return "*".join(chunks)
 
 
+def _row(ids: np.ndarray, record_id: int) -> int | None:
+    """The row of ``record_id`` in the ascending ``ids``, or None."""
+    row = int(ids.searchsorted(record_id))
+    return row if row < len(ids) and ids[row] == record_id else None
+
+
 def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int]) -> int:
     out_dir = Path(config.out_dir)
-    vocab, corpus_records, test_records, _, _ = _load_built(out_dir)
-    records = corpus_records if side == "corpus" else test_records
-    by_id = {r.id: r for r in records}
-    record = by_id.get(record_id)
-    if record is None:
+    built = _load_built(out_dir)
+    vocab = built.corpus.vocab
+    columns, polys = (
+        (built.corpus, built.corpus_poly) if side == "corpus" else (built.test, built.test_poly)
+    )
+    row = _row(columns.ids, record_id)
+    if row is None:
         raise DataError(f"no {side} record with id {record_id}")
+    record = columns.record(row, polys.polynomial(row))
 
     print(f"record {record.id} ({side})")
     print(f"  source: {record.source}")
@@ -363,13 +414,12 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         print(f"    {_format_term(pairs, vocab)}{suffix}")
 
     if pool_ids:
-        corpus_by_id = {r.id: r for r in corpus_records}
-        missing = [i for i in pool_ids if i not in corpus_by_id]
+        rows = [_row(built.corpus.ids, i) for i in pool_ids]
+        missing = [i for i, r in zip(pool_ids, rows) if r is None]
         if missing:
             raise DataError(f"pool ids not in corpus: {missing}")
-        members = [corpus_by_id[i] for i in pool_ids]
-        pool_terms = Polynomial.union(m.poly for m in members)
-        pool_tokens = TokenBag.union([m.tokens for m in members])
+        pool_terms = Polynomial.union(built.corpus_poly.polynomial(r) for r in rows)
+        pool_tokens = TokenBag.from_tokens(t for r in rows for t in built.corpus.token_list(r))
         syn = syn_set_cov(record.poly, pool_terms, config.measure)
         word = word_set_cov(record.tokens, pool_tokens)
         print(f"  coverage against pool {pool_ids}:")

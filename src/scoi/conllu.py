@@ -58,6 +58,15 @@ def offsets_from_sizes(sizes) -> np.ndarray:
     return offsets
 
 
+def take_offsets(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries that items ``rows`` own under ``offsets``, in that order,
+    and the offsets over them: item ``rows[j]`` becomes item j."""
+    rows = np.asarray(rows, dtype=np.int64)
+    sizes = offsets[rows + 1] - offsets[rows]
+    taken = offsets_from_sizes(sizes)
+    return np.repeat(offsets[rows] - taken[:-1], sizes) + np.arange(taken[-1]), taken
+
+
 class TreeColumns(Sequence):
     """Trees as columns: tree i owns the int32 ``labels`` and ``parents``
     entries ``offsets[i]:offsets[i+1]``, and its parents index its own nodes
@@ -90,9 +99,7 @@ class TreeColumns(Sequence):
 
     def take(self, rows: np.ndarray) -> "TreeColumns":
         """The trees at ``rows``, in that order, as new columns."""
-        sizes = np.diff(self.offsets)[rows]
-        offsets = offsets_from_sizes(sizes)
-        entries = np.repeat(self.offsets[rows] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        entries, offsets = take_offsets(self.offsets, rows)
         return TreeColumns(self.labels[entries], self.parents[entries], offsets)
 
 

@@ -10,7 +10,7 @@ ids are the original line indices and survive filtering.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class _ParsedRecord(ExampleRecord):
         super().__init__(id, source, target, token_list)
         self.trees = trees
 
-    _row = property(lambda self: self.id)
     tree = property(lambda self: self.trees[self.id])
 
 
@@ -188,11 +187,11 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
 
 
 def tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
-    """The records' trees as columns.  Rows of one parsed file or one cache
-    are copied as they are, without building a tree."""
+    """The records' trees as columns.  Rows of one parsed file are copied as
+    they are, without building a tree."""
     trees = getattr(records[0], "trees", None) if records else None
     if trees is not None and all(getattr(r, "trees", None) is trees for r in records):
-        return trees.take(np.fromiter((r._row for r in records), np.int64, len(records)))
+        return trees.take(np.fromiter((r.id for r in records), np.int64, len(records)))
     return TreeColumns.from_trees([r.tree for r in records])
 
 
@@ -221,28 +220,42 @@ def write_corpus_cache(
     return tokens.record_ids, trees
 
 
-class _CachedRecord(ExampleRecord):
-    """A row of a corpus cache; its text, tokens and tree are decoded on first access."""
+class CorpusColumns(NamedTuple):
+    """A corpus cache's validated columns; row i is record ``ids[i]``.
 
-    def __init__(self, cols: dict, row: int, record_id: int):
-        self.id, self.poly, self._cols, self._row = record_id, None, cols, row
+    ``text`` maps ``"source"`` and ``"target"`` to their UTF-8 bytes and
+    int64 offsets: row i owns bytes ``offsets[i]:offsets[i+1]``.
+    """
 
-    def _slice(self, name: str) -> np.ndarray:
-        offsets = self._cols[_OFFSETS[name]]
-        return self._cols[name][offsets[self._row]:offsets[self._row + 1]]
+    vocab: LabelVocabulary
+    tokens: TokenColumn
+    text: dict[str, tuple[np.ndarray, np.ndarray]]
+    trees: TreeColumns | None
 
-    source = cached_property(lambda self: self._slice("source").tobytes().decode("utf-8"))
-    target = cached_property(lambda self: self._slice("target").tobytes().decode("utf-8"))
-    token_list = cached_property(
-        lambda self: tuple(self._cols["names"][i] for i in self._slice("tokens").tolist())
-    )
-    trees = property(lambda self: self._cols["trees"])
-    tree = cached_property(lambda self: self.trees[self._row])
+    @property
+    def ids(self) -> np.ndarray:
+        return self.tokens.record_ids
+
+    def decode(self, side: str, row: int) -> str:
+        blob, offsets = self.text[side]
+        return blob[offsets[row]:offsets[row + 1]].tobytes().decode("utf-8")
+
+    def token_list(self, row: int) -> tuple[str, ...]:
+        column = self.tokens
+        ids = column.token_ids[column.offsets[row]:column.offsets[row + 1]]
+        return tuple(column.names[i] for i in ids.tolist())
+
+    def record(self, row: int, poly: Polynomial | None = None) -> ExampleRecord:
+        """Row ``row`` as a record, with its tree when the trees were kept."""
+        return ExampleRecord(
+            int(self.ids[row]), self.decode("source", row), self.decode("target", row),
+            self.token_list(row), tree=None if self.trees is None else self.trees[row], poly=poly,
+        )
 
 
-def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], TokenColumn]:
-    """The vocabulary, the records and their token column; every tree is
-    validated here, in bulk."""
+def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:
+    """The cache's columns, every tree validated here, in bulk.  Without
+    ``keep_trees`` the trees are validated and dropped: ``select`` reads none."""
     with open(path, "rb") as fh:
         header = read_header(
             fh, path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache", "labels"
@@ -300,10 +313,19 @@ def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], Token
     bad_tree = first_bad_tree(cols["labels"], cols["parents"], cols["node_offsets"], len(vocab))
     if bad_tree is not None:
         raise DataError(f"{path}: record {ids[bad_tree[0]]}: {bad_tree[1]}")
-    cols["names"] = header["tokens"]
-    cols["trees"] = TreeColumns(cols["labels"], cols["parents"], cols["node_offsets"])
-    records = [_CachedRecord(cols, row, rid) for row, rid in enumerate(ids.tolist())]
-    return vocab, records, TokenColumn(ids, cols["token_offsets"], cols["tokens"], cols["names"])
+    trees = TreeColumns(cols["labels"], cols["parents"], cols["node_offsets"])
+    return CorpusColumns(
+        vocab,
+        TokenColumn(ids, cols["token_offsets"], cols["tokens"], header["tokens"]),
+        {side: (cols[side], cols[_OFFSETS[side]]) for side in ("source", "target")},
+        trees if keep_trees else None,
+    )
+
+
+def read_corpus_cache(path) -> tuple[LabelVocabulary, list[ExampleRecord], TokenColumn]:
+    """The vocabulary, the records and their token column of ``read_corpus_columns``."""
+    columns = read_corpus_columns(path)
+    return columns.vocab, [columns.record(row) for row in range(len(columns.ids))], columns.tokens
 
 
 def apply_polynomial_cache(

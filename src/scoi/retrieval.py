@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .conllu import take_offsets
 from .coverage import TokenBag
 from .errors import DataError
 from .manifest import atomic_write, compact_json, read_header
@@ -33,6 +34,19 @@ class Bm25Params:
     b: float = 0.75
 
 
+class _Denominators(dict):
+    """token -> ``tfs + norm[rows]`` of its posting, filled on first lookup."""
+
+    def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray]], norm: np.ndarray):
+        super().__init__()
+        self.postings, self.norm = postings, norm
+
+    def __missing__(self, token: str) -> np.ndarray:
+        rows, tfs = self.postings[token]
+        self[token] = found = tfs + self.norm[rows]
+        return found
+
+
 class InvertedIndex:
     """Immutable BM25 index: postings, per-document lengths, corpus stats.
 
@@ -41,7 +55,7 @@ class InvertedIndex:
     arrays.  Rebuilding from the same corpus is bit-identical.
     """
 
-    __slots__ = ("ids", "lengths", "avgdl", "postings", "doc_count")
+    __slots__ = ("ids", "lengths", "avgdl", "postings", "doc_count", "_denominators")
 
     def __init__(
         self,
@@ -54,6 +68,7 @@ class InvertedIndex:
         self.avgdl = float(lengths.mean())
         self.postings = postings
         self.doc_count = int(ids.shape[0])
+        self._denominators: dict[Bm25Params, dict[str, np.ndarray]] = {}
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
         """The row of each document id; every id must be indexed."""
@@ -62,6 +77,18 @@ class InvertedIndex:
         if not np.array_equal(self.ids.take(rows, mode="clip"), ids):
             raise ValueError("a document id is not in the index")
         return rows
+
+    def denominators(self, params: Bm25Params) -> dict[str, np.ndarray]:
+        """Per token, the BM25 denominator ``tf + k1 * (1 - b + b * dl / avgdl)``
+        of each of its postings, kept for ``params``.  A token's array is
+        computed on first use: a query touches few tokens, and the most
+        frequent, whose postings are the longest, recur in most queries."""
+        found = self._denominators.get(params)
+        if found is None:
+            k1, b = params.k1, params.b
+            norm = k1 * (1.0 - b + b * (self.lengths / self.avgdl))
+            found = self._denominators[params] = _Denominators(self.postings, norm)
+        return found
 
     def df(self, token: str) -> int:
         posting = self.postings.get(token)
@@ -89,6 +116,10 @@ class TokenColumn(NamedTuple):
     offsets: np.ndarray  # int64, len(record_ids) + 1
     token_ids: np.ndarray  # int32
     names: list[str]
+
+    def name_ids(self) -> dict[str, int]:
+        """Each token name mapped to its id."""
+        return dict(zip(self.names, range(len(self.names))))
 
 
 def intern_tokens(records: Sequence["ExampleRecord"]) -> TokenColumn:
@@ -152,8 +183,8 @@ def bm25_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    k1, b = params.k1, params.b
-    norm = k1 * (1.0 - b + b * (index.lengths / index.avgdl))
+    k1 = params.k1
+    denominators = index.denominators(params)
     scores = np.zeros(index.doc_count, dtype=np.float64)
     for token, qtf in query.counts.items():
         posting = index.postings.get(token)
@@ -161,7 +192,7 @@ def bm25_topk(
             continue
         rows, tfs = posting
         idf = index.idf(token)
-        scores[rows] += qtf * idf * (tfs * (k1 + 1.0)) / (tfs + norm[rows])
+        scores[rows] += qtf * idf * (tfs * (k1 + 1.0)) / denominators[token]
     hit_rows = np.nonzero(scores > 0.0)[0]
     n_hits = hit_rows.shape[0]
     if n_hits == 0:
@@ -176,22 +207,26 @@ def bm25_topk(
         hit_scores = hit_scores[keep]
     hit_ids = index.ids[hit_rows]
     order = np.lexsort((hit_ids, -hit_scores))[:k]
-    return [(int(hit_ids[i]), float(hit_scores[i])) for i in order]
+    return list(zip(hit_ids[order].tolist(), hit_scores[order].tolist()))
 
 
-def token_table(index: InvertedIndex, rows: np.ndarray, tokens: Sequence[str]) -> np.ndarray:
-    """int64 (documents at ``rows``, ``tokens``): each document's count of each
-    token, scattered from the postings' (exact, integer) term frequencies.
-    Posting rows must ascend, as ``index_from_tokens`` gives them."""
-    table = np.zeros((len(rows), len(tokens)), dtype=np.int64)
+def token_table(
+    column: TokenColumn, name_ids: Mapping[str, int], rows: np.ndarray, tokens: Sequence[str]
+) -> np.ndarray:
+    """int64 (records at ``rows``, distinct ``tokens``): each record's count of
+    each token, counted from the records' token ids with one ``bincount``.
+    ``name_ids`` is ``column.name_ids()``, which callers build once."""
+    n, m = len(rows), len(tokens)
+    # The table column of each token id; ids of no token in ``tokens`` count in column m.
+    column_of = np.full(len(column.names), m, dtype=np.int64)
     for j, token in enumerate(tokens):
-        posting = index.postings.get(token)
-        if posting is not None:
-            posting_rows, tfs = posting
-            at = posting_rows.searchsorted(rows)
-            hit = posting_rows.take(at, mode="clip") == rows
-            table[hit, j] = tfs[at[hit]]
-    return table
+        if token in name_ids:
+            column_of[name_ids[token]] = j
+    entries, offsets = take_offsets(column.offsets, rows)
+    cells = np.repeat(np.arange(0, n * (m + 1), m + 1), np.diff(offsets))
+    cells += column_of[column.token_ids[entries]]
+    table = np.bincount(cells, minlength=n * (m + 1)).reshape(n, m + 1)
+    return np.ascontiguousarray(table[:, :m], dtype=np.int64)
 
 
 def word_matrix(

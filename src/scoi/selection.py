@@ -19,13 +19,21 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .conllu import offsets_from_sizes, take_offsets
 from .coverage import MEASURES, _pad_to, occurrence_sum, similarity_matrix
-from .retrieval import Bm25Params, InvertedIndex, build_index, token_table, word_matrix
-from .treepoly import cityblock
+from .retrieval import (
+    Bm25Params,
+    InvertedIndex,
+    TokenColumn,
+    intern_tokens,
+    token_table,
+    word_matrix,
+)
+from .treepoly import PolyColumns, cityblock
 
 # The per-candidate forms of PoolScores' tables.  Selection does not call
 # them; they stay importable here because the traced benchmark run wraps
@@ -84,46 +92,88 @@ class SelectionPlan:
             raise ValueError("dpp_lambda must be positive")
 
 
-class PoolScores:
-    """Per-candidate scores of one test input against one pool, each computed once.
+class Candidates(NamedTuple):
+    """Candidate records as the columns ``PoolScores`` reads: row i of ``terms``
+    and of ``tokens`` is record ``terms.ids[i]``, and ``name_ids`` is
+    ``tokens.name_ids()``."""
 
-    ``by_id`` is the pool in ascending-id order, and every table's rows
-    follow it.  A table is built on first use, so strategies that share a
-    (test, pool) pair share its cost and a strategy pays only for the tables
-    it reads.  The similarity and distance tables reduce one matrix of L1
-    distances from the test's terms to the pool's concatenated terms;
-    candidate i owns its columns from ``starts[i]``.  Token counts come from
-    the postings of ``index``, or of an index of the pool when none is given.
-    """
+    terms: PolyColumns
+    tokens: TokenColumn
+    name_ids: dict[str, int]
 
-    def __init__(self, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str,
-                 index: InvertedIndex | None = None):
-        if test.poly is None or test.tokens is None:
-            raise ValueError("test record needs a polynomial and a token bag")
-        self.by_id = sorted(pool, key=lambda r: r.id)
-        for record in self.by_id:
+    @classmethod
+    def from_columns(cls, terms: PolyColumns, tokens: TokenColumn) -> "Candidates":
+        return cls(terms, tokens, tokens.name_ids())
+
+    @classmethod
+    def from_records(cls, records: Sequence["ExampleRecord"]) -> "Candidates":
+        """The records, in their order, packed into columns."""
+        for record in records:
             if record.poly is None:
                 raise ValueError(f"pool record {record.id} has no polynomial")
-        self.test = test
-        self.measure = measure
-        self._index = index
-
-    @cached_property
-    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pool's concatenated exponent rows, their counts as float64, and ``starts``."""
-        if not self.test.poly.n_distinct:
-            raise ValueError("test polynomial is empty")
-        parts = [r.poly.rows() for r in self.by_id]
-        sizes = np.array([len(mat) for mat, _ in parts], dtype=np.int64)
-        if not sizes.all():
-            # reduceat would hand an empty member its neighbour's first column.
-            raise ValueError("cannot score against an empty term pool")
+        parts = [r.poly.rows() for r in records]
         width = max((mat.shape[1] for mat, _ in parts), default=0)
         rows = np.concatenate(
             [np.zeros((0, width), np.uint8), *(_pad_to(mat, width) for mat, _ in parts)]
         )
-        counts = np.concatenate([np.zeros(0), *(counts for _, counts in parts)])
-        return rows, counts, sizes.cumsum() - sizes
+        counts = np.concatenate([np.zeros(0, np.int64), *(counts for _, counts in parts)])
+        tokens = intern_tokens(records)
+        offsets = offsets_from_sizes([len(mat) for mat, _ in parts])
+        return cls.from_columns(PolyColumns(tokens.record_ids, rows, counts, offsets), tokens)
+
+
+class PoolScores:
+    """Per-candidate scores of one test input against one pool, each computed once.
+
+    The pool is ``rows`` of ``candidates``; ``ranked`` holds their ids in
+    that order (``select`` passes them in BM25 rank order), and ``ids`` in
+    ascending order, which every table's rows follow.  A table is built on
+    first use, so strategies that share a (test, pool) pair share its cost
+    and a strategy pays only for the tables it reads.  The similarity and
+    distance tables reduce one matrix of L1 distances from the test's terms
+    to the pool's gathered terms; candidate i owns its columns from
+    ``starts[i]``.
+    """
+
+    def __init__(self, test: "ExampleRecord", candidates: Candidates, rows: np.ndarray,
+                 measure: str):
+        if test.poly is None or test.tokens is None:
+            raise ValueError("test record needs a polynomial and a token bag")
+        rows = np.asarray(rows, dtype=np.int64)
+        ids = candidates.terms.ids
+        self.ranked: list[int] = ids[rows].tolist()
+        self.rows = np.sort(rows)
+        self.ids: list[int] = ids[self.rows].tolist()
+        self.test = test
+        self.measure = measure
+        self._candidates = candidates
+
+    @classmethod
+    def from_records(
+        cls, test: "ExampleRecord", pool: Sequence["ExampleRecord"], measure: str
+    ) -> "PoolScores":
+        """Scores against a pool of records, packed into candidate columns."""
+        # Stable, so records sharing an id keep their pool order.
+        order = sorted(range(len(pool)), key=lambda i: pool[i].id)
+        rows = np.empty(len(pool), dtype=np.int64)
+        rows[order] = np.arange(len(pool))
+        return cls(test, Candidates.from_records([pool[i] for i in order]), rows, measure)
+
+    @cached_property
+    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pool's term rows, their counts as float64, ``starts``, and each
+        candidate's term count."""
+        if not self.test.poly.n_distinct:
+            raise ValueError("test polynomial is empty")
+        terms = self._candidates.terms
+        entries, offsets = take_offsets(terms.offsets, self.rows)
+        starts = offsets[:-1]
+        if (offsets[1:] == starts).any():
+            # reduceat would hand an empty member its neighbour's first column.
+            raise ValueError("cannot score against an empty term pool")
+        counts = terms.counts[entries]
+        n_terms = np.add.reduceat(counts, starts)
+        return terms.rows[entries], counts.astype(np.float64), starts, n_terms
 
     @cached_property
     def _distances(self) -> np.ndarray:
@@ -152,11 +202,10 @@ class PoolScores:
     @cached_property
     def distances(self) -> np.ndarray:
         """Polynomial distance of each candidate to the test input."""
-        _, counts, starts = self._pool_terms
+        _, counts, starts, n_terms = self._pool_terms
         x_counts = self.test.poly.rows()[1].astype(np.float64)
         n_x = self.test.poly.n_terms
         col_mins = self._distances.min(axis=0)
-        n_terms = np.array([record.poly.n_terms for record in self.by_id], dtype=np.int64)
         # Every term is an integer-valued float and every partial sum an
         # integer below 2**53, so the sums are exact in any order and equal
         # polynomial_distance's bit for bit.
@@ -166,20 +215,16 @@ class PoolScores:
     @cached_property
     def token_counts(self) -> np.ndarray:
         """int64 (candidates, distinct test tokens): each candidate's count of each token."""
-        if self._index is None:
-            # The pool's own index has one row per candidate, in by_id order.
-            index, rows = build_index(self.by_id), np.arange(len(self.by_id))
-        else:
-            index, rows = self._index, self._index.rows([r.id for r in self.by_id])
-        return token_table(index, rows, tuple(self.test.tokens.counts))
+        candidates = self._candidates
+        return token_table(
+            candidates.tokens, candidates.name_ids, self.rows, tuple(self.test.tokens.counts)
+        )
 
 
-def _pool_scores(
-    test, pool, plan: SelectionPlan, scores: PoolScores | None, index: InvertedIndex | None = None
-) -> PoolScores:
+def _pool_scores(test, pool, plan: SelectionPlan, scores: PoolScores | None) -> PoolScores:
     """The shared table when one is given, else a fresh one for this call."""
     if scores is None:
-        return PoolScores(test, pool, plan.measure, index)
+        return PoolScores.from_records(test, pool, plan.measure)
     if scores.measure != plan.measure:
         raise ValueError(f"scores use measure {scores.measure!r}, the plan {plan.measure!r}")
     return scores
@@ -222,7 +267,7 @@ def _greedy_coverage(
     scores: PoolScores | None = None,
 ) -> SelectionResult:
     scores = _pool_scores(test, pool, plan, scores)
-    by_id = scores.by_id
+    ids = scores.ids
     _, x_counts = test.poly.dense()
     n_x = test.poly.n_terms
     want = np.fromiter(test.tokens.counts.values(), np.int64, len(test.tokens.counts))
@@ -233,7 +278,7 @@ def _greedy_coverage(
     # term is the elementwise max of theirs (exact in any order), its token
     # counts their sum.  np.argmax takes the first maximum, and rows are in
     # ascending-id order, so ties go to the smallest id.
-    taken = np.zeros(len(by_id), dtype=bool)
+    taken = np.zeros(len(ids), dtype=bool)
     live: list[int] = []
     curr = {"syntax": SENTINEL_LOW, "word": SENTINEL_LOW}
     selected: list[int] = []
@@ -260,7 +305,7 @@ def _greedy_coverage(
 
         if best_cov > curr[mode]:
             row = int(rows[pick])
-            best_id = by_id[row].id
+            best_id = ids[row]
             selected.append(best_id)
             taken[row] = True
             # A committed example joins the live cover for BOTH modes.
@@ -298,12 +343,12 @@ def _greedy_coverage(
 
     if len(selected) < plan.k:
         # Pool exhausted: pad from the BM25 rank order and flag the result.
-        for record in pool:
+        for rid in scores.ranked:
             if len(selected) >= plan.k:
                 break
-            if record.id not in selected:
-                selected.append(record.id)
-                steps.append({"step": event, "action": "bm25_fill", "chosen": record.id})
+            if rid not in selected:
+                selected.append(rid)
+                steps.append({"step": event, "action": "bm25_fill", "chosen": rid})
                 event += 1
         flags["pool_exhausted"] = True
 
@@ -340,7 +385,7 @@ def select_topk_poly(
 ) -> SelectionResult:
     """k pool members closest to the test input in polynomial distance."""
     scores = _pool_scores(test, pool, plan, scores)
-    ranked = sorted(zip(scores.distances.tolist(), (r.id for r in scores.by_id)))
+    ranked = sorted(zip(scores.distances.tolist(), scores.ids))
     chosen = ranked[: plan.k]
     steps = [
         {"rank": i, "chosen": rid, "distance": dist} for i, (dist, rid) in enumerate(chosen)
@@ -350,10 +395,14 @@ def select_topk_poly(
 
 
 def select_bm25(
-    test: "ExampleRecord", pool: Sequence["ExampleRecord"], plan: SelectionPlan
+    test: "ExampleRecord",
+    pool: Sequence["ExampleRecord"],
+    plan: SelectionPlan,
+    scores: PoolScores | None = None,
 ) -> SelectionResult:
     """First k candidates in BM25 rank order (the retrieval baseline)."""
-    chosen = [r.id for r in pool[: plan.k]]
+    ranked = [r.id for r in pool] if scores is None else scores.ranked
+    chosen = ranked[: plan.k]
     steps = [{"rank": i, "chosen": rid} for i, rid in enumerate(chosen)]
     flags = {} if len(chosen) == plan.k else {"pool_exhausted": True}
     return SelectionResult(test.id, "bm25-passthrough", chosen, steps, flags)
@@ -417,9 +466,8 @@ def select_dpp(
 ) -> SelectionResult:
     """DPP MAP selection: syntactic relevance on the diagonal, lexical
     diversity from BM25-weighted word vectors off it."""
-    scores = _pool_scores(test, pool, plan, scores, index)
-    by_id = scores.by_id
-    index_rows = index.rows([r.id for r in by_id])
+    scores = _pool_scores(test, pool, plan, scores)
+    index_rows = index.rows(scores.ids)
     wm = word_matrix(index_rows, scores.token_counts, test.tokens, index, params)
     distances = scores.distances
     if plan.relevance_norm == "reciprocal":
@@ -434,7 +482,7 @@ def select_dpp(
 
     flags: dict = {}
     rows = _greedy_map(kernel, plan.k)
-    if len(rows) < min(plan.k, len(by_id)):
+    if len(rows) < min(plan.k, len(scores.ids)):
         # Numerically singular kernel: jitter the diagonal and rerun.
         kernel = kernel + 1e-8 * np.eye(kernel.shape[0])
         rows = _greedy_map(kernel, plan.k)
@@ -442,7 +490,7 @@ def select_dpp(
     if len(rows) < plan.k:
         flags["pool_exhausted"] = True
 
-    selected = [by_id[r].id for r in rows]
+    selected = [scores.ids[r] for r in rows]
     steps = [
         {"rank": i, "chosen": rid, "relevance": float(relevance[r])}
         for i, (r, rid) in enumerate(zip(rows, selected))
@@ -482,6 +530,8 @@ def run_strategy(
 
     ``scores`` is a ``PoolScores`` of this test and pool that callers
     running several strategies share; without it each strategy builds its own.
+    The strategies read the pool from ``scores`` when it is given, so ``pool``
+    may then be its ids, ``scores.ranked``.
     """
     plan.validate()
     strategy = plan.strategy
@@ -492,7 +542,7 @@ def run_strategy(
     if strategy == "topk-poly":
         return select_topk_poly(test, pool, plan, scores)
     if strategy == "bm25-passthrough":
-        return select_bm25(test, pool, plan)
+        return select_bm25(test, pool, plan, scores)
     if strategy == "dpp":
         if index is None:
             raise ValueError("dpp strategy needs the BM25 index")

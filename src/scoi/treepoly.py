@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -794,9 +794,25 @@ def write_polynomial_cache(
         np.save(fh, np.asarray(ids, dtype=np.int64))
 
 
-def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
-    """The vocabulary and (record id, polynomial) pairs; the polynomials share
-    the file's arrays, so the rows are trusted to be in canonical order."""
+class PolyColumns(NamedTuple):
+    """A polynomial cache's columns: record ``ids[i]`` owns the exponent
+    ``rows`` and int64 ``counts`` at ``offsets[i]:offsets[i+1]``, in
+    canonical order."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+
+    def polynomial(self, i: int) -> Polynomial:
+        """Record i's polynomial, over views of the columns."""
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return Polynomial.from_rows(self.rows[a:b], self.counts[a:b], self.rows.shape[1])
+
+
+def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
+    """The vocabulary and the validated columns; the arrays are read-only,
+    and the rows are trusted to be in canonical order."""
     with open(path, "rb") as fh:
         header = read_header(
             fh, path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache", "labels"
@@ -831,11 +847,13 @@ def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polyno
     if bad.size:
         record = ids[np.searchsorted(offsets, bad[0], side="right") - 1]
         raise DataError(f"{path}: record {record}: multiplicity {counts[bad[0]]} is not positive")
-    rows.flags.writeable = False
-    counts.flags.writeable = False
-    bounds = offsets.tolist()
-    items = [
-        (example_id, Polynomial.from_rows(rows[a:b], counts[a:b], dim))
-        for example_id, a, b in zip(ids.tolist(), bounds[:-1], bounds[1:])
-    ]
-    return vocab, items
+    for array in (rows, counts, offsets, ids):
+        array.flags.writeable = False
+    return vocab, PolyColumns(ids, rows, counts, offsets)
+
+
+def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
+    """The vocabulary and (record id, polynomial) pairs of
+    ``read_polynomial_columns``; the polynomials share its arrays."""
+    vocab, columns = read_polynomial_columns(path)
+    return vocab, [(rid, columns.polynomial(i)) for i, rid in enumerate(columns.ids.tolist())]

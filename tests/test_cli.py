@@ -102,7 +102,7 @@ class TestBuild:
         out = tmp_path / "cold"
         assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
         index_path = tmp_path / "bm25.idx"
-        scoi.retrieval.save_index(index_path, scoi.cli._load_built(out)[3])
+        scoi.retrieval.save_index(index_path, scoi.cli._load_built(out).index)
         pinned = [*scoi.cli._cache_paths(out).values(), index_path]
         assert {p.name: sha256_file(p) for p in pinned} == frozen
 
@@ -191,10 +191,11 @@ class TestBuild:
         shutil.copytree(built, out)
         for name in deleted:
             (out / name).unlink()
-        read = scoi.cli.read_corpus_cache
+        read = scoi.cli.read_corpus_columns
         calls = []
         monkeypatch.setattr(
-            scoi.cli, "read_corpus_cache", lambda path: calls.append(Path(path).name) or read(path)
+            scoi.cli, "read_corpus_columns",
+            lambda path: calls.append(Path(path).name) or read(path),
         )
         tree_stages = spy_tree_stages(monkeypatch)
         capsys.readouterr()
@@ -687,6 +688,37 @@ class TestCorruptCache:
             f"data error: {path}: record 0: id is not above the id 1 before it\n"
         )
 
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    @pytest.mark.parametrize("edit", ["renumber", "drop", "append"])
+    def test_poly_ids_differing_from_the_corpus_ids_exit_2_before_the_digest_check(
+        self, built, tmp_path, capsys, command, edit
+    ):
+        # corpus.poly.bin is rewritten with one id changed, one record dropped
+        # or one record added, and the manifest records its new digest, so
+        # only the join of the two caches is wrong.
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        poly_path = out / "corpus.poly.bin"
+        vocab, items = scoi.treepoly.read_polynomial_cache(poly_path)
+        ids = [rid for rid, _ in items]
+        if edit == "renumber":
+            items[3] = (ids[-1] + 1000, items[3][1])
+            expected = f"record {ids[3]}: not at row 3, as in corpus.bin"
+        elif edit == "drop":
+            del items[5]
+            expected = f"record {ids[5]}: not at row 5, as in corpus.bin"
+        else:
+            items.append((ids[-1] + 1, items[0][1]))
+            expected = f"record {ids[-1] + 1}: not in corpus.bin"
+        write_poly_items(poly_path, items, vocab)
+        manifest_path = out / "build-manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["stages"]["polynomials"]["outputs"]["corpus_poly"] = sha256_file(poly_path)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        extra = ["--record", str(ids[0])] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        assert capsys.readouterr().err == f"data error: {poly_path}: {expected}\n"
+
     @pytest.mark.parametrize("name, mutate, expected", CORRUPTIONS)
     def test_corrupt_cache_exits_2_with_located_message(
         self, built, tmp_path, capsys, name, mutate, expected
@@ -900,12 +932,12 @@ def _count_scoring_calls(built, monkeypatch, strategies):
     """Run ``_select_one`` on the first demo test input, recording the arguments
     of each ``cityblock`` call and counting per-candidate scoring calls."""
     config = load_config(DEMO_CFG, {"out_dir": built})
-    _, corpus, tests, index, _ = scoi.cli._load_built(built)
-    corpus_by_id = {r.id: r for r in corpus}
-    test = tests[0]
-    ranked = scoi.cli.bm25_topk(index, test.tokens, config.pool_size, config.bm25_params())
+    loaded = scoi.cli._load_built(built)
+    test = loaded.test.record(0, loaded.test_poly.polynomial(0))
+    ranked = scoi.cli.bm25_topk(loaded.index, test.tokens, config.pool_size, config.bm25_params())
     assert len(ranked) > config.k
-    pool_rows = np.concatenate([corpus_by_id[rid].poly.rows()[0] for rid in sorted(dict(ranked))])
+    corpus_polys = dict(scoi.treepoly.read_polynomial_cache(built / "corpus.poly.bin")[1])
+    pool_rows = np.concatenate([corpus_polys[rid].rows()[0] for rid in sorted(dict(ranked))])
     calls = {"cityblock": [], "max_similarities": 0, "polynomial_distance": 0}
     real_cityblock = scoi.selection.cityblock
 
@@ -925,8 +957,9 @@ def _count_scoring_calls(built, monkeypatch, strategies):
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
+    candidates = scoi.selection.Candidates.from_columns(loaded.corpus_poly, loaded.corpus.tokens)
     scoi.cli._select_one(
-        test, strategies, config, corpus_by_id, tuple(sorted(corpus_by_id)), index,
+        test, strategies, config, loaded, candidates, tuple(loaded.corpus.ids.tolist()),
         config.template(),
     )
     return test, pool_rows, calls
@@ -1054,6 +1087,34 @@ class TestSelectReadsColumns:
         assert sorted(bags) == sorted(t.token_list for t in tests)
 
 
+    def test_select_makes_no_polynomial_and_no_record_of_the_corpus(
+        self, built, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        n_tests = len(scoi.corpus.read_corpus_cache(out / "test.bin")[1])
+        n_corpus = len(scoi.corpus.read_corpus_cache(out / "corpus.bin")[1])
+        assert n_tests != n_corpus
+        polys, records = [], []
+        real_from_rows = scoi.treepoly.Polynomial.from_rows.__func__
+        real_init = scoi.corpus.ExampleRecord.__init__
+
+        def from_rows(cls, rows, counts, dim):
+            polys.append(len(rows))
+            return real_from_rows(cls, rows, counts, dim)
+
+        def init(self, *args, **kwargs):
+            records.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(scoi.treepoly.Polynomial, "from_rows", classmethod(from_rows))
+        monkeypatch.setattr(scoi.corpus.ExampleRecord, "__init__", init)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out) == 0
+        # One polynomial and one record per test input, each built once.
+        assert len(polys) == len(records) == n_tests
+        assert records == sorted(set(records))
+
+
 INSPECT_GOLDEN = json.loads((FIXTURES / "demo_inspect.json").read_text(encoding="utf-8"))
 
 
@@ -1078,8 +1139,9 @@ class TestInspectCommand:
         assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "0") == 0
         out = capsys.readouterr().out
         tree_lines = out.split("  tree:\n", 1)[1].split("  polynomial terms:\n", 1)[0]
-        vocab, corpus, _, _, _ = scoi.cli._load_built(built)
-        tree = next(r for r in corpus if r.id == 0).tree
+        corpus = scoi.cli._load_built(built).corpus
+        vocab = corpus.vocab
+        tree = corpus.trees[int(corpus.ids.searchsorted(0))]
         expected = []
 
         def walk(node, depth):

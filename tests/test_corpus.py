@@ -162,20 +162,6 @@ class TestCorpusCache:
         ]
         assert all(r.poly is None for r in loaded)
 
-    def test_fields_are_decoded_on_first_access(self, tmp_path):
-        src, tgt, conllu = build_corpus_files(tmp_path, n=4)
-        vocab = LabelVocabulary()
-        path = tmp_path / "corpus.bin"
-        records = load_parallel_corpus(src, tgt, conllu, vocab)
-        write_corpus_cache(path, records, vocab)
-        _, loaded, _ = read_corpus_cache(path)
-        record = loaded[2]
-        assert set(vars(record)) == {"id", "poly", "_cols", "_row"}
-        assert record.tree is record.tree
-        assert record.tokens is record.tokens
-        assert set(vars(record)) == {"id", "poly", "_cols", "_row", "tree", "tokens",
-                                     "token_list"}
-
     def test_two_ingests_are_byte_identical(self, tmp_path):
         src, tgt, conllu = build_corpus_files(tmp_path, n=10)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -17,12 +17,14 @@ from scoi.coverage import (
 )
 import scoi.selection
 from scoi.retrieval import Bm25Params, build_index, word_matrix
-from scoi.selection import STRATEGIES, PoolScores, SelectionPlan, run_strategy
+from scoi.corpus import read_corpus_columns, write_corpus_cache
+from scoi.selection import STRATEGIES, Candidates, PoolScores, SelectionPlan, run_strategy
 from scoi.treepoly import (
     Polynomial,
     encode_term,
     polynomial_distance,
     read_polynomial_cache,
+    read_polynomial_columns,
 )
 from scipy.spatial.distance import cdist
 
@@ -326,12 +328,24 @@ def per_candidate_word_matrix(candidates, query, index, params=Bm25Params()) -> 
     return mat
 
 
-class PerCandidateScores(PoolScores):
-    """PoolScores with the per-candidate token table."""
+def per_candidate_scores(test, pool, measure) -> PoolScores:
+    """Record-built PoolScores whose token table is the per-candidate one."""
+    scores = PoolScores.from_records(test, pool, measure)
+    scores.token_counts = per_candidate_token_counts(test, sorted(pool, key=lambda r: r.id))
+    return scores
 
-    @property
-    def token_counts(self):
-        return per_candidate_token_counts(self.test, self.by_id)
+
+def column_scores(test, corpus, pool, measure, tmp_path) -> PoolScores:
+    """PoolScores over the caches' columns of ``corpus``, as ``select`` builds
+    them: the pool is its rows, in the pool's order."""
+    ordered = sorted(corpus, key=lambda r: r.id)
+    vocab = make_vocab(max(r.poly.dim for r in ordered))
+    write_corpus_cache(tmp_path / "corpus.bin", ordered, vocab)
+    write_poly_items(tmp_path / "corpus.poly.bin", ((r.id, r.poly) for r in ordered), vocab)
+    columns = read_corpus_columns(tmp_path / "corpus.bin")
+    _, terms = read_polynomial_columns(tmp_path / "corpus.poly.bin")
+    candidates = Candidates.from_columns(terms, columns.tokens)
+    return PoolScores(test, candidates, columns.ids.searchsorted([r.id for r in pool]), measure)
 
 
 class TestPoolScores:
@@ -355,16 +369,18 @@ class TestPoolScores:
                 polys = cached_polys([test, *pool], vocab, tmp_path)
                 for record in (test, *pool):
                     record.poly = polys[record.id]
-            scores = PoolScores(test, pool, measure)
-            sims = np.array([max_similarities(test.poly, r.poly, measure) for r in scores.by_id])
-            dists = np.array([polynomial_distance(test.poly, r.poly) for r in scores.by_id])
+            scores = PoolScores.from_records(test, pool, measure)
+            by_id = sorted(pool, key=lambda r: r.id)
+            assert scores.ids == [r.id for r in by_id]
+            sims = np.array([max_similarities(test.poly, r.poly, measure) for r in by_id])
+            dists = np.array([polynomial_distance(test.poly, r.poly) for r in by_id])
             assert np.array_equal(scores.similarities, sims)
             assert np.array_equal(scores.distances, dists)
             assert np.array_equal(
-                sims, [scipy_max_similarities(test.poly, r.poly, measure) for r in scores.by_id]
+                sims, [scipy_max_similarities(test.poly, r.poly, measure) for r in by_id]
             )
             assert np.array_equal(
-                dists, [scipy_polynomial_distance(test.poly, r.poly) for r in scores.by_id]
+                dists, [scipy_polynomial_distance(test.poly, r.poly) for r in by_id]
             )
 
     def test_manhattan_tables_peak_below_twice_the_distance_table(self):
@@ -378,7 +394,7 @@ class TestPoolScores:
             make_record(rid, random_recursive_tree(rng, 110, 12), ["w"], vocab)
             for rid in range(8)
         ]
-        scores = PoolScores(test, pool, "normalized-manhattan")
+        scores = PoolScores.from_records(test, pool, "normalized-manhattan")
         test.poly.rows()
         scores._pool_terms  # the inputs, not the tables, are outside the bound
         tracemalloc.start()
@@ -394,7 +410,9 @@ class TestPoolScores:
 
     @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
     @pytest.mark.parametrize("indexed", [False, True], ids=["pool-index", "corpus-index"])
-    def test_token_tables_equal_per_candidate_formulas(self, measure, indexed, monkeypatch):
+    def test_token_tables_equal_per_candidate_formulas(
+        self, measure, indexed, monkeypatch, tmp_path
+    ):
         rng = random.Random(29)
         vocab = make_vocab(4)
         for _ in range(15):
@@ -402,13 +420,17 @@ class TestPoolScores:
             pool = rng.sample(corpus, rng.randint(1, 20))
             test = random_record(rng, 5000, vocab, WORDS[:15])
             index = build_index(corpus)
-            scores = PoolScores(test, pool, measure, index if indexed else None)
-            table = per_candidate_token_counts(test, scores.by_id)
+            if indexed:
+                scores = column_scores(test, corpus, pool, measure, tmp_path)
+            else:
+                scores = PoolScores.from_records(test, pool, measure)
+            by_id = sorted(pool, key=lambda r: r.id)
+            table = per_candidate_token_counts(test, by_id)
             assert scores.token_counts.dtype == np.int64
             assert np.array_equal(scores.token_counts, table)
-            rows = index.rows([r.id for r in scores.by_id])
+            rows = index.rows(scores.ids)
             wm = word_matrix(rows, scores.token_counts, test.tokens, index)
-            assert np.array_equal(wm, per_candidate_word_matrix(scores.by_id, test.tokens, index))
+            assert np.array_equal(wm, per_candidate_word_matrix(by_id, test.tokens, index))
 
             # Every strategy selects as it did on the per-candidate tables.
             corpus_ids = [r.id for r in corpus]
@@ -426,13 +448,42 @@ class TestPoolScores:
                         [by_id[i] for i in index.ids[rows].tolist()], query, index, params
                     ),
                 )
-                old_scores = PerCandidateScores(test, pool, measure)
+                old_scores = per_candidate_scores(test, pool, measure)
                 for strategy in STRATEGIES:
                     plan = SelectionPlan(strategy=strategy, k=3, measure=measure, pool_size=3)
                     old = run_strategy(
                         test, pool, plan, index=index, corpus_ids=corpus_ids, scores=old_scores
                     )
                     assert old.to_record() == new[strategy], strategy
+
+    @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
+    def test_column_built_tables_equal_record_built(self, measure, tmp_path):
+        """``select``'s tables, gathered from the cache columns by row, equal
+        the tables of the same pool packed from its records, bit for bit, and
+        every strategy selects the same from either."""
+        rng = random.Random(37)
+        vocab = make_vocab(5)
+        for trial in range(12):
+            corpus = random_pool(rng, 60, vocab, WORDS[:14])
+            pool = rng.sample(corpus, rng.randint(1, 25))
+            test = random_record(rng, 5000, vocab, WORDS[:16])
+            columns = column_scores(test, corpus, pool, measure, tmp_path)
+            records = PoolScores.from_records(test, pool, measure)
+            assert (columns.ids, columns.ranked) == (records.ids, records.ranked)
+            assert columns.ranked == [r.id for r in pool]
+            for table in ("similarities", "distances", "token_counts"):
+                got, want = getattr(columns, table), getattr(records, table)
+                assert got.dtype == want.dtype and got.shape == want.shape, table
+                assert got.tobytes() == want.tobytes(), table
+            index = build_index(corpus)
+            corpus_ids = [r.id for r in corpus]
+            for strategy in STRATEGIES:
+                plan = SelectionPlan(strategy=strategy, k=rng.randint(1, 6), measure=measure)
+                plan.pool_size = max(plan.k, len(pool))
+                got = run_strategy(test, columns.ranked, plan, index=index,
+                                   corpus_ids=corpus_ids, scores=columns)
+                want = run_strategy(test, pool, plan, index=index, corpus_ids=corpus_ids)
+                assert got.to_record() == want.to_record(), (trial, strategy)
 
     def test_empty_member_polynomial_rejected(self):
         rng = random.Random(4)
@@ -441,6 +492,6 @@ class TestPoolScores:
         test = random_record(rng, 2000, vocab, WORDS)
         pool[2].poly = Polynomial(Counter(), len(vocab))
         for table in ("similarities", "distances"):
-            scores = PoolScores(test, pool, "normalized-manhattan")
+            scores = PoolScores.from_records(test, pool, "normalized-manhattan")
             with pytest.raises(ValueError, match="cannot score against an empty term pool"):
                 getattr(scores, table)

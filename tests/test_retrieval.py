@@ -263,10 +263,55 @@ class TestBm25PartialSort:
         assert bm25_topk(index, query, k=5) == []
 
 
+class TestCachedDenominators:
+    """bm25_topk divides by denominators kept per index and per Bm25Params;
+    every score and the ranking stay those of the per-query formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), st.data())
+    def test_topk_equals_the_per_query_formula(self, corpus, data):
+        # Every document twice, under two ids, so hits come in groups of an
+        # even size, and an odd k < hits cuts inside a group of equal scores.
+        ids = data.draw(st.lists(st.integers(0, 100_000), min_size=2 * len(corpus),
+                                 max_size=2 * len(corpus), unique=True))
+        docs = [rec(i, list(d.token_list)) for i, d in zip(ids, corpus + corpus)]
+        index = build_index(docs)
+        words = sorted({t for d in corpus for t in d.token_list}) + ["absent"]
+        other = Bm25Params(
+            k1=data.draw(st.floats(0.0, 3.0, allow_nan=False)),
+            b=data.draw(st.floats(0.0, 1.0, allow_nan=False)),
+        )
+        for _ in range(3):
+            query = bag(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6)))
+            hits = len(_full_lexsort_topk(index, query, len(docs)))
+            k = data.draw(st.integers(1, max(1, hits - 1)).filter(lambda k: k % 2 or hits < 2))
+            for params in (Bm25Params(), other, Bm25Params()):
+                ranked = bm25_topk(index, query, k=k, params=params)
+                assert ranked == _full_lexsort_topk(index, query, k, params)
+                every = _full_lexsort_topk(index, query, len(docs), params)
+                if len(every) > k:
+                    assert every[k - 1][1] == every[k][1]
+        assert index.denominators(other) is index.denominators(other)
+        assert index.denominators(Bm25Params()) is index.denominators(Bm25Params())
+
+    def test_denominators_are_computed_once_per_token_and_params(self):
+        index = build_index([rec(0, ["a", "b", "a"]), rec(1, ["b"]), rec(2, ["c", "a"])])
+        params = Bm25Params(k1=1.2, b=0.5)
+        denominators = index.denominators(params)
+        assert len(denominators) == 0  # nothing is computed before a lookup
+        norm = params.k1 * (1.0 - params.b + params.b * (index.lengths / index.avgdl))
+        for token, (rows, tfs) in index.postings.items():
+            assert denominators[token].tobytes() == (tfs + norm[rows]).tobytes()
+            assert denominators[token] is index.denominators(params)[token]
+        assert index.denominators(Bm25Params()) is not denominators
+        assert index.denominators(Bm25Params())["a"].tolist() != denominators["a"].tolist()
+
+
 def _word_matrix(docs, query, index):
     """word_matrix of ``docs`` (in their order) over the query's tokens."""
     rows = index.rows([d.id for d in docs])
-    counts = token_table(index, rows, tuple(query.counts))
+    column = intern_tokens(sorted(docs, key=lambda d: d.id))
+    counts = token_table(column, column.name_ids(), rows, tuple(query.counts))
     return word_matrix(rows, counts, query, index)
 
 
@@ -309,9 +354,20 @@ class TestTokenTable:
         index = build_index(docs)
         query = tuple("fbazc")
         picked = rng.sample(docs, 25)
-        table = token_table(index, index.rows([d.id for d in picked]), query)
+        column = intern_tokens(sorted(docs, key=lambda d: d.id))
+        table = token_table(column, column.name_ids(), index.rows([d.id for d in picked]), query)
         assert table.dtype == np.int64
         assert table.tolist() == [[d.tokens.counts.get(t, 0) for t in query] for d in picked]
+
+    def test_tokens_outside_the_column_count_zero(self):
+        docs = [rec(3, ["a", "b", "a"]), rec(5, ["c"]), rec(9, ["b", "b"])]
+        column = intern_tokens(docs)
+        name_ids = column.name_ids()
+        assert name_ids == {"a": 0, "b": 1, "c": 2}
+        table = token_table(column, name_ids, np.array([2, 0]), ("zz", "b", "a", "c"))
+        assert table.tolist() == [[0, 2, 0, 0], [0, 1, 2, 0]]
+        assert token_table(column, name_ids, np.array([1]), ()).shape == (1, 0)
+        assert token_table(column, name_ids, np.zeros(0, np.int64), ("a",)).shape == (0, 1)
 
     def test_unindexed_id_rejected(self):
         index = build_index([rec(1, ["a"]), rec(4, ["b"])])

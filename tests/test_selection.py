@@ -17,7 +17,7 @@ from scoi.selection import (
     select_single_coverage,
     select_topk_poly,
 )
-from scoi.retrieval import token_table, word_matrix
+from scoi.retrieval import intern_tokens, token_table, word_matrix
 from scoi.treepoly import polynomial_distance
 
 from conftest import make_record, make_tree, make_vocab, random_pool, random_record
@@ -367,7 +367,8 @@ def _dpp_setup(records, test, plan, params=Bm25Params()):
     index = build_index(records)
     by_id = sorted(records, key=lambda r: r.id)
     rows = index.rows([r.id for r in by_id])
-    counts = token_table(index, rows, tuple(test.tokens.counts))
+    column = intern_tokens(by_id)
+    counts = token_table(column, column.name_ids(), rows, tuple(test.tokens.counts))
     wm = word_matrix(rows, counts, test.tokens, index, params)
     dists = np.array([polynomial_distance(test.poly, r.poly) for r in by_id])
     relevance = 1.0 / (1.0 + dists)
