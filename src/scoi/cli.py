@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import run_bench
 from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
 from .corpus import (
     CORPUS_CACHE_VERSION,
@@ -144,23 +143,22 @@ def cmd_build(config: RunConfig) -> int:
 
     def ingest() -> str:
         vocab = LabelVocabulary()
-        all_records = load_parallel_corpus(
+        corpus = load_parallel_corpus(
             config.corpus_source, config.corpus_target, config.corpus_conllu, vocab,
             config.fold_case, config.strip_punctuation,
         )
-        test_records = load_test_inputs(
+        test = load_test_inputs(
             config.test_source, config.test_conllu, vocab,
             config.fold_case, config.strip_punctuation,
         )
-        corpus_records, removed = filter_by_length(
-            all_records, config.max_tokens, config.filter_target
-        )
-        if not corpus_records:
+        corpus, removed = filter_by_length(corpus, config.max_tokens, config.filter_target)
+        if not len(corpus.ids):
             raise DataError("every corpus record was removed by the length filter")
-        for cache, cache_records in (("corpus_cache", corpus_records), ("test_cache", test_records)):
-            loaded[cache] = (vocab, *write_corpus_cache(paths[cache], cache_records, vocab))
+        for cache, columns in (("corpus_cache", corpus), ("test_cache", test)):
+            write_corpus_cache(paths[cache], columns)
+            loaded[cache] = (vocab, columns.ids, columns.trees)
         return (
-            f"{len(corpus_records)} records kept, {removed} removed by the "
+            f"{len(corpus.ids)} records kept, {removed} removed by the "
             f"{config.max_tokens}-token filter"
         )
 
@@ -357,6 +355,8 @@ def cmd_select(config: RunConfig) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench
+
     ts = tuple(int(x) for x in args.t.split(","))
     qs = tuple(int(x) for x in args.q.split(","))
     report = run_bench(qs=qs, ts=ts, budget=args.budget)

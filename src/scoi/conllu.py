@@ -97,11 +97,6 @@ class TreeColumns(Sequence):
     def __iter__(self) -> Iterator[DependencyTree]:
         return map(self.__getitem__, range(len(self)))
 
-    def take(self, rows: np.ndarray) -> "TreeColumns":
-        """The trees at ``rows``, in that order, as new columns."""
-        entries, offsets = take_offsets(self.offsets, rows)
-        return TreeColumns(self.labels[entries], self.parents[entries], offsets)
-
 
 def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_index: int) -> DependencyTree:
     heads: list[int] = []

@@ -1,25 +1,35 @@
-"""Corpus assembly: parallel text + parses -> example records, plus caches.
+"""Corpus assembly: parallel text + parses -> corpus columns, plus caches.
 
-A record couples one source sentence with its translation, source-side
-tokens, dependency tree, and (once built) its polynomial.  Line i of the
-source file, line i of the target file, and sentence block i of the
-CoNLL-U file form record i; mismatched counts are a hard error.  Record
-ids are the original line indices and survive filtering.
+Line i of the source file, line i of the target file, and sentence block i
+of the CoNLL-U file form record i; mismatched counts are a hard error.
+Record ids are the original line indices and survive filtering.
+
+Ingest builds no per-record object: it returns ``CorpusColumns``, the shape
+``corpus.bin`` stores and ``select`` reads.  Each text file is a column of
+its own bytes, split into lines as text mode splits them.  Tokens come from
+the distinct whitespace chunks: each line's ``str.split()`` chunks are
+interned into one dict as the lines are split, ``tokenize`` and
+``apply_token_flags`` run once per distinct chunk, and the chunk ids expand
+to token ids.  That is exact: ``tokenize`` treats each chunk on its own and
+the flags each token on its own, so a line's tokens are its chunks' tokens
+in order.  A chunk always yields at least one token, so only a line with no
+chunk, or one whose tokens the flags all drop, has none.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conllu import TreeColumns, load_conllu, offsets_from_sizes
+from .conllu import TreeColumns, load_conllu, offsets_from_sizes, take_offsets
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
 from .retrieval import TokenColumn, intern_tokens
-from .tokenizer import apply_token_flags, tokenize
+from .tokenizer import TOKENIZER_VERSION, apply_token_flags, tokenize
 from .treepoly import (
     DependencyTree,
     LabelVocabulary,
@@ -62,45 +72,114 @@ class ExampleRecord:
     tokens = cached_property(lambda self: TokenBag.from_tokens(self.token_list))
 
 
-class _ParsedRecord(ExampleRecord):
-    """A record read at ingest.  Record i's tree is row i of the columns the
-    CoNLL-U file was parsed into; it is built on each access and not kept."""
+class CorpusColumns(NamedTuple):
+    """A corpus as columns; row i is record ``ids[i]``.
 
-    def __init__(self, id: int, source: str, target: str, token_list: tuple[str, ...],
-                 trees: TreeColumns):
-        super().__init__(id, source, target, token_list)
-        self.trees = trees
+    ``text`` maps ``"source"`` and ``"target"`` to their UTF-8 bytes and
+    int64 offsets: row i owns bytes ``offsets[i]:offsets[i+1]``.
+    """
 
-    tree = property(lambda self: self.trees[self.id])
+    vocab: LabelVocabulary
+    tokens: TokenColumn
+    text: dict[str, tuple[np.ndarray, np.ndarray]]
+    trees: TreeColumns | None
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self.tokens.record_ids
+
+    def decode(self, side: str, row: int) -> str:
+        blob, offsets = self.text[side]
+        return blob[offsets[row]:offsets[row + 1]].tobytes().decode("utf-8")
+
+    def token_list(self, row: int) -> tuple[str, ...]:
+        column = self.tokens
+        ids = column.token_ids[column.offsets[row]:column.offsets[row + 1]]
+        return tuple(column.names[i] for i in ids.tolist())
+
+    def record(self, row: int, poly: Polynomial | None = None) -> ExampleRecord:
+        """Row ``row`` as a record, with its tree when the trees were kept."""
+        return ExampleRecord(
+            int(self.ids[row]), self.decode("source", row), self.decode("target", row),
+            self.token_list(row), tree=None if self.trees is None else self.trees[row], poly=poly,
+        )
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, read as text mode would split them."""
+def corpus_columns(records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> CorpusColumns:
+    """Records, each with a tree, packed as columns in their order; tokens
+    are interned in first-seen order."""
+    text = {}
+    for side in ("source", "target"):
+        encoded = [getattr(r, side).encode("utf-8") for r in records]
+        text[side] = (np.frombuffer(b"".join(encoded), np.uint8),
+                      offsets_from_sizes(list(map(len, encoded))))
+    trees = TreeColumns.from_trees([r.tree for r in records])
+    return CorpusColumns(vocab, intern_tokens(records), text, trees)
+
+
+# --- ingest ------------------------------------------------------------------
+
+
+def _read_text(path) -> tuple[np.ndarray, np.ndarray]:
+    """A UTF-8 text file's lines as a column: line i's bytes, without its
+    break, are ``blob[offsets[i]:offsets[i+1]]``.  Lines split as text mode
+    splits them: ``\\r\\n`` and ``\\r`` end a line as ``\\n`` does, and a final
+    break starts no line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        lines = data.decode("utf-8").split("\n")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {lineno}: not UTF-8") from None
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    offsets = np.zeros(len(ends) + 1, np.int64)
+    offsets[1:] = ends - np.arange(len(ends))  # line i follows i breaks
+    return np.frombuffer(data.replace(b"\n", b""), np.uint8), offsets
 
 
-def _parsed_records(
-    sources: list[str], targets: list[str], trees: TreeColumns,
-    fold_case: bool, strip_punctuation: bool,
-) -> list[ExampleRecord]:
-    records = []
-    for i, (source, target) in enumerate(zip(sources, targets)):
-        tokens = apply_token_flags(tokenize(source), fold_case, strip_punctuation)
-        if not tokens:
-            raise DataError(f"record {i}: no tokens left after token flags")
-        records.append(_ParsedRecord(i, source, target, tuple(tokens), trees))
-    return records
+def _chunk_column(
+    blob: np.ndarray, offsets: np.ndarray
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct ``str.split()`` chunks of a text column's rows in first-seen
+    order, and each row's chunks as int32 ids into them, with int64 offsets.
+    Rows are decoded one at a time, and only the distinct chunks are kept."""
+    data, bounds = blob.tobytes(), offsets.tolist()
+    index: dict[str, int] = {}
+    ids, sizes = array("i"), array("q")
+    for a, b in zip(bounds, bounds[1:]):
+        chunks = data[a:b].decode("utf-8").split()
+        sizes.append(len(chunks))
+        ids.extend([index.setdefault(chunk, len(index)) for chunk in chunks])
+    return list(index), np.array(ids, np.int32), offsets_from_sizes(sizes)
+
+
+def _tokenize_lines(
+    path, text: tuple[np.ndarray, np.ndarray], fold_case: bool, strip_punctuation: bool
+) -> TokenColumn:
+    """The lines' tokens, tokenized chunk by distinct chunk; row i is record i."""
+    chunks, chunk_ids, line_offsets = _chunk_column(*text)
+    names: dict[str, int] = {}
+    ids, sizes = array("i"), array("q")
+    for chunk in chunks:
+        tokens = apply_token_flags(tokenize(chunk), fold_case, strip_punctuation)
+        sizes.append(len(tokens))
+        ids.extend([names.setdefault(token, len(names)) for token in tokens])
+    entries, chunk_offsets = take_offsets(offsets_from_sizes(sizes), chunk_ids)
+    offsets = chunk_offsets[line_offsets]
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    if empty.size:
+        line = int(empty[0])
+        flagged = line_offsets[line] < line_offsets[line + 1]
+        reason = "no tokens left after token flags" if flagged else "no tokens"
+        raise DataError(f"{path}: line {line + 1}: {reason}")
+    n = len(line_offsets) - 1
+    return TokenColumn(np.arange(n, dtype=np.int64), offsets,
+                       np.array(ids, np.int32)[entries], list(names))
 
 
 def load_parallel_corpus(
@@ -110,16 +189,18 @@ def load_parallel_corpus(
     vocab: LabelVocabulary,
     fold_case: bool = False,
     strip_punctuation: bool = False,
-) -> list[ExampleRecord]:
-    sources = _read_lines(source_path)
-    targets = _read_lines(target_path)
+) -> CorpusColumns:
+    source = _read_text(source_path)
+    target = _read_text(target_path)
     trees = load_conllu(conllu_path, vocab)
-    if not (len(sources) == len(targets) == len(trees)):
+    n_source, n_target = len(source[1]) - 1, len(target[1]) - 1
+    if not (n_source == n_target == len(trees)):
         raise AlignmentError(
-            f"corpus misaligned: {len(sources)} source lines, {len(targets)} target "
+            f"corpus misaligned: {n_source} source lines, {n_target} target "
             f"lines, {len(trees)} parsed sentences"
         )
-    return _parsed_records(sources, targets, trees, fold_case, strip_punctuation)
+    tokens = _tokenize_lines(source_path, source, fold_case, strip_punctuation)
+    return CorpusColumns(vocab, tokens, {"source": source, "target": target}, trees)
 
 
 def load_test_inputs(
@@ -128,33 +209,72 @@ def load_test_inputs(
     vocab: LabelVocabulary,
     fold_case: bool = False,
     strip_punctuation: bool = False,
-) -> list[ExampleRecord]:
-    sources = _read_lines(source_path)
+) -> CorpusColumns:
+    source = _read_text(source_path)
     trees = load_conllu(conllu_path, vocab)
-    if len(sources) != len(trees):
+    n = len(source[1]) - 1
+    if n != len(trees):
         raise AlignmentError(
-            f"test inputs misaligned: {len(sources)} source lines, {len(trees)} parsed sentences"
+            f"test inputs misaligned: {n} source lines, {len(trees)} parsed sentences"
         )
-    return _parsed_records(sources, [""] * len(sources), trees, fold_case, strip_punctuation)
+    tokens = _tokenize_lines(source_path, source, fold_case, strip_punctuation)
+    target = (np.zeros(0, np.uint8), np.zeros(n + 1, np.int64))
+    return CorpusColumns(vocab, tokens, {"source": source, "target": target}, trees)
+
+
+def _token_counts(text: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each row's ``tokenize`` count, tokenized chunk by distinct chunk; a row
+    without chunks counts 0."""
+    chunks, chunk_ids, line_offsets = _chunk_column(*text)
+    per_chunk = np.fromiter(map(len, map(tokenize, chunks)), np.int64, len(chunks))
+    totals = offsets_from_sizes(per_chunk[chunk_ids])
+    return np.diff(totals[line_offsets])
+
+
+def _compress(keep: np.ndarray, offsets: np.ndarray, *columns: np.ndarray) -> tuple:
+    """The offsets and entries of the rows ``keep`` marks, in order."""
+    sizes = np.diff(offsets)
+    entries = np.repeat(keep, sizes)
+    return (offsets_from_sizes(sizes[keep]), *(column[entries] for column in columns))
 
 
 def filter_by_length(
-    records: Sequence[ExampleRecord], max_tokens: int = 120, count_target: bool = False
-) -> tuple[list[ExampleRecord], int]:
+    columns: CorpusColumns, max_tokens: int = 120, count_target: bool = False
+) -> tuple[CorpusColumns, int]:
     """Drop records longer than ``max_tokens`` (strictly more than).
 
     Counts source tokens; with ``count_target`` the target side is
     tokenized too and either side can disqualify.  Returns the kept
-    records and the removed count.
+    columns, tokens re-interned in first-seen order, and the removed count.
     """
-    kept = []
-    for record in records:
-        over = len(record.token_list) > max_tokens
-        if not over and count_target and record.target:
-            over = len(tokenize(record.target)) > max_tokens
-        if not over:
-            kept.append(record)
-    return kept, len(records) - len(kept)
+    tokens = columns.tokens
+    over = np.diff(tokens.offsets) > max_tokens
+    if count_target:
+        over |= _token_counts(columns.text["target"]) > max_tokens
+    removed = int(over.sum())
+    if not removed:
+        return columns, 0
+    keep = ~over
+    token_offsets, kept = _compress(keep, tokens.offsets, tokens.token_ids)
+    # Each kept token's first position; ordered by it, the tokens are in
+    # first-seen order.  A scatter, not a stable sort of every entry.
+    first = np.full(len(tokens.names), len(kept))
+    np.minimum.at(first, kept, np.arange(len(kept)))
+    seen = np.flatnonzero(first < len(kept))
+    order = seen[np.argsort(first[seen])]
+    renumber = np.zeros(len(tokens.names), np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    text = {}
+    for side, (blob, offsets) in columns.text.items():
+        offsets, blob = _compress(keep, offsets, blob)
+        text[side] = (blob, offsets)
+    trees = columns.trees
+    node_offsets, labels, parents = _compress(keep, trees.offsets, trees.labels, trees.parents)
+    token_column = TokenColumn(tokens.record_ids[keep], token_offsets, renumber[kept],
+                               [tokens.names[i] for i in order.tolist()])
+    return columns._replace(
+        tokens=token_column, text=text, trees=TreeColumns(labels, parents, node_offsets)
+    ), removed
 
 
 def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary) -> None:
@@ -186,71 +306,20 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
             "labels": "node_offsets", "parents": "node_offsets"}
 
 
-def tree_columns(records: Sequence[ExampleRecord]) -> TreeColumns:
-    """The records' trees as columns.  Rows of one parsed file are copied as
-    they are, without building a tree."""
-    trees = getattr(records[0], "trees", None) if records else None
-    if trees is not None and all(getattr(r, "trees", None) is trees for r in records):
-        return trees.take(np.fromiter((r.id for r in records), np.int64, len(records)))
-    return TreeColumns.from_trees([r.tree for r in records])
-
-
-def write_corpus_cache(
-    path, records: Sequence[ExampleRecord], vocab: LabelVocabulary
-) -> tuple[np.ndarray, TreeColumns]:
-    """Write the cache; tokens are interned in first-seen order.  Returns the
-    record ids and the tree columns written, for the polynomial stage."""
-    from .tokenizer import TOKENIZER_VERSION
-
-    tokens = intern_tokens(records)
-    cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids}
-    for side in ("source", "target"):
-        encoded = [getattr(r, side).encode("utf-8") for r in records]
-        cols[_OFFSETS[side]] = offsets_from_sizes(list(map(len, encoded)))
-        cols[side] = np.frombuffer(b"".join(encoded), np.uint8)
-    trees = tree_columns(records)
-    cols.update(node_offsets=trees.offsets, labels=trees.labels, parents=trees.parents)
+def write_corpus_cache(path, columns: CorpusColumns) -> None:
+    """Write the columns as they are; their tokens must be in first-seen order."""
+    tokens, trees = columns.tokens, columns.trees
+    cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids,
+            "node_offsets": trees.offsets, "labels": trees.labels, "parents": trees.parents}
+    for side, (blob, offsets) in columns.text.items():
+        cols[side], cols[_OFFSETS[side]] = blob, offsets
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
-              "tokenizer_version": TOKENIZER_VERSION, "labels": vocab.labels,
+              "tokenizer_version": TOKENIZER_VERSION, "labels": columns.vocab.labels,
               "tokens": tokens.names}
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8") + b"\n")
         for name, dtype in _SEGMENTS.items():
             np.save(fh, cols[name].astype(dtype, copy=False))
-    return tokens.record_ids, trees
-
-
-class CorpusColumns(NamedTuple):
-    """A corpus cache's validated columns; row i is record ``ids[i]``.
-
-    ``text`` maps ``"source"`` and ``"target"`` to their UTF-8 bytes and
-    int64 offsets: row i owns bytes ``offsets[i]:offsets[i+1]``.
-    """
-
-    vocab: LabelVocabulary
-    tokens: TokenColumn
-    text: dict[str, tuple[np.ndarray, np.ndarray]]
-    trees: TreeColumns | None
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self.tokens.record_ids
-
-    def decode(self, side: str, row: int) -> str:
-        blob, offsets = self.text[side]
-        return blob[offsets[row]:offsets[row + 1]].tobytes().decode("utf-8")
-
-    def token_list(self, row: int) -> tuple[str, ...]:
-        column = self.tokens
-        ids = column.token_ids[column.offsets[row]:column.offsets[row + 1]]
-        return tuple(column.names[i] for i in ids.tolist())
-
-    def record(self, row: int, poly: Polynomial | None = None) -> ExampleRecord:
-        """Row ``row`` as a record, with its tree when the trees were kept."""
-        return ExampleRecord(
-            int(self.ids[row]), self.decode("source", row), self.decode("target", row),
-            self.token_list(row), tree=None if self.trees is None else self.trees[row], poly=poly,
-        )
 
 
 def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:

@@ -11,6 +11,12 @@ test corpus:
 4. Case is kept; punctuation tokens are kept; word-internal punctuation
    (hyphens, apostrophes, decimal points) stays attached.
 
+Rule 2 sees one chunk at a time, and a chunk always yields at least one
+token, so ``tokenize(text)`` is the concatenation of ``tokenize(chunk)``
+over ``text.split()``; ``apply_token_flags`` filters and maps each token
+on its own.  Ingest relies on both and tokenizes each distinct chunk of a
+file once.
+
 No attempt is made to reproduce any external tokenizer token-for-token;
 changing these rules invalidates cached corpora, so bump TOKENIZER_VERSION
 if they ever move.

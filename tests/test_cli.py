@@ -356,6 +356,35 @@ class TestBuild:
         assert capsys.readouterr().err == f"data error: {paths[key]}: line 2: not UTF-8\n"
         assert not (out / "corpus.bin").exists()
 
+    @pytest.mark.parametrize("line", ["", " \t　  "], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("key", ["corpus_source", "test_source"])
+    def test_line_without_tokens_exits_2_naming_file_and_line(self, tmp_path, capsys, key, line):
+        paths = _write_tiny_corpus(tmp_path, ["a b", "c d", "e f"], ["a c", "b d"])
+        lines = paths[key].read_text(encoding="utf-8").split("\n")
+        lines[1] = line
+        paths[key].write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["build", "--out-dir", out] + [
+            arg for name, path in paths.items() for arg in (f"--{name.replace('_', '-')}", path)
+        ]
+        assert run(*args) == 2
+        assert capsys.readouterr().err == f"data error: {paths[key]}: line 2: no tokens\n"
+        assert not (out / "corpus.bin").exists()
+
+    def test_corpus_stage_builds_no_record(self, tmp_path, monkeypatch):
+        records = []
+        real_init = scoi.corpus.ExampleRecord.__init__
+
+        def init(self, *args, **kwargs):
+            records.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(scoi.corpus.ExampleRecord, "__init__", init)
+        out = tmp_path / "out"
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert records == []
+        assert len(scoi.corpus.read_corpus_columns(out / "corpus.bin").ids) > 0
+
     def test_rebuild_removes_temp_files_of_dead_writers_only(self, built, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(built, out)
@@ -1410,14 +1439,15 @@ class TestReadmeFileFormats:
 
 
 # Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line
-# of output, the exit code and the scipy modules loaded by the end.
+# of output, the exit code, the scipy modules loaded by the end and whether
+# ``scoi.bench`` was imported.
 _IMPORT_PROBE = """
 import json, sys
 import scoi.cli
 
 code = scoi.cli.main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"exit": code, "scipy": scipy}))
+print(json.dumps({"exit": code, "scipy": scipy, "bench": "scoi.bench" in sys.modules}))
 """
 
 
@@ -1436,6 +1466,20 @@ def _fresh_cli(*args, python_flags=()) -> dict:
 
 class TestScipyImportBoundary:
     """Only the cosine measure loads scipy: select and inspect --pool with it."""
+
+    def test_only_the_bench_command_imports_the_bench_module(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        common = ("--config", DEMO_CFG, "--out-dir", out)
+        for argv in (
+            ("build", *common),
+            ("select", *common),
+            ("inspect", *common, "--record", "0"),
+            ("bench", "--t", "2", "--q", "1"),
+        ):
+            report = _fresh_cli(*argv)
+            assert report["exit"] == 0, argv
+            assert report["bench"] == (argv[0] == "bench"), argv
 
     def test_build_rebuild_inspect_and_bench_leave_scipy_unloaded(self, tmp_path):
         out = tmp_path / "out"

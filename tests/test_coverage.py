@@ -17,7 +17,7 @@ from scoi.coverage import (
 )
 import scoi.selection
 from scoi.retrieval import Bm25Params, build_index, word_matrix
-from scoi.corpus import read_corpus_columns, write_corpus_cache
+from scoi.corpus import corpus_columns, read_corpus_columns, write_corpus_cache
 from scoi.selection import STRATEGIES, Candidates, PoolScores, SelectionPlan, run_strategy
 from scoi.treepoly import (
     Polynomial,
@@ -340,7 +340,7 @@ def column_scores(test, corpus, pool, measure, tmp_path) -> PoolScores:
     them: the pool is its rows, in the pool's order."""
     ordered = sorted(corpus, key=lambda r: r.id)
     vocab = make_vocab(max(r.poly.dim for r in ordered))
-    write_corpus_cache(tmp_path / "corpus.bin", ordered, vocab)
+    write_corpus_cache(tmp_path / "corpus.bin", corpus_columns(ordered, vocab))
     write_poly_items(tmp_path / "corpus.poly.bin", ((r.id, r.poly) for r in ordered), vocab)
     columns = read_corpus_columns(tmp_path / "corpus.bin")
     _, terms = read_polynomial_columns(tmp_path / "corpus.poly.bin")

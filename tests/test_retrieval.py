@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from scoi.corpus import ExampleRecord, read_corpus_cache, write_corpus_cache
+from scoi.corpus import ExampleRecord, corpus_columns, read_corpus_cache, write_corpus_cache
 from scoi.coverage import TokenBag
 from scoi.errors import DataError
 from scoi.retrieval import (
@@ -95,7 +95,7 @@ class TestIndexEquivalence:
         for r in ordered:
             r.tree = DependencyTree([0] * len(r.token_list), [-1, *range(len(r.token_list) - 1)])
         vocab = LabelVocabulary(["dep"])
-        write_corpus_cache(tmp / "corpus.bin", ordered, vocab)
+        write_corpus_cache(tmp / "corpus.bin", corpus_columns(ordered, vocab))
         _, _, cached_column = read_corpus_cache(tmp / "corpus.bin")
         indexes = {
             "oracle": oracle_build_index(corpus),
