@@ -357,9 +357,7 @@ def cmd_select(config: RunConfig) -> int:
 def cmd_bench(args) -> int:
     from .bench import run_bench
 
-    ts = tuple(int(x) for x in args.t.split(","))
-    qs = tuple(int(x) for x in args.q.split(","))
-    report = run_bench(qs=qs, ts=ts, budget=args.budget)
+    report = run_bench(qs=args.q, ts=args.t, budget=args.budget)
     sys.stdout.write(report.to_table())
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -460,6 +458,18 @@ def _pool_ids(text: str) -> list[int]:
     return ids
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, in decimal digits."""
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a positive integer")
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated positive integers, at least one."""
+    return tuple(map(_positive_int, text.split(",")))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scoi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"scoi {__version__}")
@@ -472,9 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p_select)
 
     p_bench = sub.add_parser("bench", help="scaling comparison of the two constructions")
-    p_bench.add_argument("--t", default="2,4,8,16", help="comma-separated chain lengths")
-    p_bench.add_argument("--q", default="1,2,3", help="comma-separated crown depths (p = 2^q)")
-    p_bench.add_argument("--budget", type=int, default=1_000_000, help="term budget")
+    p_bench.add_argument("--t", type=_positive_ints, default="2,4,8,16",
+                         help="comma-separated chain lengths")
+    p_bench.add_argument("--q", type=_positive_ints, default="1,2,3",
+                         help="comma-separated crown depths (p = 2^q)")
+    p_bench.add_argument("--budget", type=_positive_int, default=1_000_000, help="term budget")
     p_bench.add_argument("--out", help="write a JSON report here")
 
     p_inspect = sub.add_parser("inspect", help="dump one record's tree, polynomial, coverage")

@@ -32,7 +32,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import DataError, MalformedTreeError
-from .treepoly import ROOT, DependencyTree, LabelVocabulary, first_bad_tree
+from .treepoly import ROOT, DependencyTree, LabelVocabulary, first_bad_tree, offsets_from_sizes
 
 _CHUNK_BYTES = 1 << 20
 _HEAD_COL = 6
@@ -49,13 +49,6 @@ _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # masks 
 # non-empty line that starts with one takes the per-line path.
 _SPACE_LEAD = np.zeros(256, bool)
 _SPACE_LEAD[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f \xc2\xe1\xe2\xe3")] = True
-
-
-def offsets_from_sizes(sizes) -> np.ndarray:
-    """int64 offsets: item i owns entries ``offsets[i]:offsets[i+1]``."""
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
 
 
 def take_offsets(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conllu import TreeColumns, load_conllu, offsets_from_sizes, take_offsets
+from .conllu import TreeColumns, load_conllu, take_offsets
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import atomic_write, compact_json, read_header
@@ -35,6 +35,7 @@ from .treepoly import (
     LabelVocabulary,
     Polynomial,
     first_bad_tree,
+    offsets_from_sizes,
     simplified_polynomial,
     simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
 )

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .treepoly import Polynomial, TermVector, cdist, cityblock, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, _pad_to, cdist, cityblock, manhattan, term_degree
 
 # Per-term similarity measures.  normalized-manhattan is the default;
 # cosine is only reachable through explicit configuration.
@@ -87,12 +87,6 @@ def term_similarity(s: TermVector, t: TermVector, measure: str = "normalized-man
     if dot * dot == sq_s * sq_t:
         return 1.0
     return dot / (sq_s * sq_t) ** 0.5
-
-
-def _pad_to(mat: np.ndarray, width: int) -> np.ndarray:
-    if mat.shape[1] == width:
-        return mat
-    return np.pad(mat, ((0, 0), (0, width - mat.shape[1])))
 
 
 def similarity_matrix(x_mat: np.ndarray, pool_mat: np.ndarray, measure: str) -> np.ndarray:

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .conllu import offsets_from_sizes, take_offsets
-from .coverage import MEASURES, _pad_to, occurrence_sum, similarity_matrix
+from .conllu import take_offsets
+from .coverage import MEASURES, occurrence_sum, similarity_matrix
 from .retrieval import (
     Bm25Params,
     InvertedIndex,
@@ -111,15 +111,9 @@ class Candidates(NamedTuple):
         for record in records:
             if record.poly is None:
                 raise ValueError(f"pool record {record.id} has no polynomial")
-        parts = [r.poly.rows() for r in records]
-        width = max((mat.shape[1] for mat, _ in parts), default=0)
-        rows = np.concatenate(
-            [np.zeros((0, width), np.uint8), *(_pad_to(mat, width) for mat, _ in parts)]
-        )
-        counts = np.concatenate([np.zeros(0, np.int64), *(counts for _, counts in parts)])
         tokens = intern_tokens(records)
-        offsets = offsets_from_sizes([len(mat) for mat, _ in parts])
-        return cls.from_columns(PolyColumns(tokens.record_ids, rows, counts, offsets), tokens)
+        terms = PolyColumns.from_polynomials(tokens.record_ids, [r.poly for r in records])
+        return cls.from_columns(terms, tokens)
 
 
 class PoolScores:
@@ -137,8 +131,8 @@ class PoolScores:
 
     def __init__(self, test: "ExampleRecord", candidates: Candidates, rows: np.ndarray,
                  measure: str):
-        if test.poly is None or test.tokens is None:
-            raise ValueError("test record needs a polynomial and a token bag")
+        if test.poly is None:
+            raise ValueError("test record needs a polynomial")
         rows = np.asarray(rows, dtype=np.int64)
         ids = candidates.terms.ids
         self.ranked: list[int] = ids[rows].tolist()
@@ -297,6 +291,9 @@ def _greedy_coverage(
             cover = sims[live].max(axis=0, initial=0.0)
             covs = occurrence_sum(np.maximum(cover, sims[rows]), x_counts) / n_x
         else:
+            if x_total == 0:
+                # 0 / 0 coverage is nan, which never beats the live score.
+                raise ValueError("test token bag is empty")
             counts = scores.token_counts
             cover = counts[live].sum(axis=0)
             covs = np.minimum(want, cover + counts[rows]).sum(axis=1) / x_total

@@ -9,29 +9,29 @@ Two constructions are provided:
   variable blocks (an ``x`` and a ``y`` variable per label).  Its term count
   can blow up combinatorially, so it runs under an explicit term budget.
 
-The per-tree API stores terms as packed integers: 32 bits of exponent per
-label index, so a monomial is one arbitrary-precision int and multiplying
-two monomials is integer addition.  The packed form is bijective as long
-as no exponent reaches 2**32, i.e. for any tree with fewer than 4 billion
-nodes.  ``canonical_batch`` unpacks the keys of a batch of polynomials at
-once into one exponent matrix, each polynomial's rows in canonical order,
-and ``canonical_terms`` is its one-polynomial call; ``decode_term`` and
-``encode_term`` are the one-term reference forms.
+The per-tree construction builds terms as packed integers: 32 bits of
+exponent per label index, so a monomial is one arbitrary-precision int and
+multiplying two monomials is integer addition.  The packed form is
+bijective as long as no exponent reaches 2**32, i.e. for any tree with
+fewer than 4 billion nodes.  A ``Polynomial`` exposes its terms in one
+form, canonical exponent rows (:meth:`Polynomial.rows`).
+``canonical_terms`` turns one polynomial's packed keys into those rows, and
+nothing turns rows back into keys; ``decode_term`` and ``encode_term`` are
+the one-term reference forms.
 
 The build computes the polynomial cache's rows from tree columns instead
 (``simplified_rows``), with no tree and no key: a node's term is its
 parent's plus one of its own label, so pointer doubling over the parent
 map sums every root-to-node path in ceil(log2(depth)) whole-array rounds.
 It works on batches of whole trees of at most ``_BATCH_NODES`` nodes and
-orders each batch's rows with the sort ``canonical_batch`` uses
-(``_canonical_order``).  A ``Polynomial`` read from the cache keeps its
-rows and packs keys only when asked for them.
+sorts and merges each batch's rows with ``_merge_rows``, the step
+``Polynomial.union`` uses on its members' rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -90,33 +90,6 @@ def encode_term(pairs: Iterable[tuple[int, int]] | Mapping[int, int]) -> int:
 _RANK_DTYPES = tuple(np.dtype(t) for t in (">u1", ">u2", ">u4", ">u8"))
 
 
-def canonical_batch(
-    term_maps: Sequence[Mapping[int, int]], dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack several polynomials' packed term keys in one pass.
-
-    Returns a uint32 exponent matrix over ``dim`` labels, one row per
-    distinct term, with int64 ``counts`` (multiplicities) and int64
-    ``offsets``: polynomial i owns rows ``offsets[i]:offsets[i+1]``, in
-    canonical order, the order of ``sorted(decode_term(k) for k in
-    term_maps[i])``.  Every key must be below ``2 ** (32 * dim)``.  The
-    arrays may be read-only views.
-    """
-    sizes = np.fromiter(map(len, term_maps), np.int64, len(term_maps))
-    offsets = np.zeros(len(term_maps) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    n = int(offsets[-1])
-    keys = chain.from_iterable(term_maps)
-    raw = b"".join(map(int.to_bytes, keys, repeat(4 * dim), repeat("little")))
-    mat = np.frombuffer(raw, "<u4").reshape(n, dim)
-    counts = np.fromiter(chain.from_iterable(t.values() for t in term_maps), np.int64, n)
-    if n > len(term_maps):
-        order = _canonical_order(mat, np.repeat(np.arange(len(term_maps)), sizes))
-        mat = mat[order]
-        counts = counts[order]
-    return mat, counts, offsets
-
-
 def _canonical_order(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
     """The stable order that sorts the rows of ``mat`` by ``position``, then
     in canonical order.
@@ -143,9 +116,38 @@ def _canonical_order(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
 
 
 def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``canonical_batch`` of one polynomial: its exponent matrix and counts."""
-    mat, counts, _ = canonical_batch([terms], dim)
-    return mat, counts
+    """Unpack one polynomial's packed term keys.
+
+    Returns a uint32 exponent matrix over ``dim`` labels, one row per
+    distinct term, and int64 ``counts`` (multiplicities), in canonical
+    order, the order of ``sorted(decode_term(k) for k in terms)``.  Every
+    key must be below ``2 ** (32 * dim)``.
+    """
+    n = len(terms)
+    raw = b"".join(map(int.to_bytes, terms, repeat(4 * dim), repeat("little")))
+    mat = np.frombuffer(raw, "<u4").reshape(n, dim)
+    counts = np.fromiter(terms.values(), np.int64, n)
+    order = _canonical_order(mat, np.zeros(n, np.int64))
+    return mat[order], counts[order]
+
+
+def _merge_rows(
+    rows: np.ndarray, counts: np.ndarray, position: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows with nondecreasing ``position``, sorted by it and then in
+    canonical order, equal rows of one position merged into one whose count
+    is the sum of theirs.
+
+    Returns the merged rows, their counts, and ``first``: the index of each
+    merged row's first source row in sorted order, so ``position[first]``
+    is each merged row's position.
+    """
+    order = _canonical_order(rows, position)
+    rows = rows[order]
+    first = np.ones(len(rows), bool)
+    first[1:] = (position[1:] != position[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    first = np.flatnonzero(first)
+    return rows[first], np.add.reduceat(counts[order], first), first
 
 
 def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -156,17 +158,6 @@ def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     rows, labels = np.nonzero(mat)
     ends = np.count_nonzero(mat, axis=1).cumsum()
     return labels.tolist(), mat[rows, labels].tolist(), ends.tolist()
-
-
-def _pack_rows(mat: np.ndarray, counts: np.ndarray) -> Counter[int]:
-    """Packed term keys of an exponent matrix's rows, with their counts: the
-    inverse of ``canonical_terms``."""
-    width = 4 * mat.shape[1]
-    raw = mat.astype("<u4").tobytes()
-    terms: Counter[int] = Counter()
-    for i, count in enumerate(counts.tolist()):
-        terms[int.from_bytes(raw[i * width:(i + 1) * width], "little")] += count
-    return terms
 
 
 def _term_vectors(mat: np.ndarray, counts: np.ndarray) -> tuple[tuple[TermVector, int], ...]:
@@ -330,17 +321,13 @@ class Polynomial:
 
     ``dim`` is the label vocabulary size the terms were built under, which
     fixes the width of the dense views used by distance and coverage
-    computations.  The terms are held in one of two forms, each derived
-    from the other on demand:
-
-    * ``terms``: packed term keys mapped to multiplicities, as construction
-      and :meth:`union` produce them;
-    * :meth:`rows`: an unsigned exponent matrix of width ``dim``, one row
-      per distinct term in canonical order, and int64 multiplicities, as
-      the polynomial cache stores them (:meth:`from_rows`).
-
-    A key-built polynomial canonicalizes on each :meth:`rows` call and keeps
-    nothing; a row-built one packs ``terms`` on first access and keeps them.
+    computations.  The terms are exposed in one form, :meth:`rows`: an
+    unsigned exponent matrix of width ``dim``, one row per distinct term in
+    canonical order, and int64 multiplicities, as the polynomial cache
+    stores them (:meth:`from_rows`).  The constructor takes the packed term
+    keys of the per-tree construction, mapped to multiplicities; such a
+    polynomial canonicalizes them on each :meth:`rows` call and keeps
+    nothing.
     """
 
     __slots__ = ("_terms", "_rows", "_counts", "dim")
@@ -363,20 +350,14 @@ class Polynomial:
 
     @classmethod
     def union(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Multiset union of the polynomials' terms, at the widest of their dims."""
-        merged: Counter[int] = Counter()
-        dim = 0
-        for poly in polys:
-            merged.update(poly.terms)
-            dim = max(dim, poly.dim)
-        return cls(merged, dim)
-
-    @property
-    def terms(self) -> Counter[int]:
-        """Packed term keys mapped to multiplicities."""
-        if self._terms is None:
-            self._terms = _pack_rows(self._rows, self._counts)
-        return self._terms
+        """Multiset union of the polynomials' terms, at the widest of their
+        dims: their rows, zero-padded to that width, merged as one."""
+        polys = list(polys)
+        columns = PolyColumns.from_polynomials(range(len(polys)), polys)
+        rows, counts, _ = _merge_rows(
+            columns.rows, columns.counts, np.zeros(len(columns.rows), np.int64)
+        )
+        return cls.from_rows(rows, counts, columns.rows.shape[1])
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct terms as an unsigned exponent matrix of width dim, int64 counts).
@@ -418,7 +399,15 @@ class Polynomial:
         return mat.astype(np.float64), counts.astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        """Equal term multisets, whatever the dims and row types."""
+        if not isinstance(other, Polynomial):
+            return False
+        mat, counts = self.rows()
+        other_mat, other_counts = other.rows()
+        width = max(mat.shape[1], other_mat.shape[1])
+        return np.array_equal(counts, other_counts) and np.array_equal(
+            _pad_to(mat, width), _pad_to(other_mat, width)
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n_terms} terms, dim={self.dim})"
@@ -723,7 +712,7 @@ def simplified_rows(
     (at most ``_BATCH_NODES`` nodes, or one larger tree), in the row type of
     the largest tree; int64 ``counts`` (multiplicities); and int64
     ``offsets``: tree i owns rows ``offsets[i]:offsets[i+1]``, in canonical
-    order.  These equal ``canonical_batch`` of the trees'
+    order.  Tree i's rows and counts equal ``canonical_terms`` of its
     ``simplified_term_counter``.
     """
     sizes = np.diff(offsets)
@@ -745,13 +734,9 @@ def simplified_rows(
         rows = np.zeros((n + 1, dim), dtype)
         rows[np.arange(n), labels[a:a + n]] = 1
         _jump(anc, int(sizes[start:end].max()), rows)
-        rows = rows[:n][_canonical_order(rows[:n], position)]
-        # Sorted rows of one tree that are equal are one term.
-        first = np.ones(n, bool)
-        first[1:] = (position[1:] != position[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
-        first = np.flatnonzero(first)
-        batches.append(rows[first])
-        counts.append(np.diff(first, append=n))
+        rows, batch_counts, first = _merge_rows(rows[:n], np.ones(n, np.int64), position)
+        batches.append(rows)
+        counts.append(batch_counts)
         distinct.append(np.bincount(position[first], minlength=end - start))
         start = end
     return batches, np.concatenate(counts), np.concatenate(distinct).cumsum()
@@ -794,6 +779,20 @@ def write_polynomial_cache(
         np.save(fh, np.asarray(ids, dtype=np.int64))
 
 
+def offsets_from_sizes(sizes) -> np.ndarray:
+    """int64 offsets: item i owns entries ``offsets[i]:offsets[i+1]``."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _pad_to(mat: np.ndarray, width: int) -> np.ndarray:
+    """``mat`` with zero columns appended up to ``width``."""
+    if mat.shape[1] == width:
+        return mat
+    return np.pad(mat, ((0, 0), (0, width - mat.shape[1])))
+
+
 class PolyColumns(NamedTuple):
     """A polynomial cache's columns: record ``ids[i]`` owns the exponent
     ``rows`` and int64 ``counts`` at ``offsets[i]:offsets[i+1]``, in
@@ -803,6 +802,19 @@ class PolyColumns(NamedTuple):
     rows: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
+
+    @classmethod
+    def from_polynomials(cls, ids, polys: Sequence[Polynomial]) -> "PolyColumns":
+        """The polynomials' rows in one matrix, polynomial i's as record
+        ``ids[i]``'s; rows narrower than the widest are zero-padded."""
+        parts = [poly.rows() for poly in polys]
+        width = max((mat.shape[1] for mat, _ in parts), default=0)
+        rows = np.concatenate(
+            [np.zeros((0, width), np.uint8), *(_pad_to(mat, width) for mat, _ in parts)]
+        )
+        counts = np.concatenate([np.zeros(0, np.int64), *(counts for _, counts in parts)])
+        offsets = offsets_from_sizes([len(mat) for mat, _ in parts])
+        return cls(np.asarray(ids, np.int64), rows, counts, offsets)
 
     def polynomial(self, i: int) -> Polynomial:
         """Record i's polynomial, over views of the columns."""

@@ -11,7 +11,7 @@ from scoi.treepoly import (
     DependencyTree,
     LabelVocabulary,
     Polynomial,
-    canonical_batch,
+    PolyColumns,
     encode_term,
     write_polynomial_cache,
 )
@@ -36,8 +36,10 @@ def poly_from_terms(term_maps, dim) -> Polynomial:
 def write_poly_items(path, items, vocab: LabelVocabulary) -> None:
     """Write (record id, polynomial) pairs through the column writer."""
     items = list(items)
-    rows, counts, offsets = canonical_batch([poly.terms for _, poly in items], len(vocab))
-    write_polynomial_cache(path, [rid for rid, _ in items], [rows], counts, offsets, vocab)
+    columns = PolyColumns.from_polynomials([rid for rid, _ in items], [poly for _, poly in items])
+    write_polynomial_cache(
+        path, columns.ids, [columns.rows], columns.counts, columns.offsets, vocab
+    )
 
 
 def random_recursive_tree(rng: random.Random, n: int, n_labels: int) -> DependencyTree:

@@ -1088,6 +1088,20 @@ class TestBenchCommand:
         assert payload["budget"] == 10000
         assert len(payload["rows"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "2,x", "'x' is not a positive integer"),
+        ("--t", "0", "'0' is not a positive integer"),
+        ("--t", "2,", "'' is not a positive integer"),
+        ("--q", "0", "'0' is not a positive integer"),
+        ("--budget", "0", "'0' is not a positive integer"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, capsys, flag, value, message):
+        assert run("bench", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {flag}: {message}\n"
+        assert "Traceback" not in captured.err
+
 
 class TestSelectReadsColumns:
     def test_select_builds_no_tree_and_no_corpus_token_bag(self, built, tmp_path, monkeypatch):

@@ -269,7 +269,7 @@ class TestTermPool:
         b = poly_from_terms([{1: 1}], dim=2)
         pool = Polynomial.union([a, b])
         assert pool.n_terms == 3
-        assert pool.terms[encode_term({1: 1})] == 2
+        assert dict(pool.term_vectors())[((1, 1),)] == 2
 
 
 # --- batched pool scores ---------------------------------------------------------

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from scoi.prompts import PromptTemplate, render_prompt
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 EXAMPLES = [
     ("Der Hund schläft.", "The dog sleeps."),
@@ -32,14 +36,14 @@ def test_delimiter_zero_shot():
 def test_delimiter_four_shot_matches_golden_fixture(tmp_path):
     template = PromptTemplate("delimiter", "German", "English")
     rendered = render_prompt(template, EXAMPLES, TEST_SOURCE, expected_count=4)
-    golden = open("tests/fixtures/prompt_delimiter_k4.txt", encoding="utf-8").read()
+    golden = (FIXTURES / "prompt_delimiter_k4.txt").read_text(encoding="utf-8")
     assert rendered == golden
 
 
 def test_instruction_four_shot_matches_golden_fixture():
     template = PromptTemplate("instruction", "German", "English")
     rendered = render_prompt(template, EXAMPLES, TEST_SOURCE, expected_count=4)
-    golden = open("tests/fixtures/prompt_instruction_k4.txt", encoding="utf-8").read()
+    golden = (FIXTURES / "prompt_instruction_k4.txt").read_text(encoding="utf-8")
     assert rendered == golden
 
 

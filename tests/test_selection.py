@@ -10,6 +10,7 @@ from scoi.retrieval import Bm25Params, build_index
 from scoi.selection import (
     SelectionPlan,
     dpp_kernel,
+    run_strategy,
     select_bm25,
     select_dpp,
     select_random,
@@ -268,6 +269,31 @@ class TestSingleCoverage:
         test = random_record(rng, 1, vocab, WORDS)
         with pytest.raises(ValueError):
             select_single_coverage(test, [], SelectionPlan(strategy="scoi", k=1, pool_size=1))
+
+
+class TestEmptyTestTokens:
+    """A test input with no tokens has no lexical coverage: a word step
+    refuses it, where 0 / 0 would give nan and restart the loop forever."""
+
+    def inputs(self):
+        vocab = make_vocab(3)
+        pool = random_pool(random.Random(4), 6, vocab, WORDS)
+        return make_record(900, make_tree([0, 1, 2], [-1, 0, 0]), [], vocab), pool
+
+    @pytest.mark.parametrize("strategy, order", [
+        ("scoi", "syntax-first"), ("scoi", "word-first"), ("word-only", "syntax-first"),
+    ])
+    def test_word_step_rejects_an_empty_token_bag(self, strategy, order):
+        test, pool = self.inputs()
+        plan = SelectionPlan(strategy=strategy, k=3, order=order, pool_size=6)
+        with pytest.raises(ValueError, match="^test token bag is empty$"):
+            run_strategy(test, pool, plan)
+
+    def test_syntax_steps_need_no_tokens(self):
+        test, pool = self.inputs()
+        for plan in (SelectionPlan(strategy="syntax-only", k=3, pool_size=6),
+                     SelectionPlan(strategy="scoi", k=1, pool_size=6)):
+            assert len(run_strategy(test, pool, plan).selected) == plan.k
 
 
 class TestOrderVariants:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -14,7 +15,6 @@ from scoi.errors import DataError, MalformedTreeError, TermExplosionError, Unkno
 from scoi.treepoly import (
     DependencyTree,
     Polynomial,
-    canonical_batch,
     canonical_terms,
     check_labels,
     cityblock,
@@ -49,14 +49,14 @@ def decoded_counter(poly) -> Counter:
     return Counter(dict(poly.term_vectors()))
 
 
-def scalar_term_vectors(poly) -> list:
-    """Reference decode: one key at a time through decode_term, then sorted."""
-    return sorted((decode_term(k), c) for k, c in poly.terms.items())
+def scalar_term_vectors(terms) -> list:
+    """Reference decode of packed term keys: one at a time through decode_term, then sorted."""
+    return sorted((decode_term(k), c) for k, c in terms.items())
 
 
-def scalar_dense(poly) -> tuple[np.ndarray, np.ndarray]:
-    vectors = scalar_term_vectors(poly)
-    mat = np.zeros((len(vectors), poly.dim), dtype=np.float64)
+def scalar_dense(terms, dim) -> tuple[np.ndarray, np.ndarray]:
+    vectors = scalar_term_vectors(terms)
+    mat = np.zeros((len(vectors), dim), dtype=np.float64)
     counts = np.empty(len(vectors), dtype=np.float64)
     for row, (pairs, count) in enumerate(vectors):
         counts[row] = count
@@ -106,87 +106,6 @@ class TestTermEncoding:
             encode_term({-1: 1})
 
 
-class TestCanonicalTerms:
-    """The vectorized unpack must reproduce the one-term reference decode exactly."""
-
-    def assert_matches_reference(self, polys, tmp_path, name="poly.bin") -> np.dtype:
-        """Check polys and their cached copies against the reference decode;
-        returns the cache's row type."""
-        vocab = make_vocab(max(p.dim for p in polys))
-        path = tmp_path / name
-        write_poly_items(path, list(enumerate(polys)), vocab)
-        _, loaded = read_polynomial_cache(path)
-        assert [i for i, _ in loaded] == list(range(len(polys)))
-        for poly, (_, cached) in zip(polys, loaded):
-            ref_mat, ref_counts = scalar_dense(poly)
-            rows, row_counts = cached.rows()
-            assert rows.dtype.kind == "u" and row_counts.dtype == np.int64
-            assert np.array_equal(rows.astype(np.float64), ref_mat) and rows.shape == ref_mat.shape
-            assert np.array_equal(row_counts, ref_counts)
-            for p in (poly, cached):
-                mat, counts = p.dense()
-                assert mat.dtype == counts.dtype == np.float64
-                assert np.array_equal(mat, ref_mat) and mat.shape == ref_mat.shape
-                assert np.array_equal(counts, ref_counts)
-                assert list(p.term_vectors()) == scalar_term_vectors(poly)
-            assert cached.terms == poly.terms
-            assert cached.n_terms == poly.n_terms
-            assert cached.n_distinct == poly.n_distinct
-        again = tmp_path / f"again-{name}"
-        write_poly_items(again, loaded, vocab)
-        assert again.read_bytes() == path.read_bytes()
-        return read_segments(path)[1][0].dtype
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([1, 2, 5, 37, 40]).flatmap(
-        lambda dim: st.tuples(st.just(dim), st.lists(tree_strategy(max_nodes=30, max_labels=dim),
-                                                     min_size=1, max_size=4))
-    ))
-    def test_random_trees_match_scalar_decode(self, tmp_path_factory, dim_trees):
-        dim, trees = dim_trees
-        vocab = make_vocab(dim)
-        polys = [simplified_polynomial(tree, vocab) for tree in trees]
-        assert self.assert_matches_reference(polys, tmp_path_factory.mktemp("poly")) == np.uint8
-
-    @pytest.mark.parametrize("dim", [1, 37, 40])
-    def test_single_node_trees(self, dim, tmp_path):
-        vocab = make_vocab(dim)
-        polys = [simplified_polynomial(make_tree([label], [-1]), vocab) for label in range(dim)]
-        self.assert_matches_reference(polys, tmp_path)
-
-    @pytest.mark.parametrize("dim", [1, 37])
-    def test_deep_chains_cross_byte_boundaries(self, dim, tmp_path):
-        # Exponents of 256 and 65,536 and more need the second and third
-        # byte of each packed label; a byte-order slip shows there.
-        # The cache stores a chain of more than 255 nodes as uint16 and one
-        # of more than 65,535 as uint32.
-        vocab = make_vocab(dim)
-        last = dim - 1
-        short = simplified_polynomial(chain([0] * 300 + [last] * 3), vocab)
-        long = simplified_polynomial(chain([last] * 65_600 + [0] * 3), vocab)
-        assert int(long.dense()[0].max()) >= 65_536
-        assert self.assert_matches_reference([short], tmp_path, "short.bin") == np.uint16
-        assert self.assert_matches_reference([short, long], tmp_path, "long.bin") == np.uint32
-
-    def test_empty_polynomial_and_empty_term(self, tmp_path):
-        polys = [Polynomial(Counter(), 3), poly_from_terms([{}, {1: 2}, {0: 1}], dim=3)]
-        self.assert_matches_reference(polys, tmp_path)
-        _, loaded = read_polynomial_cache(tmp_path / "poly.bin")
-        assert loaded[0][1].n_distinct == loaded[0][1].n_terms == 0
-        assert loaded[1][1].terms[0] == 1
-
-    def test_gap_ranks_above_every_exponent(self):
-        # {0: 2**32 - 1, 2: 1} sorts before {1: 1}: its first pair has the
-        # smaller label, however large that pair's exponent.
-        poly = poly_from_terms([{1: 1}, {0: 2**32 - 1, 2: 1}, {0: 2**32 - 1}], dim=3)
-        mat, counts = canonical_terms(poly.terms, poly.dim)
-        assert mat.dtype == np.uint32 and counts.dtype == np.int64
-        assert [tuple(row) for row in mat.tolist()] == [
-            (2**32 - 1, 0, 0), (2**32 - 1, 0, 1), (0, 1, 0)
-        ]
-        assert list(poly.term_vectors()) == scalar_term_vectors(poly)
-
-
 # Exponents around the rank byte widths: top + 1 above 255 needs two bytes
 # per rank, above 65,535 four, above 2**32 - 1 eight.
 EXPONENTS = st.one_of(
@@ -216,21 +135,93 @@ def oracle_rows(term_map, dim) -> tuple[list, list]:
     return rows, counts
 
 
-class TestCanonicalBatch:
+class TestCanonicalTerms:
+    """The vectorized unpack must reproduce the one-term reference decode exactly."""
+
+    def assert_matches_reference(self, maps, dim, tmp_path, name="poly.bin") -> np.dtype:
+        """Check the polynomials of packed term maps ``maps`` and their cached
+        copies against the reference decode; returns the cache's row type."""
+        polys = [Polynomial(terms, dim) for terms in maps]
+        vocab = make_vocab(dim)
+        path = tmp_path / name
+        write_poly_items(path, list(enumerate(polys)), vocab)
+        _, loaded = read_polynomial_cache(path)
+        assert [i for i, _ in loaded] == list(range(len(polys)))
+        for terms, poly, (_, cached) in zip(maps, polys, loaded):
+            ref_mat, ref_counts = scalar_dense(terms, dim)
+            rows, row_counts = cached.rows()
+            assert rows.dtype.kind == "u" and row_counts.dtype == np.int64
+            assert np.array_equal(rows.astype(np.float64), ref_mat) and rows.shape == ref_mat.shape
+            assert np.array_equal(row_counts, ref_counts)
+            for p in (poly, cached):
+                mat, counts = p.dense()
+                assert mat.dtype == counts.dtype == np.float64
+                assert np.array_equal(mat, ref_mat) and mat.shape == ref_mat.shape
+                assert np.array_equal(counts, ref_counts)
+                assert list(p.term_vectors()) == scalar_term_vectors(terms)
+                assert p.n_terms == sum(terms.values()) and p.n_distinct == len(terms)
+            assert cached == poly
+        again = tmp_path / f"again-{name}"
+        write_poly_items(again, loaded, vocab)
+        assert again.read_bytes() == path.read_bytes()
+        return read_segments(path)[1][0].dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 37, 40]).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(tree_strategy(max_nodes=30, max_labels=dim),
+                                                     min_size=1, max_size=4))
+    ))
+    def test_random_trees_match_scalar_decode(self, tmp_path_factory, dim_trees):
+        dim, trees = dim_trees
+        maps = [simplified_term_counter(tree, dim) for tree in trees]
+        tmp = tmp_path_factory.mktemp("poly")
+        assert self.assert_matches_reference(maps, dim, tmp) == np.uint8
+
+    @pytest.mark.parametrize("dim", [1, 37, 40])
+    def test_single_node_trees(self, dim, tmp_path):
+        maps = [simplified_term_counter(make_tree([label], [-1]), dim) for label in range(dim)]
+        self.assert_matches_reference(maps, dim, tmp_path)
+
+    @pytest.mark.parametrize("dim", [1, 37])
+    def test_deep_chains_cross_byte_boundaries(self, dim, tmp_path):
+        # Exponents of 256 and 65,536 and more need the second and third
+        # byte of each packed label; a byte-order slip shows there.
+        # The cache stores a chain of more than 255 nodes as uint16 and one
+        # of more than 65,535 as uint32.
+        last = dim - 1
+        short = simplified_term_counter(chain([0] * 300 + [last] * 3), dim)
+        long = simplified_term_counter(chain([last] * 65_600 + [0] * 3), dim)
+        assert int(canonical_terms(long, dim)[0].max()) >= 65_536
+        assert self.assert_matches_reference([short], dim, tmp_path, "short.bin") == np.uint16
+        assert self.assert_matches_reference([short, long], dim, tmp_path, "long.bin") == np.uint32
+
+    def test_empty_polynomial_and_empty_term(self, tmp_path):
+        maps = [Counter(), Counter(encode_term(t) for t in [{}, {1: 2}, {0: 1}])]
+        self.assert_matches_reference(maps, 3, tmp_path)
+        _, loaded = read_polynomial_cache(tmp_path / "poly.bin")
+        assert loaded[0][1].n_distinct == loaded[0][1].n_terms == 0
+        assert loaded[1][1].term_vectors()[0] == ((), 1)
+
+    def test_gap_ranks_above_every_exponent(self):
+        # {0: 2**32 - 1, 2: 1} sorts before {1: 1}: its first pair has the
+        # smaller label, however large that pair's exponent.
+        terms = Counter(encode_term(t) for t in [{1: 1}, {0: 2**32 - 1, 2: 1}, {0: 2**32 - 1}])
+        mat, counts = canonical_terms(terms, 3)
+        assert mat.dtype == np.uint32 and counts.dtype == np.int64
+        assert [tuple(row) for row in mat.tolist()] == [
+            (2**32 - 1, 0, 0), (2**32 - 1, 0, 1), (0, 1, 0)
+        ]
+        assert list(Polynomial(terms, 3).term_vectors()) == scalar_term_vectors(terms)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2, 3, 6, 40]).flatmap(
-        lambda dim: st.tuples(st.just(dim), st.lists(term_maps(dim), min_size=1, max_size=6))
+        lambda dim: st.tuples(st.just(dim), term_maps(dim))
     ))
-    def test_rows_and_counts_match_the_sorted_decode(self, dim_maps):
-        dim, maps = dim_maps
-        mat, counts, offsets = canonical_batch(maps, dim)
-        assert mat.dtype == np.uint32 and counts.dtype == offsets.dtype == np.int64
-        assert offsets.tolist() == [0, *np.cumsum([len(m) for m in maps]).tolist()]
-        for i, term_map in enumerate(maps):
-            a, b = offsets[i], offsets[i + 1]
-            assert (mat[a:b].tolist(), counts[a:b].tolist()) == oracle_rows(term_map, dim)
-            one_mat, one_counts = canonical_terms(term_map, dim)
-            assert np.array_equal(one_mat, mat[a:b]) and np.array_equal(one_counts, counts[a:b])
+    def test_rows_and_counts_match_the_sorted_decode(self, dim_map):
+        dim, term_map = dim_map
+        mat, counts = canonical_terms(term_map, dim)
+        assert mat.dtype == np.uint32 and counts.dtype == np.int64
+        assert (mat.tolist(), counts.tolist()) == oracle_rows(term_map, dim)
 
     def test_zero_gaps_and_single_term_records(self):
         maps = [
@@ -238,37 +229,11 @@ class TestCanonicalBatch:
             {encode_term({0: 1, 2: 1}): 2, encode_term({1: 1}): 1, encode_term({0: 1}): 3},
             {encode_term({3: 7}): 1},
         ]
-        mat, counts, offsets = canonical_batch(maps, 4)
-        assert offsets.tolist() == [0, 1, 4, 5]
-        assert mat.tolist() == [
-            [0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 7]
+        unpacked = [canonical_terms(term_map, 4) for term_map in maps]
+        assert [mat.tolist() for mat, _ in unpacked] == [
+            [[0, 0, 1, 0]], [[1, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0]], [[0, 0, 0, 7]]
         ]
-        assert counts.tolist() == [1, 3, 2, 1, 1]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 30), st.lists(tree_strategy(max_nodes=12, max_labels=5), min_size=1,
-                                        max_size=12))
-    def test_cache_bytes_do_not_depend_on_the_batch_cap(self, tmp_path_factory, cap, trees):
-        # A cap of a few nodes makes batches of one tree, some of them larger
-        # than the cap, as well as batches of several trees.
-        tmp = tmp_path_factory.mktemp("cap")
-        vocab = make_vocab(5)
-        columns = _forest_arrays(
-            [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
-            np.cumsum([0] + [t.n for t in trees]),
-        )
-        ids = np.arange(len(trees))
-        write_polynomial_cache(tmp / "default.bin", ids, *simplified_rows(*columns, 5), vocab)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scoi.treepoly, "_BATCH_NODES", cap)
-            write_polynomial_cache(tmp / "capped.bin", ids, *simplified_rows(*columns, 5), vocab)
-        assert (tmp / "capped.bin").read_bytes() == (tmp / "default.bin").read_bytes()
-        _, loaded = read_polynomial_cache(tmp / "capped.bin")
-        for tree, (_, cached) in zip(trees, loaded):
-            rows, counts = cached.rows()
-            assert (rows.tolist(), counts.tolist()) == oracle_rows(
-                simplified_polynomial(tree, vocab).terms, 5
-            )
+        assert [counts.tolist() for _, counts in unpacked] == [[1], [3, 2, 1], [1]]
 
 
 class TestDependencyTree:
@@ -407,12 +372,15 @@ class TestFirstBadTree:
 
 
 def per_tree_rows(labels, parents, offsets, dim):
-    """The reference: ``simplified_term_counter`` per tree, then ``canonical_batch``."""
-    maps = [
-        simplified_term_counter(DependencyTree(labels[a:b], parents[a:b]), dim)
-        for a, b in zip(offsets[:-1], offsets[1:])
-    ]
-    return canonical_batch(maps, dim)
+    """The reference: ``simplified_term_counter`` and ``canonical_terms`` per
+    tree, joined."""
+    trees = [DependencyTree(labels[a:b], parents[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    parts = [canonical_terms(simplified_term_counter(tree, dim), dim) for tree in trees]
+    return (
+        np.concatenate([mat for mat, _ in parts]),
+        np.concatenate([counts for _, counts in parts]),
+        np.cumsum([0] + [len(mat) for mat, _ in parts]),
+    )
 
 
 class TestSimplifiedRows:
@@ -448,6 +416,31 @@ class TestSimplifiedRows:
         labels = [label for tree_labels, _ in trees for label in tree_labels]
         parents = [parent for _, tree_parents in trees for parent in tree_parents]
         self.assert_matches_per_tree(labels, parents, offsets, FOREST_LABELS, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30), st.lists(tree_strategy(max_nodes=12, max_labels=5), min_size=1,
+                                        max_size=12))
+    def test_cache_bytes_do_not_depend_on_the_batch_cap(self, tmp_path_factory, cap, trees):
+        # A cap of a few nodes makes batches of one tree, some of them larger
+        # than the cap, as well as batches of several trees.
+        tmp = tmp_path_factory.mktemp("cap")
+        vocab = make_vocab(5)
+        columns = _forest_arrays(
+            [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
+            np.cumsum([0] + [t.n for t in trees]),
+        )
+        ids = np.arange(len(trees))
+        write_polynomial_cache(tmp / "default.bin", ids, *simplified_rows(*columns, 5), vocab)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoi.treepoly, "_BATCH_NODES", cap)
+            write_polynomial_cache(tmp / "capped.bin", ids, *simplified_rows(*columns, 5), vocab)
+        assert (tmp / "capped.bin").read_bytes() == (tmp / "default.bin").read_bytes()
+        _, loaded = read_polynomial_cache(tmp / "capped.bin")
+        for tree, (_, cached) in zip(trees, loaded):
+            rows, counts = cached.rows()
+            assert (rows.tolist(), counts.tolist()) == oracle_rows(
+                simplified_term_counter(tree, 5), 5
+            )
 
     @pytest.mark.parametrize("dim", [1, 37])
     def test_single_node_trees(self, dim):
@@ -818,6 +811,46 @@ CACHE_CORRUPTIONS = [
 ]
 
 
+class TestEqualityAndUnion:
+    """Polynomials compare and merge as term multisets, whatever their dim
+    and whichever form they were built from."""
+
+    def cached(self, poly, tmp_path):
+        """``poly`` as read back from the polynomial cache: narrow rows."""
+        write_poly_items(tmp_path / "poly.bin", [(0, poly)], make_vocab(poly.dim))
+        [(_, cached)] = read_polynomial_cache(tmp_path / "poly.bin")[1]
+        return cached
+
+    def test_equal_term_multisets_are_equal_at_any_dim(self, tmp_path):
+        tree = make_tree([0, 1, 1, 2, 1], [-1, 0, 0, 1, 1])
+        built = simplified_polynomial(tree, make_vocab(3))
+        cached = self.cached(built, tmp_path)
+        wide = Polynomial(simplified_term_counter(tree, 3), 7)
+        assert built.rows()[0].dtype == np.uint32 and cached.rows()[0].dtype == np.uint8
+        for a, b in itertools.permutations([built, cached, wide], 2):
+            assert a == b
+        terms = simplified_term_counter(tree, 3)
+        doubled = Counter({key: 2 * count for key, count in terms.items()})
+        assert built != Polynomial(doubled, 3) and cached != Polynomial(doubled, 3)
+        assert built != simplified_polynomial(make_tree([0, 1, 1, 2, 2], [-1, 0, 0, 1, 1]),
+                                              make_vocab(3))
+        assert built != built.rows()
+
+    def test_union_takes_the_widest_dim_and_sums_counts(self, tmp_path):
+        a = poly_from_terms([{0: 1}, {1: 1}], dim=2)
+        b = self.cached(poly_from_terms([{1: 1}, {3: 2}, {3: 2}], dim=4), tmp_path)
+        pool = Polynomial.union(iter([a, b]))
+        assert pool.dim == 4
+        assert pool.term_vectors() == ((((0, 1),), 1), (((1, 1),), 2), (((3, 2),), 2))
+        assert pool == poly_from_terms([{0: 1}, {1: 1}, {1: 1}, {3: 2}, {3: 2}], dim=4)
+        assert Polynomial.union([a, a]) == poly_from_terms([{0: 1}, {0: 1}, {1: 1}, {1: 1}], 2)
+
+    def test_union_of_no_polynomials_is_empty(self):
+        empty = Polynomial.union([])
+        assert empty.n_terms == empty.n_distinct == 0
+        assert empty == Polynomial(Counter(), 5)
+
+
 class TestPolynomialCache:
     def test_round_trip_equals_recomputation(self, tmp_path):
         rng = random.Random(5)
@@ -830,7 +863,7 @@ class TestPolynomialCache:
         write_poly_items(path, items, vocab)
         loaded_vocab, loaded = read_polynomial_cache(path)
         assert loaded_vocab.labels == vocab.labels
-        assert [(i, p.terms) for i, p in loaded] == [(i, p.terms) for i, p in items]
+        assert loaded == items
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         rng = random.Random(9)
