@@ -5,40 +5,31 @@ file operations.  Every build/select run writes a manifest with input and
 output digests; reruns with unchanged inputs skip completed build stages,
 and select and inspect refuse caches whose digests differ from the build
 manifest.
+
+The numeric modules, and numpy with them, load at the first build stage
+that runs or when ``select``, ``inspect`` or ``bench`` starts.  A run that
+starts none of them (``--help``, ``--version``, a config error, a build
+whose stages are all current) hashes and checks its files without them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import random
 import sys
 import time
 from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .config import INPUT_KEYS, KEY_TYPES, RunConfig, coerce, load_config
-from .corpus import (
-    CORPUS_CACHE_VERSION,
-    CorpusColumns,
-    filter_by_length,
-    load_parallel_corpus,
-    load_test_inputs,
-    read_corpus_columns,
-    write_corpus_cache,
-)
-from .corpus import (  # noqa: F401  perfbench/traced.py wraps these
-    apply_polynomial_cache,
-    attach_polynomials,
-    read_corpus_cache,
-)
-from .coverage import TokenBag, syn_set_cov, word_set_cov
+from .config import INPUT_KEYS, KEY_TYPES, STRATEGIES, RunConfig, coerce, load_config
 from .errors import ConfigError, DataError, ScoiError
 from .manifest import (
+    CORPUS_CACHE_VERSION,
+    POLY_CACHE_VERSION,
     RunManifest,
     atomic_write,
     compact_json,
@@ -48,20 +39,53 @@ from .manifest import (
     stage_is_current,
 )
 from .prompts import render_prompt
-from .retrieval import InvertedIndex, bm25_topk, index_from_tokens
-from .retrieval import build_index, load_index, save_index  # noqa: F401  perfbench/traced.py wraps these
-from .selection import STRATEGIES, Candidates, PoolScores, run_strategy
 from .tokenizer import TOKENIZER_VERSION
-from .treepoly import (
-    POLY_CACHE_VERSION,
-    LabelVocabulary,
-    Polynomial,
-    PolyColumns,
-    read_polynomial_columns,
-    simplified_rows,
-    write_polynomial_cache,
-)
-from .treepoly import read_polynomial_cache  # noqa: F401  perfbench/traced.py wraps this
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The names this module calls from the numeric modules (those that import
+# numpy), keyed by module.  None is bound at import, so a run that starts no
+# stage loads no numpy: ``_bind_numeric`` binds them at the top of each
+# build stage and before the caches are read, and ``__getattr__`` on a
+# lookup from outside.  A bound name is never rebound, so a wrapper put on
+# ``scoi.cli.<name>`` stays in effect.  perfbench/traced.py wraps some that
+# the pipeline no longer calls: the record readers, the index file helpers
+# and ``build_index``.
+_NUMERIC = {
+    "corpus": (
+        "CorpusColumns", "filter_by_length", "load_parallel_corpus", "load_test_inputs",
+        "read_corpus_columns", "write_corpus_cache",
+        "apply_polynomial_cache", "attach_polynomials", "read_corpus_cache",
+    ),
+    "coverage": ("TokenBag", "syn_set_cov", "word_set_cov"),
+    "retrieval": (
+        "InvertedIndex", "bm25_topk", "index_from_tokens",
+        "build_index", "load_index", "save_index",
+    ),
+    "selection": ("Candidates", "PoolScores", "run_strategy"),
+    "treepoly": (
+        "LabelVocabulary", "Polynomial", "PolyColumns", "read_polynomial_columns",
+        "simplified_rows", "write_polynomial_cache", "read_polynomial_cache",
+    ),
+}
+
+
+def _bind_numeric() -> None:
+    """Bind every name of ``_NUMERIC`` that is not bound yet."""
+    bound = globals()
+    for module, names in _NUMERIC.items():
+        found = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _NUMERIC.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numeric()
+    return globals()[name]
+
 
 _BUILD_MANIFEST = "build-manifest.json"
 _SELECT_MANIFEST = "select-manifest.json"
@@ -112,6 +136,7 @@ def _run_stage(
         manifest.record_stage(name, inputs, digests, 0.0, skipped=True)
         print(f"{name}: skipped (inputs unchanged)")
         return digests
+    _bind_numeric()
     message = write()
     seconds = time.perf_counter() - start
     digests = {str(k): sha256_file(p) for k, p in outputs.items()}
@@ -210,7 +235,7 @@ class _Built(NamedTuple):
 def _check_ids(path: Path, ids: np.ndarray, cache_path: Path, cache_ids: np.ndarray) -> None:
     """Refuse a polynomial cache whose record ids are not its corpus cache's, row for row."""
     n = min(len(ids), len(cache_ids))
-    differ = np.flatnonzero(ids[:n] != cache_ids[:n])
+    differ = (ids[:n] != cache_ids[:n]).nonzero()[0]
     row = int(differ[0]) if differ.size else n
     if row < len(cache_ids):
         raise DataError(
@@ -236,13 +261,14 @@ def _load_built(out_dir: Path, keep_trees: bool = True) -> _Built:
         raise ConfigError(
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
         )
+    _bind_numeric()
     corpus = read_corpus_columns(paths["corpus_cache"], keep_trees)
     if not len(corpus.ids):
         raise DataError(f"{paths['corpus_cache']}: no records to index")
     index = index_from_tokens(corpus.tokens)
     test = read_corpus_columns(paths["test_cache"], keep_trees)
     if test.vocab != corpus.vocab:
-        raise DataError("corpus and test caches disagree on the label vocabulary")
+        raise DataError(f"{paths['test_cache']}: label vocabulary differs from the corpus cache's")
     polys = {}
     for key, cache, columns in (("corpus_poly", "corpus_cache", corpus),
                                 ("test_poly", "test_cache", test)):

@@ -1,5 +1,10 @@
 """Run configuration: a key=value file plus command-line overrides.
 
+This module is the one declaration of the allowed config values: the
+strategies, loop orders, coverage measures and DPP relevance norms, the
+BM25 parameters and the selection plan.  It imports no numpy, so parsing
+and checking a config loads none of the numeric modules.
+
 The file format is one ``key = value`` pair per line; ``#`` starts a
 comment; blank lines are skipped.  Relative paths are resolved against the
 config file's directory, so a config can travel with its data.  Flags win
@@ -14,8 +19,58 @@ from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .prompts import PROMPT_STYLES, PromptTemplate
-from .retrieval import Bm25Params
-from .selection import STRATEGIES, SelectionPlan
+
+STRATEGIES = (
+    "scoi",
+    "syntax-only",
+    "word-only",
+    "topk-poly",
+    "dpp",
+    "bm25-passthrough",
+    "random",
+)
+ORDERS = ("syntax-first", "word-first")
+RELEVANCE_NORMS = ("reciprocal", "minmax")
+# Per-term similarity measures.  normalized-manhattan is the default;
+# cosine is only reachable through explicit configuration.
+MEASURES = ("normalized-manhattan", "cosine")
+
+
+@dataclass(frozen=True)
+class Bm25Params:
+    k1: float = 1.5
+    b: float = 0.75
+
+
+@dataclass
+class SelectionPlan:
+    """Strategy choice and parameters governing one selection run."""
+
+    strategy: str = "scoi"
+    k: int = 4
+    order: str = "syntax-first"
+    measure: str = "normalized-manhattan"
+    pool_size: int = 100
+    dpp_lambda: float = 0.5
+    relevance_norm: str = "reciprocal"
+    rng_seed: int = 0
+
+    def validate(self) -> None:
+        """Check the parameters; ``run_strategy`` rejects an unknown strategy."""
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
+        if self.measure not in MEASURES:
+            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
+        if self.relevance_norm not in RELEVANCE_NORMS:
+            raise ValueError(
+                f"relevance_norm must be one of {RELEVANCE_NORMS}, got {self.relevance_norm!r}"
+            )
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.pool_size < self.k:
+            raise ValueError("pool_size must be >= k")
+        if self.dpp_lambda <= 0:
+            raise ValueError("dpp_lambda must be positive")
 
 
 @dataclass

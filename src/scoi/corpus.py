@@ -27,7 +27,7 @@ import numpy as np
 from .conllu import TreeColumns, load_conllu, take_offsets
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
-from .manifest import atomic_write, compact_json, read_header
+from .manifest import CORPUS_CACHE_VERSION, atomic_write, compact_json, read_header
 from .retrieval import TokenColumn, intern_tokens
 from .tokenizer import TOKENIZER_VERSION, apply_token_flags, tokenize
 from .treepoly import (
@@ -35,6 +35,7 @@ from .treepoly import (
     LabelVocabulary,
     Polynomial,
     first_bad_tree,
+    load_segments,
     offsets_from_sizes,
     simplified_polynomial,
     simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
@@ -297,7 +298,6 @@ def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary)
 # and parents, which share the node offsets.  Rewrites are byte-identical.
 
 _CORPUS_FORMAT = "scoi-corpus"
-CORPUS_CACHE_VERSION = 2
 _SEGMENTS = {  # name -> dtype
     "ids": "<i8", "source_offsets": "<i8", "source": "u1", "target_offsets": "<i8",
     "target": "u1", "token_offsets": "<i8", "tokens": "<i4", "node_offsets": "<i8",
@@ -332,10 +332,7 @@ def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:
         )
         if not isinstance(header.get("tokens"), list):
             raise DataError(f"{path}: header has no tokens list")
-        try:
-            cols = {name: np.load(fh, allow_pickle=False) for name in _SEGMENTS}
-        except (ValueError, EOFError) as exc:
-            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+        cols = load_segments(fh, path, _SEGMENTS)
     for name, dtype in _SEGMENTS.items():
         if cols[name].ndim != 1 or cols[name].dtype != dtype:
             raise DataError(f"{path}: segment {name} is not a one-dimensional {dtype} array")

@@ -17,11 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import MEASURES
 from .treepoly import Polynomial, TermVector, _pad_to, cdist, cityblock, manhattan, term_degree
-
-# Per-term similarity measures.  normalized-manhattan is the default;
-# cosine is only reachable through explicit configuration.
-MEASURES = ("normalized-manhattan", "cosine")
 
 
 class TokenBag:

@@ -13,12 +13,12 @@ corpus stays in the low milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import Bm25Params
 from .conllu import take_offsets
 from .coverage import TokenBag
 from .errors import DataError
@@ -26,12 +26,6 @@ from .manifest import atomic_write, compact_json, read_header
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.5
-    b: float = 0.75
 
 
 class _Denominators(dict):

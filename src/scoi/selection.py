@@ -23,10 +23,12 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import Bm25Params, SelectionPlan
+# Declared with the other config values; also importable from here.
+from .config import ORDERS, RELEVANCE_NORMS, STRATEGIES  # noqa: F401
 from .conllu import take_offsets
-from .coverage import MEASURES, occurrence_sum, similarity_matrix
+from .coverage import occurrence_sum, similarity_matrix
 from .retrieval import (
-    Bm25Params,
     InvertedIndex,
     TokenColumn,
     intern_tokens,
@@ -44,52 +46,9 @@ from .treepoly import polynomial_distance  # noqa: F401
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
 
-STRATEGIES = (
-    "scoi",
-    "syntax-only",
-    "word-only",
-    "topk-poly",
-    "dpp",
-    "bm25-passthrough",
-    "random",
-)
-ORDERS = ("syntax-first", "word-first")
-RELEVANCE_NORMS = ("reciprocal", "minmax")
-
 # Stands in for -inf as the "no live cover" score: strictly below any
 # attainable coverage (coverages are >= 0) and JSON-serializable.
 SENTINEL_LOW = -1.0
-
-
-@dataclass
-class SelectionPlan:
-    """Strategy choice and parameters governing one selection run."""
-
-    strategy: str = "scoi"
-    k: int = 4
-    order: str = "syntax-first"
-    measure: str = "normalized-manhattan"
-    pool_size: int = 100
-    dpp_lambda: float = 0.5
-    relevance_norm: str = "reciprocal"
-    rng_seed: int = 0
-
-    def validate(self) -> None:
-        """Check the parameters; ``run_strategy`` rejects an unknown strategy."""
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
-        if self.measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        if self.relevance_norm not in RELEVANCE_NORMS:
-            raise ValueError(
-                f"relevance_norm must be one of {RELEVANCE_NORMS}, got {self.relevance_norm!r}"
-            )
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.pool_size < self.k:
-            raise ValueError("pool_size must be >= k")
-        if self.dpp_lambda <= 0:
-            raise ValueError("dpp_lambda must be positive")
 
 
 class Candidates(NamedTuple):

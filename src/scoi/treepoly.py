@@ -30,6 +30,9 @@ sorts and merges each batch's rows with ``_merge_rows``, the step
 
 from __future__ import annotations
 
+import math
+import os
+import warnings
 from collections import Counter
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -37,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
-from .manifest import atomic_write, compact_json, read_header
+from .manifest import POLY_CACHE_VERSION, atomic_write, compact_json, read_header
 
 ROOT = -1
 
@@ -683,7 +686,6 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
 # Save -> load -> save is byte-identical.
 
 _POLY_FORMAT = "scoi-polynomials"
-POLY_CACHE_VERSION = 2
 
 _ROW_DTYPES = tuple(np.dtype(t) for t in ("u1", "<u2", "<u4"))
 
@@ -822,6 +824,39 @@ class PolyColumns(NamedTuple):
         return Polynomial.from_rows(self.rows[a:b], self.counts[a:b], self.rows.shape[1])
 
 
+def load_segments(fh, path, names: Iterable[str]) -> dict[str, np.ndarray]:
+    """The ``.npy`` segments that follow a cache's header line in ``fh``,
+    one per name, in order.  Both cache readers read through this.
+
+    A segment whose header does not parse as a version 1.0 header, or
+    claims a shape the rest of the file cannot hold, objects, sub-arrays
+    or Fortran order, is a ``DataError`` naming ``path`` and the segment.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    segments = {}
+    for name in names:
+        where = f"{path}: corrupt array segment ({name}: "
+        try:
+            with warnings.catch_warnings():
+                # numpy warns when it reads a header only after repairing it.
+                warnings.simplefilter("error")
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError("not a version 1.0 .npy header")
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        # numpy's header parser fails in more ways than ValueError: a corrupt
+        # header dict can reach its tokenizer, which raises TokenError.
+        except Exception as exc:
+            raise DataError(f"{where}{exc})") from None
+        count, left = math.prod(shape), size - fh.tell()
+        if fortran_order or dtype.hasobject or dtype.shape or min(shape, default=0) < 0 or (
+            count * dtype.itemsize > left
+        ):
+            order = " in Fortran order" if fortran_order else ""
+            raise DataError(f"{where}{dtype} of shape {shape}{order}, {left} bytes left)")
+        segments[name] = np.fromfile(fh, dtype, count).reshape(shape)
+    return segments
+
+
 def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
     """The vocabulary and the validated columns; the arrays are read-only,
     and the rows are trusted to be in canonical order."""
@@ -829,10 +864,8 @@ def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
         header = read_header(
             fh, path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache", "labels"
         )
-        try:
-            rows, counts, offsets, ids = [np.load(fh, allow_pickle=False) for _ in range(4)]
-        except (ValueError, EOFError) as exc:
-            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+        segments = load_segments(fh, path, ("rows", "counts", "offsets", "ids"))
+    rows, counts, offsets, ids = segments.values()
     vocab = LabelVocabulary(header["labels"])
     dim = len(vocab)
     if rows.ndim != 2 or rows.shape[1] != dim:

@@ -16,12 +16,13 @@ import pytest
 
 from scoi.bench import random_tree, run_bench
 from scoi.cli import main as cli_main
+from scoi.conllu import TreeColumns
 from scoi.corpus import ExampleRecord
 from scoi.coverage import TokenBag, syn_set_cov, term_similarity, word_set_cov
 from scoi.prompts import PromptTemplate, render_prompt
 from scoi.retrieval import Bm25Params, bm25_topk, build_index
 from scoi.selection import SelectionPlan, select_dpp, select_scoi, select_single_coverage
-from scoi.treepoly import DependencyTree, encode_term, simplified_polynomial
+from scoi.treepoly import DependencyTree, encode_term, simplified_polynomial, simplified_rows
 
 from conftest import make_record, make_vocab, path_term_oracle, random_pool, random_record
 from test_selection import (
@@ -442,4 +443,20 @@ def test_criterion_11_throughput():
             simplified_polynomial(tree, vocab)
         elapsed = time.perf_counter() - start
         best = max(best, len(trees) / elapsed)
+    assert best >= 50_000, f"best throughput {best:,.0f} sentences/s"
+
+
+@criterion(11, "the build's construction from tree columns >= 50k sentences/s, same trees")
+def test_criterion_11_build_path_throughput():
+    # ``scoi build`` computes its polynomial rows from tree columns with
+    # simplified_rows, not tree by tree; the same floor holds there, on
+    # criterion 11's trees.
+    rng = random.Random(99)
+    columns = TreeColumns.from_trees([random_tree(25, 12, rng) for _ in range(3_000)])
+    best = 0.0
+    for _ in range(3):
+        start = time.perf_counter()
+        simplified_rows(columns.labels, columns.parents, columns.offsets, 12)
+        elapsed = time.perf_counter() - start
+        best = max(best, len(columns) / elapsed)
     assert best >= 50_000, f"best throughput {best:,.0f} sentences/s"

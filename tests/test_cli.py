@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -578,6 +579,14 @@ CORRUPTIONS = [
         id="corpus-segment-truncated",
     ),
     pytest.param(
+        "corpus.bin", lambda ls: [ls[0], ls[1].replace(b"{'descr'", b"''descr'", 1), *ls[2:]],
+        "corrupt array segment (ids: ", id="corpus-segment-header-reaches-the-tokenizer",
+    ),
+    pytest.param(
+        "test.bin", lambda ls: [ls[0], ls[1].replace(b"'<i8'", b"'7i8'", 1), *ls[2:]],
+        "corrupt array segment (ids: ", id="test-segment-of-sub-arrays",
+    ),
+    pytest.param(
         "corpus.bin", _edit_segments(lambda s: s["source"].__setitem__(0, 0xFF)),
         "record 0: source is not UTF-8", id="corpus-record-not-utf8",
     ),
@@ -757,6 +766,86 @@ class TestCorruptCache:
         err = capsys.readouterr().err
         assert f"data error: {path}: {expected}" in err
         assert "Traceback" not in err
+
+
+def _seeded_mutations(data: bytes, rng: random.Random) -> list[tuple[str, bytes]]:
+    """Labelled mutated copies of ``data``: two bit flips, two byte sets and
+    two truncations at seeded offsets; in a cache, also the first byte of its
+    first .npy segment's header dict set to a quote, and four quote or
+    bracket bytes set at seeded places in that dict."""
+    def put(i: int, value: int) -> bytes:
+        return data[:i] + bytes([value]) + data[i + 1:]
+
+    mutations = []
+    for _ in range(2):
+        i, bit = rng.randrange(len(data)), rng.randrange(8)
+        mutations.append((f"bit {bit} of byte {i} flipped", put(i, data[i] ^ (1 << bit))))
+        i = rng.randrange(len(data))
+        value = rng.choice([v for v in range(256) if v != data[i]])
+        mutations.append((f"byte {i} set to {value}", put(i, value)))
+        cut = rng.randrange(len(data))
+        mutations.append((f"cut to {cut} bytes", data[:cut]))
+    magic = data.find(b"\x93NUMPY")
+    if magic >= 0:
+        start = magic + 10  # magic string, version, header length
+        end = start + int.from_bytes(data[start - 2:start], "little")
+        mutations.append((f"byte {start} set to a quote", put(start, ord("'"))))
+        for _ in range(4):
+            i = rng.randrange(start, end)
+            value = rng.choice([v for v in b"'\"()[]{}" if v != data[i]])
+            mutations.append((f"byte {i} set to {chr(value)}", put(i, value)))
+    return mutations
+
+
+class TestSeededCorruption:
+    """Every seeded mutation of a demo cache or of its build manifest makes
+    select and inspect exit 2 with a message naming a file of the build and
+    no traceback, or exit 0 with the clean run's outputs, which only a
+    manifest field that they do not check may do."""
+
+    COMMANDS = {
+        "select": ("--strategy", "all"),
+        "inspect": ("--record", "0", "--pool", "1,2,3"),
+    }
+
+    def outputs(self, out: Path, command: str, stdout: str) -> dict[str, bytes]:
+        if command == "inspect":
+            return {"stdout": stdout.encode("utf-8")}
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*_*.jsonl"))}
+
+    def run_all(self, out: Path, capsys) -> dict[str, tuple[int, str, dict]]:
+        done = {}
+        for command, extra in self.COMMANDS.items():
+            code = run(command, "--config", DEMO_CFG, "--out-dir", out, *extra)
+            captured = capsys.readouterr()
+            done[command] = code, captured.err, self.outputs(out, command, captured.out)
+            for path in out.glob("*_*.jsonl"):
+                path.unlink()
+        return done
+
+    @pytest.mark.parametrize(
+        "name", ["corpus.bin", "test.bin", "corpus.poly.bin", "test.poly.bin",
+                 "build-manifest.json"],
+    )
+    def test_mutation_exits_2_located_or_changes_nothing(self, built, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        clean = self.run_all(out, capsys)
+        assert all(code == 0 for code, _, _ in clean.values())
+        path = out / name
+        original = path.read_bytes()
+        rng = random.Random(f"seeded-corruption:{name}")
+        for label, mutated in _seeded_mutations(original, rng):
+            path.write_bytes(mutated)
+            for command, (code, err, outputs) in self.run_all(out, capsys).items():
+                where = f"{name}, {label}: {command}"
+                assert "Traceback" not in err, where
+                if code == 0:
+                    assert name == "build-manifest.json", where
+                    assert outputs == clean[command][2], where
+                else:
+                    assert code == 2, where
+                    assert re.match(rf"(data )?error: {re.escape(str(out))}/[^ /]+: ", err), where
 
 
 class TestBuildManifestCheck:
@@ -1452,29 +1541,44 @@ class TestReadmeFileFormats:
         assert re.search(r"\bversion (\d+)\b", bullet).group(1) == str(CACHE_VERSIONS[key])
 
 
+# numpy and every scoi module that imports it at the top of its file.
+NUMERIC_MODULES = ("numpy", *sorted(
+    f"scoi.{path.stem}" for path in (REPO / "src" / "scoi").glob("*.py")
+    if re.search(r"^import numpy\b", path.read_text(encoding="utf-8"), flags=re.MULTILINE)
+))
+
 # Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line
-# of output, the exit code, the scipy modules loaded by the end and whether
-# ``scoi.bench`` was imported.
+# of output, the exit code, the scipy modules loaded by the end, whether
+# ``scoi.bench`` was imported, and which of NUMERIC_MODULES were loaded.
 _IMPORT_PROBE = """
 import json, sys
 import scoi.cli
 
-code = scoi.cli.main(sys.argv[1:])
+try:
+    code = scoi.cli.main(sys.argv[2:])
+except SystemExit as exc:  # --help and --version
+    code = exc.code
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"exit": code, "scipy": scipy, "bench": "scoi.bench" in sys.modules}))
+numeric = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
+print(json.dumps({"exit": code, "scipy": scipy, "bench": "scoi.bench" in sys.modules,
+                  "numeric": numeric}))
 """
+
+
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, ``src`` on its path; it must exit 0."""
+    src = str(REPO / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def _fresh_cli(*args, python_flags=()) -> dict:
     """The probe's report on ``scoi <args>``, plus the interpreter's stderr."""
-    src = str(REPO / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, *python_flags, "-c", _IMPORT_PROBE, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _fresh_python(*python_flags, "-c", _IMPORT_PROBE, json.dumps(NUMERIC_MODULES), *args)
     return {**json.loads(proc.stdout.splitlines()[-1]), "stderr": proc.stderr}
 
 
@@ -1540,3 +1644,108 @@ class TestScipyImportBoundary:
             assert report["exit"] == 0, command
             assert "ResourceWarning" not in report["stderr"], command
             assert report["scipy"] == [], command
+
+
+def _numeric_after_import(module: str) -> list[str]:
+    """NUMERIC_MODULES loaded by a bare ``import <module>`` in a fresh interpreter."""
+    probe = (f"import json, sys; import {module}; "
+             "print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))")
+    return json.loads(_fresh_python("-c", probe, json.dumps(NUMERIC_MODULES)).stdout)
+
+
+class TestNumpyImportBoundary:
+    """numpy and the numeric modules load only when a build stage, select,
+    inspect or bench starts; a run that starts none loads none of them."""
+
+    def test_the_numeric_modules_are_found(self):
+        assert {"numpy", "scoi.corpus", "scoi.selection", "scoi.treepoly"} <= set(NUMERIC_MODULES)
+        assert not {"scoi.cli", "scoi.config", "scoi.manifest"} & set(NUMERIC_MODULES)
+
+    @pytest.mark.parametrize("module", ["scoi", "scoi.cli"])
+    def test_bare_import_loads_no_numeric_module(self, module):
+        assert _numeric_after_import(module) == []
+
+    def test_runs_that_start_no_stage_load_no_numeric_module(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        common = ("--config", DEMO_CFG, "--out-dir", out)
+        for argv, code in (
+            (("--version",), 0),
+            (("--help",), 0),
+            (("build", *common, "--k", "0"), 1),
+            (("select", *common, "--strategy", "nope"), 1),
+            (("select", "--config", DEMO_CFG, "--out-dir", tmp_path / "unbuilt"), 1),
+            (("build", *common), 0),
+        ):
+            report = _fresh_cli(*argv)
+            assert report["exit"] == code, argv
+            assert report["numeric"] == [], argv
+        manifest = read_manifest(out / "build-manifest.json")
+        assert all(stage["skipped"] for stage in manifest["stages"].values())
+
+    def test_stages_and_commands_load_numpy_when_they_start(self, tmp_path):
+        out = tmp_path / "out"
+        common = ("--config", DEMO_CFG, "--out-dir", out)
+        for argv in (
+            ("build", *common),
+            ("select", *common, "--strategy", "scoi"),
+            ("inspect", *common, "--record", "0"),
+            ("bench", "--t", "2", "--q", "1"),
+        ):
+            report = _fresh_cli(*argv)
+            assert report["exit"] == 0, argv
+            assert "numpy" in report["numeric"], argv
+
+    def test_a_stale_stage_loads_numpy_and_rebuilds(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        (out / "test.poly.bin").unlink()
+        report = _fresh_cli("build", "--config", DEMO_CFG, "--out-dir", out)
+        assert report["exit"] == 0
+        assert "scoi.treepoly" in report["numeric"]
+        assert sha256_file(out / "test.poly.bin") == sha256_file(built / "test.poly.bin")
+
+
+class TestLazyNames:
+    def test_every_public_name_resolves_and_is_listed(self):
+        import scoi
+
+        assert set(scoi.__all__) <= set(dir(scoi))
+        for name in scoi.__all__:
+            value = getattr(scoi, name)
+            if name != "__version__":
+                assert value is getattr(sys.modules[value.__module__], name), name
+        with pytest.raises(AttributeError):
+            scoi.not_a_name  # noqa: B018
+
+    def test_old_import_paths_give_the_objects_of_their_new_homes(self):
+        import scoi.config
+
+        for module, name, home in (
+            (scoi.selection, "SelectionPlan", scoi.config),
+            (scoi.selection, "STRATEGIES", scoi.config),
+            (scoi.selection, "ORDERS", scoi.config),
+            (scoi.selection, "RELEVANCE_NORMS", scoi.config),
+            (scoi.retrieval, "Bm25Params", scoi.config),
+            (scoi.coverage, "MEASURES", scoi.config),
+            (scoi.corpus, "CORPUS_CACHE_VERSION", scoi.manifest),
+            (scoi.treepoly, "POLY_CACHE_VERSION", scoi.manifest),
+            (scoi.cli, "CORPUS_CACHE_VERSION", scoi.manifest),
+            (scoi.cli, "POLY_CACHE_VERSION", scoi.manifest),
+        ):
+            assert getattr(module, name) is getattr(home, name), (module.__name__, name)
+
+    def test_cli_binds_each_numeric_name_from_its_module(self):
+        for module, names in scoi.cli._NUMERIC.items():
+            for name in names:
+                assert getattr(scoi.cli, name) is getattr(sys.modules[f"scoi.{module}"], name)
+        with pytest.raises(AttributeError):
+            scoi.cli.not_a_name  # noqa: B018
+
+    def test_binding_keeps_a_wrapper_set_on_the_cli(self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(scoi.cli, "bm25_topk", spy)
+        scoi.cli._bind_numeric()
+        assert scoi.cli.bm25_topk is spy
