@@ -13,8 +13,13 @@ must report both stages skipped and change no file.  Every cache,
 selection and prompt file must be byte-identical, and so must the no-op
 build's manifest apart from its wall-clock ``seconds`` fields and the out
 dir in its config snapshot; the select manifest holds wall-clock fields
-and is not compared.  Prints one line per workload and seed, and exits 1
-at the first difference, naming it.
+and is not compared.  Prints one line per workload and seed, with each
+side's peak RSS (``ru_maxrss`` from ``os.wait4``) of the cold build and
+of ``select``, and exits 1 at the first difference, naming it.  Both sides
+run from out dirs whose paths have the same length, since the build's
+peak RSS can step by a few MiB with that length.  The inputs are generated
+in a child process: a command's ``ru_maxrss`` also counts the peak RSS of
+the process that started it, so this one stays small.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 
-from gen import generate  # noqa: E402
 from run import WORKLOADS, _write_config  # noqa: E402
 
 CLI_ENTRY = "import sys; from scoi.cli import main; sys.exit(main())"
+GEN_ENTRY = ("import sys; from pathlib import Path; from gen import generate; "
+             "from run import WORKLOADS; "
+             "generate(WORKLOADS[sys.argv[1]].corpus, int(sys.argv[2]), Path(sys.argv[3]))")
 MANIFESTS = ("build-manifest.json", "select-manifest.json")
 
 
@@ -46,15 +53,21 @@ def _digests(out_dir: Path) -> dict[str, str]:
     }
 
 
-def _cli(env: dict, command: str, config: Path, out_dir: Path) -> str:
-    """Run one scoi command; its standard output."""
+def _cli(env: dict, command: str, config: Path, out_dir: Path) -> tuple[str, float]:
+    """Run one scoi command; its standard output and its peak RSS in MiB."""
     argv = [sys.executable, "-c", CLI_ENTRY, command, "--config", str(config),
             "--out-dir", str(out_dir)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode("utf-8"), err.read().decode("utf-8")
+    if proc.returncode != 0:
         raise SystemExit(f"error: {command} with {env['PYTHONPATH']} exited with "
-                         f"{done.returncode}:\n{done.stderr}")
-    return done.stdout
+                         f"{proc.returncode}:\n{stderr}")
+    return stdout, usage.ru_maxrss / 1024.0
 
 
 def _timeless_manifest(out_dir: Path) -> dict:
@@ -66,14 +79,14 @@ def _timeless_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict]:
+def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, list[float]]:
     """Build, select and build again with the package under ``src``; the
-    digests of the outputs and the no-op build's timeless manifest."""
+    digests of the outputs, the no-op build's timeless manifest, and the
+    peak RSS of the cold build and of select."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    for command in ("build", "select"):
-        _cli(env, command, config, out_dir)
+    peaks = [_cli(env, command, config, out_dir)[1] for command in ("build", "select")]
     digests = _digests(out_dir)
-    stages = _cli(env, "build", config, out_dir).splitlines()
+    stages = _cli(env, "build", config, out_dir)[0].splitlines()
     if stages != [f"{stage}: skipped (inputs unchanged)" for stage in ("corpus", "polynomials")]:
         raise SystemExit(f"error: the no-op build with {src} did not skip every stage:\n"
                          + "\n".join(stages))
@@ -81,7 +94,7 @@ def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict]:
     for file in sorted(digests.keys() | after.keys()):
         if digests.get(file) != after.get(file):
             raise SystemExit(f"error: the no-op build with {src} changed {file}")
-    return digests, _timeless_manifest(out_dir)
+    return digests, _timeless_manifest(out_dir), peaks
 
 
 def main() -> int:
@@ -97,6 +110,7 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown workloads: {', '.join(unknown)}")
 
+    gen_env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"))
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
@@ -108,10 +122,13 @@ def main() -> int:
             workload = WORKLOADS[name]
             for seed in seeds:
                 inputs = tmp / f"{name}-{seed}"
-                generate(workload.corpus, seed, inputs)
+                subprocess.run([sys.executable, "-B", "-c", GEN_ENTRY, name, str(seed),
+                                str(inputs)], env=gen_env, check=True)
                 config = _write_config(inputs, workload)
-                before, before_manifest = _run(parent / "src", config, inputs / "parent-out")
-                after, after_manifest = _run(ROOT / "src", config, inputs / "out")
+                before, before_manifest, before_peaks = _run(parent / "src", config,
+                                                             inputs / "out-parent")
+                after, after_manifest, after_peaks = _run(ROOT / "src", config,
+                                                          inputs / "out-change")
                 for file in sorted(before.keys() | after.keys()):
                     if before.get(file) != after.get(file):
                         print(f"{name} seed {seed}: {file} differs from {args.parent}")
@@ -120,8 +137,10 @@ def main() -> int:
                     print(f"{name} seed {seed}: the no-op build's {MANIFESTS[0]} differs "
                           f"from {args.parent}")
                     return 1
+                rss = ", ".join(f"{command} {a:.1f} -> {b:.1f}" for command, a, b
+                                in zip(("build", "select"), before_peaks, after_peaks))
                 print(f"{name} seed {seed}: {len(after)} files byte-identical, "
-                      "no-op rebuild skipped both stages")
+                      f"no-op rebuild skipped both stages; peak RSS MiB {rss}")
     return 0
 
 

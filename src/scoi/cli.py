@@ -58,14 +58,13 @@ _NUMERIC = {
         "read_corpus_columns", "write_corpus_cache",
         "apply_polynomial_cache", "attach_polynomials", "read_corpus_cache",
     ),
-    "coverage": ("TokenBag", "syn_set_cov", "word_set_cov"),
     "retrieval": (
         "InvertedIndex", "bm25_topk", "index_from_tokens",
         "build_index", "load_index", "save_index",
     ),
     "selection": ("Candidates", "PoolScores", "run_strategy"),
     "treepoly": (
-        "LabelVocabulary", "Polynomial", "PolyColumns", "read_polynomial_columns",
+        "LabelVocabulary", "PolyColumns", "read_polynomial_columns",
         "simplified_rows", "write_polynomial_cache", "read_polynomial_cache",
     ),
 }
@@ -442,10 +441,8 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         missing = [i for i, r in zip(pool_ids, rows) if r is None]
         if missing:
             raise DataError(f"pool ids not in corpus: {missing}")
-        pool_terms = Polynomial.union(built.corpus_poly.polynomial(r) for r in rows)
-        pool_tokens = TokenBag.from_tokens(t for r in rows for t in built.corpus.token_list(r))
-        syn = syn_set_cov(record.poly, pool_terms, config.measure)
-        word = word_set_cov(record.tokens, pool_tokens)
+        candidates = Candidates.from_columns(built.corpus_poly, built.corpus.tokens)
+        syn, word = PoolScores(record, candidates, rows, config.measure).coverage()
         print(f"  coverage against pool {pool_ids}:")
         print(f"    syntactic ({config.measure}): {syn:.6f}")
         print(f"    lexical: {word:.6f}")

@@ -14,6 +14,12 @@ to token ids.  That is exact: ``tokenize`` treats each chunk on its own and
 the flags each token on its own, so a line's tokens are its chunks' tokens
 in order.  A chunk always yields at least one token, so only a line with no
 chunk, or one whose tokens the flags all drop, has none.
+
+Most chunks give exactly one token, and their occurrences map to it with one
+int32 gather.  Only the occurrences of the other chunks, words with
+punctuation attached or chunks the flags empty, are expanded.  No int64
+array as long as the occurrences is built: on a large corpus such arrays
+would set the cold build's memory peak.
 """
 
 from __future__ import annotations
@@ -157,7 +163,31 @@ def _chunk_column(
         chunks = data[a:b].decode("utf-8").split()
         sizes.append(len(chunks))
         ids.extend([index.setdefault(chunk, len(index)) for chunk in chunks])
-    return list(index), np.array(ids, np.int32), offsets_from_sizes(sizes)
+    return list(index), np.frombuffer(ids, np.int32), offsets_from_sizes(sizes)
+
+
+def _expand_chunks(
+    chunk_ids: np.ndarray, line_offsets: np.ndarray, chunk_offsets: np.ndarray,
+    tokens: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each line's int64 token offsets and, given the chunks' int32 ``tokens``,
+    the lines' tokens.  Line i holds chunk occurrences
+    ``line_offsets[i]:line_offsets[i+1]``, and an occurrence of chunk c stands
+    for ``tokens[chunk_offsets[c]:chunk_offsets[c+1]]``.  Every array as long
+    as the occurrences is int32 or bool (see the module docstring)."""
+    odd = np.flatnonzero((np.diff(chunk_offsets) != 1)[chunk_ids])
+    entries, taken = take_offsets(chunk_offsets, chunk_ids[odd])
+    # gained[i]: the tokens the occurrences before odd[i] add or drop.
+    gained = taken - np.arange(len(taken))
+    offsets = line_offsets + gained[odd.searchsorted(line_offsets)]
+    if tokens is None:
+        return offsets, None
+    # The one-token occurrences' tokens, in order (the pad stands for chunks
+    # without tokens, whose occurrences are odd); odd occurrence i's tokens go
+    # in after the odd[i] - i of them that come before it.
+    single = np.append(tokens, np.int32(0))[chunk_offsets[:-1]][np.delete(chunk_ids, odd)]
+    after = np.repeat(odd - np.arange(len(odd)), np.diff(taken))
+    return offsets, np.insert(single, after, tokens[entries])
 
 
 def _tokenize_lines(
@@ -171,8 +201,9 @@ def _tokenize_lines(
         tokens = apply_token_flags(tokenize(chunk), fold_case, strip_punctuation)
         sizes.append(len(tokens))
         ids.extend([names.setdefault(token, len(names)) for token in tokens])
-    entries, chunk_offsets = take_offsets(offsets_from_sizes(sizes), chunk_ids)
-    offsets = chunk_offsets[line_offsets]
+    offsets, token_ids = _expand_chunks(
+        chunk_ids, line_offsets, offsets_from_sizes(sizes), np.frombuffer(ids, np.int32)
+    )
     empty = np.flatnonzero(np.diff(offsets) == 0)
     if empty.size:
         line = int(empty[0])
@@ -180,8 +211,7 @@ def _tokenize_lines(
         reason = "no tokens left after token flags" if flagged else "no tokens"
         raise DataError(f"{path}: line {line + 1}: {reason}")
     n = len(line_offsets) - 1
-    return TokenColumn(np.arange(n, dtype=np.int64), offsets,
-                       np.array(ids, np.int32)[entries], list(names))
+    return TokenColumn(np.arange(n, dtype=np.int64), offsets, token_ids, list(names))
 
 
 def load_parallel_corpus(
@@ -229,8 +259,7 @@ def _token_counts(text: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     without chunks counts 0."""
     chunks, chunk_ids, line_offsets = _chunk_column(*text)
     per_chunk = np.fromiter(map(len, map(tokenize, chunks)), np.int64, len(chunks))
-    totals = offsets_from_sizes(per_chunk[chunk_ids])
-    return np.diff(totals[line_offsets])
+    return np.diff(_expand_chunks(chunk_ids, line_offsets, offsets_from_sizes(per_chunk))[0])
 
 
 def _compress(keep: np.ndarray, offsets: np.ndarray, *columns: np.ndarray) -> tuple:

@@ -173,6 +173,18 @@ class PoolScores:
             candidates.tokens, candidates.name_ids, self.rows, tuple(self.test.tokens.counts)
         )
 
+    def coverage(self) -> tuple[float, float]:
+        """The syntactic and lexical set coverage of the test input by the
+        whole pool: ``syn_set_cov`` and ``word_set_cov`` against the union of
+        its members, bit for bit."""
+        poly, tokens = self.test.poly, self.test.tokens
+        syn = occurrence_sum(self.similarities.max(axis=0), poly.dense()[1]) / poly.n_terms
+        if tokens.total == 0:
+            raise ValueError("test token bag is empty")
+        want = np.fromiter(tokens.counts.values(), np.int64, len(tokens.counts))
+        covered = np.minimum(want, self.token_counts.sum(axis=0)).sum()
+        return syn, int(covered) / tokens.total
+
 
 def _pool_scores(test, pool, plan: SelectionPlan, scores: PoolScores | None) -> PoolScores:
     """The shared table when one is given, else a fresh one for this call."""

@@ -758,8 +758,9 @@ def write_polynomial_cache(
     """
     dim = len(vocab)
     n_rows = sum(map(len, rows))
-    terms = np.concatenate(([0], np.cumsum(counts)))[offsets]
-    dtype = _row_dtype(int(np.diff(terms).max(initial=0)))
+    # reduceat would give a record without rows its neighbour's first count.
+    starts = offsets[:-1][np.diff(offsets) > 0]
+    dtype = _row_dtype(int(np.add.reduceat(counts, starts).max(initial=0)))
     limit = np.iinfo(dtype).max
     header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
     with atomic_write(path, "wb") as fh:

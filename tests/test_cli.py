@@ -1267,6 +1267,44 @@ class TestInspectCommand:
         assert "polynomial terms:" in out
         assert "syntactic" in out and "lexical" in out
 
+    @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
+    def test_pool_coverage_equals_the_set_coverage_oracles(self, built, capsys, measure):
+        # inspect --pool scores through PoolScores.coverage; the per-record
+        # set coverages against the pool's union are the reference.
+        from scoi.coverage import TokenBag, syn_set_cov, word_set_cov
+        from scoi.selection import Candidates, PoolScores
+        from scoi.treepoly import Polynomial
+
+        loaded = scoi.cli._load_built(built)
+        corpus, corpus_poly = loaded.corpus, loaded.corpus_poly
+        candidates = Candidates.from_columns(corpus_poly, corpus.tokens)
+        rng = random.Random(f"inspect-pool:{measure}")
+        for trial in range(40):
+            side = rng.choice(["corpus", "test"])
+            columns, polys = ((corpus, corpus_poly) if side == "corpus"
+                              else (loaded.test, loaded.test_poly))
+            row = rng.randrange(len(columns.ids))
+            record = columns.record(row, polys.polynomial(row))
+            pool = rng.sample(range(len(corpus.ids)), rng.randint(1, 12))
+            syn = syn_set_cov(
+                record.poly, Polynomial.union(corpus_poly.polynomial(r) for r in pool), measure
+            )
+            word = word_set_cov(
+                record.tokens, TokenBag.from_tokens(t for r in pool for t in corpus.token_list(r))
+            )
+            assert PoolScores(record, candidates, pool, measure).coverage() == (syn, word)
+            if trial % 10 == 0:
+                pool_ids = corpus.ids[pool].tolist()
+                assert run(
+                    "inspect", "--config", DEMO_CFG, "--out-dir", built, "--side", side,
+                    "--record", str(record.id), "--pool", ",".join(map(str, pool_ids)),
+                    "--measure", measure,
+                ) == 0
+                assert capsys.readouterr().out.endswith(
+                    f"  coverage against pool {pool_ids}:\n"
+                    f"    syntactic ({measure}): {syn:.6f}\n    lexical: {word:.6f}\n"
+                )
+
     def test_inspect_tree_lines_are_a_depth_first_walk(self, built, capsys):
         assert run("inspect", "--config", DEMO_CFG, "--out-dir", built, "--record", "0") == 0
         out = capsys.readouterr().out

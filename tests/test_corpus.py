@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,6 +11,8 @@ from scoi.conllu import load_conllu, tree_to_conllu
 from scoi.corpus import (
     _SEGMENTS,
     ExampleRecord,
+    _read_text,
+    _tokenize_lines,
     apply_polynomial_cache,
     attach_polynomials,
     corpus_columns,
@@ -377,3 +380,30 @@ class TestColumnarIngest:
         if isinstance(want, int):
             assert (tmp / "a.bin").read_bytes() == (tmp / "b.bin").read_bytes()
             assert (tmp / "a-test.bin").read_bytes() == (tmp / "b-test.bin").read_bytes()
+
+
+def test_tokenize_peak_memory_per_chunk_occurrence(tmp_path):
+    # 200,000 chunk occurrences, one in ten a chunk of two or three tokens.
+    # Expanding every occurrence through int64 offsets peaked near 52 bytes
+    # per occurrence under tracemalloc; int32 occurrence arrays that expand
+    # only the multi-token chunks stay near 32.
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(3000)]
+    forms = ["{}"] * 18 + ["{},", "\u00ab{}\u00bb"]
+    n_lines, per_line = 20_000, 10
+    path = tmp_path / "large.src"
+    path.write_text("".join(
+        " ".join(rng.choice(forms).format(rng.choice(words)) for _ in range(per_line)) + "\n"
+        for _ in range(n_lines)
+    ), encoding="utf-8")
+    text = _read_text(path)
+    tracemalloc.start()
+    try:
+        tokens = _tokenize_lines(path, text, False, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tokens.offsets) == n_lines + 1
+    assert len(tokens.token_ids) > n_lines * per_line
+    assert tokens.offsets.dtype == np.int64 and tokens.token_ids.dtype == np.int32
+    assert peak < 40 * n_lines * per_line

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import hypothesis.extra.numpy as hnp
@@ -921,6 +922,27 @@ class TestPolynomialCache:
                 np.array([0, 1, 2, 3]), make_vocab(1),
             )
         assert list(tmp_path.iterdir()) == []
+
+    def test_writer_peak_memory_is_below_the_counts_column(self, tmp_path):
+        # Taking each record's term total from a cumulative sum of every row's
+        # count held two int64 copies of ``counts``.
+        rng = random.Random(11)
+        trees = [random_recursive_tree(rng, 30, 12) for _ in range(2000)]
+        columns = _forest_arrays(
+            [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
+            np.cumsum([0] + [t.n for t in trees]),
+        )
+        rows, counts, offsets = simplified_rows(*columns, 12)
+        assert counts.nbytes > 400_000
+        tracemalloc.start()
+        try:
+            write_polynomial_cache(
+                tmp_path / "p.bin", np.arange(len(trees)), rows, counts, offsets, make_vocab(12)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.bin"
