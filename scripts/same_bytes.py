@@ -14,8 +14,10 @@ selection and prompt file must be byte-identical, and so must the no-op
 build's manifest apart from its wall-clock ``seconds`` fields and the out
 dir in its config snapshot; the select manifest holds wall-clock fields
 and is not compared.  Prints one line per workload and seed, with each
-side's peak RSS (``ru_maxrss`` from ``os.wait4``) of the cold build and
-of ``select``, and exits 1 at the first difference, naming it.  Both sides
+side's wall seconds and peak RSS (``ru_maxrss`` from ``os.wait4``) of the
+cold build and of ``select``, and exits 1 at the first difference, naming
+it.  One run per side is inside the host's noise: the seconds can show a
+gross slowdown, not a small gain.  Both sides
 run from out dirs whose paths have the same length, since the build's
 peak RSS can step by a few MiB with that length.  The inputs are generated
 in a child process: a command's ``ru_maxrss`` also counts the peak RSS of
@@ -31,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,13 +56,16 @@ def _digests(out_dir: Path) -> dict[str, str]:
     }
 
 
-def _cli(env: dict, command: str, config: Path, out_dir: Path) -> tuple[str, float]:
-    """Run one scoi command; its standard output and its peak RSS in MiB."""
+def _cli(env: dict, command: str, config: Path, out_dir: Path) -> tuple[str, float, float]:
+    """Run one scoi command; its standard output, its wall seconds and its
+    peak RSS in MiB."""
     argv = [sys.executable, "-c", CLI_ENTRY, command, "--config", str(config),
             "--out-dir", str(out_dir)]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
@@ -67,7 +73,7 @@ def _cli(env: dict, command: str, config: Path, out_dir: Path) -> tuple[str, flo
     if proc.returncode != 0:
         raise SystemExit(f"error: {command} with {env['PYTHONPATH']} exited with "
                          f"{proc.returncode}:\n{stderr}")
-    return stdout, usage.ru_maxrss / 1024.0
+    return stdout, seconds, usage.ru_maxrss / 1024.0
 
 
 def _timeless_manifest(out_dir: Path) -> dict:
@@ -79,12 +85,12 @@ def _timeless_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, list[float]]:
+def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, list[tuple]]:
     """Build, select and build again with the package under ``src``; the
     digests of the outputs, the no-op build's timeless manifest, and the
-    peak RSS of the cold build and of select."""
+    (wall seconds, peak RSS) of the cold build and of select."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    peaks = [_cli(env, command, config, out_dir)[1] for command in ("build", "select")]
+    usage = [_cli(env, command, config, out_dir)[1:] for command in ("build", "select")]
     digests = _digests(out_dir)
     stages = _cli(env, "build", config, out_dir)[0].splitlines()
     if stages != [f"{stage}: skipped (inputs unchanged)" for stage in ("corpus", "polynomials")]:
@@ -94,7 +100,7 @@ def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, 
     for file in sorted(digests.keys() | after.keys()):
         if digests.get(file) != after.get(file):
             raise SystemExit(f"error: the no-op build with {src} changed {file}")
-    return digests, _timeless_manifest(out_dir), peaks
+    return digests, _timeless_manifest(out_dir), usage
 
 
 def main() -> int:
@@ -125,9 +131,9 @@ def main() -> int:
                 subprocess.run([sys.executable, "-B", "-c", GEN_ENTRY, name, str(seed),
                                 str(inputs)], env=gen_env, check=True)
                 config = _write_config(inputs, workload)
-                before, before_manifest, before_peaks = _run(parent / "src", config,
+                before, before_manifest, before_usage = _run(parent / "src", config,
                                                              inputs / "out-parent")
-                after, after_manifest, after_peaks = _run(ROOT / "src", config,
+                after, after_manifest, after_usage = _run(ROOT / "src", config,
                                                           inputs / "out-change")
                 for file in sorted(before.keys() | after.keys()):
                     if before.get(file) != after.get(file):
@@ -137,10 +143,11 @@ def main() -> int:
                     print(f"{name} seed {seed}: the no-op build's {MANIFESTS[0]} differs "
                           f"from {args.parent}")
                     return 1
-                rss = ", ".join(f"{command} {a:.1f} -> {b:.1f}" for command, a, b
-                                in zip(("build", "select"), before_peaks, after_peaks))
+                usage = "; ".join(
+                    f"{command} {a[0]:.2f} -> {b[0]:.2f} s, {a[1]:.1f} -> {b[1]:.1f} MiB"
+                    for command, a, b in zip(("build", "select"), before_usage, after_usage))
                 print(f"{name} seed {seed}: {len(after)} files byte-identical, "
-                      f"no-op rebuild skipped both stages; peak RSS MiB {rss}")
+                      f"no-op rebuild skipped both stages; {usage}")
     return 0
 
 

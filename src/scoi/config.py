@@ -13,6 +13,7 @@ over file values, which keeps run manifests meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -174,9 +175,12 @@ def coerce(name: str, kind: type, raw: str):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{name}: expected {kind.__name__}, got {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite float, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, base_dir: Path) -> dict:

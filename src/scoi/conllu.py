@@ -7,19 +7,22 @@ as ``\\n`` does, and a line that is empty or only whitespace ends a block.
 
 The file is read as bytes in chunks of about ``_CHUNK_BYTES``, each cut after
 an empty line, so no block spans two chunks.  A chunk is scanned as one byte
-array: ``np.flatnonzero`` finds its lines and tabs, ID and HEAD are read as
-ASCII digits, and the DEPREL strings are interned with one stable sort over
-fixed-width keys (length, then the bytes as 64-bit words), new labels going
-into the vocabulary in first-seen order.  Each HEAD is mapped to a position
-within its block, and ``first_bad_tree`` checks every tree at once.
+array: ``np.flatnonzero`` finds its lines and tabs, and ID and HEAD are read
+as ASCII digits.  The word IDs of a block must be 1, 2, ..., n in order, as
+CoNLL-U numbers them, so a token's parent is HEAD - 1 and nothing is sorted.
+Each DEPREL's fixed-width key (its length, then its bytes as 64-bit words)
+is hashed into one uint64 and grouped with ``np.unique``; every key is
+checked against its group's first before new labels go into the vocabulary,
+in first-seen order.  ``first_bad_tree`` checks every tree at once.
 
 The scan vouches for a whole chunk or for none of it.  A chunk that is not
 UTF-8, or that has a line led by a whitespace byte, a short row, an ID or HEAD
-that is not 1 to 9 ASCII digits, a DEPREL longer than ``_KEY_BYTES`` bytes, a
-duplicate ID, a dangling HEAD or a block that is not a tree, is parsed instead
-by the per-line parser ``_parse_lines``.  It raises the first error in file
-order, located by line or block, or, for odd but valid input such as a ``+3``
-HEAD, returns the chunk's trees.  Every error names the file.
+that is not 1 to 9 ASCII digits, IDs that are not 1 to n in block order, a
+DEPREL longer than ``_KEY_BYTES`` bytes, two DEPRELs that share a hash, a
+dangling HEAD or a block that is not a tree, is parsed instead by the
+per-line parser ``_parse_lines``.  It raises the first error in file order,
+located by line or block, or, for odd but valid input such as a ``+3`` HEAD
+or gapped IDs, returns the chunk's trees.  Every error names the file.
 """
 
 from __future__ import annotations
@@ -43,7 +46,11 @@ _DIGITS = 9
 # DEPRELs up to this many bytes are interned as fixed-width keys; a chunk with
 # a longer one takes the per-line path.
 _KEY_BYTES = 64
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # masks of n low bytes
+# _WORD_MASKS[j, w] keeps the bytes of word j (bytes 8j to 8j + 7) of a key
+# w bytes wide.
+_WORD_MASKS = np.array([[(1 << 8 * min(max(w - 8 * j, 0), 8)) - 1 for w in range(_KEY_BYTES + 1)]
+                        for j in range(_KEY_BYTES // 8)], np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # an odd multiplier for the DEPREL key hash
 # First bytes of the UTF-8 forms of the characters ``str.strip()`` removes: a
 # line that starts with none of them is not blank, and a chunk with a
 # non-empty line that starts with one takes the per-line path.
@@ -145,13 +152,13 @@ def _parse_block(block: list[tuple[int, str]], vocab: LabelVocabulary, block_ind
         raise MalformedTreeError(f"sentence block {block_index}: {exc}") from None
 
 
-def _chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
-    """(number of its first line, chunk) pairs, each chunk about _CHUNK_BYTES.
+def _chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """Chunks of the file, each about _CHUNK_BYTES.
 
     Line ends are translated to ``\\n``.  Every chunk ends with one, and every
     chunk but the last ends with an empty line.
     """
-    lineno, carry, held = 1, b"", b""
+    carry, held = b"", b""
     while True:
         raw = fh.read(_CHUNK_BYTES)
         eof = not raw
@@ -170,56 +177,66 @@ def _chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
         if chunk:
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
-            yield lineno, chunk
-            lineno += chunk.count(b"\n")
+            yield chunk
         if eof:
             return
 
 
 def _digits(b: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each field ``b[start:end]`` read as a number, and whether it is 1 to
+    """Each field ``b[start:end]`` read as an int32, and whether it is 1 to
     ``_DIGITS`` ASCII digits (where it is not, the number means nothing)."""
     width = end - start
     ok = (width >= 1) & (width <= _DIGITS)
-    value = np.zeros(len(start), np.int64)
+    value = np.zeros(len(start), np.int32)
     for k in range(min(int(width.max(initial=0)), _DIGITS)):  # the k-th digit from the right
         digit = b[np.maximum(end - 1 - k, 0)] - np.uint8(ord("0"))
-        inside = width > k
-        ok &= ~inside | (digit <= 9)
-        value += np.where(inside, digit, 0).astype(np.int64) * 10**k
+        digit *= width > k
+        ok &= digit <= 9
+        value += digit * np.int32(10**k)
     return value, ok
 
 
+def _hash(keys: list[np.ndarray]) -> np.ndarray:
+    """One uint64 per string from its key words: equal keys hash equal."""
+    hashed = keys[0]
+    for key in keys[1:]:
+        hashed = hashed * _MIX + key  # wraps modulo 2**64
+    return hashed
+
+
 def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
-            vocab: LabelVocabulary) -> np.ndarray:
+            vocab: LabelVocabulary) -> np.ndarray | None:
     """Vocabulary ids of the UTF-8 strings ``b[start:start+width]``, none
-    longer than ``_KEY_BYTES``; the new ones are added in first-seen order."""
+    longer than ``_KEY_BYTES``; the new ones are added in first-seen order.
+    None, with the vocabulary untouched, if two different strings share a
+    hash."""
     if not len(start):
         return np.empty(0, np.int32)
     # A key is the width, then the bytes as little-endian words, zeroed past
     # the end; the words are read through a view with a one-byte stride.
-    padded = np.concatenate((b, np.zeros(8, np.uint8)))
-    words = np.ndarray(len(b), "<u8", padded, strides=(1,))
-    keys = [width] + [words[np.minimum(start + k, len(b) - 1)] & _LOW_BYTES[np.clip(width - k, 0, 8)]
-                      for k in range(0, int(width.max()), 8)]
-    order = np.lexsort(keys)
-    ordered = [key[order] for key in keys]
-    # Sorting is stable, so a run of equal keys starts with its first-seen row.
-    opens = np.concatenate(([True], np.logical_or.reduce([key[1:] != key[:-1] for key in ordered])))
-    first = order[opens]
+    padded = np.concatenate((b, np.zeros(_KEY_BYTES, np.uint8)))
+    words = np.ndarray(len(b) + _KEY_BYTES - 7, "<u8", padded, strides=(1,))
+    keys = [width.astype(np.uint64)] + [
+        words[start + 8 * j] & _WORD_MASKS[j, width] for j in range(-(-int(width.max()) // 8))]
+    distinct, group = np.unique(_hash(keys), return_inverse=True)
+    first = np.full(len(distinct), len(start))  # return_index would need a stable sort
+    np.minimum.at(first, group, np.arange(len(start)))
+    # Each string must equal its group's first-seen one in every key word.
+    leader = first[group]
+    if any((key != key[leader]).any() for key in keys):
+        return None
     ids = np.empty(len(first), np.int32)
     for g in np.argsort(first).tolist():
         s = int(start[first[g]])
         ids[g] = vocab.add(data[s:s + int(width[first[g]])].decode("utf-8"))
-    labels = np.empty(len(start), np.int32)
-    labels[order] = ids[np.cumsum(opens) - 1]
-    return labels
+    return ids[group]
 
 
-def _scan(data: bytes, vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _scan(data: bytes, vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
     """int32 labels, int32 parents and int64 node counts of the blocks of
-    ``data``, newline-terminated lines, or None if any block needs the
-    per-line parser: for its error, or for a field the scan does not read."""
+    ``data``, newline-terminated lines, and its line count; or None if any
+    block needs the per-line parser: for its error, or for a field the scan
+    does not read."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
@@ -238,8 +255,11 @@ def _scan(data: bytes, vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, 
     # Rows are the lines of blocks that are not comments.
     rows = np.flatnonzero(~blank & (lead != ord("#")))
     row_end = ends[rows]
-    # Tab positions, padded with ones past every line so tab k + 7 of a line exists.
-    tabs = np.append(np.flatnonzero(b == ord("\t")), np.full(_DEPREL_COL + 1, len(b)))
+    # Tab positions, then positions past the end, so tab k + 7 of a row exists.
+    is_tab = np.empty(len(b) + _DEPREL_COL + 1, bool)
+    np.equal(b, ord("\t"), out=is_tab[:len(b)])
+    is_tab[len(b):] = True
+    tabs = np.flatnonzero(is_tab)
     first_tab = np.searchsorted(tabs, starts[rows])
     if (tabs[first_tab + _DEPREL_COL - 1] >= row_end).any():  # a short row
         return None
@@ -257,25 +277,20 @@ def _scan(data: bytes, vocab: LabelVocabulary) -> tuple[np.ndarray, np.ndarray, 
     if not head_ok.all() or deprel_width.max(initial=0) > _KEY_BYTES:
         return None
 
-    # Keyed by (block, ID) and sorted, equal neighbours are duplicate IDs, and
-    # each HEAD is looked up as (block, HEAD).
+    # The IDs of every block must be 1, 2, ..., n in order, so a token's
+    # parent is HEAD - 1 (ROOT for HEAD 0), and a HEAD above n is out of range.
     block = (np.cumsum(opens) - 1)[rows]
-    keys = (block << 32) | ids
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    head_keys = (block << 32) | heads
-    target = np.minimum(np.searchsorted(ordered, head_keys), max(len(keys) - 1, 0))
-    is_root = heads == 0
-    if (ordered[1:] == ordered[:-1]).any() or (~is_root & (ordered[target] != head_keys)).any():
-        return None
     sizes = np.bincount(block, minlength=n_blocks)
     offsets = offsets_from_sizes(sizes)
-    parents = np.where(is_root, ROOT, order[target] - offsets[block]).astype(np.int32)
-    labels = _intern(data, b, deprel_start, deprel_width, vocab)
-    # This also refuses a block with no tokens or a root count other than one.
-    if first_bad_tree(labels, parents, offsets, len(vocab)) is not None:
+    if (ids + offsets[block] != np.arange(1, len(ids) + 1)).any():
         return None
-    return labels, parents, sizes
+    parents = heads - 1
+    labels = _intern(data, b, deprel_start, deprel_width, vocab)
+    # This also refuses a block with no tokens or a root count other than
+    # one, and a HEAD that names no token of its block.
+    if labels is None or first_bad_tree(labels, parents, offsets, len(vocab)) is not None:
+        return None
+    return labels, parents, sizes, len(ends)
 
 
 def _parse_lines(data: bytes, first_line: int, first_block: int,
@@ -305,13 +320,14 @@ def load_conllu(path, vocab: LabelVocabulary) -> TreeColumns:
     parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int64))]
     try:
         with open(path, "rb") as fh:
-            n_blocks = 0
-            for first_line, chunk in _chunks(fh):
+            first_line, n_blocks = 1, 0
+            for chunk in _chunks(fh):
                 part = _scan(chunk, vocab)
                 if part is None:
                     trees = _parse_lines(chunk, first_line, n_blocks, vocab)
-                    part = trees.labels, trees.parents, np.diff(trees.offsets)
-                parts.append(part)
+                    part = trees.labels, trees.parents, np.diff(trees.offsets), chunk.count(b"\n")
+                parts.append(part[:3])
+                first_line += part[3]
                 n_blocks += len(part[2])
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None

@@ -25,7 +25,9 @@ parent's plus one of its own label, so pointer doubling over the parent
 map sums every root-to-node path in ceil(log2(depth)) whole-array rounds.
 It works on batches of whole trees of at most ``_BATCH_NODES`` nodes and
 sorts and merges each batch's rows with ``_merge_rows``, the step
-``Polynomial.union`` uses on its members' rows.
+``Polynomial.union`` uses on its members' rows: one sort over the byte keys
+of ``_sort_keys`` (``canonical_terms`` sorts by them too), then adjacent
+equal keys are equal rows, and each kept row is gathered once.
 """
 
 from __future__ import annotations
@@ -93,29 +95,29 @@ def encode_term(pairs: Iterable[tuple[int, int]] | Mapping[int, int]) -> int:
 _RANK_DTYPES = tuple(np.dtype(t) for t in (">u1", ">u2", ">u4", ">u8"))
 
 
-def _canonical_order(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """The stable order that sorts the rows of ``mat`` by ``position``, then
-    in canonical order.
+def _sort_keys(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Fixed-width byte keys whose stable sort orders the rows of ``mat`` by
+    ``position``, then in canonical order; equal keys are equal rows of one
+    position.
 
-    One sort over fixed-width byte keys: a row's key is its position, then
-    per column its rank, as big-endian bytes.  Sorted (label, exponent)
-    pairs compare column by column as the exponent where it is nonzero;
-    above every exponent where it is zero and a nonzero follows (that row's
-    next pair has a larger label); 0 where no nonzero follows (that row's
-    tuple has ended).  Equal keys are equal rows of one position.
+    A row's key is its position, then per column its rank, as big-endian
+    bytes.  Sorted (label, exponent) pairs compare column by column as the
+    exponent where it is nonzero; above every exponent where it is zero and
+    a nonzero follows (that row's next pair has a larger label); 0 where no
+    nonzero follows (that row's tuple has ended).
     """
     n, dim = mat.shape
     gap = int(mat.max(initial=0)) + 1
     rank = next(t for t in _RANK_DTYPES if gap <= np.iinfo(t).max)
     ranks = mat.astype(rank.newbyteorder("="))
-    nonzero = ranks != 0
     column = np.arange(1, dim + 1, dtype=np.min_scalar_type(dim))
-    last = (nonzero * column).max(axis=1, initial=0)
-    ranks[~nonzero & (column <= last[:, None])] = gap
+    last = ((ranks != 0) * column).max(axis=1, initial=0)
+    # A zero before the row's last nonzero rank is raised to the gap.
+    ranks += ((ranks == 0) & (column <= last[:, None])) * ranks.dtype.type(gap)
     key = np.empty((n, 4 + dim * rank.itemsize), dtype=np.uint8)
     key[:, :4] = position.astype(">u4")[:, None].view(np.uint8)
     key[:, 4:] = ranks.astype(rank).view(np.uint8)
-    return np.argsort(key.view(f"S{key.shape[1]}")[:, 0], kind="stable")
+    return key.view(f"S{key.shape[1]}")[:, 0]
 
 
 def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,13 +126,14 @@ def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.
     Returns a uint32 exponent matrix over ``dim`` labels, one row per
     distinct term, and int64 ``counts`` (multiplicities), in canonical
     order, the order of ``sorted(decode_term(k) for k in terms)``.  Every
-    key must be below ``2 ** (32 * dim)``.
+    key must be below ``2 ** (32 * dim)``.  Distinct keys are distinct
+    rows, so there is nothing to merge.
     """
     n = len(terms)
     raw = b"".join(map(int.to_bytes, terms, repeat(4 * dim), repeat("little")))
     mat = np.frombuffer(raw, "<u4").reshape(n, dim)
     counts = np.fromiter(terms.values(), np.int64, n)
-    order = _canonical_order(mat, np.zeros(n, np.int64))
+    order = np.argsort(_sort_keys(mat, np.zeros(n, np.int64)), kind="stable")
     return mat[order], counts[order]
 
 
@@ -143,14 +146,16 @@ def _merge_rows(
 
     Returns the merged rows, their counts, and ``first``: the index of each
     merged row's first source row in sorted order, so ``position[first]``
-    is each merged row's position.
+    is each merged row's position.  Equal rows are found as equal adjacent
+    sort keys, and each merged row is gathered once.
     """
-    order = _canonical_order(rows, position)
-    rows = rows[order]
-    first = np.ones(len(rows), bool)
-    first[1:] = (position[1:] != position[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    key = _sort_keys(rows, position)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     first = np.flatnonzero(first)
-    return rows[first], np.add.reduceat(counts[order], first), first
+    return rows[order[first]], np.add.reduceat(counts[order], first), first
 
 
 def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:

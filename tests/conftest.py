@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 
@@ -15,6 +19,16 @@ from scoi.treepoly import (
     encode_term,
     write_polynomial_cache,
 )
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's corpus generator, loaded read-only."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
 
 
 def make_vocab(n_labels: int) -> LabelVocabulary:

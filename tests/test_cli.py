@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -29,7 +30,7 @@ from scoi.config import INPUT_KEYS, RunConfig, load_config
 from scoi.manifest import read_manifest, sha256_file
 from scoi.selection import STRATEGIES
 
-from conftest import write_poly_items
+from conftest import perfbench_gen, write_poly_items
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CFG = REPO / "data" / "demo" / "demo.cfg"
@@ -1046,6 +1047,102 @@ class TestCrashSafeWrites:
             assert (out / output).read_bytes() == (selected / output).read_bytes()
 
 
+CLI_ENTRY = "import sys; from scoi.cli import main; sys.exit(main())"
+# Output names of the build's two stages, in the order they are written.
+STAGE_OUTPUTS = {"corpus": BUILD_OUTPUTS[:2], "polynomials": BUILD_OUTPUTS[2:4]}
+
+
+def _kill_at_a_temp(argv: list[str], out: Path, names) -> bool:
+    """Run ``scoi <argv>`` as a child process and SIGKILL it as soon as
+    ``out`` holds a temp file it is writing for one of ``names``.  False if
+    it exited first, having seen no such file."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", CLI_ENTRY, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    temps = {f".{name}.{proc.pid}.tmp" for name in names}
+    try:
+        while proc.poll() is None:
+            if not temps.isdisjoint(os.listdir(out)):
+                proc.kill()  # the test's own child, not yet waited for
+                assert proc.wait(timeout=60) == -signal.SIGKILL
+                return True
+        assert proc.returncode == 0
+        return False
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=60)
+
+
+class TestKilledRuns:
+    """``build`` and ``select`` SIGKILLed while writing an output: what they
+    leave is never a partial file, and a rerun writes a clean run's bytes."""
+
+    ATTEMPTS = 20  # a write can finish between two looks at the directory
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        """A generated corpus of 600 pairs, its config and a clean run's outputs."""
+        gen = perfbench_gen()
+        inputs = tmp_path_factory.mktemp("killed-runs")
+        spec = gen.CorpusSpec(pairs=600, min_tokens=8, max_tokens=40,
+                              tests=8, test_min_tokens=8, test_max_tokens=40)
+        gen.generate(spec, 17, inputs)
+        config = inputs / "run.cfg"
+        config.write_text("".join(f"{key} = {inputs / name}\n" for key, name in zip(
+            INPUT_KEYS, ("corpus.src", "corpus.tgt", "corpus.conllu", "test.src", "test.conllu")
+        )) + "strategy = scoi\n", encoding="utf-8")
+        out = inputs / "clean"
+        assert run("build", "--config", config, "--out-dir", out) == 0
+        assert run("select", "--config", config, "--out-dir", out) == 0
+        return config, _outputs(out)
+
+    @pytest.mark.parametrize("stage", STAGE_OUTPUTS)
+    def test_killed_build(self, clean, tmp_path, stage):
+        config, expected = clean
+        for attempt in range(self.ATTEMPTS):
+            out = tmp_path / str(attempt)
+            out.mkdir()
+            argv = ["build", "--config", str(config), "--out-dir", str(out)]
+            if _kill_at_a_temp(argv, out, STAGE_OUTPUTS[stage]):
+                break
+        else:
+            pytest.fail(f"no {stage} temp file seen in {self.ATTEMPTS} builds")
+        left = _outputs(out)
+        for name in BUILD_OUTPUTS[:4]:  # a cache is whole or absent
+            assert left.get(name, expected[name]) == expected[name]
+        assert run("build", "--config", config, "--out-dir", out) == 0
+        assert run("select", "--config", config, "--out-dir", out) == 0
+        assert _outputs(out) == expected
+
+    def test_killed_select(self, clean, tmp_path):
+        config, expected = clean
+        out = tmp_path / "out"
+        assert run("build", "--config", config, "--out-dir", out) == 0
+        argv = ["select", "--config", str(config), "--out-dir", str(out)]
+        for _ in range(self.ATTEMPTS):
+            if _kill_at_a_temp(argv, out, SELECT_OUTPUTS[:2]):
+                break
+            for name in SELECT_OUTPUTS:
+                (out / name).unlink()
+        else:
+            pytest.fail(f"no selection temp file seen in {self.ATTEMPTS} runs of select")
+        left = _outputs(out)
+        for name in SELECT_OUTPUTS[:2]:
+            assert left.get(name, expected[name]) == expected[name]
+        assert run("select", "--config", config, "--out-dir", out) == 0
+        # select leaves a dead writer's temp file; the next build removes it.
+        assert run("build", "--config", config, "--out-dir", out) == 0
+        assert _outputs(out) == expected
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Every file of ``out`` but the manifests, which hold wall-clock fields."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name not in ("build-manifest.json", "select-manifest.json")}
+
+
 def _count_scoring_calls(built, monkeypatch, strategies):
     """Run ``_select_one`` on the first demo test input, recording the arguments
     of each ``cityblock`` call and counting per-candidate scoring calls."""
@@ -1496,6 +1593,23 @@ class TestConfigKeys:
         assert run("select", _flag(field), "four") == 1
         from_flag = capsys.readouterr().err
         expected = f"error: {field.name}: expected {_key_type(field).__name__}, got 'four'\n"
+        assert from_file == from_flag == expected
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field", [f for f in CONFIG_FIELDS if _key_type(f) is float], ids=lambda f: f.name
+    )
+    def test_non_finite_float_exits_1_from_a_file_and_a_flag(self, field, raw, tmp_path, capsys):
+        # NaN passes every range check (each comparison is false): a NaN
+        # bm25_k1 made every BM25 score NaN, a NaN dpp_lambda selected nothing.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{field.name} = {raw}\n", encoding="utf-8")
+        assert run("select", "--config", cfg) == 1
+        from_file = capsys.readouterr().err
+        # "--flag=-inf": argparse takes a bare "-inf" for an option.
+        assert run("select", f"{_flag(field)}={raw}") == 1
+        from_flag = capsys.readouterr().err
+        expected = f"error: {field.name}: expected a finite float, got {raw!r}\n"
         assert from_file == from_flag == expected
 
 

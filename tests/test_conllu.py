@@ -1,4 +1,3 @@
-import importlib.util
 import random
 import sys
 import tracemalloc
@@ -15,7 +14,7 @@ from scoi.conllu import load_conllu, tree_to_conllu
 from scoi.errors import DataError, MalformedTreeError
 from scoi.treepoly import ROOT, DependencyTree, LabelVocabulary
 
-from conftest import random_recursive_tree
+from conftest import perfbench_gen, random_recursive_tree
 
 
 def write(tmp_path, text):
@@ -437,18 +436,8 @@ def test_parse_peak_memory_is_bounded_by_the_chunk(tmp_path):
     assert peak < 32 * 2**20
 
 
-def _perfbench_gen():
-    """``perfbench/gen.py``, loaded read-only."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look it up
-        spec.loader.exec_module(module)
-    return module
-
-
 def test_canonical_input_never_takes_the_per_line_path(tmp_path):
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     demo = Path(__file__).resolve().parent.parent / "data" / "demo"
     paths = [demo / "corpus.conllu", demo / "test.conllu"]
     for seed, (low, high) in enumerate([(8, 40), (40, 130)]):
@@ -464,3 +453,53 @@ def test_canonical_input_never_takes_the_per_line_path(tmp_path):
     with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
         test_odd_but_valid_fields_take_the_per_line_path(tmp_path)
     assert spy.call_count == 1
+
+
+def _block(ids, heads, deprels):
+    return "".join(f"{i}\tw\t_\t_\t_\t_\t{h}\t{d}\t_\t_\n" for i, h, d in zip(ids, heads, deprels)) + "\n"
+
+
+@pytest.mark.parametrize("ids, heads", [
+    ((1, 2, 4), (0, 1, 2)),     # a gap
+    ((2, 1, 3), (0, 2, 1)),     # out of order
+    ((1, 3, 2), (0, 1, 1)),     # out of order, each HEAD naming a token
+    ((5, 6, 7), (0, 5, 6)),     # not starting at 1
+])
+def test_ids_that_are_not_1_to_n_in_order_take_the_per_line_path(tmp_path, ids, heads):
+    path = write(tmp_path, _block((1, 2), (0, 1), ("root", "det"))
+                 + _block(ids, heads, ("root", "nsubj", "obj")))
+    expected = outcome(oracle_load_conllu, path)
+    assert not isinstance(expected[0], type)  # a valid file
+    with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        assert columns(path) == expected
+    assert spy.call_count == 1
+
+
+def test_a_hash_collision_takes_the_per_line_path(tmp_path):
+    rng = random.Random(8)
+    labels = DEPRELS[:-1]  # the last one is longer than a key
+    vocab = LabelVocabulary(labels)
+    trees = [random_recursive_tree(rng, rng.randint(1, 12), len(labels)) for _ in range(40)]
+    path = write(tmp_path, "".join(tree_to_conllu(t, vocab) + "\n" for t in trees))
+    with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        expected = columns(path)
+    assert spy.call_count == 0
+    assert len(expected[0]) == len(labels)  # every label shares the forced hash
+    constant = lambda keys: np.zeros(len(keys[0]), np.uint64)  # noqa: E731
+    with mock.patch.object(conllu, "_hash", constant), \
+         mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        assert columns(path) == expected
+    assert spy.call_count == 1
+
+
+def test_labels_sharing_their_first_word_intern_apart(tmp_path):
+    # The two labels agree in their first 8 bytes and in their width.
+    path = write(tmp_path, _block((1, 2, 3), (0, 1, 1), ("root", "compound:prt", "compound:svc"))
+                 + _block((1, 2), (0, 1), ("compound:svc", "compound:prt")))
+    vocab = LabelVocabulary()
+    with mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
+        cols = load_conllu(path, vocab)
+    assert spy.call_count == 0
+    assert vocab.labels == ["root", "compound:prt", "compound:svc"]
+    assert cols.labels.tolist() == [0, 1, 2, 2, 1]
+    assert outcome(load_conllu, path) == outcome(oracle_load_conllu, path)
