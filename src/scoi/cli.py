@@ -88,11 +88,21 @@ def __getattr__(name: str):
 
 _BUILD_MANIFEST = "build-manifest.json"
 _SELECT_MANIFEST = "select-manifest.json"
+# Every file ``select`` writes, for any strategy.
+_SELECT_OUTPUTS = {_SELECT_MANIFEST, *(f"{kind}_{s}.jsonl" for s in STRATEGIES
+                                       for kind in ("selections", "prompts"))}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage problems to exit code 1
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        try:  # "-inf" is a value, so that its flag's type names what is wrong with it
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _cache_paths(out_dir: Path) -> dict[str, Path]:
@@ -149,10 +159,8 @@ def cmd_build(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = _cache_paths(out_dir)
-    remove_stale_temps(out_dir, {
-        *(p.name for p in paths.values()), _BUILD_MANIFEST, _SELECT_MANIFEST,
-        *(f"{kind}_{s}.jsonl" for s in STRATEGIES for kind in ("selections", "prompts")),
-    })
+    remove_stale_temps(out_dir, {*(p.name for p in paths.values()), _BUILD_MANIFEST,
+                                 *_SELECT_OUTPUTS})
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
     manifest = RunManifest(config.snapshot(), __version__)
     # (vocab, record ids, tree columns) per corpus cache, kept from ingest
@@ -336,6 +344,7 @@ def _select_one(test, strategies, config, built, candidates, corpus_ids, templat
 def cmd_select(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     built = _load_built(out_dir, keep_trees=False)
+    remove_stale_temps(out_dir, _SELECT_OUTPUTS)
     corpus_ids = tuple(built.corpus.ids.tolist())
     strategies = list(STRATEGIES) if config.strategy == "all" else [config.strategy]
     if "random" in strategies and len(corpus_ids) < config.k:
@@ -348,7 +357,7 @@ def cmd_select(config: RunConfig) -> int:
         built.test.record(row, built.test_poly.polynomial(row))
         for row in range(len(built.test.ids))
     ]
-    candidates = Candidates.from_columns(built.corpus_poly, built.corpus.tokens)
+    candidates = Candidates(built.corpus_poly, built.corpus.tokens, built.index.name_ids)
 
     start = time.perf_counter()
     per_test = [
@@ -441,7 +450,7 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         missing = [i for i, r in zip(pool_ids, rows) if r is None]
         if missing:
             raise DataError(f"pool ids not in corpus: {missing}")
-        candidates = Candidates.from_columns(built.corpus_poly, built.corpus.tokens)
+        candidates = Candidates(built.corpus_poly, built.corpus.tokens, built.index.name_ids)
         syn, word = PoolScores(record, candidates, rows, config.measure).coverage()
         print(f"  coverage against pool {pool_ids}:")
         print(f"    syntactic ({config.measure}): {syn:.6f}")

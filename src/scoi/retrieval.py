@@ -28,41 +28,38 @@ if TYPE_CHECKING:
     from .corpus import ExampleRecord
 
 
-class _Denominators(dict):
-    """token -> ``tfs + norm[rows]`` of its posting, filled on first lookup."""
-
-    def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray]], norm: np.ndarray):
-        super().__init__()
-        self.postings, self.norm = postings, norm
-
-    def __missing__(self, token: str) -> np.ndarray:
-        rows, tfs = self.postings[token]
-        self[token] = found = tfs + self.norm[rows]
-        return found
+# A token whose posting covers more than doc_count / _DENSE_DIVISOR documents
+# adds a cached dense vector to the scores instead of scattering into them.
+# Over 20k documents (2-vCPU host) a dense add took 6 µs and a scatter-add
+# 9.5, 16 and 51 µs for postings of 2.5k, 5k and 18k entries.  On ingest-20k
+# a quarter kept the query time of an eighth with 38 vectors, not 60.
+_DENSE_DIVISOR = 4
 
 
 class InvertedIndex:
-    """Immutable BM25 index: postings, per-document lengths, corpus stats.
+    """Immutable BM25 index: flat postings, per-document lengths, corpus stats.
 
-    Documents are kept in ascending example-id order; postings store
-    positions into that order ("rows") plus term frequencies, both as numpy
-    arrays.  Rebuilding from the same corpus is bit-identical.
+    Documents are kept in ascending example-id order.  Token ``t`` (its name
+    is ``names[t]``, and ``name_ids`` maps the name back) owns the postings
+    ``bounds[t]:bounds[t + 1]`` of ``doc_rows``, positions into that order,
+    and of ``tfs``, term frequencies; rows ascend within a posting.
+    ``dense_tokens`` holds the tokens in more than doc_count / _DENSE_DIVISOR
+    documents.  Rebuilding from the same corpus is bit-identical.
     """
 
-    __slots__ = ("ids", "lengths", "avgdl", "postings", "doc_count", "_denominators")
+    __slots__ = ("ids", "lengths", "avgdl", "doc_count", "names", "name_ids", "bounds",
+                 "doc_rows", "tfs", "dense_tokens", "_scorers")
 
-    def __init__(
-        self,
-        ids: np.ndarray,
-        lengths: np.ndarray,
-        postings: dict[str, tuple[np.ndarray, np.ndarray]],
-    ):
-        self.ids = ids
-        self.lengths = lengths
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray, names: list[str],
+                 bounds: np.ndarray, doc_rows: np.ndarray, tfs: np.ndarray):
+        self.ids, self.lengths, self.names = ids, lengths, names
+        self.bounds, self.doc_rows, self.tfs = bounds, doc_rows, tfs
         self.avgdl = float(lengths.mean())
-        self.postings = postings
         self.doc_count = int(ids.shape[0])
-        self._denominators: dict[Bm25Params, dict[str, np.ndarray]] = {}
+        self.name_ids = dict(zip(names, range(len(names))))
+        dense = np.diff(bounds) * _DENSE_DIVISOR > self.doc_count
+        self.dense_tokens = set(np.flatnonzero(dense).tolist())
+        self._scorers: dict[Bm25Params, Scorer] = {}
 
     def rows(self, ids: Sequence[int]) -> np.ndarray:
         """The row of each document id; every id must be indexed."""
@@ -72,29 +69,69 @@ class InvertedIndex:
             raise ValueError("a document id is not in the index")
         return rows
 
-    def denominators(self, params: Bm25Params) -> dict[str, np.ndarray]:
-        """Per token, the BM25 denominator ``tf + k1 * (1 - b + b * dl / avgdl)``
-        of each of its postings, kept for ``params``.  A token's array is
-        computed on first use: a query touches few tokens, and the most
-        frequent, whose postings are the longest, recur in most queries."""
-        found = self._denominators.get(params)
+    def posting(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of token ``t``'s document rows and term frequencies."""
+        a, b = self.bounds[t:t + 2].tolist()
+        return self.doc_rows[a:b], self.tfs[a:b]
+
+    def scorer(self, params: Bm25Params) -> "Scorer":
+        """The index's ``Scorer`` for ``params``, made on first use."""
+        found = self._scorers.get(params)
         if found is None:
-            k1, b = params.k1, params.b
-            norm = k1 * (1.0 - b + b * (self.lengths / self.avgdl))
-            found = self._denominators[params] = _Denominators(self.postings, norm)
+            found = self._scorers[params] = Scorer(self, params)
         return found
 
     def df(self, token: str) -> int:
-        posting = self.postings.get(token)
-        return 0 if posting is None else int(posting[0].shape[0])
+        t = self.name_ids.get(token)
+        return 0 if t is None else int(self.bounds[t + 1] - self.bounds[t])
 
     def idf(self, token: str) -> float:
-        df = self.df(token)
+        return self._idf(self.df(token))
+
+    def _idf(self, df: int) -> float:
         n = self.doc_count
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
     def __repr__(self) -> str:
-        return f"InvertedIndex({self.doc_count} docs, {len(self.postings)} tokens)"
+        return f"InvertedIndex({self.doc_count} docs, {len(self.names)} tokens)"
+
+
+class Scorer:
+    """An index's BM25 contributions under one ``Bm25Params``, kept as queries
+    ask for them: ``denominators`` holds ``tf + norm`` of each posting of a
+    token that is not dense, and ``dense`` a dense token's contribution for
+    one query count as a vector over every document."""
+
+    __slots__ = ("index", "k1", "norm", "denominators", "dense")
+
+    def __init__(self, index: InvertedIndex, params: Bm25Params):
+        k1, b = params.k1, params.b
+        self.index, self.k1 = index, k1
+        self.norm = k1 * (1.0 - b + b * (index.lengths / index.avgdl))
+        self.denominators: dict[int, np.ndarray] = {}
+        self.dense: dict[tuple[int, int], np.ndarray] = {}
+
+    def contribution(self, t: int, qtf: int) -> tuple[np.ndarray, np.ndarray]:
+        """Token ``t``'s rows and its score in each, for a query holding it
+        ``qtf`` times: ``qtf * idf * tf * (k1 + 1) / (tf + norm)``."""
+        index = self.index
+        rows, tfs = index.posting(t)
+        den = self.denominators.get(t)
+        if den is None:
+            den = tfs + self.norm[rows]
+            if t not in index.dense_tokens:
+                self.denominators[t] = den
+        return rows, qtf * index._idf(rows.shape[0]) * (tfs * (self.k1 + 1.0)) / den
+
+    def dense_contribution(self, t: int, qtf: int) -> np.ndarray:
+        """``contribution`` scattered into zeros, one entry per document, kept
+        per ``(t, qtf)``."""
+        found = self.dense.get((t, qtf))
+        if found is None:
+            rows, values = self.contribution(t, qtf)
+            found = self.dense[t, qtf] = np.zeros(self.index.doc_count, dtype=np.float64)
+            found[rows] = values
+        return found
 
 
 class TokenColumn(NamedTuple):
@@ -149,13 +186,10 @@ def index_from_tokens(column: TokenColumn) -> InvertedIndex:
     rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
     pairs, tfs = np.unique(column.token_ids.astype(np.int64) * n + rows, return_counts=True)
     token_of, rows = np.divmod(pairs, n)
-    bounds = token_of.searchsorted(np.arange(len(column.names) + 1)).tolist()
-    tfs = tfs.astype(np.float64)
-    postings = {
-        name: (rows[a:b], tfs[a:b])
-        for name, a, b in zip(column.names, bounds[:-1], bounds[1:])
-    }
-    return InvertedIndex(column.record_ids, lengths, postings)
+    bounds = token_of.searchsorted(np.arange(len(column.names) + 1))
+    # int32 halves the tfs, and the scores cast them to float64 exactly.
+    return InvertedIndex(column.record_ids, lengths, column.names, bounds, rows,
+                         tfs.astype(np.int32))
 
 
 def build_index(corpus: Sequence["ExampleRecord"]) -> InvertedIndex:
@@ -177,28 +211,27 @@ def bm25_topk(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    k1 = params.k1
-    denominators = index.denominators(params)
-    scores = np.zeros(index.doc_count, dtype=np.float64)
+    n = index.doc_count
+    scores = np.zeros(n, dtype=np.float64)
+    scorer = index.scorer(params)
+    # Tokens are added in query order.  A dense contribution is zero outside
+    # its posting, and x + 0.0 == x, so every score keeps the bits of the
+    # scatter-add over postings alone.
     for token, qtf in query.counts.items():
-        posting = index.postings.get(token)
-        if posting is None:
+        t = index.name_ids.get(token)
+        if t is None:
             continue
-        rows, tfs = posting
-        idf = index.idf(token)
-        scores[rows] += qtf * idf * (tfs * (k1 + 1.0)) / denominators[token]
-    hit_rows = np.nonzero(scores > 0.0)[0]
-    n_hits = hit_rows.shape[0]
-    if n_hits == 0:
-        return []
+        if t in index.dense_tokens:
+            scores += scorer.dense_contribution(t, qtf)
+        else:
+            rows, values = scorer.contribution(t, qtf)
+            scores[rows] += values
+    # Scores are >= 0 for k1 >= 0 and b in [0, 1].  Only hits scoring at least
+    # the k-th best can reach the top k; ties at that score stay in, so the id
+    # tie-break sees all of them.  A k-th best of 0.0 means fewer than k hits.
+    kth = np.partition(scores, n - k)[n - k] if n > k else 0.0
+    hit_rows = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
     hit_scores = scores[hit_rows]
-    if n_hits > k:
-        # Only hits scoring at least the k-th best can reach the top k; ties
-        # at that score stay in, so the id tie-break below sees all of them.
-        kth = np.partition(hit_scores, n_hits - k)[n_hits - k]
-        keep = hit_scores >= kth
-        hit_rows = hit_rows[keep]
-        hit_scores = hit_scores[keep]
     hit_ids = index.ids[hit_rows]
     order = np.lexsort((hit_ids, -hit_scores))[:k]
     return list(zip(hit_ids[order].tolist(), hit_scores[order].tolist()))
@@ -260,21 +293,13 @@ _INDEX_VERSION = 1
 
 
 def save_index(path, index: InvertedIndex) -> None:
-    tokens = list(index.postings)
-    offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
-    for i, token in enumerate(tokens):
-        offsets[i + 1] = offsets[i] + index.postings[token][0].shape[0]
-    rows = np.concatenate([index.postings[t][0] for t in tokens]) if tokens else np.zeros(0, np.int64)
-    tfs = np.concatenate([index.postings[t][1] for t in tokens]) if tokens else np.zeros(0, np.float64)
-    header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "tokens": tokens}
+    header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "tokens": index.names}
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8"))
         fh.write(b"\n")
-        np.save(fh, index.ids)
-        np.save(fh, index.lengths)
-        np.save(fh, offsets)
-        np.save(fh, rows)
-        np.save(fh, tfs)
+        for array in (index.ids, index.lengths, index.bounds, index.doc_rows,
+                      index.tfs.astype(np.float64, copy=False)):
+            np.save(fh, array)
 
 
 def load_index(path) -> InvertedIndex:
@@ -291,8 +316,4 @@ def load_index(path) -> InvertedIndex:
     tokens = header["tokens"]
     if offsets.shape != (len(tokens) + 1,):
         raise DataError(f"{path}: posting offsets do not match the {len(tokens)} tokens")
-    postings = {
-        token: (rows[offsets[i]:offsets[i + 1]], tfs[offsets[i]:offsets[i + 1]])
-        for i, token in enumerate(tokens)
-    }
-    return InvertedIndex(ids, lengths, postings)
+    return InvertedIndex(ids, lengths, tokens, offsets, rows, tfs)

@@ -54,7 +54,7 @@ SENTINEL_LOW = -1.0
 class Candidates(NamedTuple):
     """Candidate records as the columns ``PoolScores`` reads: row i of ``terms``
     and of ``tokens`` is record ``terms.ids[i]``, and ``name_ids`` is
-    ``tokens.name_ids()``."""
+    ``tokens.name_ids()``, or the equal map of an index over ``tokens``."""
 
     terms: PolyColumns
     tokens: TokenColumn

@@ -11,6 +11,7 @@ from scoi.corpus import ExampleRecord, corpus_columns, read_corpus_cache, write_
 from scoi.coverage import TokenBag
 from scoi.errors import DataError
 from scoi.retrieval import (
+    _DENSE_DIVISOR,
     Bm25Params,
     InvertedIndex,
     bm25_topk,
@@ -36,9 +37,13 @@ def bag(tokens: list[str]) -> TokenBag:
 class TestBuildIndex:
     def test_shared_token_posting_length(self):
         index = build_index([rec(0, ["x", "a"]), rec(1, ["x"]), rec(2, ["x", "b"])])
-        rows, tfs = index.postings["x"]
-        assert rows.shape == (3,)
-        assert tfs.tolist() == [1.0, 1.0, 1.0]
+        assert index.names == ["x", "a", "b"]
+        assert index.bounds.tolist() == [0, 3, 4, 5]
+        assert index.doc_rows.tolist() == [0, 1, 2, 0, 2]
+        assert index.tfs.tolist() == [1, 1, 1, 1, 1]
+        rows, tfs = index.posting(index.name_ids["x"])
+        assert rows.tolist() == [0, 1, 2]
+        assert tfs.tolist() == [1, 1, 1]
 
     def test_average_length(self):
         index = build_index([rec(0, ["a", "b"]), rec(1, ["a"])])
@@ -66,11 +71,11 @@ def oracle_build_index(corpus) -> InvertedIndex:
             entry = raw.setdefault(token, ([], []))
             entry[0].append(row)
             entry[1].append(count)
-    postings = {
-        token: (np.array(rows, dtype=np.int64), np.array(tfs, dtype=np.float64))
-        for token, (rows, tfs) in raw.items()
-    }
-    return InvertedIndex(ids, lengths, postings)
+    names = list(raw)
+    bounds = np.cumsum([0] + [len(raw[t][0]) for t in names], dtype=np.int64)
+    rows = np.array([r for t in names for r in raw[t][0]], dtype=np.int64)
+    tfs = np.array([c for t in names for c in raw[t][1]], dtype=np.float64)
+    return InvertedIndex(ids, lengths, names, bounds, rows, tfs)
 
 
 @st.composite
@@ -204,10 +209,11 @@ def _full_lexsort_topk(index, query, k, params=Bm25Params()):
     norm = k1 * (1.0 - b + b * (index.lengths / index.avgdl))
     scores = np.zeros(index.doc_count, dtype=np.float64)
     for token, qtf in query.counts.items():
-        posting = index.postings.get(token)
-        if posting is None:
+        t = index.name_ids.get(token)
+        if t is None:
             continue
-        rows, tfs = posting
+        a, b = index.bounds[t], index.bounds[t + 1]
+        rows, tfs = index.doc_rows[a:b], index.tfs[a:b]
         scores[rows] += qtf * index.idf(token) * (tfs * (k1 + 1.0)) / (tfs + norm[rows])
     hit_rows = np.nonzero(scores > 0.0)[0]
     hit_ids = index.ids[hit_rows]
@@ -263,9 +269,20 @@ class TestBm25PartialSort:
         assert bm25_topk(index, query, k=5) == []
 
 
-class TestCachedDenominators:
-    """bm25_topk divides by denominators kept per index and per Bm25Params;
-    every score and the ranking stay those of the per-query formula."""
+def _bits(ranked):
+    return [(i, score.hex()) for i, score in ranked]
+
+
+def _is_dense(index, t):
+    """Whether token ``t``'s posting covers more than doc_count / _DENSE_DIVISOR documents."""
+    return bool((index.bounds[t + 1] - index.bounds[t]) * _DENSE_DIVISOR > index.doc_count)
+
+
+class TestDenseContributions:
+    """A token in a large share of the documents adds a dense vector kept per
+    (token, query count) and per Bm25Params; the other tokens keep their
+    denominators per Bm25Params.  Every score and the ranking stay those of
+    the scatter-add over postings."""
 
     @settings(max_examples=150, deadline=None)
     @given(corpora(), st.data())
@@ -287,24 +304,84 @@ class TestCachedDenominators:
             k = data.draw(st.integers(1, max(1, hits - 1)).filter(lambda k: k % 2 or hits < 2))
             for params in (Bm25Params(), other, Bm25Params()):
                 ranked = bm25_topk(index, query, k=k, params=params)
-                assert ranked == _full_lexsort_topk(index, query, k, params)
+                assert _bits(ranked) == _bits(_full_lexsort_topk(index, query, k, params))
                 every = _full_lexsort_topk(index, query, len(docs), params)
                 if len(every) > k:
                     assert every[k - 1][1] == every[k][1]
-        assert index.denominators(other) is index.denominators(other)
-        assert index.denominators(Bm25Params()) is index.denominators(Bm25Params())
+        assert index.dense_tokens == {t for t in range(len(index.names)) if _is_dense(index, t)}
+        for scorer in (index.scorer(Bm25Params()), index.scorer(other)):
+            assert all(_is_dense(index, t) for t, _ in scorer.dense)
+            assert not any(_is_dense(index, t) for t in scorer.denominators)
 
-    def test_denominators_are_computed_once_per_token_and_params(self):
-        index = build_index([rec(0, ["a", "b", "a"]), rec(1, ["b"]), rec(2, ["c", "a"])])
+    def test_dense_vectors_are_kept_per_token_qtf_and_params(self):
+        # "a" is in 15 of 16 documents, "c" in 1.
+        docs = [rec(0, ["a", "b", "a"]), rec(1, ["b"]), rec(2, ["c", "a"])]
+        docs += [rec(i, ["a"] * (i % 3 + 1) + ["d"] * (i % 2)) for i in range(3, 16)]
+        index = build_index(docs)
+        a, c = index.name_ids["a"], index.name_ids["c"]
+        assert _is_dense(index, a) and not _is_dense(index, c)
+        assert a in index.dense_tokens and c not in index.dense_tokens
         params = Bm25Params(k1=1.2, b=0.5)
-        denominators = index.denominators(params)
-        assert len(denominators) == 0  # nothing is computed before a lookup
+        scorer = index.scorer(params)
+        assert scorer.dense == {} and scorer.denominators == {}  # nothing before a query
+        for query in (["a", "a", "c"], ["a", "c"], ["c"], ["a", "a", "c"]):
+            bm25_topk(index, bag(query), k=3, params=params)
+        assert index.scorer(params) is scorer
+        assert set(scorer.dense) == {(a, 2), (a, 1)}
+        assert set(scorer.denominators) == {c}
         norm = params.k1 * (1.0 - params.b + params.b * (index.lengths / index.avgdl))
-        for token, (rows, tfs) in index.postings.items():
-            assert denominators[token].tobytes() == (tfs + norm[rows]).tobytes()
-            assert denominators[token] is index.denominators(params)[token]
-        assert index.denominators(Bm25Params()) is not denominators
-        assert index.denominators(Bm25Params())["a"].tolist() != denominators["a"].tolist()
+        rows, tfs = index.posting(a)
+        for qtf in (1, 2):
+            expected = np.zeros(len(docs))
+            expected[rows] = qtf * index.idf("a") * (tfs * (params.k1 + 1.0)) / (tfs + norm[rows])
+            assert scorer.dense[a, qtf].tobytes() == expected.tobytes()
+            assert scorer.dense_contribution(a, qtf) is scorer.dense[a, qtf]
+        rows, tfs = index.posting(c)
+        assert scorer.denominators[c].tobytes() == (tfs + norm[rows]).tobytes()
+        default = index.scorer(Bm25Params())
+        assert default is not scorer and default.dense == {}
+        assert default.dense_contribution(a, 1).tolist() != scorer.dense[a, 1].tolist()
+
+    def test_repeated_tokens_on_both_sides_of_the_cut(self):
+        # 400 documents; token w<j> is in about (j + 1) / 25 of them, so the
+        # 24 tokens spread over both sides of the cut.  "edge" is in exactly
+        # as many documents as the cut, "over" in one more.
+        cut = 400 // _DENSE_DIVISOR
+        rng = random.Random(11)
+        docs = []
+        for i in range(400):
+            tokens = [f"w{j}" for j in range(24) for _ in range(rng.randint(1, 4))
+                      if rng.random() < (j + 1) / 25]
+            tokens += ["edge"] * (i < cut) + ["over"] * (i >= 399 - cut) + [f"own{i}"]
+            rng.shuffle(tokens)
+            docs.append(rec(rng.randrange(10**6) * 400 + i, tokens))
+        words = [f"w{j}" for j in range(24)] + ["edge", "over", "own7", "absent"]
+        queries = []
+        for _ in range(60):
+            picked = rng.sample(words, rng.randint(1, 6))
+            queries.append(bag([w for w in picked for _ in range(rng.randint(1, 9))]))
+        # Every count from 1 to 9 on each side of the cut and at it.
+        queries += [bag(["w1"] * q + ["w23"] * q + ["edge"] * (10 - q) + ["over"] * (10 - q))
+                    for q in range(1, 10)]
+        runs = [(query, params, k) for query in queries for k in (1, 10, 400)
+                for params in (Bm25Params(), Bm25Params(k1=0.0, b=0.3), Bm25Params(k1=2.5, b=1.0))]
+
+        fresh = build_index(docs)
+        assert not _is_dense(fresh, fresh.name_ids["edge"])
+        assert _is_dense(fresh, fresh.name_ids["over"])
+        qtfs = {(_is_dense(fresh, fresh.name_ids[w]), q) for query, _, _ in runs
+                for w, q in query.counts.items() if w in fresh.name_ids}
+        assert qtfs == {(dense, q) for dense in (False, True) for q in range(1, 10)}
+        expected = [_bits(_full_lexsort_topk(fresh, q, k, p)) for q, p, k in runs]
+        assert [_bits(bm25_topk(fresh, q, k, p)) for q, p, k in runs] == expected
+        warmed = {p: (set(fresh.scorer(p).dense), set(fresh.scorer(p).denominators))
+                  for _, p, _ in runs}
+        assert all(dense and denominators for dense, denominators in warmed.values())
+        assert [_bits(bm25_topk(fresh, q, k, p)) for q, p, k in runs] == expected
+        reverse = build_index(docs)
+        assert [_bits(bm25_topk(reverse, q, k, p)) for q, p, k in runs[::-1]] == expected[::-1]
+        assert {p: (set(reverse.scorer(p).dense), set(reverse.scorer(p).denominators))
+                for _, p, _ in runs} == warmed
 
 
 def _word_matrix(docs, query, index):
