@@ -33,7 +33,7 @@ import numpy as np
 from .conllu import TreeColumns, load_conllu, take_offsets
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
-from .manifest import CORPUS_CACHE_VERSION, atomic_write, compact_json, read_header
+from .manifest import CORPUS_CACHE_VERSION
 from .retrieval import TokenColumn, intern_tokens
 from .tokenizer import TOKENIZER_VERSION, apply_token_flags, tokenize
 from .treepoly import (
@@ -41,10 +41,13 @@ from .treepoly import (
     LabelVocabulary,
     Polynomial,
     first_bad_tree,
-    load_segments,
+    offsets_fit,
     offsets_from_sizes,
+    read_cache,
+    record_of,
     simplified_polynomial,
     simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
+    write_cache,
 )
 
 
@@ -319,8 +322,8 @@ def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary)
 
 # --- corpus cache ------------------------------------------------------------
 #
-# One JSON header line (format tag, version, tokenizer version, label
-# vocabulary, token list in first-seen order), then the .npy segments of
+# A ``treepoly.write_cache`` file whose header holds the tokenizer version, the
+# label vocabulary and the token list in first-seen order, with the segments of
 # _SEGMENTS in that order: the record ids, then per column its int64 offsets
 # (record i owns entries offsets[i]:offsets[i+1]) and its entries: source and
 # target UTF-8 bytes, token ids into the header's list, and the tree's labels
@@ -346,22 +349,15 @@ def write_corpus_cache(path, columns: CorpusColumns) -> None:
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
               "tokenizer_version": TOKENIZER_VERSION, "labels": columns.vocab.labels,
               "tokens": tokens.names}
-    with atomic_write(path, "wb") as fh:
-        fh.write(compact_json(header).encode("utf-8") + b"\n")
-        for name, dtype in _SEGMENTS.items():
-            np.save(fh, cols[name].astype(dtype, copy=False))
+    write_cache(path, header, (cols[name].astype(dtype, copy=False)
+                               for name, dtype in _SEGMENTS.items()))
 
 
 def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:
     """The cache's columns, every tree validated here, in bulk.  Without
     ``keep_trees`` the trees are validated and dropped: ``select`` reads none."""
-    with open(path, "rb") as fh:
-        header = read_header(
-            fh, path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache", "labels"
-        )
-        if not isinstance(header.get("tokens"), list):
-            raise DataError(f"{path}: header has no tokens list")
-        cols = load_segments(fh, path, _SEGMENTS)
+    header, cols = read_cache(path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache",
+                              ("labels", "tokens"), _SEGMENTS)
     for name, dtype in _SEGMENTS.items():
         if cols[name].ndim != 1 or cols[name].dtype != dtype:
             raise DataError(f"{path}: segment {name} is not a one-dimensional {dtype} array")
@@ -373,16 +369,12 @@ def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:
             f"{path}: record {ids[bad[0] + 1]}: id is not above the id {ids[bad[0]]} before it"
         )
     for name, offsets in _OFFSETS.items():
-        bounds, size = cols[offsets], len(cols[name])
-        if (bounds.shape != (len(ids) + 1,) or bounds[0] != 0 or bounds[-1] != size
-                or (np.diff(bounds) < 0).any()):
-            raise DataError(
-                f"{path}: {name} offsets do not match the {len(ids)} record ids and {size} entries"
-            )
+        if not offsets_fit(cols[offsets], len(ids), len(cols[name])):
+            raise DataError(f"{path}: {name} offsets do not match the {len(ids)} record ids "
+                            f"and {len(cols[name])} entries")
 
     def fail(name: str, entry: int, reason: str):
-        record = ids[np.searchsorted(cols[_OFFSETS[name]], entry, side="right") - 1]
-        raise DataError(f"{path}: record {record}: {reason}")
+        raise DataError(f"{path}: record {record_of(ids, cols[_OFFSETS[name]], entry)}: {reason}")
 
     n_tokens = len(header["tokens"])
     bad = np.flatnonzero((cols["tokens"] < 0) | (cols["tokens"] >= n_tokens))

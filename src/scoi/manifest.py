@@ -4,8 +4,8 @@ Every pipeline run writes one; a rerun whose stage inputs digest the same
 may skip the stage and keep the recorded outputs.  Wall-clock fields are
 the only part allowed to differ between identical runs.
 
-Also holds the helpers every cache file shares: the compact JSON line
-format, the header check and the crash-safe write.
+Also holds the compact JSON line format of the cache headers and the
+selection files, and the crash-safe write that every output goes through.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-
-from .errors import DataError
 
 MANIFEST_FORMAT = "scoi-manifest"
 MANIFEST_VERSION = 1
@@ -33,25 +31,6 @@ _TEMP_NAME = re.compile(r"\.(.+)\.([1-9][0-9]{0,8})\.tmp")
 def compact_json(obj) -> str:
     """One-line JSON without spaces, non-ASCII kept: the caches' line format."""
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
-def read_header(fh, path, fmt: str, version: int, what: str, listed: str) -> dict:
-    """Parse a cache file's first line, which names its format and version.
-
-    The line must be a JSON object with ``fmt``, ``version`` and a list under
-    ``listed``; anything else is a ``DataError`` naming ``path``.
-    """
-    try:
-        header = json.loads(fh.readline())
-    except ValueError:
-        header = None
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise DataError(f"{path}: not a {what}")
-    if header.get("version") != version:
-        raise DataError(f"{path}: unsupported {what} version {header.get('version')}")
-    if not isinstance(header.get(listed), list):
-        raise DataError(f"{path}: header has no {listed} list")
-    return header
 
 
 def _naming(path: Path, write):

@@ -22,7 +22,7 @@ from .config import Bm25Params
 from .conllu import take_offsets
 from .coverage import TokenBag
 from .errors import DataError
-from .manifest import atomic_write, compact_json, read_header
+from .treepoly import offsets_fit, read_cache, write_cache
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
@@ -283,10 +283,9 @@ def word_matrix(
 # --- index persistence -------------------------------------------------------
 #
 # The pipeline saves no index: ``select`` derives it from the corpus cache.
-# One JSON header line (format tag, version, token list in postings order),
-# then five raw .npy segments: ids, lengths, posting offsets, concatenated
-# posting rows, concatenated posting tfs.  Every byte is deterministic, so
-# the same index always saves to the same digest.
+# A ``treepoly.write_cache`` file whose header holds the token list in postings
+# order, with five segments: ids, lengths, posting offsets, concatenated
+# posting rows, concatenated posting tfs.  An index always saves to one digest.
 
 _INDEX_FORMAT = "scoi-bm25"
 _INDEX_VERSION = 1
@@ -294,26 +293,15 @@ _INDEX_VERSION = 1
 
 def save_index(path, index: InvertedIndex) -> None:
     header = {"format": _INDEX_FORMAT, "version": _INDEX_VERSION, "tokens": index.names}
-    with atomic_write(path, "wb") as fh:
-        fh.write(compact_json(header).encode("utf-8"))
-        fh.write(b"\n")
-        for array in (index.ids, index.lengths, index.bounds, index.doc_rows,
-                      index.tfs.astype(np.float64, copy=False)):
-            np.save(fh, array)
+    write_cache(path, header, (index.ids, index.lengths, index.bounds, index.doc_rows,
+                               index.tfs.astype(np.float64, copy=False)))
 
 
 def load_index(path) -> InvertedIndex:
-    with open(path, "rb") as fh:
-        header = read_header(fh, path, _INDEX_FORMAT, _INDEX_VERSION, "BM25 index file", "tokens")
-        try:
-            ids = np.load(fh)
-            lengths = np.load(fh)
-            offsets = np.load(fh)
-            rows = np.load(fh)
-            tfs = np.load(fh)
-        except (ValueError, EOFError) as exc:
-            raise DataError(f"{path}: corrupt array segment ({exc})") from None
+    header, segments = read_cache(path, _INDEX_FORMAT, _INDEX_VERSION, "BM25 index file",
+                                  ("tokens",), ("ids", "lengths", "offsets", "rows", "tfs"))
+    ids, lengths, offsets, rows, tfs = segments.values()
     tokens = header["tokens"]
-    if offsets.shape != (len(tokens) + 1,):
+    if not offsets_fit(offsets, len(tokens), len(rows)):
         raise DataError(f"{path}: posting offsets do not match the {len(tokens)} tokens")
     return InvertedIndex(ids, lengths, tokens, offsets, rows, tfs)

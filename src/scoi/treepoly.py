@@ -32,6 +32,7 @@ equal keys are equal rows, and each kept row is gathered once.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import warnings
@@ -42,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
-from .manifest import POLY_CACHE_VERSION, atomic_write, compact_json, read_header
+from .manifest import POLY_CACHE_VERSION, atomic_write, compact_json
 
 ROOT = -1
 
@@ -678,10 +679,93 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
     return total / (p.n_terms + q.n_terms)
 
 
+# --- cache files ------------------------------------------------------------
+
+
+def write_cache(path, header: dict, segments: Iterable) -> None:
+    """Write a cache file through ``atomic_write``: ``header`` as one compact
+    JSON line, then each segment as ``np.save`` writes a C-ordered array
+    (``.npy`` version 1.0).  A segment is an array, written in C order, or a
+    ``(dtype, shape, parts)`` stream, whose parts, arrays of ``dtype`` that
+    together hold ``shape``, are written one by one and never joined."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(compact_json(header).encode("utf-8") + b"\n")
+        for segment in segments:
+            if isinstance(segment, np.ndarray):
+                segment = (segment.dtype, segment.shape, (segment,))
+            dtype, shape, parts = segment
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": dtype.str, "fortran_order": False, "shape": shape})
+            for part in parts:
+                fh.write(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
+
+
+def read_cache(
+    path, fmt: str, version: int, what: str, lists: tuple[str, ...], names: Iterable[str]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the read-only segments, one per name in order, of a
+    ``write_cache`` file.
+
+    A header line that is not a JSON object with ``format`` ``fmt``, ``version``
+    ``version`` and a list under each key of ``lists`` is a ``DataError`` naming
+    ``path`` as a ``what``.  So is a segment whose header does not parse as a
+    ``.npy`` version 1.0 header, or claims objects, sub-arrays, Fortran order
+    or more bytes than the file has left; that message names the segment.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != fmt:
+            raise DataError(f"{path}: not a {what}")
+        if header.get("version") != version:
+            raise DataError(f"{path}: unsupported {what} version {header.get('version')}")
+        for key in lists:
+            if not isinstance(header.get(key), list):
+                raise DataError(f"{path}: header has no {key} list")
+        size = os.fstat(fh.fileno()).st_size
+        segments = {}
+        for name in names:
+            where = f"{path}: corrupt array segment ({name}: "
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns when it reads a header only after repairing it.
+                    warnings.simplefilter("error")
+                    if np.lib.format.read_magic(fh) != (1, 0):
+                        raise ValueError("not a version 1.0 .npy header")
+                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            # numpy's header parser fails in more ways than ValueError: a corrupt
+            # header dict can reach its tokenizer, which raises TokenError.
+            except Exception as exc:
+                raise DataError(f"{where}{exc})") from None
+            count, left = math.prod(shape), size - fh.tell()
+            if fortran_order or dtype.hasobject or dtype.shape or min(shape, default=0) < 0 or (
+                count * dtype.itemsize > left
+            ):
+                order = " in Fortran order" if fortran_order else ""
+                raise DataError(f"{where}{dtype} of shape {shape}{order}, {left} bytes left)")
+            segments[name] = segment = np.fromfile(fh, dtype, count).reshape(shape)
+            segment.flags.writeable = False
+    return header, segments
+
+
+def offsets_fit(offsets: np.ndarray, n: int, size: int) -> bool:
+    """Whether ``offsets`` can split ``size`` entries among ``n`` records:
+    int64, ``n + 1`` long, from 0 to ``size``, nondecreasing."""
+    return (offsets.dtype == np.int64 and offsets.shape == (n + 1,) and offsets[0] == 0
+            and offsets[-1] == size and not (np.diff(offsets) < 0).any())
+
+
+def record_of(ids: np.ndarray, offsets: np.ndarray, entry) -> int:
+    """The id of the record owning ``entry``: ``ids[i]`` owns ``offsets[i]:offsets[i+1]``."""
+    return int(ids[int(offsets.searchsorted(entry, "right")) - 1])
+
+
 # --- polynomial cache -------------------------------------------------------
 #
-# One JSON header line (format tag, version, label vocabulary), then four raw
-# .npy segments:
+# A ``write_cache`` file whose header holds the label vocabulary, with four
+# segments:
 #   rows     every record's distinct terms in canonical order, one exponent
 #            row of width len(labels) each, in the narrowest unsigned type
 #            that holds the largest term count (uint8, uint16 or uint32);
@@ -761,30 +845,28 @@ def write_polynomial_cache(
     A path exponent counts nodes, so no exponent exceeds its polynomial's
     term count, and the largest term count fixes the row type.
     """
-    dim = len(vocab)
-    n_rows = sum(map(len, rows))
     # reduceat would give a record without rows its neighbour's first count.
     starts = offsets[:-1][np.diff(offsets) > 0]
     dtype = _row_dtype(int(np.add.reduceat(counts, starts).max(initial=0)))
     limit = np.iinfo(dtype).max
-    header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
-    with atomic_write(path, "wb") as fh:
-        fh.write(compact_json(header).encode("utf-8") + b"\n")
-        np.lib.format.write_array_header_1_0(
-            fh, {"descr": dtype.str, "fortran_order": False, "shape": (n_rows, dim)}
-        )
+
+    def batches():
         start = 0
         for batch in rows:
             if not np.can_cast(batch.dtype, dtype):
                 bad = np.flatnonzero(batch.max(axis=1, initial=0) > limit)
                 if bad.size:
-                    record = ids[int(offsets.searchsorted(start + bad[0], "right")) - 1]
+                    record = record_of(ids, offsets, start + bad[0])
                     raise ValueError(f"record {record}: exponent above its term count")
-            fh.write(batch.astype(dtype, copy=False).tobytes())
+            yield batch.astype(dtype, copy=False)
             start += len(batch)
-        np.save(fh, counts.astype(np.int64, copy=False))
-        np.save(fh, offsets.astype(np.int64, copy=False))
-        np.save(fh, np.asarray(ids, dtype=np.int64))
+
+    header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
+    write_cache(path, header, (
+        (dtype, (sum(map(len, rows)), len(vocab)), batches()),
+        counts.astype(np.int64, copy=False), offsets.astype(np.int64, copy=False),
+        np.asarray(ids, dtype=np.int64),
+    ))
 
 
 def offsets_from_sizes(sizes) -> np.ndarray:
@@ -830,47 +912,11 @@ class PolyColumns(NamedTuple):
         return Polynomial.from_rows(self.rows[a:b], self.counts[a:b], self.rows.shape[1])
 
 
-def load_segments(fh, path, names: Iterable[str]) -> dict[str, np.ndarray]:
-    """The ``.npy`` segments that follow a cache's header line in ``fh``,
-    one per name, in order.  Both cache readers read through this.
-
-    A segment whose header does not parse as a version 1.0 header, or
-    claims a shape the rest of the file cannot hold, objects, sub-arrays
-    or Fortran order, is a ``DataError`` naming ``path`` and the segment.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    segments = {}
-    for name in names:
-        where = f"{path}: corrupt array segment ({name}: "
-        try:
-            with warnings.catch_warnings():
-                # numpy warns when it reads a header only after repairing it.
-                warnings.simplefilter("error")
-                if np.lib.format.read_magic(fh) != (1, 0):
-                    raise ValueError("not a version 1.0 .npy header")
-                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        # numpy's header parser fails in more ways than ValueError: a corrupt
-        # header dict can reach its tokenizer, which raises TokenError.
-        except Exception as exc:
-            raise DataError(f"{where}{exc})") from None
-        count, left = math.prod(shape), size - fh.tell()
-        if fortran_order or dtype.hasobject or dtype.shape or min(shape, default=0) < 0 or (
-            count * dtype.itemsize > left
-        ):
-            order = " in Fortran order" if fortran_order else ""
-            raise DataError(f"{where}{dtype} of shape {shape}{order}, {left} bytes left)")
-        segments[name] = np.fromfile(fh, dtype, count).reshape(shape)
-    return segments
-
-
 def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
     """The vocabulary and the validated columns; the arrays are read-only,
     and the rows are trusted to be in canonical order."""
-    with open(path, "rb") as fh:
-        header = read_header(
-            fh, path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache", "labels"
-        )
-        segments = load_segments(fh, path, ("rows", "counts", "offsets", "ids"))
+    header, segments = read_cache(path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache",
+                                  ("labels",), ("rows", "counts", "offsets", "ids"))
     rows, counts, offsets, ids = segments.values()
     vocab = LabelVocabulary(header["labels"])
     dim = len(vocab)
@@ -885,21 +931,15 @@ def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
             f"{path}: {counts.dtype} multiplicities of shape {counts.shape} "
             f"for {len(rows)} term rows"
         )
-    if (
-        ids.ndim != 1 or ids.dtype != np.int64 or offsets.dtype != np.int64
-        or offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != len(rows)
-        or (offsets[1:] < offsets[:-1]).any()
-    ):
+    if ids.ndim != 1 or ids.dtype != np.int64 or not offsets_fit(offsets, len(ids), len(rows)):
         raise DataError(
             f"{path}: record offsets do not match the {ids.size} record ids "
             f"and {len(rows)} term rows"
         )
     bad = np.flatnonzero(counts < 1)
     if bad.size:
-        record = ids[np.searchsorted(offsets, bad[0], side="right") - 1]
+        record = record_of(ids, offsets, bad[0])
         raise DataError(f"{path}: record {record}: multiplicity {counts[bad[0]]} is not positive")
-    for array in (rows, counts, offsets, ids):
-        array.flags.writeable = False
     return vocab, PolyColumns(ids, rows, counts, offsets)
 
 

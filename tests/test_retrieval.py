@@ -484,3 +484,18 @@ class TestIndexPersistence:
         path.write_bytes(b'{"format":"nope","version":1,"tokens":[]}\n')
         with pytest.raises(DataError):
             load_index(path)
+
+    @pytest.mark.parametrize("first", ["(", "<"])
+    def test_corrupt_segment_header_is_a_located_data_error(self, tmp_path, first):
+        # Read with np.load, a header dict that leaves a bracket unbalanced
+        # made numpy's header tokenizer raise tokenize.TokenError.
+        path = tmp_path / "bm25.idx"
+        save_index(path, build_index(self._corpus()))
+        data = bytearray(path.read_bytes())
+        dict_start = data.index(b"\n") + 1 + 10  # magic, version, header length
+        assert data[dict_start:dict_start + 1] == b"{"
+        data[dict_start] = ord(first)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError) as err:
+            load_index(path)
+        assert str(err.value).startswith(f"{path}: corrupt array segment (ids: ")

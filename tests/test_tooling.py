@@ -1,5 +1,7 @@
-"""The project's pytest settings: a failing test is reported and the session goes on."""
+"""Project-wide checks: the pytest settings report a failing test and go on,
+and one module holds the cache-file format."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,45 @@ def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert result.returncode == 1
     assert "1 failed, 1 passed" in result.stdout
+
+
+# numpy's .npy readers and writers, with ``numpy`` written as ``np``.
+NPY_CALLS = ("np.save", "np.load", "np.fromfile")
+NPY_MODULE = "np.lib.format"
+
+
+def _dotted(node: ast.Attribute) -> str:
+    """``a.b.c`` for an attribute chain on a name; "" for any other chain."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _npy_uses(path: Path) -> list[str]:
+    """``<file>:<line> <name>`` for each use or import of a ``.npy`` reader or
+    writer in ``path``."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            names = [_dotted(node)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            short = name.replace("numpy", "np", 1)
+            if short in NPY_CALLS or short.startswith(NPY_MODULE):
+                uses.append(f"{path.name}:{node.lineno} {name}")
+    return uses
+
+
+def test_only_the_cache_file_module_reads_or_writes_npy():
+    # treepoly.write_cache and treepoly.read_cache are the one writer and the
+    # one reader of every cache file.
+    uses = {path.name: _npy_uses(path) for path in (REPO / "src" / "scoi").glob("*.py")}
+    assert uses.pop("treepoly.py")  # the check sees them there
+    assert [use for found in uses.values() for use in found] == []

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -25,10 +26,12 @@ from scoi.treepoly import (
     manhattan,
     original_polynomial,
     polynomial_distance,
+    read_cache,
     read_polynomial_cache,
     simplified_polynomial,
     simplified_rows,
     simplified_term_counter,
+    write_cache,
     write_polynomial_cache,
 )
 
@@ -958,3 +961,36 @@ class TestPolynomialCache:
         path.write_text(header + "\n")
         with pytest.raises(DataError, match="not a polynomial cache"):
             read_polynomial_cache(path)
+
+
+class TestCacheFile:
+    """``write_cache`` writes each segment as ``np.save`` does, and
+    ``read_cache`` reads them back."""
+
+    def segments(self) -> list[np.ndarray]:
+        rng = np.random.default_rng(8)
+        rows = [rng.integers(0, np.iinfo(t).max, (9, 5), endpoint=True).astype(t)
+                for t in ("u1", "<u2", "<u4")]
+        flat = [rng.integers(-1000, 1000, 11).astype(t) for t in ("<i4", "<i8")]
+        flat += [rng.random(6), rng.integers(0, 255, 13).astype("u1")]
+        empty = [np.zeros((0, 5), "<u2"), *(np.zeros(0, t) for t in ("<i4", "<i8", "<f8", "u1"))]
+        return rows + flat + empty
+
+    def test_segments_are_the_bytes_np_save_writes(self, tmp_path):
+        arrays = self.segments()
+        # The uint16 rows again as a stream of three parts, and an empty stream.
+        streams = [(np.dtype("<u2"), (9, 5), np.split(arrays[1], [2, 7])),
+                   (np.dtype("u1"), (0, 5), [])]
+        saved = arrays + [arrays[1], np.zeros((0, 5), "u1")]
+        path = tmp_path / "cache.bin"
+        write_cache(path, {"format": "test", "version": 1, "names": ["é"]}, arrays + streams)
+        expected = io.BytesIO()
+        expected.write('{"format":"test","version":1,"names":["é"]}\n'.encode("utf-8"))
+        for array in saved:
+            np.save(expected, array)
+        assert path.read_bytes() == expected.getvalue()
+        names = [f"segment{i}" for i in range(len(saved))]
+        header, read = read_cache(path, "test", 1, "test cache", ("names",), names)
+        assert header["names"] == ["é"]
+        for array, got in zip(saved, read.values()):
+            assert got.dtype == array.dtype and np.array_equal(got, array)
