@@ -2,6 +2,7 @@
 """Check that this checkout writes the same bytes as a parent revision.
 
     python3 scripts/same_bytes.py PARENT_REV --seeds 5,N [--workloads NAME,...]
+        [--format-changed FILE,...]
 
 Extracts ``PARENT_REV`` with ``git archive`` into a temporary directory, so
 the repository itself is not touched.  For each perfbench workload (all
@@ -13,7 +14,16 @@ must report both stages skipped and change no file.  Every cache,
 selection and prompt file must be byte-identical, and so must the no-op
 build's manifest apart from its wall-clock ``seconds`` fields and the out
 dir in its config snapshot; the select manifest holds wall-clock fields
-and is not compared.  Prints one line per workload and seed, with each
+and is not compared.  A cache named in ``--format-changed`` (a change
+that bumps its format version) is compared by decoded content instead:
+each side's own ``src`` reads it in a child process and prints one SHA-256
+per record of the record id, ``PolyColumns.polynomial(i).rows()`` as
+uint32 rows and their int64 counts; the manifests' digests of those files
+and the version inputs of the stages that write them are not compared.
+Every other file is still compared byte for byte.  Both sides run with
+bytecode written to a fresh ``PYTHONPYCACHEPREFIX`` of their own, so
+neither reads a ``__pycache__`` left in its checkout and both compile
+their modules once.  Prints one line per workload and seed, with each
 side's wall seconds and peak RSS (``ru_maxrss`` from ``os.wait4``) of the
 cold build and of ``select``, and exits 1 at the first difference, naming
 it.  One run per side is inside the host's noise: the seconds can show a
@@ -47,6 +57,18 @@ GEN_ENTRY = ("import sys; from pathlib import Path; from gen import generate; "
              "from run import WORKLOADS; "
              "generate(WORKLOADS[sys.argv[1]].corpus, int(sys.argv[2]), Path(sys.argv[3]))")
 MANIFESTS = ("build-manifest.json", "select-manifest.json")
+DECODE_ENTRY = """
+import hashlib, sys
+import numpy as np
+from scoi.treepoly import read_polynomial_columns
+_, columns = read_polynomial_columns(sys.argv[1])
+for i, rid in enumerate(columns.ids.tolist()):
+    rows, counts = columns.polynomial(i).rows()
+    digest = hashlib.sha256(np.int64(rid).tobytes() + repr(rows.shape).encode())
+    digest.update(np.ascontiguousarray(rows, np.uint32).tobytes())
+    digest.update(np.ascontiguousarray(counts, np.int64).tobytes())
+    print(rid, digest.hexdigest())
+"""
 
 
 def _digests(out_dir: Path) -> dict[str, str]:
@@ -76,20 +98,60 @@ def _cli(env: dict, command: str, config: Path, out_dir: Path) -> tuple[str, flo
     return stdout, seconds, usage.ru_maxrss / 1024.0
 
 
-def _timeless_manifest(out_dir: Path) -> dict:
-    """The build manifest without its wall-clock fields and its out dir."""
+def _decoded_path(out_dir: Path, file: str) -> Path:
+    return out_dir.parent / f"{out_dir.name}-{file}.decoded"
+
+
+def _decoded(env: dict, out_dir: Path, file: str) -> str:
+    """Decode the polynomial cache ``file`` of ``out_dir`` with the package
+    on ``env``'s PYTHONPATH into ``_decoded_path``, one ``record-id digest``
+    line per record; the SHA-256 of those lines.  They go to a file, not
+    into this process, whose peak RSS each command's ``ru_maxrss`` counts."""
+    dest = _decoded_path(out_dir, file)
+    with open(dest, "wb") as fh:
+        subprocess.run([sys.executable, "-c", DECODE_ENTRY, str(out_dir / file)], env=env,
+                       stdout=fh, check=True)
+    digest = hashlib.sha256()
+    with open(dest, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _first_decoded_difference(file: str, before: Path, after: Path) -> str:
+    """Where the decoded lines of ``file`` under the out dirs ``before`` and
+    ``after`` first differ."""
+    with open(_decoded_path(before, file)) as a, open(_decoded_path(after, file)) as b:
+        first = next((x.split()[0] for x, y in zip(a, b) if x != y), None)
+    return (f" in decoded content, first at record {first}" if first
+            else " in its decoded record count")
+
+
+def _timeless_manifest(out_dir: Path, changed: set[str]) -> dict:
+    """The build manifest without its wall-clock fields and its out dir, and
+    without the output digests in ``changed`` and the cache version inputs of
+    the stages that wrote them."""
     manifest = json.loads((out_dir / MANIFESTS[0]).read_text(encoding="utf-8"))
     manifest["config"]["out_dir"] = None
     for stage in manifest["stages"].values():
         stage["seconds"] = None
+        outputs = stage["outputs"]
+        if changed & set(outputs.values()):
+            stage["outputs"] = {k: None if v in changed else v for k, v in outputs.items()}
+            stage["inputs"] = {k: None if k.endswith("_cache_version") else v
+                               for k, v in stage["inputs"].items()}
     return manifest
 
 
-def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, list[tuple]]:
+def _run(src: Path, config: Path, out_dir: Path, decoded: list[str]
+         ) -> tuple[dict[str, str], dict, list[tuple]]:
     """Build, select and build again with the package under ``src``; the
-    digests of the outputs, the no-op build's timeless manifest, and the
-    (wall seconds, peak RSS) of the cold build and of select."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    digests of the outputs (of the decoded record lines for those in
+    ``decoded``), the no-op build's timeless manifest, and the (wall
+    seconds, peak RSS) of the cold build and of select."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               PYTHONPYCACHEPREFIX=str(out_dir.parent / f"pycache-{out_dir.name}"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     usage = [_cli(env, command, config, out_dir)[1:] for command in ("build", "select")]
     digests = _digests(out_dir)
     stages = _cli(env, "build", config, out_dir)[0].splitlines()
@@ -100,7 +162,10 @@ def _run(src: Path, config: Path, out_dir: Path) -> tuple[dict[str, str], dict, 
     for file in sorted(digests.keys() | after.keys()):
         if digests.get(file) != after.get(file):
             raise SystemExit(f"error: the no-op build with {src} changed {file}")
-    return digests, _timeless_manifest(out_dir), usage
+    manifest = _timeless_manifest(out_dir, {digests[file] for file in decoded})
+    for file in decoded:
+        digests[file] = _decoded(env, out_dir, file)
+    return digests, manifest, usage
 
 
 def main() -> int:
@@ -109,7 +174,10 @@ def main() -> int:
     parser.add_argument("--seeds", default="5", help="comma-separated workload seeds")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workload names")
+    parser.add_argument("--format-changed", default="",
+                        help="comma-separated polynomial caches to compare by decoded content")
     args = parser.parse_args()
+    decoded = [name for name in args.format_changed.split(",") if name]
     seeds = [int(s) for s in args.seeds.split(",")]
     names = args.workloads.split(",")
     unknown = sorted(set(names) - set(WORKLOADS))
@@ -132,12 +200,16 @@ def main() -> int:
                                 str(inputs)], env=gen_env, check=True)
                 config = _write_config(inputs, workload)
                 before, before_manifest, before_usage = _run(parent / "src", config,
-                                                             inputs / "out-parent")
+                                                             inputs / "out-parent", decoded)
                 after, after_manifest, after_usage = _run(ROOT / "src", config,
-                                                          inputs / "out-change")
+                                                          inputs / "out-change", decoded)
                 for file in sorted(before.keys() | after.keys()):
                     if before.get(file) != after.get(file):
-                        print(f"{name} seed {seed}: {file} differs from {args.parent}")
+                        where = ""
+                        if file in decoded:
+                            where = _first_decoded_difference(file, inputs / "out-parent",
+                                                              inputs / "out-change")
+                        print(f"{name} seed {seed}: {file} differs from {args.parent}{where}")
                         return 1
                 if before_manifest != after_manifest:
                     print(f"{name} seed {seed}: the no-op build's {MANIFESTS[0]} differs "
@@ -146,8 +218,10 @@ def main() -> int:
                 usage = "; ".join(
                     f"{command} {a[0]:.2f} -> {b[0]:.2f} s, {a[1]:.1f} -> {b[1]:.1f} MiB"
                     for command, a, b in zip(("build", "select"), before_usage, after_usage))
-                print(f"{name} seed {seed}: {len(after)} files byte-identical, "
-                      f"no-op rebuild skipped both stages; {usage}")
+                same = f"{len(after) - len(decoded)} files byte-identical"
+                if decoded:
+                    same += f", {', '.join(decoded)} identical decoded"
+                print(f"{name} seed {seed}: {same}, no-op rebuild skipped both stages; {usage}")
     return 0
 
 

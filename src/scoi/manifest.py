@@ -23,7 +23,7 @@ MANIFEST_VERSION = 1
 # build stage's inputs name its cache version, so a bump reruns that stage;
 # they live here so that the skip check needs no numeric module.
 CORPUS_CACHE_VERSION = 2
-POLY_CACHE_VERSION = 2
+POLY_CACHE_VERSION = 3
 # The temp file of an ``atomic_write`` of <name> by process <pid>.
 _TEMP_NAME = re.compile(r"\.(.+)\.([1-9][0-9]{0,8})\.tmp")
 

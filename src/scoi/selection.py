@@ -125,8 +125,10 @@ class PoolScores:
             # reduceat would hand an empty member its neighbour's first column.
             raise ValueError("cannot score against an empty term pool")
         counts = terms.counts[entries]
-        n_terms = np.add.reduceat(counts, starts)
-        return terms.rows[entries], counts.astype(np.float64), starts, n_terms
+        n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
+        # take() gathers whole rows faster than fancy indexing.
+        rows = terms.table.take(terms.terms[entries], axis=0)
+        return rows, counts.astype(np.float64), starts, n_terms
 
     @cached_property
     def _distances(self) -> np.ndarray:

@@ -19,15 +19,16 @@ form, canonical exponent rows (:meth:`Polynomial.rows`).
 nothing turns rows back into keys; ``decode_term`` and ``encode_term`` are
 the one-term reference forms.
 
-The build computes the polynomial cache's rows from tree columns instead
+The build computes the polynomial cache from tree columns instead
 (``simplified_rows``), with no tree and no key: a node's term is its
 parent's plus one of its own label, so pointer doubling over the parent
 map sums every root-to-node path in ceil(log2(depth)) whole-array rounds.
-It works on batches of whole trees of at most ``_BATCH_NODES`` nodes and
-sorts and merges each batch's rows with ``_merge_rows``, the step
-``Polynomial.union`` uses on its members' rows: one sort over the byte keys
-of ``_sort_keys`` (``canonical_terms`` sorts by them too), then adjacent
-equal keys are equal rows, and each kept row is gathered once.
+It works on batches of whole trees of at most ``_BATCH_NODES`` nodes,
+finds each batch's rows among the distinct rows seen so far by a 64-bit
+hash, checked word for word, and keeps only the distinct rows and one id
+per node.  The distinct rows, ranked in canonical order, become the
+cache's term table, which every record's term ids index.  Canonical order
+is the order of ``_sort_keys``, which ``canonical_terms`` sorts by too.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 import warnings
 from collections import Counter
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,20 +93,19 @@ def encode_term(pairs: Iterable[tuple[int, int]] | Mapping[int, int]) -> int:
     return key
 
 
-# Big-endian rank types of the batch sort key, narrowest first.
+# Big-endian rank types of the sort key, narrowest first.
 _RANK_DTYPES = tuple(np.dtype(t) for t in (">u1", ">u2", ">u4", ">u8"))
 
 
-def _sort_keys(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """Fixed-width byte keys whose stable sort orders the rows of ``mat`` by
-    ``position``, then in canonical order; equal keys are equal rows of one
-    position.
+def _sort_keys(mat: np.ndarray) -> np.ndarray:
+    """Big-endian uint64 words, one row of them per row of ``mat``, whose
+    lexicographic order is canonical order; equal keys are equal rows.
 
-    A row's key is its position, then per column its rank, as big-endian
-    bytes.  Sorted (label, exponent) pairs compare column by column as the
-    exponent where it is nonzero; above every exponent where it is zero and
-    a nonzero follows (that row's next pair has a larger label); 0 where no
-    nonzero follows (that row's tuple has ended).
+    A row's key is, per column, its rank as big-endian bytes, zero-padded to
+    whole words.  Sorted (label, exponent) pairs compare column by column as
+    the exponent where it is nonzero; above every exponent where it is zero
+    and a nonzero follows (that row's next pair has a larger label); 0 where
+    no nonzero follows (that row's tuple has ended).
     """
     n, dim = mat.shape
     gap = int(mat.max(initial=0)) + 1
@@ -115,10 +115,26 @@ def _sort_keys(mat: np.ndarray, position: np.ndarray) -> np.ndarray:
     last = ((ranks != 0) * column).max(axis=1, initial=0)
     # A zero before the row's last nonzero rank is raised to the gap.
     ranks += ((ranks == 0) & (column <= last[:, None])) * ranks.dtype.type(gap)
-    key = np.empty((n, 4 + dim * rank.itemsize), dtype=np.uint8)
-    key[:, :4] = position.astype(">u4")[:, None].view(np.uint8)
-    key[:, 4:] = ranks.astype(rank).view(np.uint8)
-    return key.view(f"S{key.shape[1]}")[:, 0]
+    key = np.zeros((n, max(8, -(-dim * rank.itemsize // 8) * 8)), np.uint8)
+    key[:, :dim * rank.itemsize] = ranks.astype(rank).view(np.uint8)
+    return key.view(">u8")
+
+
+def _canonical_order(mat: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the rows of ``mat`` canonically."""
+    return np.lexsort(_sort_keys(mat).T[::-1])
+
+
+def _canonical_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` in canonical order, and the int64 index
+    in that table of each row."""
+    order = _canonical_order(rows)
+    ordered = rows.take(order, axis=0)
+    new = np.ones(len(rows), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    index = np.empty(len(rows), np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,29 +150,8 @@ def canonical_terms(terms: Mapping[int, int], dim: int) -> tuple[np.ndarray, np.
     raw = b"".join(map(int.to_bytes, terms, repeat(4 * dim), repeat("little")))
     mat = np.frombuffer(raw, "<u4").reshape(n, dim)
     counts = np.fromiter(terms.values(), np.int64, n)
-    order = np.argsort(_sort_keys(mat, np.zeros(n, np.int64)), kind="stable")
+    order = _canonical_order(mat)
     return mat[order], counts[order]
-
-
-def _merge_rows(
-    rows: np.ndarray, counts: np.ndarray, position: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows with nondecreasing ``position``, sorted by it and then in
-    canonical order, equal rows of one position merged into one whose count
-    is the sum of theirs.
-
-    Returns the merged rows, their counts, and ``first``: the index of each
-    merged row's first source row in sorted order, so ``position[first]``
-    is each merged row's position.  Equal rows are found as equal adjacent
-    sort keys, and each merged row is gathered once.
-    """
-    key = _sort_keys(rows, position)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return rows[order[first]], np.add.reduceat(counts[order], first), first
 
 
 def _nonzero_rows(mat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -360,13 +355,13 @@ class Polynomial:
     @classmethod
     def union(cls, polys: Iterable["Polynomial"]) -> "Polynomial":
         """Multiset union of the polynomials' terms, at the widest of their
-        dims: their rows, zero-padded to that width, merged as one."""
+        dims: the term table of their columns, each row's count the sum of
+        its members' counts."""
         polys = list(polys)
         columns = PolyColumns.from_polynomials(range(len(polys)), polys)
-        rows, counts, _ = _merge_rows(
-            columns.rows, columns.counts, np.zeros(len(columns.rows), np.int64)
-        )
-        return cls.from_rows(rows, counts, columns.rows.shape[1])
+        counts = np.zeros(len(columns.table), np.int64)
+        np.add.at(counts, columns.terms, columns.counts)
+        return cls.from_rows(columns.table, counts, columns.table.shape[1])
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct terms as an unsigned exponent matrix of width dim, int64 counts).
@@ -682,22 +677,16 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
 # --- cache files ------------------------------------------------------------
 
 
-def write_cache(path, header: dict, segments: Iterable) -> None:
+def write_cache(path, header: dict, segments: Iterable[np.ndarray]) -> None:
     """Write a cache file through ``atomic_write``: ``header`` as one compact
-    JSON line, then each segment as ``np.save`` writes a C-ordered array
-    (``.npy`` version 1.0).  A segment is an array, written in C order, or a
-    ``(dtype, shape, parts)`` stream, whose parts, arrays of ``dtype`` that
-    together hold ``shape``, are written one by one and never joined."""
+    JSON line, then each array as ``np.save`` writes it in C order (``.npy``
+    version 1.0), from its own buffer, with no joined copy."""
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8") + b"\n")
         for segment in segments:
-            if isinstance(segment, np.ndarray):
-                segment = (segment.dtype, segment.shape, (segment,))
-            dtype, shape, parts = segment
             np.lib.format.write_array_header_1_0(
-                fh, {"descr": dtype.str, "fortran_order": False, "shape": shape})
-            for part in parts:
-                fh.write(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
+                fh, {"descr": segment.dtype.str, "fortran_order": False, "shape": segment.shape})
+            fh.write(np.ascontiguousarray(segment).reshape(-1).view(np.uint8))
 
 
 def read_cache(
@@ -764,13 +753,16 @@ def record_of(ids: np.ndarray, offsets: np.ndarray, entry) -> int:
 
 # --- polynomial cache -------------------------------------------------------
 #
-# A ``write_cache`` file whose header holds the label vocabulary, with four
+# A ``write_cache`` file whose header holds the label vocabulary, with five
 # segments:
-#   rows     every record's distinct terms in canonical order, one exponent
-#            row of width len(labels) each, in the narrowest unsigned type
-#            that holds the largest term count (uint8, uint16 or uint32);
-#   counts   int64 multiplicity of each row;
-#   offsets  int64, len(ids) + 1: record i owns rows offsets[i]:offsets[i+1];
+#   table    the distinct exponent rows of all records, of width len(labels),
+#            in strictly increasing canonical order, in the narrowest
+#            unsigned type that holds the largest term count (uint8, uint16
+#            or uint32);
+#   terms    int32 table indices: record i owns terms[offsets[i]:offsets[i+1]],
+#            strictly increasing, so its terms are distinct and canonical;
+#   counts   the multiplicity of each term, in the table's type;
+#   offsets  int64, len(ids) + 1;
 #   ids      int64 record ids.
 # Save -> load -> save is byte-identical.
 
@@ -787,33 +779,57 @@ def _row_dtype(largest: int) -> np.dtype:
     raise ValueError(f"a polynomial of {largest} terms is too large to cache")
 
 
-# Nodes per batch of ``simplified_rows``: few sorts, and small batch matrices.
-_BATCH_NODES = 1 << 12
+# Nodes per batch of ``simplified_rows``: few Python steps, small batch matrices.
+_BATCH_NODES = 1 << 14
+# Seeds of the row hash that ``simplified_rows`` tries; each is a fresh
+# 64-bit hash, and a collision under one makes it try the next.
+_HASH_SEEDS = 4
+# splitmix64's finalizer multipliers.
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
-def simplified_rows(
-    labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, dim: int
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The simplified polynomials of trees given as columns, as the
-    polynomial cache stores them; no tree or term key is built.
+def _row_hashes(words: np.ndarray, seed: int) -> np.ndarray:
+    """One uint64 per row of the uint64 matrix ``words``, equal for equal
+    rows: each word is xored in and mixed by xor-shift-multiply steps."""
+    hashes = np.full(len(words), np.uint64(seed))
+    for word in words.T:
+        hashes ^= word
+        for shift, mix in zip((30, 27), _MIX):
+            hashes ^= hashes >> np.uint64(shift)
+            hashes *= mix
+        hashes ^= hashes >> np.uint64(31)
+    return hashes
 
-    Tree i owns entries ``offsets[i]:offsets[i+1]``, its parents index its
-    own nodes, and it has passed ``first_bad_tree`` for ``dim`` labels.
-    Returns the distinct term rows as one matrix per batch of whole trees
-    (at most ``_BATCH_NODES`` nodes, or one larger tree), in the row type of
-    the largest tree; int64 ``counts`` (multiplicities); and int64
-    ``offsets``: tree i owns rows ``offsets[i]:offsets[i+1]``, in canonical
-    order.  Tree i's rows and counts equal ``canonical_terms`` of its
-    ``simplified_term_counter``.
-    """
-    sizes = np.diff(offsets)
-    dtype = _row_dtype(int(sizes.max(initial=0)))
-    # The leading 0 of ``distinct`` makes its cumulative sum the row offsets.
-    batches, counts, distinct = [], [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
-    start = 0
-    while start < len(sizes):
+
+def _batches(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(start, end) of consecutive batches of whole trees: trees
+    ``start:end`` hold at most ``_BATCH_NODES`` nodes, or are one tree."""
+    start, n_trees = 0, len(offsets) - 1
+    while start < n_trees:
         end = int(offsets.searchsorted(offsets[start] + _BATCH_NODES, "right")) - 1
         end = max(start + 1, end)
+        yield start, end
+        start = end
+
+
+def _distinct_rows(
+    labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, dim: int,
+    dtype: np.dtype, seed: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct simplified-construction rows of the trees, in the order
+    first found, and the int32 index among them of each node's row; None if
+    two different rows share a hash under ``seed``.  Each batch's rows are
+    looked up by hash among the rows already found, and every row is then
+    compared word for word with the row of its index."""
+    sizes = np.diff(offsets)
+    # Rows padded with zero columns to whole uint64 words.
+    width = -(-dim * dtype.itemsize // 8) * 8 // dtype.itemsize
+    found = np.zeros((min(int(offsets[-1]), 1 << 16), width), dtype)
+    n_found = 0
+    known = np.zeros(0, np.uint64)  # the found rows' hashes, sorted
+    known_ids = np.zeros(0, np.int64)  # and their indices
+    node_ids = np.empty(int(offsets[-1]), np.int32)
+    for start, end in _batches(offsets):
         a, n = int(offsets[start]), int(offsets[end] - offsets[start])
         position = np.repeat(np.arange(end - start), sizes[start:end])
         local = parents[a:a + n]
@@ -822,49 +838,109 @@ def simplified_rows(
         anc = np.full(n + 1, n)
         is_child = local != ROOT
         anc[:n][is_child] = (offsets[start:end] - a)[position[is_child]] + local[is_child]
-        rows = np.zeros((n + 1, dim), dtype)
+        rows = np.zeros((n + 1, width), dtype)
         rows[np.arange(n), labels[a:a + n]] = 1
         _jump(anc, int(sizes[start:end].max()), rows)
-        rows, batch_counts, first = _merge_rows(rows[:n], np.ones(n, np.int64), position)
-        batches.append(rows)
-        counts.append(batch_counts)
-        distinct.append(np.bincount(position[first], minlength=end - start))
-        start = end
-    return batches, np.concatenate(counts), np.concatenate(distinct).cumsum()
+        words = rows[:n].view(np.uint64)
+        hashes, group = np.unique(_row_hashes(words, seed), return_inverse=True)
+        at = known.searchsorted(hashes)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == hashes[hit]
+        ids = np.empty(len(hashes), np.int64)
+        ids[hit] = known_ids[at[hit]]
+        new = np.flatnonzero(~hit)
+        ids[new] = np.arange(n_found, n_found + len(new))
+        if n_found + len(new) > len(found):
+            grown = np.zeros_like(found, shape=(len(found) + len(new), width))
+            found = np.concatenate([found, grown])
+        member = np.empty(len(hashes), np.int64)
+        member[group] = np.arange(n)
+        found[n_found:n_found + len(new)] = rows[member[new]]
+        n_found += len(new)
+        known = np.insert(known, at[new], hashes[new])
+        known_ids = np.insert(known_ids, at[new], ids[new])
+        node = ids[group]
+        if (words != found.view(np.uint64)[node]).any():
+            return None
+        node_ids[a:a + n] = node
+    return found[:n_found, :dim], node_ids
+
+
+def simplified_rows(
+    labels: np.ndarray, parents: np.ndarray, offsets: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The simplified polynomials of trees given as columns, as the
+    polynomial cache stores them; no tree and no term key is built.
+
+    Tree i owns entries ``offsets[i]:offsets[i+1]``, its parents index its
+    own nodes, and it has passed ``first_bad_tree`` for ``dim`` labels.
+    Returns the ``table`` of distinct term rows in canonical order, int32
+    ``terms`` (table indices), their ``counts`` (multiplicities) and int64
+    ``offsets``: tree i owns terms ``offsets[i]:offsets[i+1]``, strictly
+    increasing.  The table and counts are in the row type of the largest
+    tree.  ``table[terms]`` and ``counts`` of tree i equal ``canonical_terms``
+    of its ``simplified_term_counter``.
+    """
+    sizes = np.diff(offsets)
+    dtype = _row_dtype(int(sizes.max(initial=0)))
+    for seed in range(_HASH_SEEDS):
+        distinct = _distinct_rows(labels, parents, offsets, dim, dtype, seed)
+        if distinct is not None:
+            break
+    else:
+        raise RuntimeError(f"term rows share a 64-bit hash under each of {_HASH_SEEDS} seeds")
+    rows, node_ids = distinct
+    # The rows are distinct, so their canonical ranks are their table ids.
+    order = _canonical_order(rows)
+    table = rows.take(order, axis=0)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    n_rows = max(len(table), 1)
+    # The leading 0 of ``distinct`` makes its cumulative sum the term offsets.
+    terms, counts = [np.zeros(0, np.int32)], [np.zeros(0, dtype)]
+    distinct = [np.zeros(1, np.int64)]
+    for start, end in _batches(offsets):
+        # One sort by (tree, canonical rank) puts equal terms of a tree side
+        # by side, in canonical order.
+        key = np.repeat(np.arange(end - start) * n_rows, sizes[start:end])
+        key += rank[node_ids[offsets[start]:offsets[end]]]
+        key.sort()
+        first = np.ones(len(key), bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        tree, term = np.divmod(key[first], n_rows)
+        terms.append(term.astype(np.int32))
+        counts.append(np.diff(first, append=len(key)).astype(dtype))
+        distinct.append(np.bincount(tree, minlength=end - start))
+    return table, np.concatenate(terms), np.concatenate(counts), np.concatenate(distinct).cumsum()
 
 
 def write_polynomial_cache(
-    path, ids: np.ndarray, rows: Sequence[np.ndarray], counts: np.ndarray,
+    path, ids: np.ndarray, table: np.ndarray, terms: np.ndarray, counts: np.ndarray,
     offsets: np.ndarray, vocab: LabelVocabulary,
 ) -> None:
     """Write the cache from columns, as ``simplified_rows`` gives them:
-    record ``ids[i]`` owns term rows ``offsets[i]:offsets[i+1]`` and their
-    ``counts``.  The row matrices of ``rows`` are streamed after the rows
-    header one after another, and not joined.
+    record ``ids[i]`` owns the ``terms``, indices into the canonical
+    ``table``, and their ``counts`` at ``offsets[i]:offsets[i+1]``.
 
-    A path exponent counts nodes, so no exponent exceeds its polynomial's
-    term count, and the largest term count fixes the row type.
+    A path exponent counts nodes, so no exponent and no multiplicity exceeds
+    its polynomial's term count, and the largest term count fixes the row
+    type.
     """
-    # reduceat would give a record without rows its neighbour's first count.
+    # reduceat would give a record without terms its neighbour's first count.
     starts = offsets[:-1][np.diff(offsets) > 0]
-    dtype = _row_dtype(int(np.add.reduceat(counts, starts).max(initial=0)))
-    limit = np.iinfo(dtype).max
-
-    def batches():
-        start = 0
-        for batch in rows:
-            if not np.can_cast(batch.dtype, dtype):
-                bad = np.flatnonzero(batch.max(axis=1, initial=0) > limit)
-                if bad.size:
-                    record = record_of(ids, offsets, start + bad[0])
-                    raise ValueError(f"record {record}: exponent above its term count")
-            yield batch.astype(dtype, copy=False)
-            start += len(batch)
-
+    dtype = _row_dtype(int(np.add.reduceat(counts, starts, dtype=np.int64).max(initial=0)))
+    if not np.can_cast(table.dtype, dtype):
+        bad = np.flatnonzero(table.max(axis=1, initial=0) > np.iinfo(dtype).max)
+        if bad.size:
+            used = np.flatnonzero(np.isin(terms, bad))
+            where = (f"record {record_of(ids, offsets, used[0])}" if used.size
+                     else f"term row {bad[0]}")
+            raise ValueError(f"{where}: exponent above its term count")
     header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
     write_cache(path, header, (
-        (dtype, (sum(map(len, rows)), len(vocab)), batches()),
-        counts.astype(np.int64, copy=False), offsets.astype(np.int64, copy=False),
+        table.astype(dtype, copy=False), terms.astype(np.int32, copy=False),
+        counts.astype(dtype, copy=False), offsets.astype(np.int64, copy=False),
         np.asarray(ids, dtype=np.int64),
     ))
 
@@ -884,18 +960,21 @@ def _pad_to(mat: np.ndarray, width: int) -> np.ndarray:
 
 
 class PolyColumns(NamedTuple):
-    """A polynomial cache's columns: record ``ids[i]`` owns the exponent
-    ``rows`` and int64 ``counts`` at ``offsets[i]:offsets[i+1]``, in
-    canonical order."""
+    """A polynomial cache's columns: record ``ids[i]`` owns the term ids
+    ``terms`` and the ``counts`` at ``offsets[i]:offsets[i+1]``.  A term id
+    indexes the exponent rows of ``table``, which are distinct and in
+    canonical order, so each record's terms are too.  No matrix of every
+    record's rows is made: :meth:`polynomial` gathers one record's."""
 
     ids: np.ndarray
-    rows: np.ndarray
+    table: np.ndarray
+    terms: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
 
     @classmethod
     def from_polynomials(cls, ids, polys: Sequence[Polynomial]) -> "PolyColumns":
-        """The polynomials' rows in one matrix, polynomial i's as record
+        """The polynomials' terms in one table, polynomial i's as record
         ``ids[i]``'s; rows narrower than the widest are zero-padded."""
         parts = [poly.rows() for poly in polys]
         width = max((mat.shape[1] for mat, _ in parts), default=0)
@@ -904,47 +983,74 @@ class PolyColumns(NamedTuple):
         )
         counts = np.concatenate([np.zeros(0, np.int64), *(counts for _, counts in parts)])
         offsets = offsets_from_sizes([len(mat) for mat, _ in parts])
-        return cls(np.asarray(ids, np.int64), rows, counts, offsets)
+        table, terms = _canonical_table(rows)
+        return cls(np.asarray(ids, np.int64), table, terms.astype(np.int32), counts, offsets)
 
     def polynomial(self, i: int) -> Polynomial:
-        """Record i's polynomial, over views of the columns."""
+        """Record i's polynomial, over its rows gathered from the table."""
         a, b = self.offsets[i], self.offsets[i + 1]
-        return Polynomial.from_rows(self.rows[a:b], self.counts[a:b], self.rows.shape[1])
+        return Polynomial.from_rows(self.table.take(self.terms[a:b], axis=0),
+                                    self.counts[a:b].astype(np.int64), self.table.shape[1])
 
 
 def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
-    """The vocabulary and the validated columns; the arrays are read-only,
-    and the rows are trusted to be in canonical order."""
+    """The vocabulary and the validated columns; the arrays are read-only."""
     header, segments = read_cache(path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache",
-                                  ("labels",), ("rows", "counts", "offsets", "ids"))
-    rows, counts, offsets, ids = segments.values()
+                                  ("labels",), ("table", "terms", "counts", "offsets", "ids"))
+    table, terms, counts, offsets, ids = segments.values()
     vocab = LabelVocabulary(header["labels"])
     dim = len(vocab)
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise DataError(f"{path}: term rows of shape {rows.shape} for a {dim}-label vocabulary")
-    if rows.dtype.kind != "u" or rows.dtype.itemsize > 4:
+    if table.ndim != 2 or table.shape[1] != dim:
+        raise DataError(f"{path}: term rows of shape {table.shape} for a {dim}-label vocabulary")
+    if table.dtype.kind != "u" or table.dtype.itemsize > 4:
         raise DataError(
-            f"{path}: term rows of dtype {rows.dtype}, not an unsigned integer of at most 32 bits"
+            f"{path}: term rows of dtype {table.dtype}, not an unsigned integer of at most 32 bits"
         )
-    if counts.shape != (len(rows),) or counts.dtype != np.int64:
+    if terms.ndim != 1 or terms.dtype != np.int32:
+        raise DataError(f"{path}: segment terms is not a one-dimensional <i4 array")
+    if counts.shape != terms.shape or counts.dtype != table.dtype:
         raise DataError(
             f"{path}: {counts.dtype} multiplicities of shape {counts.shape} "
-            f"for {len(rows)} term rows"
+            f"for {len(terms)} {table.dtype} term rows"
         )
-    if ids.ndim != 1 or ids.dtype != np.int64 or not offsets_fit(offsets, len(ids), len(rows)):
+    if ids.ndim != 1 or ids.dtype != np.int64 or not offsets_fit(offsets, len(ids), len(terms)):
         raise DataError(
             f"{path}: record offsets do not match the {ids.size} record ids "
-            f"and {len(rows)} term rows"
+            f"and {len(terms)} term rows"
         )
+
+    def fail(entry, reason: str):
+        raise DataError(f"{path}: record {record_of(ids, offsets, entry)}: {reason}")
+
     bad = np.flatnonzero(counts < 1)
     if bad.size:
-        record = record_of(ids, offsets, bad[0])
-        raise DataError(f"{path}: record {record}: multiplicity {counts[bad[0]]} is not positive")
-    return vocab, PolyColumns(ids, rows, counts, offsets)
+        fail(bad[0], f"multiplicity {counts[bad[0]]} is not positive")
+    bad = np.flatnonzero((terms < 0) | (terms >= len(table)))
+    if bad.size:
+        fail(bad[0], f"term id {terms[bad[0]]} outside the table of {len(table)} term rows")
+    rises = terms[1:] > terms[:-1]
+    # A record's first term need not rise above the one before it.
+    starts = offsets[1:-1]
+    rises[starts[(starts > 0) & (starts < len(terms))] - 1] = True
+    bad = np.flatnonzero(~rises)
+    if bad.size:
+        j = bad[0] + 1
+        fail(j, f"term id {terms[j]} is not above the term id {terms[j - 1]} before it")
+    keys = _sort_keys(table)
+    keys = keys.view(f"S{keys.shape[1] * 8}")[:, 0]
+    bad = np.flatnonzero(keys[1:] <= keys[:-1])
+    if bad.size:
+        row = bad[0] + 1
+        where = f"term row {row} is not above term row {row - 1} in canonical order"
+        used = np.flatnonzero(terms == row)
+        if used.size:
+            fail(used[0], where)
+        raise DataError(f"{path}: {where}")
+    return vocab, PolyColumns(ids, table, terms, counts, offsets)
 
 
 def read_polynomial_cache(path) -> tuple[LabelVocabulary, list[tuple[int, Polynomial]]]:
     """The vocabulary and (record id, polynomial) pairs of
-    ``read_polynomial_columns``; the polynomials share its arrays."""
+    ``read_polynomial_columns``."""
     vocab, columns = read_polynomial_columns(path)
     return vocab, [(rid, columns.polynomial(i)) for i, rid in enumerate(columns.ids.tolist())]

@@ -52,7 +52,7 @@ def write_poly_items(path, items, vocab: LabelVocabulary) -> None:
     items = list(items)
     columns = PolyColumns.from_polynomials([rid for rid, _ in items], [poly for _, poly in items])
     write_polynomial_cache(
-        path, columns.ids, [columns.rows], columns.counts, columns.offsets, vocab
+        path, columns.ids, columns.table, columns.terms, columns.counts, columns.offsets, vocab
     )
 
 

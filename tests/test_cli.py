@@ -273,7 +273,41 @@ class TestBuild:
         assert {name: stage["skipped"] for name, stage in stages.items()} == {
             "corpus": True, "polynomials": False,
         }
-        assert stages["polynomials"]["inputs"]["poly_cache_version"] == "2"
+        assert stages["polynomials"]["inputs"]["poly_cache_version"] == str(
+            scoi.cli.POLY_CACHE_VERSION
+        )
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
+
+    def test_version_2_polynomial_caches_rerun_only_polynomials(self, built, tmp_path, capsys):
+        # A build directory of version 2, dense rows and int64 counts, as
+        # that version wrote them and recorded them in the build manifest.
+        out = tmp_path / "v2"
+        shutil.copytree(built, out)
+        path = out / "build-manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for key, name in (("corpus_poly", "corpus.poly.bin"), ("test_poly", "test.poly.bin")):
+            header, segments = _poly_segments((out / name).read_bytes())
+            header = json.loads(header)
+            header["version"] = 2
+            rows = segments["table"][segments["terms"]]
+            arrays = (rows, segments["counts"].astype(np.int64), segments["offsets"],
+                      segments["ids"])
+            (out / name).write_bytes(_cache_bytes(json.dumps(header).encode() + b"\n", arrays))
+            manifest["stages"]["polynomials"]["outputs"][key] = sha256_file(out / name)
+        manifest["stages"]["polynomials"]["inputs"]["poly_cache_version"] = "2"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        poly_path = out / "corpus.poly.bin"
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {poly_path}: unsupported polynomial cache version 2\n"
+        )
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        stages = read_manifest(path)["stages"]
+        assert {name: stage["skipped"] for name, stage in stages.items()} == {
+            "corpus": True, "polynomials": False,
+        }
+        for cache in scoi.cli._cache_paths(built).values():
+            assert sha256_file(out / cache.name) == sha256_file(cache)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
 
     def test_build_with_workers_starts_no_process_pool(
@@ -542,6 +576,34 @@ def _edit_segments(edit):
     return mutate
 
 
+POLY_SEGMENTS = ("table", "terms", "counts", "offsets", "ids")
+
+
+def _poly_segments(data: bytes) -> tuple[bytes, dict[str, np.ndarray]]:
+    """A polynomial cache's header line and its segments, by name."""
+    fh = io.BytesIO(data)
+    header = fh.readline()
+    return header, {name: np.load(fh) for name in POLY_SEGMENTS}
+
+
+def _cache_bytes(header: bytes, arrays) -> bytes:
+    out = io.BytesIO()
+    out.write(header)
+    for array in arrays:
+        np.save(out, array)
+    return out.getvalue()
+
+
+def _edit_poly_segments(edit):
+    """A mutation of a polynomial cache's lines: ``edit(segments)`` changes
+    its arrays, by name, in place."""
+    def mutate(lines):
+        header, segments = _poly_segments(b"".join(lines))
+        edit(segments)
+        return [_cache_bytes(header, segments.values())]
+    return mutate
+
+
 def _with_first_tree(labels, parents):
     """A corpus cache mutation that replaces record 0's tree."""
     def edit(segments):
@@ -650,22 +712,55 @@ class TestCorruptCache:
         out = tmp_path / "corrupt"
         shutil.copytree(built, out)
         poly_path = out / "corpus.poly.bin"
-        with open(poly_path, "rb") as fh:
-            header = fh.readline()
-            rows, *rest = [np.load(fh) for _ in range(4)]
+        header, segments = _poly_segments(poly_path.read_bytes())
+        table = segments["table"]
         n_labels = len(json.loads(header)["labels"])
-        assert rows.shape[1] == n_labels < 99
-        rows = np.pad(rows, ((0, 0), (0, 100 - n_labels)))
-        rows[0, 99] = 1
-        with open(poly_path, "wb") as fh:
-            fh.write(header)
-            for array in (rows, *rest):
-                np.save(fh, array)
+        assert table.shape[1] == n_labels < 99
+        table = np.pad(table, ((0, 0), (0, 100 - n_labels)))
+        table[0, 99] = 1
+        segments["table"] = table
+        poly_path.write_bytes(_cache_bytes(header, segments.values()))
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
         err = capsys.readouterr().err
-        shape = f"({len(rows)}, 100)"
+        shape = f"({len(table)}, 100)"
         assert f"{poly_path}: term rows of shape {shape} for a {n_labels}-label vocabulary" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    @pytest.mark.parametrize("check", ["term-outside-table", "terms-not-rising",
+                                       "table-not-canonical"])
+    def test_bad_term_table_exits_2_naming_record(self, built, tmp_path, capsys, command, check):
+        _, segments = _poly_segments((built / "corpus.poly.bin").read_bytes())
+        terms, offsets, ids = segments["terms"], segments["offsets"], segments["ids"]
+        # The first record of at least two terms, and its first entry.
+        i = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+        a = int(offsets[i])
+        if check == "term-outside-table":
+            size = len(segments["table"])
+
+            def edit(s):
+                s["terms"][a + 1] = size
+
+            reason = f"term id {size} outside the table of {size} term rows"
+        elif check == "terms-not-rising":
+            def edit(s):
+                s["terms"][a + 1] = terms[a]
+
+            reason = f"term id {terms[a]} is not above the term id {terms[a]} before it"
+        else:
+            # Rows t and t + 1 swap, so row t + 1 sorts below row t.
+            t = int(terms[a])
+
+            def edit(s):
+                s["table"][[t, t + 1]] = s["table"][[t + 1, t]]
+
+            first = int(np.flatnonzero(terms == t + 1)[0])
+            i = int(np.searchsorted(offsets, first, "right")) - 1
+            reason = f"term row {t + 1} is not above term row {t} in canonical order"
+        out, path = _corrupt(built, tmp_path, "corpus.poly.bin", _edit_poly_segments(edit))
+        extra = ["--record", "0"] if command == "inspect" else ["--strategy", "scoi"]
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        assert capsys.readouterr().err == f"data error: {path}: record {ids[i]}: {reason}\n"
 
     @pytest.mark.parametrize("command", ["select", "inspect"])
     def test_tree_label_outside_vocabulary_exits_2(self, built, tmp_path, capsys, command):
@@ -865,25 +960,27 @@ class TestBuildManifestCheck:
         assert not (out / "selections_scoi.jsonl").exists()
 
     def test_swapped_term_rows_exit_2_on_the_digest(self, built, tmp_path, capsys):
-        # The reader trusts each record's row order; the digest check catches a swap.
+        # Two records of as many terms swap their term ids and counts.  Each
+        # stays a well-formed record, so the reader accepts the file and the
+        # digest check catches the swap.
         out = tmp_path / "swapped"
         shutil.copytree(built, out)
         path = out / "corpus.poly.bin"
-        with open(path, "rb") as fh:
-            fh.readline()
-            segments = fh.tell()
-            np.lib.format.read_magic(fh)
-            np.lib.format.read_array_header_1_0(fh)
-            start = fh.tell()
-            fh.seek(segments)
-            rows, _, offsets, _ = [np.load(fh) for _ in range(4)]
-        first = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
-        row_bytes = rows.shape[1] * rows.dtype.itemsize
-        a = start + int(offsets[first]) * row_bytes
-        data = bytearray(path.read_bytes())
-        data[a:a + 2 * row_bytes] = data[a + row_bytes:a + 2 * row_bytes] + data[a:a + row_bytes]
-        assert bytes(data) != path.read_bytes()
-        path.write_bytes(bytes(data))
+        header, segments = _poly_segments(path.read_bytes())
+        offsets = segments["offsets"]
+        sizes = np.diff(offsets)
+        i = int(np.flatnonzero(sizes >= 2)[0])
+        a, b = int(offsets[i]), int(offsets[i + 1])
+        terms = segments["terms"]
+        j = next(j for j in range(i + 1, len(sizes)) if sizes[j] == sizes[i]
+                 and not np.array_equal(terms[offsets[j]:offsets[j + 1]], terms[a:b]))
+        c, d = int(offsets[j]), int(offsets[j + 1])
+        for name in ("terms", "counts"):
+            array = segments[name]
+            array[a:b], array[c:d] = array[c:d].copy(), array[a:b].copy()
+        data = _cache_bytes(header, segments.values())
+        assert data != path.read_bytes()
+        path.write_bytes(data)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
         err = capsys.readouterr().err
         assert f"data error: {path}: digest differs from build-manifest.json" in err
@@ -964,6 +1061,9 @@ class _FailingFile:
         self._budget = budget
 
     def write(self, data):
+        # A text file's budget counts characters and a binary file's bytes,
+        # whatever the buffer: len() counts a numpy array's rows.
+        data = data if isinstance(data, str) else memoryview(data).cast("B")
         if len(data) >= self._budget:
             self._fh.write(data[: self._budget])
             raise OSError(28, "No space left on device (injected)")

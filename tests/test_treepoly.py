@@ -70,10 +70,11 @@ def scalar_dense(terms, dim) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_segments(path) -> tuple[bytes, list[np.ndarray]]:
-    """A polynomial cache's header line and its four arrays: rows, counts, offsets, ids."""
+    """A polynomial cache's header line and its five arrays: table, terms,
+    counts, offsets, ids."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        return header, [np.load(fh) for _ in range(4)]
+        return header, [np.load(fh) for _ in range(5)]
 
 
 def write_segments(path, header: bytes, arrays) -> None:
@@ -387,29 +388,32 @@ def per_tree_rows(labels, parents, offsets, dim):
     )
 
 
+def assert_strictly_canonical(table: np.ndarray) -> None:
+    """Each row of ``table`` sorts strictly after the row before it."""
+    decoded = [tuple((label, exp) for label, exp in enumerate(row) if exp) for row in table.tolist()]
+    assert all(a < b for a, b in zip(decoded, decoded[1:]))
+
+
 class TestSimplifiedRows:
     """The columns builder against the per-tree path, row for row."""
 
     def assert_matches_per_tree(self, labels, parents, offsets, dim, cap):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scoi.treepoly, "_BATCH_NODES", cap)
-            batches, counts, bounds = simplified_rows(
+            table, terms, counts, bounds = simplified_rows(
                 *_forest_arrays(labels, parents, offsets), dim
             )
         ref_rows, ref_counts, ref_bounds = per_tree_rows(labels, parents, offsets, dim)
         sizes = np.diff(offsets)
         dtype = np.dtype("u1" if sizes.max() <= 255 else "<u2" if sizes.max() <= 65_535 else "<u4")
-        assert all(batch.dtype == dtype and batch.shape[1] == dim for batch in batches)
-        assert counts.dtype == bounds.dtype == np.int64
-        assert np.array_equal(np.concatenate(batches), ref_rows)
+        assert table.dtype == counts.dtype == dtype and table.shape[1] == dim
+        assert terms.dtype == np.int32 and bounds.dtype == np.int64
+        assert_strictly_canonical(table)
+        assert np.array_equal(table[terms], ref_rows)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(bounds, ref_bounds)
-        # Batches hold whole trees, at most ``cap`` nodes unless one tree.
-        ends = np.cumsum([len(batch) for batch in batches])
-        trees_at = np.searchsorted(bounds, ends)
-        assert np.array_equal(bounds[trees_at], ends)
-        for first, last in zip([0, *trees_at[:-1]], trees_at):
-            assert last - first == 1 or offsets[last] - offsets[first] <= cap
+        # Every table row is some tree's term.
+        assert np.array_equal(np.unique(terms), np.arange(len(table)))
         return dtype
 
     @settings(max_examples=300, deadline=None)
@@ -463,8 +467,39 @@ class TestSimplifiedRows:
             assert self.assert_matches_per_tree(labels, parents, [0, n, n + 2], 3, cap) == dtype
 
     def test_no_trees(self):
-        batches, counts, bounds = simplified_rows(*_forest_arrays([], [], [0]), 4)
-        assert batches == [] and counts.tolist() == [] and bounds.tolist() == [0]
+        table, terms, counts, bounds = simplified_rows(*_forest_arrays([], [], [0]), 4)
+        assert table.shape == (0, 4) and terms.tolist() == counts.tolist() == []
+        assert bounds.tolist() == [0]
+
+    @pytest.mark.parametrize("colliding_seeds", [1, 3])
+    def test_a_hash_collision_changes_no_output(self, monkeypatch, colliding_seeds):
+        # Under the first seeds every row hashes alike, so the word-for-word
+        # check fails and the next seed runs; the ids are canonical ranks.
+        rng = random.Random(4)
+        trees = [random_recursive_tree(rng, rng.randint(1, 30), 5) for _ in range(20)]
+        columns = _forest_arrays(
+            [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
+            np.cumsum([0] + [t.n for t in trees]),
+        )
+        expected = simplified_rows(*columns, 5)
+        real = scoi.treepoly._row_hashes
+        seeds = []
+
+        def weak(words, seed):
+            seeds.append(seed)
+            return real(words, seed) * np.uint64(seed >= colliding_seeds)
+
+        monkeypatch.setattr(scoi.treepoly, "_row_hashes", weak)
+        got = simplified_rows(*columns, 5)
+        assert sorted(set(seeds)) == list(range(colliding_seeds + 1))
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_collisions_under_every_seed_are_an_error(self, monkeypatch):
+        monkeypatch.setattr(scoi.treepoly, "_row_hashes", lambda words, seed: words[:, 0] * 0)
+        columns = _forest_arrays([0, 1], [-1, 0], [0, 2])
+        with pytest.raises(RuntimeError, match="share a 64-bit hash under each of 4 seeds"):
+            simplified_rows(*columns, 2)
 
 
 class TestSimplifiedPolynomial:
@@ -734,24 +769,29 @@ def _set(array, index, value):
 def _record_case(line, where):
     """A case that replaces record 7 by `line`, a record in the JSON notation
     [id, [[[[label, exponent], ...], multiplicity], ...]], stored the way a
-    writer that checked nothing would: rows widened and typed to hold it."""
+    writer that checked nothing would: the table widened and typed to hold
+    it, each of its terms an equal table row or a new one appended."""
     example_id, terms = json.loads(line)
     pairs = [pair for term, _ in terms for pair in term]
 
     def mutate(arrays):
-        rows, counts, offsets, ids = arrays
+        table, term_ids, counts, offsets, ids = arrays
         assert ids[-1] == example_id
-        width = max(rows.shape[1], 1 + max(label for label, _ in pairs))
-        dtype = np.result_type(rows.dtype, *(np.min_scalar_type(e) for _, e in pairs))
-        kept = np.zeros((offsets[-2], width), dtype)
-        kept[:, : rows.shape[1]] = rows[: offsets[-2]]
-        record = np.zeros((len(terms), width), dtype)
-        for row, (term, _) in enumerate(terms):
+        width = max(table.shape[1], 1 + max(label for label, _ in pairs))
+        dtype = np.result_type(table.dtype, *(np.min_scalar_type(e) for _, e in pairs))
+        rows = [np.pad(row, (0, width - table.shape[1])).astype(dtype) for row in table]
+        record = []
+        for term, _ in terms:
+            row = np.zeros(width, dtype)
             for label, exponent in term:
-                record[row, label] = exponent
+                row[label] = exponent
+            found = [i for i, kept in enumerate(rows) if np.array_equal(kept, row)]
+            record.append(found[0] if found else len(rows))
+            rows += [] if found else [row]
         return [
-            np.concatenate([kept, record]),
-            np.concatenate([counts[: offsets[-2]], [m for _, m in terms]]).astype(np.int64),
+            np.array(rows),
+            np.concatenate([term_ids[: offsets[-2]], record]).astype(np.int32),
+            np.concatenate([counts[: offsets[-2]], [m for _, m in terms]]).astype(dtype),
             np.append(offsets[:-1], offsets[-2] + len(terms)),
             ids,
         ]
@@ -759,15 +799,16 @@ def _record_case(line, where):
     return pytest.param(mutate, where, id=f"{line}-{where}")
 
 
-# (edit of the four arrays [rows, counts, offsets, ids] of a cache holding
-# record 3 with one term row and record 7 with two, message after "<path>: ").
+# (edit of the five arrays [table, terms, counts, offsets, ids] of a cache
+# holding record 3 with one term and record 7 with two, message after
+# "<path>: ").  The table is [{0: 1}, {0: 1, 1: 1}], the terms [0, 0, 1].
 CACHE_CORRUPTIONS = [
     _record_case(
         "[7,[[[[0,1]],1],[[[99,1]],1]]]", "term rows of shape (3, 100) for a 4-label vocabulary"
     ),
     pytest.param(
         lambda a: _with(a, 0, a[0][:, :3]),
-        "term rows of shape (3, 3) for a 4-label vocabulary", id="rows-narrower-than-vocabulary",
+        "term rows of shape (2, 3) for a 4-label vocabulary", id="rows-narrower-than-vocabulary",
     ),
     pytest.param(
         lambda a: _with(a, 0, a[0].astype(np.int16)),
@@ -783,34 +824,65 @@ CACHE_CORRUPTIONS = [
         "term rows of dtype float64, not an unsigned integer of at most 32 bits",
         id="exponent-not-integer",
     ),
+    pytest.param(
+        lambda a: _with(a, 1, a[1].astype(np.int64)),
+        "segment terms is not a one-dimensional <i4 array", id="terms-not-int32",
+    ),
     _record_case("[7,[[[[1,1]],0]]]", "record 7: multiplicity 0 is not positive"),
     pytest.param(
-        lambda a: _with(a, 1, _set(a[1], 0, -2)),
-        "record 3: multiplicity -2 is not positive", id="multiplicity-negative",
+        # A negative multiplicity needs a signed type, which is not the table's.
+        lambda a: _with(a, 2, _set(a[2].astype(np.int64), 0, -2)),
+        "int64 multiplicities of shape (3,) for 3 uint8 term rows", id="multiplicity-negative",
     ),
     pytest.param(
-        lambda a: _with(a, 1, a[1].astype(np.float64)),
-        "float64 multiplicities of shape (3,) for 3 term rows", id="multiplicity-not-integer",
+        lambda a: _with(a, 2, a[2].astype(np.float64)),
+        "float64 multiplicities of shape (3,) for 3 uint8 term rows",
+        id="multiplicity-not-integer",
     ),
     pytest.param(
-        lambda a: _with(a, 1, a[1][:2]),
-        "int64 multiplicities of shape (2,) for 3 term rows", id="multiplicity-missing",
+        lambda a: _with(a, 2, a[2][:2]),
+        "uint8 multiplicities of shape (2,) for 3 uint8 term rows", id="multiplicity-missing",
     ),
     pytest.param(
-        lambda a: _with(a, 2, _set(a[2], 2, 4)),
+        lambda a: _with(a, 3, _set(a[3], 2, 4)),
         "record offsets do not match the 2 record ids and 3 term rows", id="offsets-past-rows",
     ),
     pytest.param(
-        lambda a: _with(a, 2, np.array([0, 4, 3])),
+        lambda a: _with(a, 3, np.array([0, 4, 3])),
         "record offsets do not match the 2 record ids and 3 term rows", id="offsets-decreasing",
     ),
     pytest.param(
-        lambda a: _with(a, 3, a[3][:1]),
+        lambda a: _with(a, 4, a[4][:1]),
         "record offsets do not match the 1 record ids and 3 term rows", id="offsets-without-ids",
     ),
     pytest.param(
-        lambda a: _with(a, 3, np.array([3, None], dtype=object)),
+        lambda a: _with(a, 4, np.array([3, None], dtype=object)),
         "corrupt array segment (", id="pickled-segment",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, _set(a[1], 2, 2)),
+        "record 7: term id 2 outside the table of 2 term rows", id="term-past-the-table",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, _set(a[1], 0, -1)),
+        "record 3: term id -1 outside the table of 2 term rows", id="term-negative",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, _set(a[1], 2, 0)),
+        "record 7: term id 0 is not above the term id 0 before it", id="term-repeated",
+    ),
+    pytest.param(
+        lambda a: _with(a, 1, np.array([1, 1, 0], np.int32)),
+        "record 7: term id 0 is not above the term id 1 before it", id="terms-falling",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, a[0][::-1]),
+        "record 7: term row 1 is not above term row 0 in canonical order",
+        id="table-not-canonical",
+    ),
+    pytest.param(
+        lambda a: _with(a, 0, np.concatenate([a[0], a[0][1:]])),
+        "term row 2 is not above term row 1 in canonical order", id="table-row-repeated-unused",
     ),
 ]
 
@@ -895,7 +967,7 @@ class TestPolynomialCache:
         path = tmp_path / "corpus.poly.bin"
         self.write_two_records(path)
         header, arrays = read_segments(path)
-        assert [a.shape for a in arrays] == [(3, 4), (3,), (3,), (2,)]
+        assert [a.shape for a in arrays] == [(2, 4), (3,), (3,), (3,), (2,)]
         write_segments(path, header, mutate(arrays))
         with pytest.raises(DataError) as err:
             read_polynomial_cache(path)
@@ -916,31 +988,39 @@ class TestPolynomialCache:
         assert str(err.value).startswith(f"{path}: corrupt array segment (")
 
     def test_writer_rejects_an_exponent_above_the_term_count(self, tmp_path):
-        # Records of one term each, so uint8 rows; record 5's exponent of 300
-        # does not fit them, and it is in the second batch.
-        rows = [np.array([[1]], np.uint32), np.array([[1], [300]], np.uint32)]
+        # Records of one term each, so uint8 rows; the exponent of 300 in
+        # table row 1 does not fit them, and record 5 is the first to use it.
+        table = np.array([[1], [300]], np.uint32)
         with pytest.raises(ValueError, match="record 5: exponent above its term count"):
             write_polynomial_cache(
-                tmp_path / "p.bin", np.array([2, 3, 5]), rows, np.array([1, 1, 1]),
-                np.array([0, 1, 2, 3]), make_vocab(1),
+                tmp_path / "p.bin", np.array([2, 3, 5]), table, np.array([0, 0, 1]),
+                np.array([1, 1, 1]), np.array([0, 1, 2, 3]), make_vocab(1),
+            )
+        with pytest.raises(ValueError, match="term row 1: exponent above its term count"):
+            write_polynomial_cache(
+                tmp_path / "p.bin", np.array([2]), table, np.array([0]), np.array([1]),
+                np.array([0, 1]), make_vocab(1),
             )
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_peak_memory_is_below_the_counts_column(self, tmp_path):
-        # Taking each record's term total from a cumulative sum of every row's
-        # count held two int64 copies of ``counts``.
+        # Taking each record's term total from a cumulative sum of every
+        # term's count held two int64 copies of ``counts``.  The counts are
+        # passed as int64 here, as wide as any caller's.
         rng = random.Random(11)
         trees = [random_recursive_tree(rng, 30, 12) for _ in range(2000)]
         columns = _forest_arrays(
             [l for t in trees for l in t.labels], [p for t in trees for p in t.parents],
             np.cumsum([0] + [t.n for t in trees]),
         )
-        rows, counts, offsets = simplified_rows(*columns, 12)
+        table, terms, counts, offsets = simplified_rows(*columns, 12)
+        counts = counts.astype(np.int64)
         assert counts.nbytes > 400_000
         tracemalloc.start()
         try:
             write_polynomial_cache(
-                tmp_path / "p.bin", np.arange(len(trees)), rows, counts, offsets, make_vocab(12)
+                tmp_path / "p.bin", np.arange(len(trees)), table, terms, counts, offsets,
+                make_vocab(12),
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -977,13 +1057,9 @@ class TestCacheFile:
         return rows + flat + empty
 
     def test_segments_are_the_bytes_np_save_writes(self, tmp_path):
-        arrays = self.segments()
-        # The uint16 rows again as a stream of three parts, and an empty stream.
-        streams = [(np.dtype("<u2"), (9, 5), np.split(arrays[1], [2, 7])),
-                   (np.dtype("u1"), (0, 5), [])]
-        saved = arrays + [arrays[1], np.zeros((0, 5), "u1")]
+        saved = self.segments()
         path = tmp_path / "cache.bin"
-        write_cache(path, {"format": "test", "version": 1, "names": ["é"]}, arrays + streams)
+        write_cache(path, {"format": "test", "version": 1, "names": ["é"]}, saved)
         expected = io.BytesIO()
         expected.write('{"format":"test","version":1,"names":["é"]}\n'.encode("utf-8"))
         for array in saved:
