@@ -357,7 +357,9 @@ def cmd_select(config: RunConfig) -> int:
         built.test.record(row, built.test_poly.polynomial(row))
         for row in range(len(built.test.ids))
     ]
-    candidates = Candidates(built.corpus_poly, built.corpus.tokens, built.index.name_ids)
+    candidates = Candidates.from_columns(
+        built.corpus_poly, built.corpus.tokens, built.index.name_ids
+    )
 
     start = time.perf_counter()
     per_test = [
@@ -450,7 +452,9 @@ def cmd_inspect(config: RunConfig, record_id: int, side: str, pool_ids: list[int
         missing = [i for i, r in zip(pool_ids, rows) if r is None]
         if missing:
             raise DataError(f"pool ids not in corpus: {missing}")
-        candidates = Candidates(built.corpus_poly, built.corpus.tokens, built.index.name_ids)
+        candidates = Candidates.from_columns(
+            built.corpus_poly, built.corpus.tokens, built.index.name_ids
+        )
         syn, word = PoolScores(record, candidates, rows, config.measure).coverage()
         print(f"  coverage against pool {pool_ids}:")
         print(f"    syntactic ({config.measure}): {syn:.6f}")

@@ -53,16 +53,20 @@ SENTINEL_LOW = -1.0
 
 class Candidates(NamedTuple):
     """Candidate records as the columns ``PoolScores`` reads: row i of ``terms``
-    and of ``tokens`` is record ``terms.ids[i]``, and ``name_ids`` is
-    ``tokens.name_ids()``, or the equal map of an index over ``tokens``."""
+    and of ``tokens`` is record ``terms.ids[i]``, ``name_ids`` is
+    ``tokens.name_ids()``, or the equal map of an index over ``tokens``, and
+    ``sums`` holds the int64 exponent sum of each row of ``terms.table``."""
 
     terms: PolyColumns
     tokens: TokenColumn
     name_ids: dict[str, int]
+    sums: np.ndarray
 
     @classmethod
-    def from_columns(cls, terms: PolyColumns, tokens: TokenColumn) -> "Candidates":
-        return cls(terms, tokens, tokens.name_ids())
+    def from_columns(cls, terms: PolyColumns, tokens: TokenColumn,
+                     name_ids: dict[str, int] | None = None) -> "Candidates":
+        return cls(terms, tokens, tokens.name_ids() if name_ids is None else name_ids,
+                   terms.table.sum(axis=1, dtype=np.int64))
 
     @classmethod
     def from_records(cls, records: Sequence["ExampleRecord"]) -> "Candidates":
@@ -113,9 +117,8 @@ class PoolScores:
         return cls(test, Candidates.from_records([pool[i] for i in order]), rows, measure)
 
     @cached_property
-    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The pool's term rows, their counts as float64, ``starts``, and each
-        candidate's term count."""
+    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pool's term rows, their exponent sums, and ``starts``."""
         if not self.test.poly.n_distinct:
             raise ValueError("test polynomial is empty")
         terms = self._candidates.terms
@@ -124,16 +127,15 @@ class PoolScores:
         if (offsets[1:] == starts).any():
             # reduceat would hand an empty member its neighbour's first column.
             raise ValueError("cannot score against an empty term pool")
-        counts = terms.counts[entries]
-        n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
+        table_rows = terms.terms[entries]
         # take() gathers whole rows faster than fancy indexing.
-        rows = terms.table.take(terms.terms[entries], axis=0)
-        return rows, counts.astype(np.float64), starts, n_terms
+        return terms.table.take(table_rows, axis=0), self._candidates.sums.take(table_rows), starts
 
     @cached_property
     def _distances(self) -> np.ndarray:
         """(distinct test terms, pool terms): every L1 distance, one kernel call."""
-        return cityblock(self.test.poly.rows()[0], self._pool_terms[0])
+        rows, sums, _ = self._pool_terms
+        return cityblock(self.test.poly.rows()[0], rows, sums)
 
     def _per_candidate(self, ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
         """(candidates, distinct test terms): ``ufunc`` over each candidate's columns."""
@@ -157,7 +159,9 @@ class PoolScores:
     @cached_property
     def distances(self) -> np.ndarray:
         """Polynomial distance of each candidate to the test input."""
-        _, counts, starts, n_terms = self._pool_terms
+        terms, starts = self._candidates.terms, self._pool_terms[2]
+        counts = terms.counts[take_offsets(terms.offsets, self.rows)[0]]
+        n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
         x_counts = self.test.poly.rows()[1].astype(np.float64)
         n_x = self.test.poly.n_terms
         col_mins = self._distances.min(axis=0)

@@ -110,13 +110,18 @@ def _sort_keys(mat: np.ndarray) -> np.ndarray:
     n, dim = mat.shape
     gap = int(mat.max(initial=0)) + 1
     rank = next(t for t in _RANK_DTYPES if gap <= np.iinfo(t).max)
-    ranks = mat.astype(rank.newbyteorder("="))
-    column = np.arange(1, dim + 1, dtype=np.min_scalar_type(dim))
-    last = ((ranks != 0) * column).max(axis=1, initial=0)
-    # A zero before the row's last nonzero rank is raised to the gap.
-    ranks += ((ranks == 0) & (column <= last[:, None])) * ranks.dtype.type(gap)
-    key = np.zeros((n, max(8, -(-dim * rank.itemsize // 8) * 8)), np.uint8)
-    key[:, :dim * rank.itemsize] = ranks.astype(rank).view(np.uint8)
+    ranks = np.array(mat.T, dtype=rank.newbyteorder("="), order="C")
+    # Right to left, ``later`` marks the rows with a nonzero rank further
+    # right: a zero before the row's last nonzero rank is raised to the gap.
+    later = np.zeros(n, bool)
+    pad = np.empty(n, bool)
+    for column in ranks[::-1]:
+        np.equal(column, 0, out=pad)
+        pad &= later
+        later |= column != 0
+        column += pad * column.dtype.type(gap)
+    key = np.zeros((n, max(8, -(-dim * rank.itemsize // 8) * 8) // rank.itemsize), rank)
+    key[:, :dim] = ranks.T
     return key.view(">u8")
 
 
@@ -624,35 +629,38 @@ def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     return _scipy_cdist(xa, xb, metric)
 
 
-def cityblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cityblock(a: np.ndarray, b: np.ndarray, b_sums: np.ndarray | None = None) -> np.ndarray:
     """float64 L1 distances between the rows of two nonnegative integer matrices.
 
-    Uses |a - b| = sum(a) + sum(b) - 2 * sum(min(a, b)), with the sum of
-    minima one matrix product of 0/1 level matrices: column (l, t) is set
-    in a row whose exponent of label l is at least t, for t up to the
-    smaller of the two sides' largest exponent of l.  Columns past the
-    narrower matrix's width count as zeros.  The product is reduced in
-    place, -2 * common + sum(a) + sum(b), with no table-sized temporary.
-    Every partial result is an integer below 2**53, so each step is exact
-    and the order changes no bit: each entry is the same float as
-    ``scipy.spatial.distance.cdist(a, b, "cityblock")`` gives, and
-    independent of the other rows.
+    Uses |a - b| = sum(a) + sum(b) - 2 * sum(min(a, b)), all of it one matrix
+    product, [-2 * levels(a) | sum(a) | 1] @ [levels(b) | 1 | sum(b)].T.
+    Level column (l, t) is set in a row whose exponent of label l is at least
+    t, for t up to the largest exponent of l on the side with fewer rows: a
+    higher level is unset on that side, so it adds nothing to the sum of
+    minima.  Columns past the narrower matrix's width count as zeros.
+    ``b_sums``, when given, holds b's row sums.  Every partial result is an
+    integer below 2**53, so each step is exact and the order changes no bit:
+    each entry is the same float as ``scipy.spatial.distance.cdist(a, b,
+    "cityblock")`` gives, and independent of the other rows.
     """
     width = min(a.shape[1], b.shape[1])
-    a_sums = a.sum(axis=1, dtype=np.int64)
-    b_sums = b.sum(axis=1, dtype=np.int64)
-    top = np.minimum(
-        a[:, :width].max(axis=0, initial=0), b[:, :width].max(axis=0, initial=0)
-    ).astype(np.int64)
+    small = a if len(a) <= len(b) else b
+    top = small[:, :width].max(axis=0, initial=0).astype(np.int64)
     labels = np.repeat(np.arange(width), top)
-    thresholds = np.arange(1, len(labels) + 1) - np.repeat(top.cumsum() - top, top)
-    a_levels = (a[:, labels] >= thresholds).astype(np.float64)
-    b_levels = (b[:, labels] >= thresholds).astype(np.float64)
-    out = a_levels @ b_levels.T
-    out *= -2.0
-    out += a_sums[:, None]
-    out += b_sums
-    return out
+    n = len(labels)
+    # At most the small side's largest exponent, so it fits both row types.
+    thresholds = np.arange(1, n + 1) - np.repeat(top.cumsum() - top, top)
+    thresholds = thresholds.astype(np.result_type(a, b))[:, None]
+    # Both sides transposed: one row per level column, then the two others.
+    left, right = np.empty((n + 2, len(a))), np.empty((n + 2, len(b)))
+    left[:n] = a.T.take(labels, axis=0) >= thresholds
+    right[:n] = b.T.take(labels, axis=0) >= thresholds
+    left[:n] *= -2.0
+    left[n] = a.sum(axis=1, dtype=np.int64)
+    left[n + 1] = 1.0
+    right[n] = 1.0
+    right[n + 1] = b.sum(axis=1, dtype=np.int64) if b_sums is None else b_sums
+    return left.T @ right
 
 
 def polynomial_distance(p: Polynomial, q: Polynomial) -> float:

@@ -1259,9 +1259,9 @@ def _count_scoring_calls(built, monkeypatch, strategies):
     calls = {"cityblock": [], "max_similarities": 0, "polynomial_distance": 0}
     real_cityblock = scoi.selection.cityblock
 
-    def cityblock(a, b):
-        calls["cityblock"].append((np.array(a), np.array(b)))
-        return real_cityblock(a, b)
+    def cityblock(a, b, b_sums=None):
+        calls["cityblock"].append((np.array(a), np.array(b), b_sums))
+        return real_cityblock(a, b, b_sums)
 
     monkeypatch.setattr(scoi.selection, "cityblock", cityblock)
     for module, name in (
@@ -1286,10 +1286,13 @@ def _count_scoring_calls(built, monkeypatch, strategies):
 class TestSharedScores:
     def test_all_strategies_score_each_pool_member_once(self, built, monkeypatch):
         test, pool_rows, calls = _count_scoring_calls(built, monkeypatch, list(STRATEGIES))
-        # One kernel call, on the test's rows against every member's rows in id order.
-        [(a, b)] = calls["cityblock"]
+        # One kernel call, on the test's rows against every member's rows in
+        # id order, with those rows' exponent sums.
+        [(a, b, b_sums)] = calls["cityblock"]
         assert a.shape == test.poly.rows()[0].shape and np.array_equal(a, test.poly.rows()[0])
         assert b.shape == pool_rows.shape and np.array_equal(b, pool_rows)
+        assert b_sums.dtype == np.int64
+        assert np.array_equal(b_sums, pool_rows.sum(axis=1, dtype=np.int64))
         assert calls["max_similarities"] == 0
         assert calls["polynomial_distance"] == 0
 

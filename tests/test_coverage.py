@@ -156,6 +156,21 @@ class TestOccurrenceSum:
         assert type(total) is float
         assert total == occurrence_sum_reference(values.tolist(), [2, 1, 3])
 
+    def test_large_and_small_values_are_added_per_occurrence(self):
+        # 1e16 + 1.0 rounds back to 1e16, but 1.0 + 1.0 + 1e16 does not: any
+        # other grouping or order of the additions changes some sum.
+        rng = np.random.default_rng(17)
+        counts = [2, 1, 3, 1, 4, 2]
+        values = rng.choice([1e16, 1.0, 0.5, 3.0], (40, len(counts)))
+        expected = [occurrence_sum_reference(row, counts) for row in values.tolist()]
+        reversed_order = [
+            occurrence_sum_reference(row[::-1], counts[::-1]) for row in values.tolist()
+        ]
+        assert expected != reversed_order
+        for dtype in (np.int64, np.float64):
+            assert occurrence_sum(values, np.array(counts, dtype)).tolist() == expected
+            assert [occurrence_sum(row, np.array(counts, dtype)) for row in values] == expected
+
 
 # --- syntactic set coverage ----------------------------------------------------
 

@@ -200,6 +200,15 @@ class TestCanonicalTerms:
         assert self.assert_matches_reference([short], dim, tmp_path, "short.bin") == np.uint16
         assert self.assert_matches_reference([short, long], dim, tmp_path, "long.bin") == np.uint32
 
+    @pytest.mark.parametrize("rows", [[[0, 2, 0, 1, 0]], [[0, 2], [1, 0], [0, 0]]])
+    def test_sort_keys_leave_their_matrix_unchanged(self, rows):
+        # The transpose of a one-row matrix is contiguous, so a transposed
+        # working copy must be asked for as a copy.
+        mat = np.array(rows, dtype=np.uint8)
+        keys = scoi.treepoly._sort_keys(mat)
+        assert mat.tolist() == rows
+        assert keys.dtype == np.dtype(">u8") and len(keys) == len(rows)
+
     def test_empty_polynomial_and_empty_term(self, tmp_path):
         maps = [Counter(), Counter(encode_term(t) for t in [{}, {1: 2}, {0: 1}])]
         self.assert_matches_reference(maps, 3, tmp_path)
@@ -708,6 +717,10 @@ class TestCityblock:
             assert np.array_equal(got, expected)
         scalar = [[manhattan(s, t) for t in _row_vectors(b)] for s in _row_vectors(a)]
         assert np.array_equal(got, np.array(scalar, dtype=np.float64).reshape(got.shape))
+        # The given row sums of b, and either side as the one with fewer rows.
+        assert np.array_equal(cityblock(a, b, b.sum(axis=1, dtype=np.int64)), got)
+        assert np.array_equal(cityblock(b, a), got.T)
+        assert np.array_equal(cityblock(b, a, a.sum(axis=1, dtype=np.int64)), got.T)
         return got
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
@@ -752,6 +765,22 @@ class TestCityblock:
         a = np.array([[1, 2, 3]], dtype=np.uint8)
         b = np.array([[300, 2], [0, 0]], dtype=np.uint16)
         assert self.check(a, b).tolist() == [[302, 6]]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_exponents_near_the_row_type_maximum(self, dtype):
+        """On uint32 rows the row sums pass 2**32, beyond the integers a
+        float32 product holds exactly; the float64 distances stay exact."""
+        top = np.iinfo(dtype).max
+        rng = np.random.default_rng(23)
+        few = rng.integers(0, 4, (3, 5)).astype(dtype)
+        few[0] = 0
+        many = rng.integers(top - 3, top, (9, 7), endpoint=True).astype(dtype)
+        many[1] = 0
+        many[2] = top
+        if dtype == np.uint32:
+            assert many.sum(axis=1, dtype=np.int64).max() > 2**32
+        self.check(few, many)
+        self.check(many, few)
 
 
 def _with(arrays, position, value):
