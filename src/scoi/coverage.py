@@ -130,14 +130,12 @@ def occurrence_sum(values: np.ndarray, counts: np.ndarray) -> float | np.ndarray
     with mathematically equal coverage compare unequal; argmax ties must
     instead fall through to the ascending-id rule.  A 2-D ``values`` is
     summed row by row, one column added per occurrence, giving each row the
-    same float its 1-D sum would; a 1-D ``values`` gives a ``float``.  The
-    additions are one ``np.add.accumulate``, which adds in sequence, down a
-    zero row and then each column repeated ``count`` times.
+    same float its 1-D sum would; a 1-D ``values`` gives a ``float``.
     """
-    counts = counts.astype(np.int64, copy=False)
-    steps = np.zeros((1 + int(counts.sum()), *values.shape[:-1]))
-    steps[1:] = np.repeat(values.T, counts, axis=0)
-    total = np.add.accumulate(steps, axis=0, out=steps)[-1]
+    total = np.zeros(values.shape[:-1])
+    for column, count in zip(values.T, counts.tolist()):
+        for _ in range(int(count)):
+            total += column
     return float(total) if values.ndim == 1 else total
 
 

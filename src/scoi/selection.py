@@ -55,7 +55,7 @@ class Candidates(NamedTuple):
     """Candidate records as the columns ``PoolScores`` reads: row i of ``terms``
     and of ``tokens`` is record ``terms.ids[i]``, ``name_ids`` is
     ``tokens.name_ids()``, or the equal map of an index over ``tokens``, and
-    ``sums`` holds the int64 exponent sum of each row of ``terms.table``."""
+    ``sums`` holds each ``terms.table`` row's exponent sum."""
 
     terms: PolyColumns
     tokens: TokenColumn
@@ -65,8 +65,10 @@ class Candidates(NamedTuple):
     @classmethod
     def from_columns(cls, terms: PolyColumns, tokens: TokenColumn,
                      name_ids: dict[str, int] | None = None) -> "Candidates":
-        return cls(terms, tokens, tokens.name_ids() if name_ids is None else name_ids,
-                   terms.table.sum(axis=1, dtype=np.int64))
+        # In the narrowest type that holds the row width times the row type's maximum.
+        bound = terms.table.shape[1] * int(np.iinfo(terms.table.dtype).max)
+        sums = terms.table.sum(axis=1, dtype=np.min_scalar_type(bound))
+        return cls(terms, tokens, tokens.name_ids() if name_ids is None else name_ids, sums)
 
     @classmethod
     def from_records(cls, records: Sequence["ExampleRecord"]) -> "Candidates":
@@ -117,8 +119,9 @@ class PoolScores:
         return cls(test, Candidates.from_records([pool[i] for i in order]), rows, measure)
 
     @cached_property
-    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pool's term rows, their exponent sums, and ``starts``."""
+    def _pool_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pool's term rows, their exponent sums, ``starts``, and the rows'
+        entries in the columns' ``terms`` and ``counts``."""
         if not self.test.poly.n_distinct:
             raise ValueError("test polynomial is empty")
         terms = self._candidates.terms
@@ -129,12 +132,13 @@ class PoolScores:
             raise ValueError("cannot score against an empty term pool")
         table_rows = terms.terms[entries]
         # take() gathers whole rows faster than fancy indexing.
-        return terms.table.take(table_rows, axis=0), self._candidates.sums.take(table_rows), starts
+        rows = terms.table.take(table_rows, axis=0)
+        return rows, self._candidates.sums.take(table_rows), starts, entries
 
     @cached_property
     def _distances(self) -> np.ndarray:
         """(distinct test terms, pool terms): every L1 distance, one kernel call."""
-        rows, sums, _ = self._pool_terms
+        rows, sums, _, _ = self._pool_terms
         return cityblock(self.test.poly.rows()[0], rows, sums)
 
     def _per_candidate(self, ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
@@ -159,8 +163,8 @@ class PoolScores:
     @cached_property
     def distances(self) -> np.ndarray:
         """Polynomial distance of each candidate to the test input."""
-        terms, starts = self._candidates.terms, self._pool_terms[2]
-        counts = terms.counts[take_offsets(terms.offsets, self.rows)[0]]
+        _, _, starts, entries = self._pool_terms
+        counts = self._candidates.terms.counts[entries]
         n_terms = np.add.reduceat(counts, starts, dtype=np.int64)
         x_counts = self.test.poly.rows()[1].astype(np.float64)
         n_x = self.test.poly.n_terms

@@ -496,12 +496,17 @@ def first_bad_tree(
     to its root.  The message comes from the per-tree path on the tree
     found, so wording and precedence match.
     """
+    # int32 parents (the corpus cache's) get int32 node positions, half the
+    # bytes of a corpus-sized check; wider parents are not cut down, where a
+    # stray one could alias a node.  A sum that wraps is a stray parent's.
+    node = np.int32 if parents.dtype == np.int32 and len(parents) < 2**31 else np.int64
+    offsets = offsets.astype(node, copy=False)
     sizes = np.diff(offsets)
-    tree_of = np.repeat(np.arange(len(sizes)), sizes)
-    parents = parents.astype(np.int64)
+    tree_of = np.repeat(np.arange(len(sizes), dtype=node), sizes)
+    parents = parents.astype(node)
     is_root = parents == ROOT
     stray = ~is_root & ((parents < 0) | (parents >= sizes[tree_of]))
-    anc = np.where(is_root | stray, np.arange(len(parents)), offsets[tree_of] + parents)
+    anc = np.where(is_root | stray, np.arange(len(parents), dtype=node), offsets[tree_of] + parents)
     anc = _jump(anc, int(sizes.max(initial=1)))
     bad_nodes = ~is_root[anc] | (labels < 0) | (labels >= vocab_size)
     bad = (np.bincount(tree_of[is_root], minlength=len(sizes)) != 1) | (
@@ -629,38 +634,52 @@ def cdist(xa: np.ndarray, xb: np.ndarray, metric: str) -> np.ndarray:
     return _scipy_cdist(xa, xb, metric)
 
 
+# Entries of b's level matrix built at a time: 256 KiB of float64.
+_LEVEL_BLOCK = 1 << 15
+
+
 def cityblock(a: np.ndarray, b: np.ndarray, b_sums: np.ndarray | None = None) -> np.ndarray:
     """float64 L1 distances between the rows of two nonnegative integer matrices.
 
     Uses |a - b| = sum(a) + sum(b) - 2 * sum(min(a, b)), all of it one matrix
-    product, [-2 * levels(a) | sum(a) | 1] @ [levels(b) | 1 | sum(b)].T.
-    Level column (l, t) is set in a row whose exponent of label l is at least
-    t, for t up to the largest exponent of l on the side with fewer rows: a
-    higher level is unset on that side, so it adds nothing to the sum of
-    minima.  Columns past the narrower matrix's width count as zeros.
-    ``b_sums``, when given, holds b's row sums.  Every partial result is an
-    integer below 2**53, so each step is exact and the order changes no bit:
-    each entry is the same float as ``scipy.spatial.distance.cdist(a, b,
-    "cityblock")`` gives, and independent of the other rows.
+    product, [-2 * levels(a) | sum(a) | 1] @ [levels(b) | 1 | sum(b)].T, over
+    blocks of b's rows of at most ``_LEVEL_BLOCK`` level entries.  Level
+    column (l, t) is set in a row whose exponent of label l is at least t,
+    for t up to the largest exponent of l on the side with fewer rows and
+    the other side's largest row sum: a higher level is unset on one side.
+    Columns past the narrower matrix's width count as zeros.  ``b_sums``
+    holds b's row sums, if given.  Every partial result is an integer below
+    2**53, so each entry equals scipy's ``cdist(a, b, "cityblock")`` bit for
+    bit, whatever the order of the additions.
     """
     width = min(a.shape[1], b.shape[1])
-    small = a if len(a) <= len(b) else b
-    top = small[:, :width].max(axis=0, initial=0).astype(np.int64)
+    a_sums = a.sum(axis=1, dtype=np.int64)
+    if b_sums is None:
+        b_sums = b.sum(axis=1, dtype=np.int64)
+    small, other_sums = (a, b_sums) if len(a) <= len(b) else (b, a_sums)
+    top = np.minimum(small[:, :width].max(axis=0, initial=0),
+                     other_sums.max(initial=0)).astype(np.int64)
     labels = np.repeat(np.arange(width), top)
     n = len(labels)
     # At most the small side's largest exponent, so it fits both row types.
     thresholds = np.arange(1, n + 1) - np.repeat(top.cumsum() - top, top)
     thresholds = thresholds.astype(np.result_type(a, b))[:, None]
     # Both sides transposed: one row per level column, then the two others.
-    left, right = np.empty((n + 2, len(a))), np.empty((n + 2, len(b)))
+    left = np.empty((n + 2, len(a)))
     left[:n] = a.T.take(labels, axis=0) >= thresholds
-    right[:n] = b.T.take(labels, axis=0) >= thresholds
     left[:n] *= -2.0
-    left[n] = a.sum(axis=1, dtype=np.int64)
+    left[n] = a_sums
     left[n + 1] = 1.0
+    block = max(1, _LEVEL_BLOCK // (n + 2))
+    right = np.empty((n + 2, min(block, len(b))))
     right[n] = 1.0
-    right[n + 1] = b.sum(axis=1, dtype=np.int64) if b_sums is None else b_sums
-    return left.T @ right
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(b), block):
+        part = right[:, :min(block, len(b) - start)]
+        part[:n] = b[start:start + block].T.take(labels, axis=0) >= thresholds
+        part[n + 1] = b_sums[start:start + block]
+        np.matmul(left.T, part, out=out[:, start:start + block])
+    return out
 
 
 def polynomial_distance(p: Polynomial, q: Polynomial) -> float:

@@ -20,6 +20,7 @@ from scoi.retrieval import Bm25Params, build_index, word_matrix
 from scoi.corpus import corpus_columns, read_corpus_columns, write_corpus_cache
 from scoi.selection import STRATEGIES, Candidates, PoolScores, SelectionPlan, run_strategy
 from scoi.treepoly import (
+    DependencyTree,
     Polynomial,
     encode_term,
     polynomial_distance,
@@ -398,17 +399,8 @@ class TestPoolScores:
                 dists, [scipy_polynomial_distance(test.poly, r.poly) for r in by_id]
             )
 
-    def test_manhattan_tables_peak_below_twice_the_distance_table(self):
-        """``select`` runs in one process, so one (test, pool)'s transient
-        memory is its peak: the similarity and distance tables may hold the
-        L1 table and little more, however large it is."""
-        rng = random.Random(31)
-        vocab = make_vocab(12)
-        test = make_record(5000, random_recursive_tree(rng, 900, 12), ["w"], vocab)
-        pool = [
-            make_record(rid, random_recursive_tree(rng, 110, 12), ["w"], vocab)
-            for rid in range(8)
-        ]
+    @staticmethod
+    def assert_tables_peak_below_twice_the_distance_table(test, pool):
         scores = PoolScores.from_records(test, pool, "normalized-manhattan")
         test.poly.rows()
         scores._pool_terms  # the inputs, not the tables, are outside the bound
@@ -422,6 +414,37 @@ class TestPoolScores:
         table_bytes = test.poly.n_distinct * len(scores._pool_terms[0]) * 8
         assert table_bytes >= 4 << 20
         assert peak <= 2 * table_bytes
+        return scores
+
+    def test_manhattan_tables_peak_below_twice_the_distance_table(self):
+        """``select`` runs in one process, so one (test, pool)'s transient
+        memory is its peak: the similarity and distance tables may hold the
+        L1 table and little more, however large it is."""
+        rng = random.Random(31)
+        vocab = make_vocab(12)
+        test = make_record(5000, random_recursive_tree(rng, 900, 12), ["w"], vocab)
+        pool = [
+            make_record(rid, random_recursive_tree(rng, 110, 12), ["w"], vocab)
+            for rid in range(8)
+        ]
+        self.assert_tables_peak_below_twice_the_distance_table(test, pool)
+
+    def test_deep_test_input_tables_peak_below_twice_the_distance_table(self):
+        """Test inputs are not length-filtered.  A 1,500-node chain has 1,500
+        distinct terms, fewer than a pool of short records, and exponents up
+        to 1,499: the kernel's level columns must stay bounded by the pool's
+        short paths, not by the chain's depth."""
+        rng = random.Random(37)
+        vocab = make_vocab(12)
+        n = 1_500
+        chain = DependencyTree([0] + [1] * (n - 1), list(range(-1, n - 1)))
+        test = make_record(5000, chain, ["w"], vocab)
+        pool = [
+            make_record(rid, random_recursive_tree(rng, 24, 12), ["w"], vocab)
+            for rid in range(100)
+        ]
+        scores = self.assert_tables_peak_below_twice_the_distance_table(test, pool)
+        assert test.poly.n_distinct == n < len(scores._pool_terms[0])
 
     @pytest.mark.parametrize("measure", ["normalized-manhattan", "cosine"])
     @pytest.mark.parametrize("indexed", [False, True], ids=["pool-index", "corpus-index"])

@@ -368,6 +368,16 @@ class TestFirstBadTree:
         parents = [parent for _, tree_parents in trees for parent in tree_parents]
         assert first_bad_tree(*_forest_arrays(labels, parents, offsets), FOREST_LABELS) is None
 
+    @pytest.mark.parametrize("dtype, parent", [("<i4", 2**31 - 1), ("<i8", 2**32)])
+    def test_parents_beyond_the_node_type(self, dtype, parent):
+        # Tree 1 starts at node 1, so 1 + 2**31 - 1 wraps in int32; 2**32 cut
+        # to int32 would read as node 0 of its tree.
+        labels, parents, offsets = [0, 0, 0], [-1, -1, parent], [0, 1, 3]
+        expected = per_tree_first_bad(labels, parents, offsets, FOREST_LABELS)
+        assert expected is not None and expected[0] == 1
+        arrays = (np.array(labels, "<i4"), np.array(parents, dtype), np.array(offsets, np.int64))
+        assert first_bad_tree(*arrays, FOREST_LABELS) == expected
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 16, 17, 1500])
     def test_chain_with_its_root_last(self, n):
         # Node i hangs off node i + 1: every node is as far from the root as
@@ -728,6 +738,16 @@ class TestCityblock:
     @given(data=st.data())
     def test_matches_scipy_and_manhattan(self, dtype, data):
         self.check(*data.draw(exponent_matrices(dtype)))
+
+    @pytest.mark.parametrize("block", [1, 20, 64])
+    def test_b_rows_in_blocks(self, block, monkeypatch):
+        # 1 gives one row of b per product, 20 and 64 a partial last block.
+        monkeypatch.setattr(scoi.treepoly, "_LEVEL_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for dtype in (np.uint8, np.uint16):
+            a = rng.integers(0, 5, (7, 6)).astype(dtype)
+            b = rng.integers(0, 5, (45, 4)).astype(dtype)
+            self.check(a, b)
 
     def test_all_zero_columns(self):
         a = np.array([[0, 2, 0, 1], [0, 0, 0, 3]], dtype=np.uint8)
