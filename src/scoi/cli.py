@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage/config problems, 2 data errors and failed
 file operations.  Every build/select run writes a manifest with input and
 output digests; reruns with unchanged inputs skip completed build stages,
 and select and inspect refuse caches whose digests differ from the build
-manifest.
+manifest.  A digest is of the bytes the command parsed or wrote, hashed
+once, on a helper thread (``manifest.hashing``).
 
 The numeric modules, and numpy with them, load at the first build stage
 that runs or when ``select``, ``inspect`` or ``bench`` starts.  A run that
@@ -30,12 +31,15 @@ from .errors import ConfigError, DataError, ScoiError
 from .manifest import (
     CORPUS_CACHE_VERSION,
     POLY_CACHE_VERSION,
+    Digest,
     RunManifest,
     atomic_write,
     compact_json,
+    hash_files,
+    hashing,
     read_manifest,
     remove_stale_temps,
-    sha256_file,
+    sha256_file,  # noqa: F401  unused; perfbench/traced.py wraps this name
     stage_is_current,
 )
 from .prompts import render_prompt
@@ -128,28 +132,34 @@ def _run_stage(
     manifest: RunManifest,
     previous: dict | None,
     name: str,
-    inputs: dict[str, str],
+    inputs: Callable[[], dict[str, str]],
     outputs: dict[str, Path],
-    write: Callable[[], str],
+    files: dict[str, Digest],
+    write: Callable[[], tuple[str, dict[str, Digest]]],
 ) -> dict[str, str]:
     """Record stage ``name`` as skipped if ``previous`` proves it current, else run it.
 
-    ``inputs`` maps names to digests, ``outputs`` names to the paths the
-    stage writes; ``write()`` writes them and returns the message printed
-    before the stage's seconds.  Returns the output digests, verified or
-    computed, so later stages take their inputs without hashing again.
+    ``inputs()`` maps names to digests; it is called only once ``previous``
+    has a record of the stage or the stage has run, so a cold build hashes
+    its inputs while it reads them.  ``outputs`` maps names to the paths the
+    stage writes and ``files`` holds the ``hash_files`` digests of those the
+    previous manifest lists.  ``write()`` writes the outputs and returns the
+    message printed before the stage's seconds, and the digests of the
+    bytes written by name.  Returns the output digests, verified or
+    written, so later stages take their inputs without hashing again.
     """
     start = time.perf_counter()
-    if stage_is_current(previous, name, inputs, outputs):
+    known = inputs() if name in (previous or {}).get("stages", {}) else None
+    if known is not None and stage_is_current(previous, name, known, outputs, files):
         digests = previous["stages"][name]["outputs"]
-        manifest.record_stage(name, inputs, digests, 0.0, skipped=True)
+        manifest.record_stage(name, known, digests, 0.0, skipped=True)
         print(f"{name}: skipped (inputs unchanged)")
         return digests
     _bind_numeric()
-    message = write()
+    message, written = write()
     seconds = time.perf_counter() - start
-    digests = {str(k): sha256_file(p) for k, p in outputs.items()}
-    manifest.record_stage(name, inputs, digests, seconds)
+    digests = {str(k): written[k].hexdigest() for k in outputs}
+    manifest.record_stage(name, known or inputs(), digests, seconds)
     print(f"{name}: {message} ({seconds:.2f}s)")
     return digests
 
@@ -162,6 +172,12 @@ def cmd_build(config: RunConfig) -> int:
     remove_stale_temps(out_dir, {*(p.name for p in paths.values()), _BUILD_MANIFEST,
                                  *_SELECT_OUTPUTS})
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
+    # The inputs and the caches a stage of the previous run lists, hashed on
+    # two threads: the helper's and this one while it waits on a digest.
+    listed = {key for stage in (previous or {}).get("stages", {}).values()
+              for key in stage.get("outputs", {})}
+    files = hash_files([*(getattr(config, key) for key in INPUT_KEYS),
+                        *(path for key, path in paths.items() if key in listed)])
     manifest = RunManifest(config.snapshot(), __version__)
     # (vocab, record ids, tree columns) per corpus cache, kept from ingest
     # for the polynomial stage.
@@ -173,7 +189,7 @@ def cmd_build(config: RunConfig) -> int:
             loaded[cache] = (columns.vocab, columns.ids, columns.trees)
         return loaded[cache]
 
-    def ingest() -> str:
+    def ingest() -> tuple[str, dict[str, Digest]]:
         vocab = LabelVocabulary()
         corpus = load_parallel_corpus(
             config.corpus_source, config.corpus_target, config.corpus_conllu, vocab,
@@ -186,42 +202,47 @@ def cmd_build(config: RunConfig) -> int:
         corpus, removed = filter_by_length(corpus, config.max_tokens, config.filter_target)
         if not len(corpus.ids):
             raise DataError("every corpus record was removed by the length filter")
+        written = {}
         for cache, columns in (("corpus_cache", corpus), ("test_cache", test)):
-            write_corpus_cache(paths[cache], columns)
+            written[cache] = write_corpus_cache(paths[cache], columns)
             loaded[cache] = (vocab, columns.ids, columns.trees)
         return (
             f"{len(corpus.ids)} records kept, {removed} removed by the "
             f"{config.max_tokens}-token filter"
-        )
+        ), written
 
-    def polynomials() -> str:
+    def polynomials() -> tuple[str, dict[str, Digest]]:
         built = 0
+        written = {}
         for cache, poly in (("corpus_cache", "corpus_poly"), ("test_cache", "test_poly")):
             vocab, ids, columns = trees(cache)
             polys = simplified_rows(columns.labels, columns.parents, columns.offsets, len(vocab))
-            write_polynomial_cache(paths[poly], ids, *polys, vocab)
+            written[poly] = write_polynomial_cache(paths[poly], ids, *polys, vocab)
             built += len(ids)
-        return f"{built} built"
+        return f"{built} built", written
 
     def pick(*keys: str) -> dict[str, Path]:
         return {key: paths[key] for key in keys}
 
-    corpus_inputs = {key: sha256_file(getattr(config, key)) for key in INPUT_KEYS}
-    corpus_inputs.update(
-        max_tokens=str(config.max_tokens),
-        filter_target=str(config.filter_target),
-        fold_case=str(config.fold_case),
-        strip_punctuation=str(config.strip_punctuation),
-        tokenizer_version=str(TOKENIZER_VERSION),
-        corpus_cache_version=str(CORPUS_CACHE_VERSION),
-    )
+    def corpus_inputs() -> dict[str, str]:
+        return {
+            **{key: files[str(getattr(config, key))].hexdigest() for key in INPUT_KEYS},
+            "max_tokens": str(config.max_tokens),
+            "filter_target": str(config.filter_target),
+            "fold_case": str(config.fold_case),
+            "strip_punctuation": str(config.strip_punctuation),
+            "tokenizer_version": str(TOKENIZER_VERSION),
+            "corpus_cache_version": str(CORPUS_CACHE_VERSION),
+        }
+
     caches = _run_stage(
-        manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), ingest
+        manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), files,
+        ingest,
     )
     poly_inputs = {**caches, "poly_cache_version": str(POLY_CACHE_VERSION)}
     _run_stage(
-        manifest, previous, "polynomials", poly_inputs, pick("corpus_poly", "test_poly"),
-        polynomials,
+        manifest, previous, "polynomials", lambda: poly_inputs, pick("corpus_poly", "test_poly"),
+        files, polynomials,
     )
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0
@@ -257,7 +278,8 @@ def _load_built(out_dir: Path, keep_trees: bool = True) -> _Built:
 
     The BM25 index is derived from the corpus cache's token column, before
     the other caches load so that fewer arrays are alive while it is built.
-    The digest check runs after every cache has parsed, so a malformed file
+    Each cache is read once, and its digest is of the bytes parsed.  The
+    digest check runs after every cache has parsed, so a malformed file
     keeps its located message and a well-formed but stale one fails on its
     digest.  Without ``keep_trees`` the trees are validated and dropped.
     """
@@ -269,17 +291,18 @@ def _load_built(out_dir: Path, keep_trees: bool = True) -> _Built:
             "caches not built yet; run 'scoi build' first (missing: " + ", ".join(missing) + ")"
         )
     _bind_numeric()
-    corpus = read_corpus_columns(paths["corpus_cache"], keep_trees)
+    parsed = {key: Digest(path) for key, path in paths.items()}
+    corpus = read_corpus_columns(paths["corpus_cache"], keep_trees, parsed["corpus_cache"])
     if not len(corpus.ids):
         raise DataError(f"{paths['corpus_cache']}: no records to index")
     index = index_from_tokens(corpus.tokens)
-    test = read_corpus_columns(paths["test_cache"], keep_trees)
+    test = read_corpus_columns(paths["test_cache"], keep_trees, parsed["test_cache"])
     if test.vocab != corpus.vocab:
         raise DataError(f"{paths['test_cache']}: label vocabulary differs from the corpus cache's")
     polys = {}
     for key, cache, columns in (("corpus_poly", "corpus_cache", corpus),
                                 ("test_poly", "test_cache", test)):
-        poly_vocab, polys[key] = read_polynomial_columns(paths[key])
+        poly_vocab, polys[key] = read_polynomial_columns(paths[key], parsed[key])
         if poly_vocab != corpus.vocab:
             raise DataError(f"{paths[key]}: label vocabulary differs from the corpus cache's")
         _check_ids(paths[key], polys[key].ids, paths[cache], columns.ids)
@@ -289,7 +312,7 @@ def _load_built(out_dir: Path, keep_trees: bool = True) -> _Built:
     recorded = {}
     for stage in built.get("stages", {}).values():
         recorded.update(stage.get("outputs", {}))
-    digests = {key: sha256_file(path) for key, path in paths.items()}
+    digests = {key: digest.hexdigest() for key, digest in parsed.items()}
     for key, path in paths.items():
         if digests[key] != recorded.get(key):
             raise DataError(
@@ -380,8 +403,8 @@ def cmd_select(config: RunConfig) -> int:
                         continue
                     sel_fh.write(compact_json(record) + "\n")
                     prompt_fh.write(compact_json(prompt) + "\n")
-        output_digests[sel_path.name] = sha256_file(sel_path)
-        output_digests[prompt_path.name] = sha256_file(prompt_path)
+        output_digests[sel_path.name] = sel_fh.digest.hexdigest()
+        output_digests[prompt_path.name] = prompt_fh.digest.hexdigest()
         print(f"{strategy}: wrote {sel_path.name} and {prompt_path.name}")
 
     manifest.record_stage("select", built.digests, output_digests, seconds)
@@ -537,15 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "build":
-            return cmd_build(_config_from_args(args))
-        if args.command == "select":
-            return cmd_select(_config_from_args(args))
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "inspect":
-            config = _config_from_args(args)
-            return cmd_inspect(config, args.record, args.side, args.pool)
+        with hashing():
+            if args.command == "build":
+                return cmd_build(_config_from_args(args))
+            if args.command == "select":
+                return cmd_select(_config_from_args(args))
+            if args.command == "bench":
+                return cmd_bench(args)
+            if args.command == "inspect":
+                config = _config_from_args(args)
+                return cmd_inspect(config, args.record, args.side, args.pool)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ import numpy as np
 from .conllu import TreeColumns, load_conllu, take_offsets
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
-from .manifest import CORPUS_CACHE_VERSION
+from .manifest import CORPUS_CACHE_VERSION, Digest
 from .retrieval import TokenColumn, intern_tokens
 from .tokenizer import TOKENIZER_VERSION, apply_token_flags, tokenize
 from .treepoly import (
@@ -339,8 +339,9 @@ _OFFSETS = {"source": "source_offsets", "target": "target_offsets", "tokens": "t
             "labels": "node_offsets", "parents": "node_offsets"}
 
 
-def write_corpus_cache(path, columns: CorpusColumns) -> None:
-    """Write the columns as they are; their tokens must be in first-seen order."""
+def write_corpus_cache(path, columns: CorpusColumns) -> Digest:
+    """Write the columns as they are; their tokens must be in first-seen order.
+    Returns the ``Digest`` of the bytes written."""
     tokens, trees = columns.tokens, columns.trees
     cols = {"ids": tokens.record_ids, "token_offsets": tokens.offsets, "tokens": tokens.token_ids,
             "node_offsets": trees.offsets, "labels": trees.labels, "parents": trees.parents}
@@ -349,15 +350,18 @@ def write_corpus_cache(path, columns: CorpusColumns) -> None:
     header = {"format": _CORPUS_FORMAT, "version": CORPUS_CACHE_VERSION,
               "tokenizer_version": TOKENIZER_VERSION, "labels": columns.vocab.labels,
               "tokens": tokens.names}
-    write_cache(path, header, (cols[name].astype(dtype, copy=False)
-                               for name, dtype in _SEGMENTS.items()))
+    return write_cache(path, header, (cols[name].astype(dtype, copy=False)
+                                      for name, dtype in _SEGMENTS.items()))
 
 
-def read_corpus_columns(path, keep_trees: bool = True) -> CorpusColumns:
+def read_corpus_columns(
+    path, keep_trees: bool = True, digest: Digest | None = None
+) -> CorpusColumns:
     """The cache's columns, every tree validated here, in bulk.  Without
-    ``keep_trees`` the trees are validated and dropped: ``select`` reads none."""
+    ``keep_trees`` the trees are validated and dropped: ``select`` reads none.
+    The bytes read go to ``digest``, as ``read_cache`` gives them."""
     header, cols = read_cache(path, _CORPUS_FORMAT, CORPUS_CACHE_VERSION, "corpus cache",
-                              ("labels", "tokens"), _SEGMENTS)
+                              ("labels", "tokens"), _SEGMENTS, digest)
     for name, dtype in _SEGMENTS.items():
         if cols[name].ndim != 1 or cols[name].dtype != dtype:
             raise DataError(f"{path}: segment {name} is not a one-dimensional {dtype} array")

@@ -5,7 +5,9 @@ may skip the stage and keep the recorded outputs.  Wall-clock fields are
 the only part allowed to differ between identical runs.
 
 Also holds the compact JSON line format of the cache headers and the
-selection files, and the crash-safe write that every output goes through.
+selection files, the crash-safe write that every output goes through, and
+the SHA-256 digests of the bytes a command reads or writes, hashed on one
+helper thread.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import hashlib
 import json
 import os
 import re
+import threading
+from collections import deque
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -33,25 +38,59 @@ def compact_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _naming(path: Path, write):
-    """``write`` with each ``OSError`` it raises re-raised naming ``path``."""
+class _Writer:
+    """What ``atomic_write`` yields: ``write`` takes bytes, or a str in text
+    mode, written as UTF-8, and adds them to ``digest``.  An ``OSError`` it
+    raises names ``path``."""
 
-    def named_write(data):
+    def __init__(self, fh, path: Path, text: bool):
+        self._fh, self._path, self._text = fh, path, text
+        self.digest = Digest(path)
+
+    def write(self, data) -> None:
+        if self._text:
+            data = data.encode("utf-8")
         try:
-            return write(data)
+            self._fh.write(data)
         except OSError as exc:
-            exc.filename, exc.filename2 = str(path), None
+            exc.filename, exc.filename2 = str(self._path), None
             raise
+        self.digest.update(data)
 
-    return named_write
+
+class DigestReader:
+    """The binary file ``fh`` read through ``read``, ``readline`` and
+    ``readinto``: every byte they return is added to ``digest``, in order."""
+
+    def __init__(self, fh, digest: Digest):
+        self._fh, self._digest = fh, digest
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._fh.read(size)
+        self._digest.update(data)
+        return data
+
+    def readline(self) -> bytes:
+        data = self._fh.readline()
+        self._digest.update(data)
+        return data
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
 
 
 @contextmanager
 def atomic_write(path: Path | str, mode: str = "w"):
     """Write ``path`` through a temp file beside it, moved into place on success.
 
-    Yields the open temp file (text mode is UTF-8).  ``os.replace`` renames
-    it onto ``path`` once it is complete and closed, so a reader of ``path``
+    Yields a handle whose ``write`` takes str in mode ``"w"`` (written as
+    UTF-8, newlines as given) and bytes-like objects in mode ``"wb"``; a
+    buffer must not change once written.  Its ``digest`` is the ``Digest``
+    of the bytes written, so a command records what it wrote, not what a
+    later reader of ``path`` finds.  ``os.replace`` renames the temp file
+    onto ``path`` once it is complete and closed, so a reader of ``path``
     sees the old file or the whole new one, never part of one.  On an
     exception the temp file is deleted and ``path`` keeps what it held.
     A killed process can leave ``.<name>.<pid>.tmp`` behind, but never a
@@ -63,9 +102,8 @@ def atomic_write(path: Path | str, mode: str = "w"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            fh.write = _naming(path, fh.write)
-            yield fh
+        with open(tmp, "wb") as fh:
+            yield _Writer(fh, path, "b" not in mode)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -91,12 +129,188 @@ def remove_stale_temps(directory: Path, names: set[str]) -> None:
             pass
 
 
+# --- digests -----------------------------------------------------------------
+#
+# Hashing is the one part of a run that gains from a second thread: hashlib
+# drops the GIL for buffers of 2 KiB and more.  While ``hashing`` runs, one
+# helper thread takes the jobs of every ``Digest`` in the order given; the
+# helper calls nothing that perfbench/traced.py wraps, because its tracer
+# keeps one span stack.
+
+_CHUNK = 1 << 16  # read size of a whole-file digest; smaller buffers may be hashed at once
+_helper: _Helper | None = None
+
+
+def _hash_file(path: Path | str, sha) -> None:
+    """Add the bytes of the file at ``path`` to ``sha``, read into one reused buffer."""
+    buffer = bytearray(_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            sha.update(view[:n])
+
+
 def sha256_file(path: Path | str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    sha = hashlib.sha256()
+    _hash_file(path, sha)
+    return sha.hexdigest()
+
+
+class Digest:
+    """The SHA-256 of one file's bytes, hashed on the helper thread while
+    ``hashing`` runs and on the calling thread outside it.
+
+    A digest from ``hash_files`` reads its whole file.  Any other one is fed
+    the bytes a command parsed or wrote, in file order, through ``update``.
+    ``hexdigest`` waits for the bytes given so far and raises what hashing
+    raised, an ``OSError`` naming the file.
+    """
+
+    def __init__(self, path: Path | str):
+        self.path = str(path)
+        self._sha = hashlib.sha256()
+        self._helper = _helper
+        # Jobs given to the helper, and those it has run; each count is
+        # written by one thread only.
+        self._sent = self._ran = 0
+        self._claim: threading.Lock | None = None  # held while a whole file is read
+        self._read = False
+        self._error: Exception | None = None
+
+    def update(self, data) -> None:
+        """Add ``data``, a bytes-like object that must not change until hashed.
+        A buffer under 64 KiB is hashed at once when the helper holds no
+        earlier one: that takes less time than waking the helper, and keeps
+        the helper asleep while ``select`` writes its lines."""
+        if self._helper is None or (
+            self._sent == self._ran and memoryview(data).nbytes < _CHUNK
+        ):
+            self._sha.update(data)
+        else:
+            self._put(self._sha.update, data)
+
+    def _put(self, job, *args) -> None:
+        self._sent += 1
+        self._helper.put(self, job, *args)
+
+    def hexdigest(self) -> str:
+        """The digest of the bytes given so far."""
+        if self._helper is not None:
+            self._helper.help()
+        if self._claim is not None:
+            self._read_file(True)
+        elif self._sent != self._ran:
+            done = threading.Event()
+            self._put(done.set)
+            done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._sha.hexdigest()
+
+    def _run(self, job, *args) -> None:
+        """``job(*args)``, keeping what it raises for ``hexdigest``, named for the file."""
+        try:
+            job(*args)
+        except Exception as exc:
+            if isinstance(exc, OSError) and exc.filename is None:
+                exc.filename = self.path
+            self._error = exc
+
+    def _run_sent(self, job, *args) -> None:
+        """``_run`` on the helper, counting the job as run."""
+        self._run(job, *args)
+        self._ran += 1
+
+    def _read_file(self, wait: bool) -> None:
+        """Hash the whole file unless a thread has; without ``wait``, skip a
+        file that another thread is reading.  What the read raises is kept
+        before the claim is released, so a thread that waited on it sees it."""
+        if self._claim.acquire(blocking=wait):
+            try:
+                if not self._read:
+                    self._read = True
+                    self._run(_hash_file, self.path, self._sha)
+            finally:
+                self._claim.release()
+
+
+class _Helper:
+    """The helper thread, started by its first job, and its job queue."""
+
+    def __init__(self):
+        # A deque and a semaphore, not the queue module: importing that raised
+        # the peak RSS of an ingest-20k build and select by about 0.15 MiB.
+        self._jobs: deque = deque()
+        self._ready = threading.Semaphore(0)
+        self._thread: threading.Thread | None = None
+        self._closed = False
+        self.files: list[Digest] = []  # whole-file digests, largest first
+
+    def put(self, digest: Digest, job, *args) -> None:
+        """Queue ``job(*args)``, run as ``digest._run`` runs it."""
+        if self._closed:
+            raise RuntimeError(f"{digest.path}: digest used after its hashing() ended")
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._work, name="scoi-digests", daemon=True)
+            self._thread.start()
+        self._jobs.append((digest, job, args))
+        self._ready.release()
+
+    def help(self) -> None:
+        """On a thread about to wait for a digest: hash the whole files that
+        no thread has taken yet, largest first."""
+        for digest in self.files:
+            digest._read_file(False)
+
+    def _work(self) -> None:
+        while True:
+            self._ready.acquire()
+            job = self._jobs.popleft()
+            if job is None:
+                return
+            if not self._closed:
+                job[0]._run_sent(job[1], *job[2])
+            del job  # so that no buffer outlives its hashing while this thread waits
+
+    def close(self) -> None:
+        """Skip the jobs left and stop the thread."""
+        self._closed = True
+        if self._thread is not None:
+            self._jobs.append(None)
+            self._ready.release()
+            self._thread.join()
+
+
+@contextmanager
+def hashing():
+    """Run the digests made inside on one helper thread, stopped on exit."""
+    global _helper
+    _helper = helper = _Helper()
+    try:
+        yield
+    finally:
+        _helper = None
+        helper.close()
+
+
+def hash_files(paths: Iterable[Path | str]) -> dict[str, Digest]:
+    """Whole-file digests of ``paths``, by path string, queued largest first
+    for the helper thread and for any thread that waits on one of them."""
+
+    def size(path: str) -> int:
+        try:
+            return os.stat(path).st_size
+        except OSError:  # hashing raises it, naming the file
+            return -1
+
+    digests = {}
+    for path in sorted(dict.fromkeys(map(str, paths)), key=size, reverse=True):
+        digest = digests[path] = Digest(path)
+        digest._claim = threading.Lock()
+        if _helper is not None:
+            _helper.files.append(digest)
+            digest._put(digest._read_file, False)
+    return digests
 
 
 class RunManifest:
@@ -128,8 +342,7 @@ class RunManifest:
 
     def save(self, path: Path | str) -> None:
         with atomic_write(path) as fh:
-            json.dump(self.data, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.data, ensure_ascii=False, indent=2) + "\n")
 
 
 def read_manifest(path: Path | str) -> dict | None:
@@ -152,9 +365,12 @@ def read_manifest(path: Path | str) -> dict | None:
 
 
 def stage_is_current(
-    previous: dict | None, name: str, inputs: dict[str, str], output_paths: dict[str, Path]
+    previous: dict | None, name: str, inputs: dict[str, str], output_paths: dict[str, Path],
+    digests: Mapping[str, Digest],
 ) -> bool:
-    """True when a prior manifest proves this stage's outputs are reusable."""
+    """True when a prior manifest proves this stage's outputs are reusable.
+    ``digests`` holds a ``hash_files`` digest of each output path the prior
+    manifest lists."""
     if previous is None:
         return False
     stage = previous.get("stages", {}).get(name)
@@ -165,6 +381,6 @@ def stage_is_current(
         return False
     for key, path in output_paths.items():
         path = Path(path)
-        if not path.is_file() or sha256_file(path) != recorded.get(str(key)):
+        if not path.is_file() or digests[str(path)].hexdigest() != recorded.get(str(key)):
             return False
     return True

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
-from .manifest import POLY_CACHE_VERSION, atomic_write, compact_json
+from .manifest import POLY_CACHE_VERSION, Digest, DigestReader, atomic_write, compact_json
 
 ROOT = -1
 
@@ -704,23 +704,27 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
 # --- cache files ------------------------------------------------------------
 
 
-def write_cache(path, header: dict, segments: Iterable[np.ndarray]) -> None:
+def write_cache(path, header: dict, segments: Iterable[np.ndarray]) -> Digest:
     """Write a cache file through ``atomic_write``: ``header`` as one compact
     JSON line, then each array as ``np.save`` writes it in C order (``.npy``
-    version 1.0), from its own buffer, with no joined copy."""
+    version 1.0), from its own buffer, with no joined copy.  Returns the
+    ``Digest`` of the bytes written."""
     with atomic_write(path, "wb") as fh:
         fh.write(compact_json(header).encode("utf-8") + b"\n")
         for segment in segments:
             np.lib.format.write_array_header_1_0(
                 fh, {"descr": segment.dtype.str, "fortran_order": False, "shape": segment.shape})
             fh.write(np.ascontiguousarray(segment).reshape(-1).view(np.uint8))
+    return fh.digest
 
 
 def read_cache(
-    path, fmt: str, version: int, what: str, lists: tuple[str, ...], names: Iterable[str]
+    path, fmt: str, version: int, what: str, lists: tuple[str, ...], names: Iterable[str],
+    digest: Digest | None = None,
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the read-only segments, one per name in order, of a
-    ``write_cache`` file.
+    ``write_cache`` file.  The file is read once; every byte of it goes to
+    ``digest`` if one is given, the bytes parsed as they are read.
 
     A header line that is not a JSON object with ``format`` ``fmt``, ``version``
     ``version`` and a list under each key of ``lists`` is a ``DataError`` naming
@@ -729,8 +733,9 @@ def read_cache(
     or more bytes than the file has left; that message names the segment.
     """
     with open(path, "rb") as fh:
+        reader = fh if digest is None else DigestReader(fh, digest)
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(reader.readline())
         except ValueError:
             header = None
         if not isinstance(header, dict) or header.get("format") != fmt:
@@ -748,9 +753,9 @@ def read_cache(
                 with warnings.catch_warnings():
                     # numpy warns when it reads a header only after repairing it.
                     warnings.simplefilter("error")
-                    if np.lib.format.read_magic(fh) != (1, 0):
+                    if np.lib.format.read_magic(reader) != (1, 0):
                         raise ValueError("not a version 1.0 .npy header")
-                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(reader)
             # numpy's header parser fails in more ways than ValueError: a corrupt
             # header dict can reach its tokenizer, which raises TokenError.
             except Exception as exc:
@@ -761,8 +766,13 @@ def read_cache(
             ):
                 order = " in Fortran order" if fortran_order else ""
                 raise DataError(f"{where}{dtype} of shape {shape}{order}, {left} bytes left)")
-            segments[name] = segment = np.fromfile(fh, dtype, count).reshape(shape)
+            segments[name] = segment = np.empty(shape, dtype)
+            got = reader.readinto(segment.reshape(-1).view(np.uint8))
+            if got != segment.nbytes:  # the file shrank while it was read
+                raise DataError(f"{where}{dtype} of shape {shape}, {got} bytes read)")
             segment.flags.writeable = False
+        if digest is not None:  # bytes after the last segment count towards the digest
+            reader.read()
     return header, segments
 
 
@@ -945,10 +955,11 @@ def simplified_rows(
 def write_polynomial_cache(
     path, ids: np.ndarray, table: np.ndarray, terms: np.ndarray, counts: np.ndarray,
     offsets: np.ndarray, vocab: LabelVocabulary,
-) -> None:
+) -> Digest:
     """Write the cache from columns, as ``simplified_rows`` gives them:
     record ``ids[i]`` owns the ``terms``, indices into the canonical
-    ``table``, and their ``counts`` at ``offsets[i]:offsets[i+1]``.
+    ``table``, and their ``counts`` at ``offsets[i]:offsets[i+1]``.  Returns
+    the ``Digest`` of the bytes written.
 
     A path exponent counts nodes, so no exponent and no multiplicity exceeds
     its polynomial's term count, and the largest term count fixes the row
@@ -965,7 +976,7 @@ def write_polynomial_cache(
                      else f"term row {bad[0]}")
             raise ValueError(f"{where}: exponent above its term count")
     header = {"format": _POLY_FORMAT, "version": POLY_CACHE_VERSION, "labels": vocab.labels}
-    write_cache(path, header, (
+    return write_cache(path, header, (
         table.astype(dtype, copy=False), terms.astype(np.int32, copy=False),
         counts.astype(dtype, copy=False), offsets.astype(np.int64, copy=False),
         np.asarray(ids, dtype=np.int64),
@@ -1020,10 +1031,14 @@ class PolyColumns(NamedTuple):
                                     self.counts[a:b].astype(np.int64), self.table.shape[1])
 
 
-def read_polynomial_columns(path) -> tuple[LabelVocabulary, PolyColumns]:
-    """The vocabulary and the validated columns; the arrays are read-only."""
+def read_polynomial_columns(
+    path, digest: Digest | None = None
+) -> tuple[LabelVocabulary, PolyColumns]:
+    """The vocabulary and the validated columns; the arrays are read-only.
+    The bytes read go to ``digest``, as ``read_cache`` gives them."""
     header, segments = read_cache(path, _POLY_FORMAT, POLY_CACHE_VERSION, "polynomial cache",
-                                  ("labels",), ("table", "terms", "counts", "offsets", "ids"))
+                                  ("labels",), ("table", "terms", "counts", "offsets", "ids"),
+                                  digest)
     table, terms, counts, offsets, ids = segments.values()
     vocab = LabelVocabulary(header["labels"])
     dim = len(vocab)

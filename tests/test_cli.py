@@ -1,5 +1,8 @@
 import builtins
 import concurrent.futures
+import contextlib
+import errno
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +13,8 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
+import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -447,28 +452,65 @@ class TestBuild:
         assert run("select", "--config", DEMO_CFG, "--strategy", "bogus") == 1
 
 
+def spy_digests(monkeypatch) -> tuple[list, list]:
+    """Every ``Digest`` made, and the path of every whole-file read behind one,
+    on whichever thread it runs."""
+    made, reads = [], []
+
+    class Spy(scoi.manifest.Digest):
+        def __init__(self, path):
+            super().__init__(path)
+            made.append(self)
+
+    real_hash_file = scoi.manifest._hash_file
+
+    def spy_hash_file(path, sha):
+        reads.append(Path(path).resolve())
+        real_hash_file(path, sha)
+
+    monkeypatch.setattr(scoi.manifest, "Digest", Spy)
+    monkeypatch.setattr(scoi.cli, "Digest", Spy)
+    monkeypatch.setattr(scoi.manifest, "_hash_file", spy_hash_file)
+    return made, reads
+
+
 class TestBuildHashing:
-    @pytest.mark.parametrize("rebuild", [False, True], ids=["cold", "no-op"])
-    def test_each_file_is_hashed_once(self, built, tmp_path, monkeypatch, rebuild):
+    @pytest.mark.parametrize("command", ["cold", "no-op", "select"])
+    def test_each_file_is_hashed_once(self, built, tmp_path, monkeypatch, command):
         out = tmp_path / "out"
-        if rebuild:
+        if command != "cold":
             shutil.copytree(built, out)
-        real = scoi.manifest.sha256_file
-        hashed = []
+        real_open = open
+        opened = []
 
-        def spy(path):
-            hashed.append(Path(path).resolve())
-            return real(path)
+        def spy_open(path, *args, **kwargs):
+            opened.append(Path(path).resolve())
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(scoi.cli, "sha256_file", spy)
-        monkeypatch.setattr(scoi.manifest, "sha256_file", spy)
-        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        monkeypatch.setattr(scoi.treepoly, "open", spy_open, raising=False)
+        made, reads = spy_digests(monkeypatch)
+        args = ("--config", DEMO_CFG, "--out-dir", out)
+        assert run("build" if command != "select" else "select", *args) == 0
+        monkeypatch.undo()
         config = load_config(DEMO_CFG)
         inputs = {Path(getattr(config, key)).resolve() for key in INPUT_KEYS}
         caches = {p.resolve() for p in scoi.cli._cache_paths(out).values()}
-        assert Counter(hashed) == Counter(inputs | caches)
-        manifest = read_manifest(out / "build-manifest.json")
-        assert all(stage["skipped"] == rebuild for stage in manifest["stages"].values())
+        files = caches if command == "select" else inputs | caches
+        # One digest per file, and it is the file's: no byte was hashed twice.
+        digests = [d for d in made if Path(d.path).resolve() in files]
+        assert Counter(Path(d.path).resolve() for d in digests) == Counter(files)
+        for digest in digests:
+            assert digest.hexdigest() == sha256_file(digest.path)
+        # Whole files are read for the inputs, and for the caches a no-op build
+        # checks; build writes its caches and select reads each of them once.
+        whole = {"cold": inputs, "no-op": inputs | caches, "select": set()}[command]
+        assert Counter(reads) == Counter(whole)
+        if command == "select":
+            assert Counter(p for p in opened if p in caches) == Counter(caches)
+        else:
+            manifest = read_manifest(out / "build-manifest.json")
+            assert all(stage["skipped"] == (command == "no-op")
+                       for stage in manifest["stages"].values())
 
 
 class TestSelect:
@@ -1036,21 +1078,256 @@ class TestBuildManifestCheck:
     def test_select_hashes_each_cache_once(self, built, tmp_path, monkeypatch):
         out = tmp_path / "out"
         shutil.copytree(built, out)
-        real = scoi.cli.sha256_file
-        hashed = []
-
-        def spy(path):
-            hashed.append(Path(path).resolve())
-            return real(path)
-
-        monkeypatch.setattr(scoi.cli, "sha256_file", spy)
+        made, reads = spy_digests(monkeypatch)
         assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
+        monkeypatch.undo()
         caches = [p.resolve() for p in scoi.cli._cache_paths(out).values()]
-        assert [p for p in hashed if p in caches] == caches
+        assert [Path(d.path).resolve() for d in made if Path(d.path).resolve() in caches] == caches
+        assert reads == []
         built_stages = read_manifest(out / "build-manifest.json")["stages"].values()
         recorded = {k: v for stage in built_stages for k, v in stage["outputs"].items()}
         select_stage = read_manifest(out / "select-manifest.json")["stages"]["select"]
         assert select_stage["inputs"] == recorded
+
+
+@pytest.fixture(scope="module")
+def other_build(tmp_path_factory):
+    """A demo build without punctuation tokens: its corpus and test caches
+    hold the demo's records and trees, so they pass every check but the digest."""
+    out = tmp_path_factory.mktemp("demo-out-stripped")
+    assert run("build", "--config", DEMO_CFG, "--out-dir", out, "--strip-punctuation") == 0
+    return out
+
+
+def _replace_from(source: Path, path: Path) -> None:
+    """Put a copy of ``source`` at ``path`` as a writer of ``path`` would: by rename."""
+    tmp = path.with_name(path.name + ".swap")
+    shutil.copyfile(source, tmp)
+    os.replace(tmp, path)
+
+
+class TestDigestOfBytesParsedOrWritten:
+    """A command checks and records the digests of the bytes it parsed or
+    wrote, not of what the file holds when it looks again."""
+
+    @pytest.mark.parametrize("command", ["select", "inspect"])
+    def test_caches_replaced_while_read_exit_2(
+        self, built, other_build, tmp_path, monkeypatch, capsys, command
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        names = [p.name for p in scoi.cli._cache_paths(out).values()] + ["build-manifest.json"]
+        real = scoi.cli.read_polynomial_columns
+        calls = []
+
+        def read_then_rebuild(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if not calls:  # another build lands between two reads
+                for name in names:
+                    _replace_from(other_build / name, out / name)
+            calls.append(args[0])
+            return result
+
+        monkeypatch.setattr(scoi.cli, "read_polynomial_columns", read_then_rebuild)
+        extra = (["--record", "0", "--pool", "1,2"] if command == "inspect"
+                 else ["--strategy", "scoi"])
+        assert run(command, "--config", DEMO_CFG, "--out-dir", out, *extra) == 2
+        assert len(calls) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {out / 'corpus.bin'}: digest differs from "
+                       "build-manifest.json; rerun 'scoi build'\n")
+        assert not (out / "selections_scoi.jsonl").exists()
+
+    def test_build_records_the_cache_bytes_it_wrote(
+        self, built, other_build, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        real = scoi.cli.write_corpus_cache
+
+        def write_then_replace(path, columns):
+            digest = real(path, columns)
+            if Path(path).name == "corpus.bin":
+                _replace_from(other_build / "corpus.bin", Path(path))
+            return digest
+
+        monkeypatch.setattr(scoi.cli, "write_corpus_cache", write_then_replace)
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        monkeypatch.undo()
+        stage = read_manifest(out / "build-manifest.json")["stages"]["corpus"]
+        assert stage["outputs"]["corpus_cache"] == sha256_file(built / "corpus.bin")
+        capsys.readouterr()
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out / 'corpus.bin'}: digest differs from build-manifest.json" in err
+
+    def test_select_records_the_selection_bytes_it_wrote(
+        self, built, selected, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        other = tmp_path / "other.jsonl"
+        other.write_text("{}\n", encoding="utf-8")
+        real = scoi.cli.atomic_write
+
+        @contextlib.contextmanager
+        def write_then_replace(path, mode="w"):
+            with real(path, mode) as fh:
+                yield fh
+            if Path(path).name == "selections_scoi.jsonl":
+                _replace_from(other, Path(path))
+
+        monkeypatch.setattr(scoi.cli, "atomic_write", write_then_replace)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
+        outputs = read_manifest(out / "select-manifest.json")["stages"]["select"]["outputs"]
+        for name in SELECT_OUTPUTS[:2]:
+            assert outputs[name] == sha256_file(selected / name)
+        assert sha256_file(out / "selections_scoi.jsonl") == sha256_file(other)
+
+    def test_select_frees_the_tree_segments_it_drops(self, built, tmp_path, monkeypatch):
+        # The helper thread holds a parsed segment only until it is hashed, so
+        # once select has checked the digests the trees it dropped are gone.
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        real_read, real_from_columns = scoi.corpus.read_cache, scoi.cli.Candidates.from_columns
+        trees, alive = [], []
+
+        def spy_read(*args, **kwargs):
+            header, segments = real_read(*args, **kwargs)
+            trees.extend(weakref.ref(segments[name]) for name in ("labels", "parents"))
+            return header, segments
+
+        def spy_from_columns(*args):
+            gc.collect()
+            alive.extend(ref() is not None for ref in trees)
+            return real_from_columns(*args)
+
+        monkeypatch.setattr(scoi.corpus, "read_cache", spy_read)
+        monkeypatch.setattr(scoi.cli.Candidates, "from_columns", spy_from_columns)
+        assert run("select", "--config", DEMO_CFG, "--out-dir", out, "--strategy", "scoi") == 0
+        assert alive == [False] * 4
+
+
+@contextlib.contextmanager
+def _short_switch_interval():
+    """Switch threads every microsecond, so that unlocked shared state shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestDigest:
+    def test_buffers_of_any_size_hash_in_order(self):
+        # Small buffers are hashed on this thread while the helper holds no
+        # earlier one, large ones on the helper: the order must hold across both.
+        rng = random.Random(11)
+        buffers = [np.frombuffer(rng.randbytes(size), np.uint8) if i % 3 else rng.randbytes(size)
+                   for i, size in enumerate(rng.choice([0, 7, 4096, 65535, 65536, 300_000])
+                                            for _ in range(60))]
+        threads = threading.active_count()
+        with _short_switch_interval(), scoi.manifest.hashing():
+            digest = scoi.manifest.Digest("buffers")
+            for buffer in buffers:
+                digest.update(buffer)
+            value = digest.hexdigest()
+        assert threading.active_count() == threads
+        assert value == hashlib.sha256(b"".join(map(bytes, buffers))).hexdigest()
+
+    def test_two_threads_read_each_whole_file_once(self, tmp_path, monkeypatch):
+        # The helper and the waiting thread both take files from one list; a
+        # file claimed by both would be hashed twice into one digest.
+        rng = random.Random(12)
+        paths = []
+        for i in range(40):
+            paths.append(tmp_path / f"f{i}")
+            paths[-1].write_bytes(rng.randbytes(rng.choice([0, 100, 70_000, 400_000])))
+        real_hash_file, reads = scoi.manifest._hash_file, []
+
+        def spy_hash_file(path, sha):
+            reads.append(path)
+            real_hash_file(path, sha)
+
+        monkeypatch.setattr(scoi.manifest, "_hash_file", spy_hash_file)
+        threads = threading.active_count()
+        with _short_switch_interval(), scoi.manifest.hashing():
+            digests = scoi.manifest.hash_files(paths)
+            values = {path: digests[str(path)].hexdigest() for path in paths}
+        assert threading.active_count() == threads
+        assert sorted(reads) == sorted(map(str, paths))
+        assert values == {path: sha256_file(path) for path in paths}
+
+
+class _UnreadableFile:
+    """A file whose reads fail as a failing disk's do."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestDigestHelperFailures:
+    """An ``OSError`` the digest helper thread meets reaches ``main`` as a
+    located exit 2, and the thread is gone when ``main`` returns."""
+
+    @pytest.mark.parametrize("case", ["deleted-input", "unreadable-cache"])
+    def test_helper_error_is_a_located_exit_2(
+        self, built, tmp_path, monkeypatch, capsys, case
+    ):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(DEMO_CFG.parent, inputs)
+        config = inputs / DEMO_CFG.name
+        out = tmp_path / "out"
+        shutil.copytree(built, out)  # every stage current: the digests are awaited first
+        if case == "deleted-input":
+            victim = Path(load_config(config).corpus_conllu)
+            reason = os.strerror(errno.ENOENT)
+            real_require = scoi.cli._require_inputs
+
+            def require_then_delete(cfg):
+                real_require(cfg)
+                victim.unlink()
+
+            monkeypatch.setattr(scoi.cli, "_require_inputs", require_then_delete)
+        else:
+            victim = out / "corpus.bin"
+            reason = os.strerror(errno.EIO)
+        real_open, real_hash_files = open, scoi.cli.hash_files
+        opened_on = []
+        taken = threading.Event()
+
+        def spy_open(path, *args, **kwargs):
+            if Path(path) != victim:
+                return real_open(path, *args, **kwargs)
+            opened_on.append(threading.current_thread())
+            taken.set()
+            return _UnreadableFile(real_open(path, *args, **kwargs))
+
+        def hash_files_then_wait(paths):
+            # This thread waits until the helper has taken the failing file.
+            digests = real_hash_files(paths)
+            assert taken.wait(timeout=60)
+            return digests
+
+        monkeypatch.setattr(scoi.manifest, "open", spy_open, raising=False)
+        monkeypatch.setattr(scoi.cli, "hash_files", hash_files_then_wait)
+        threads = threading.active_count()
+        assert run("build", "--config", config, "--out-dir", out) == 2
+        assert threading.active_count() == threads
+        assert len(opened_on) == 1 and opened_on[0] is not threading.main_thread()
+        err = capsys.readouterr().err
+        assert err == f"error: {victim}: {reason}\n"
+        assert "Exception in thread" not in err
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 class _FailingFile:

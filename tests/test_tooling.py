@@ -78,3 +78,29 @@ def test_only_the_cache_file_module_reads_or_writes_npy():
     uses = {path.name: _npy_uses(path) for path in (REPO / "src" / "scoi").glob("*.py")}
     assert uses.pop("treepoly.py")  # the check sees them there
     assert [use for found in uses.values() for use in found] == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module ``path`` imports, by dotted name; ``from a import b``
+    counts as ``a`` and as ``a.b``, since ``b`` may be a submodule."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_the_manifest_module_hashes_or_starts_threads():
+    # manifest.py's digest helper is the one thread besides the main one.  It
+    # calls nothing perfbench/traced.py wraps, whose tracer keeps one span
+    # stack; a thread or hash elsewhere could reach a wrapped name.
+    imports = {path.name: _imported_modules(path) for path in (REPO / "src" / "scoi").glob("*.py")}
+    assert {"hashlib", "threading"} <= imports["manifest.py"]
+    assert {name: found & {"hashlib", "threading"} for name, found in imports.items()
+            if name != "manifest.py" and found & {"hashlib", "threading"}} == {}
+    assert {name: sorted(m for m in found if m.startswith("concurrent.futures"))
+            for name, found in imports.items()
+            if any(m.startswith("concurrent.futures") for m in found)} == {}

@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 
 import scoi.treepoly
 from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
+from scoi.manifest import Digest, sha256_file
 from scoi.treepoly import (
     DependencyTree,
     Polynomial,
@@ -1119,3 +1120,34 @@ class TestCacheFile:
         assert header["names"] == ["é"]
         for array, got in zip(saved, read.values()):
             assert got.dtype == array.dtype and np.array_equal(got, array)
+
+    def test_digest_covers_every_byte_read(self, tmp_path):
+        # Bytes after the last segment are not parsed, but they are part of
+        # the file the digest stands for.
+        path = tmp_path / "cache.bin"
+        write_cache(path, {"format": "test", "version": 1, "names": []}, self.segments())
+        with open(path, "ab") as fh:
+            fh.write(b"trailing")
+        names = [f"segment{i}" for i in range(len(self.segments()))]
+        digest = Digest(path)
+        read_cache(path, "test", 1, "test cache", ("names",), names, digest)
+        assert digest.hexdigest() == sha256_file(path)
+
+    def test_file_cut_after_its_size_was_read_is_a_corrupt_array_segment(
+        self, tmp_path, monkeypatch
+    ):
+        # Larger than the reader's buffer, so the cut is seen by the read.
+        path = tmp_path / "cache.bin"
+        write_cache(path, {"format": "test", "version": 1, "names": []}, [np.zeros(100_000, "u1")])
+        real_fstat = scoi.treepoly.os.fstat
+
+        def fstat_then_cut(fd):
+            size = real_fstat(fd)
+            path.write_bytes(path.read_bytes()[:-10])
+            return size
+
+        monkeypatch.setattr(scoi.treepoly.os, "fstat", fstat_then_cut)
+        with pytest.raises(DataError) as err:
+            read_cache(path, "test", 1, "test cache", ("names",), ["segment0"])
+        assert str(err.value) == (f"{path}: corrupt array segment (segment0: uint8 of shape "
+                                  "(100000,), 99990 bytes read)")
