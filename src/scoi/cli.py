@@ -139,24 +139,30 @@ def _run_stage(
 ) -> dict[str, str]:
     """Record stage ``name`` as skipped if ``previous`` proves it current, else run it.
 
-    ``inputs()`` maps names to digests; it is called only once ``previous``
-    has a record of the stage or the stage has run, so a cold build hashes
-    its inputs while it reads them.  ``outputs`` maps names to the paths the
-    stage writes and ``files`` holds the ``hash_files`` digests of those the
-    previous manifest lists.  ``write()`` writes the outputs and returns the
+    ``previous`` is the prior manifest if its record of the stage has the
+    stage's settings, else None.  ``inputs()`` maps names to digests; without
+    ``previous`` it is called only once the stage has run, so a cold build
+    hashes its inputs while it reads them.  ``outputs`` maps names to the
+    paths the stage writes and ``files`` holds the ``hash_files`` digests of
+    those ``previous`` lists.  ``write()`` writes the outputs and returns the
     message printed before the stage's seconds, and the digests of the
     bytes written by name.  Returns the output digests, verified or
     written, so later stages take their inputs without hashing again.
     """
     start = time.perf_counter()
-    known = inputs() if name in (previous or {}).get("stages", {}) else None
+    known = inputs() if previous is not None else None
     if known is not None and stage_is_current(previous, name, known, outputs, files):
         digests = previous["stages"][name]["outputs"]
         manifest.record_stage(name, known, digests, 0.0, skipped=True)
         print(f"{name}: skipped (inputs unchanged)")
         return digests
-    _bind_numeric()
-    message, written = write()
+    try:
+        _bind_numeric()
+        message, written = write()
+    except Exception:
+        if known is None:  # an input that cannot be read fails first, as in a rebuild
+            inputs()
+        raise
     seconds = time.perf_counter() - start
     digests = {str(k): written[k].hexdigest() for k in outputs}
     manifest.record_stage(name, known or inputs(), digests, seconds)
@@ -172,12 +178,34 @@ def cmd_build(config: RunConfig) -> int:
     remove_stale_temps(out_dir, {*(p.name for p in paths.values()), _BUILD_MANIFEST,
                                  *_SELECT_OUTPUTS})
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
-    # The inputs and the caches a stage of the previous run lists, hashed on
-    # two threads: the helper's and this one while it waits on a digest.
-    listed = {key for stage in (previous or {}).get("stages", {}).values()
-              for key in stage.get("outputs", {})}
-    files = hash_files([*(getattr(config, key) for key in INPUT_KEYS),
-                        *(path for key, path in paths.items() if key in listed)])
+    settings = {
+        "corpus": {
+            "max_tokens": str(config.max_tokens),
+            "filter_target": str(config.filter_target),
+            "fold_case": str(config.fold_case),
+            "strip_punctuation": str(config.strip_punctuation),
+            "tokenizer_version": str(TOKENIZER_VERSION),
+            "corpus_cache_version": str(CORPUS_CACHE_VERSION),
+        },
+        "polynomials": {"poly_cache_version": str(POLY_CACHE_VERSION)},
+    }
+    # The stages the previous run recorded with these settings may be
+    # current.  The inputs, and the caches of those stages up to the first
+    # whose settings differ, are hashed largest first on two threads: the
+    # helper's and this one while it waits on a digest.
+    stages = (previous or {}).get("stages", {})
+
+    def recorded(name: str) -> dict:
+        inputs = stages.get(name, {}).get("inputs")
+        return inputs if isinstance(inputs, dict) else {}
+
+    maybe = [name for name, values in settings.items() if values.items() <= recorded(name).items()]
+    listed = []
+    for name in settings:
+        if name not in maybe:
+            break
+        listed += [paths[key] for key in stages[name].get("outputs", {}) if key in paths]
+    files = hash_files([*(getattr(config, key) for key in INPUT_KEYS), *listed])
     manifest = RunManifest(config.snapshot(), __version__)
     # (vocab, record ids, tree columns) per corpus cache, kept from ingest
     # for the polynomial stage.
@@ -225,24 +253,20 @@ def cmd_build(config: RunConfig) -> int:
         return {key: paths[key] for key in keys}
 
     def corpus_inputs() -> dict[str, str]:
-        return {
-            **{key: files[str(getattr(config, key))].hexdigest() for key in INPUT_KEYS},
-            "max_tokens": str(config.max_tokens),
-            "filter_target": str(config.filter_target),
-            "fold_case": str(config.fold_case),
-            "strip_punctuation": str(config.strip_punctuation),
-            "tokenizer_version": str(TOKENIZER_VERSION),
-            "corpus_cache_version": str(CORPUS_CACHE_VERSION),
-        }
+        return {**{key: files[str(getattr(config, key))].hexdigest() for key in INPUT_KEYS},
+                **settings["corpus"]}
+
+    def prior(name: str) -> dict | None:
+        return previous if name in maybe else None
 
     caches = _run_stage(
-        manifest, previous, "corpus", corpus_inputs, pick("corpus_cache", "test_cache"), files,
-        ingest,
+        manifest, prior("corpus"), "corpus", corpus_inputs, pick("corpus_cache", "test_cache"),
+        files, ingest,
     )
-    poly_inputs = {**caches, "poly_cache_version": str(POLY_CACHE_VERSION)}
+    poly_inputs = {**caches, **settings["polynomials"]}
     _run_stage(
-        manifest, previous, "polynomials", lambda: poly_inputs, pick("corpus_poly", "test_poly"),
-        files, polynomials,
+        manifest, prior("polynomials"), "polynomials", lambda: poly_inputs,
+        pick("corpus_poly", "test_poly"), files, polynomials,
     )
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0

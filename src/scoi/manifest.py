@@ -6,8 +6,8 @@ the only part allowed to differ between identical runs.
 
 Also holds the compact JSON line format of the cache headers and the
 selection files, the crash-safe write that every output goes through, and
-the SHA-256 digests of the bytes a command reads or writes, hashed on one
-helper thread.
+the SHA-256 digests of the bytes a command reads or writes; whole files
+are hashed on one helper thread.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import os
 import re
 import threading
-from collections import deque
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from pathlib import Path
@@ -86,18 +85,17 @@ def atomic_write(path: Path | str, mode: str = "w"):
     """Write ``path`` through a temp file beside it, moved into place on success.
 
     Yields a handle whose ``write`` takes str in mode ``"w"`` (written as
-    UTF-8, newlines as given) and bytes-like objects in mode ``"wb"``; a
-    buffer must not change once written.  Its ``digest`` is the ``Digest``
-    of the bytes written, so a command records what it wrote, not what a
-    later reader of ``path`` finds.  ``os.replace`` renames the temp file
-    onto ``path`` once it is complete and closed, so a reader of ``path``
-    sees the old file or the whole new one, never part of one.  On an
-    exception the temp file is deleted and ``path`` keeps what it held.
-    A killed process can leave ``.<name>.<pid>.tmp`` behind, but never a
-    partial ``path``.  An ``OSError`` from the handle's ``write``, or one
-    that names the temp file or no file, is re-raised naming ``path``; the
-    handle's own errors are named first, so nested writes each report
-    against their own file.
+    UTF-8, newlines as given) and bytes-like objects in mode ``"wb"``.  Its
+    ``digest`` is the ``Digest`` of the bytes written, so a command records
+    what it wrote, not what a later reader of ``path`` finds.
+    ``os.replace`` renames the temp file onto ``path`` once it is complete
+    and closed, so a reader of ``path`` sees the old file or the whole new
+    one, never part of one.  On an exception the temp file is deleted and
+    ``path`` keeps what it held.  A killed process can leave
+    ``.<name>.<pid>.tmp`` behind, but never a partial ``path``.  An
+    ``OSError`` from the handle's ``write``, or one that names the temp file
+    or no file, is re-raised naming ``path``; the handle's own errors are
+    named first, so nested writes each report against their own file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -131,13 +129,13 @@ def remove_stale_temps(directory: Path, names: set[str]) -> None:
 
 # --- digests -----------------------------------------------------------------
 #
-# Hashing is the one part of a run that gains from a second thread: hashlib
-# drops the GIL for buffers of 2 KiB and more.  While ``hashing`` runs, one
-# helper thread takes the jobs of every ``Digest`` in the order given; the
-# helper calls nothing that perfbench/traced.py wraps, because its tracer
-# keeps one span stack.
+# Hashing whole files is the one part of a run that gains from a second
+# thread: hashlib drops the GIL for buffers of 2 KiB and more.  While
+# ``hashing`` runs, one helper thread reads the files given to
+# ``hash_files``; it calls nothing that perfbench/traced.py wraps, because
+# its tracer keeps one span stack.
 
-_CHUNK = 1 << 16  # read size of a whole-file digest; smaller buffers may be hashed at once
+_CHUNK = 1 << 16  # read size of a whole-file digest
 _helper: _Helper | None = None
 
 
@@ -157,69 +155,34 @@ def sha256_file(path: Path | str) -> str:
 
 
 class Digest:
-    """The SHA-256 of one file's bytes, hashed on the helper thread while
-    ``hashing`` runs and on the calling thread outside it.
+    """The SHA-256 of one file's bytes.
 
-    A digest from ``hash_files`` reads its whole file.  Any other one is fed
-    the bytes a command parsed or wrote, in file order, through ``update``.
-    ``hexdigest`` waits for the bytes given so far and raises what hashing
-    raised, an ``OSError`` naming the file.
+    A digest from ``hash_files`` reads its whole file, on the helper thread
+    or on the first thread that asks for its value; ``hexdigest`` then
+    raises what the read raised, an ``OSError`` naming the file.  Any other
+    digest is fed the bytes a command parsed or wrote, in file order,
+    through ``update``, on the calling thread.
     """
 
     def __init__(self, path: Path | str):
         self.path = str(path)
         self._sha = hashlib.sha256()
-        self._helper = _helper
-        # Jobs given to the helper, and those it has run; each count is
-        # written by one thread only.
-        self._sent = self._ran = 0
-        self._claim: threading.Lock | None = None  # held while a whole file is read
+        self._claim: threading.Lock | None = None  # held while the whole file is read
         self._read = False
-        self._error: Exception | None = None
+        self._error: OSError | None = None
 
     def update(self, data) -> None:
-        """Add ``data``, a bytes-like object that must not change until hashed.
-        A buffer under 64 KiB is hashed at once when the helper holds no
-        earlier one: that takes less time than waking the helper, and keeps
-        the helper asleep while ``select`` writes its lines."""
-        if self._helper is None or (
-            self._sent == self._ran and memoryview(data).nbytes < _CHUNK
-        ):
-            self._sha.update(data)
-        else:
-            self._put(self._sha.update, data)
-
-    def _put(self, job, *args) -> None:
-        self._sent += 1
-        self._helper.put(self, job, *args)
+        self._sha.update(data)
 
     def hexdigest(self) -> str:
-        """The digest of the bytes given so far."""
-        if self._helper is not None:
-            self._helper.help()
+        """The digest of the bytes given so far, or of the whole file."""
         if self._claim is not None:
+            if _helper is not None:
+                _helper.help()
             self._read_file(True)
-        elif self._sent != self._ran:
-            done = threading.Event()
-            self._put(done.set)
-            done.wait()
-        if self._error is not None:
-            raise self._error
+            if self._error is not None:
+                raise self._error
         return self._sha.hexdigest()
-
-    def _run(self, job, *args) -> None:
-        """``job(*args)``, keeping what it raises for ``hexdigest``, named for the file."""
-        try:
-            job(*args)
-        except Exception as exc:
-            if isinstance(exc, OSError) and exc.filename is None:
-                exc.filename = self.path
-            self._error = exc
-
-    def _run_sent(self, job, *args) -> None:
-        """``_run`` on the helper, counting the job as run."""
-        self._run(job, *args)
-        self._ran += 1
 
     def _read_file(self, wait: bool) -> None:
         """Hash the whole file unless a thread has; without ``wait``, skip a
@@ -229,61 +192,57 @@ class Digest:
             try:
                 if not self._read:
                     self._read = True
-                    self._run(_hash_file, self.path, self._sha)
+                    _hash_file(self.path, self._sha)
+            except OSError as exc:
+                if exc.filename is None:
+                    exc.filename = self.path
+                self._error = exc
             finally:
                 self._claim.release()
 
 
 class _Helper:
-    """The helper thread, started by its first job, and its job queue."""
+    """The helper thread, started by the first ``hash_files``, and the
+    whole-file digests given to it, which it reads in order."""
 
     def __init__(self):
-        # A deque and a semaphore, not the queue module: importing that raised
-        # the peak RSS of an ingest-20k build and select by about 0.15 MiB.
-        self._jobs: deque = deque()
-        self._ready = threading.Semaphore(0)
+        self.files: list[Digest] = []
+        self._queued = threading.Semaphore(0)  # one release per file, one more to stop
         self._thread: threading.Thread | None = None
         self._closed = False
-        self.files: list[Digest] = []  # whole-file digests, largest first
 
-    def put(self, digest: Digest, job, *args) -> None:
-        """Queue ``job(*args)``, run as ``digest._run`` runs it."""
-        if self._closed:
-            raise RuntimeError(f"{digest.path}: digest used after its hashing() ended")
+    def add(self, digests: Iterable[Digest]) -> None:
         if self._thread is None:
             self._thread = threading.Thread(target=self._work, name="scoi-digests", daemon=True)
             self._thread.start()
-        self._jobs.append((digest, job, args))
-        self._ready.release()
+        for digest in digests:
+            self.files.append(digest)
+            self._queued.release()
 
     def help(self) -> None:
-        """On a thread about to wait for a digest: hash the whole files that
-        no thread has taken yet, largest first."""
+        """On a thread about to wait for a digest: hash the files that no
+        thread has taken yet, in order."""
         for digest in self.files:
             digest._read_file(False)
 
     def _work(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            if not self._closed:
-                job[0]._run_sent(job[1], *job[2])
-            del job  # so that no buffer outlives its hashing while this thread waits
+        taken = 0
+        while self._queued.acquire() and not self._closed:
+            self.files[taken]._read_file(False)
+            taken += 1
 
     def close(self) -> None:
-        """Skip the jobs left and stop the thread."""
+        """Skip the files left and stop the thread."""
         self._closed = True
         if self._thread is not None:
-            self._jobs.append(None)
-            self._ready.release()
+            self._queued.release()
             self._thread.join()
 
 
 @contextmanager
 def hashing():
-    """Run the digests made inside on one helper thread, stopped on exit."""
+    """Read the ``hash_files`` digests made inside on one helper thread,
+    stopped on exit."""
     global _helper
     _helper = helper = _Helper()
     try:
@@ -307,9 +266,8 @@ def hash_files(paths: Iterable[Path | str]) -> dict[str, Digest]:
     for path in sorted(dict.fromkeys(map(str, paths)), key=size, reverse=True):
         digest = digests[path] = Digest(path)
         digest._claim = threading.Lock()
-        if _helper is not None:
-            _helper.files.append(digest)
-            digest._put(digest._read_file, False)
+    if _helper is not None:
+        _helper.add(digests.values())
     return digests
 
 
@@ -369,8 +327,8 @@ def stage_is_current(
     digests: Mapping[str, Digest],
 ) -> bool:
     """True when a prior manifest proves this stage's outputs are reusable.
-    ``digests`` holds a ``hash_files`` digest of each output path the prior
-    manifest lists."""
+    ``digests`` holds ``hash_files`` digests by path; the outputs it lacks
+    are hashed once the inputs match."""
     if previous is None:
         return False
     stage = previous.get("stages", {}).get(name)
@@ -379,8 +337,9 @@ def stage_is_current(
     recorded = stage.get("outputs", {})
     if set(recorded) != set(map(str, output_paths)):
         return False
-    for key, path in output_paths.items():
-        path = Path(path)
-        if not path.is_file() or digests[str(path)].hexdigest() != recorded.get(str(key)):
+    paths = [str(path) for path in output_paths.values()]
+    digests = {**hash_files(path for path in paths if path not in digests), **digests}
+    for key, path in zip(output_paths, paths):
+        if not Path(path).is_file() or digests[path].hexdigest() != recorded.get(str(key)):
             return False
     return True

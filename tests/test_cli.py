@@ -512,6 +512,32 @@ class TestBuildHashing:
             assert all(stage["skipped"] == (command == "no-op")
                        for stage in manifest["stages"].values())
 
+    @pytest.mark.parametrize("change", ["corpus-flag", "poly-version"])
+    def test_rebuild_hashes_no_cache_of_a_stage_with_other_settings(
+        self, built, tmp_path, monkeypatch, change
+    ):
+        # A stage recorded with other settings reruns, and so do the stages
+        # after it unless their inputs come out the same: none of their
+        # caches is read before it would be compared.
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        args = ["build", "--config", DEMO_CFG, "--out-dir", out]
+        if change == "corpus-flag":
+            args.append("--strip-punctuation")
+        else:
+            path = out / "build-manifest.json"
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest["stages"]["polynomials"]["inputs"]["poly_cache_version"] = "1"
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        _, reads = spy_digests(monkeypatch)
+        assert run(*args) == 0
+        monkeypatch.undo()
+        config = load_config(DEMO_CFG)
+        whole = {Path(getattr(config, key)).resolve() for key in INPUT_KEYS}
+        if change == "poly-version":
+            whole |= {(out / name).resolve() for name in ("corpus.bin", "test.bin")}
+        assert Counter(reads) == Counter(whole)
+
 
 class TestSelect:
     def test_select_before_build_is_instructive(self, tmp_path, capsys):
@@ -1184,8 +1210,8 @@ class TestDigestOfBytesParsedOrWritten:
         assert sha256_file(out / "selections_scoi.jsonl") == sha256_file(other)
 
     def test_select_frees_the_tree_segments_it_drops(self, built, tmp_path, monkeypatch):
-        # The helper thread holds a parsed segment only until it is hashed, so
-        # once select has checked the digests the trees it dropped are gone.
+        # A digest keeps none of the bytes it is given, so once select has
+        # checked the digests the trees it dropped are gone.
         out = tmp_path / "out"
         shutil.copytree(built, out)
         real_read, real_from_columns = scoi.corpus.read_cache, scoi.cli.Candidates.from_columns
@@ -1219,22 +1245,6 @@ def _short_switch_interval():
 
 
 class TestDigest:
-    def test_buffers_of_any_size_hash_in_order(self):
-        # Small buffers are hashed on this thread while the helper holds no
-        # earlier one, large ones on the helper: the order must hold across both.
-        rng = random.Random(11)
-        buffers = [np.frombuffer(rng.randbytes(size), np.uint8) if i % 3 else rng.randbytes(size)
-                   for i, size in enumerate(rng.choice([0, 7, 4096, 65535, 65536, 300_000])
-                                            for _ in range(60))]
-        threads = threading.active_count()
-        with _short_switch_interval(), scoi.manifest.hashing():
-            digest = scoi.manifest.Digest("buffers")
-            for buffer in buffers:
-                digest.update(buffer)
-            value = digest.hexdigest()
-        assert threading.active_count() == threads
-        assert value == hashlib.sha256(b"".join(map(bytes, buffers))).hexdigest()
-
     def test_two_threads_read_each_whole_file_once(self, tmp_path, monkeypatch):
         # The helper and the waiting thread both take files from one list; a
         # file claimed by both would be hashed twice into one digest.
@@ -1328,6 +1338,29 @@ class TestDigestHelperFailures:
         assert err == f"error: {victim}: {reason}\n"
         assert "Exception in thread" not in err
         assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_cold_build_reports_an_unreadable_input_before_a_malformed_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A cold build awaits its input digests after ingest.  When ingest
+        # fails, an input that cannot be read is still reported first, as a
+        # rebuild, which awaits the digests before ingest, reports it.
+        inputs = tmp_path / "inputs"
+        shutil.copytree(DEMO_CFG.parent, inputs)
+        config = load_config(inputs / DEMO_CFG.name)
+        Path(config.corpus_conllu).write_text("1\tnot a tree\n\n", encoding="utf-8")
+        victim = Path(config.test_conllu)
+        real_open = open
+
+        def spy_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return _UnreadableFile(fh) if Path(path) == victim else fh
+
+        monkeypatch.setattr(scoi.manifest, "open", spy_open, raising=False)
+        out = tmp_path / "out"
+        assert run("build", "--config", inputs / DEMO_CFG.name, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {victim}: {os.strerror(errno.EIO)}\n"
+        assert not (out / "build-manifest.json").exists()
 
 
 class _FailingFile:
