@@ -11,16 +11,17 @@ three by default) and each seed, it generates the workload's inputs with
 ``scoi build``, ``scoi select`` and a second, no-op ``scoi build`` once
 with the parent's ``src`` and once with this checkout's.  The no-op build
 must report both stages skipped and change no file.  Every cache,
-selection and prompt file must be byte-identical, and so must the no-op
-build's manifest apart from its wall-clock ``seconds`` fields and the out
-dir in its config snapshot; the select manifest holds wall-clock fields
-and is not compared.  A cache named in ``--format-changed`` (a change
-that bumps its format version) is compared by decoded content instead:
-each side's own ``src`` reads it in a child process and prints one SHA-256
-per record of the record id, ``PolyColumns.polynomial(i).rows()`` as
-uint32 rows and their int64 counts; the manifests' digests of those files
-and the version inputs of the stages that write them are not compared.
-Every other file is still compared byte for byte.  Both sides run with
+selection and prompt file must be byte-identical, and so must the build
+manifests of the cold and of the no-op build, apart from their wall-clock
+``seconds`` fields and the out dir in their config snapshots, key order
+included; the select manifest holds wall-clock fields and is not
+compared.  A cache named in ``--format-changed`` (a change that bumps its
+format version) is compared by decoded content instead: each side's own
+``src`` reads it in a child process and prints one SHA-256 per record of
+the record id, ``PolyColumns.polynomial(i).rows()`` as uint32 rows and
+their int64 counts; the manifests' digests of those files and the version
+inputs of the stages that write them are not compared.  Every other file
+is still compared byte for byte.  Both sides run with
 bytecode written to a fresh ``PYTHONPYCACHEPREFIX`` of their own, so
 neither reads a ``__pycache__`` left in its checkout and both compile
 their modules once.  Prints one line per workload and seed, with each
@@ -144,16 +145,19 @@ def _timeless_manifest(out_dir: Path, changed: set[str]) -> dict:
 
 
 def _run(src: Path, config: Path, out_dir: Path, decoded: list[str]
-         ) -> tuple[dict[str, str], dict, list[tuple]]:
+         ) -> tuple[dict[str, str], dict[str, dict], list[tuple]]:
     """Build, select and build again with the package under ``src``; the
     digests of the outputs (of the decoded record lines for those in
-    ``decoded``), the no-op build's timeless manifest, and the (wall
-    seconds, peak RSS) of the cold build and of select."""
+    ``decoded``), the cold and the no-op build's timeless manifests by
+    build, and the (wall seconds, peak RSS) of the cold build and of
+    select."""
     env = dict(os.environ, PYTHONPATH=str(src),
                PYTHONPYCACHEPREFIX=str(out_dir.parent / f"pycache-{out_dir.name}"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     usage = [_cli(env, command, config, out_dir)[1:] for command in ("build", "select")]
     digests = _digests(out_dir)
+    changed = {digests[file] for file in decoded}
+    manifests = {"cold": _timeless_manifest(out_dir, changed)}
     stages = _cli(env, "build", config, out_dir)[0].splitlines()
     if stages != [f"{stage}: skipped (inputs unchanged)" for stage in ("corpus", "polynomials")]:
         raise SystemExit(f"error: the no-op build with {src} did not skip every stage:\n"
@@ -162,10 +166,10 @@ def _run(src: Path, config: Path, out_dir: Path, decoded: list[str]
     for file in sorted(digests.keys() | after.keys()):
         if digests.get(file) != after.get(file):
             raise SystemExit(f"error: the no-op build with {src} changed {file}")
-    manifest = _timeless_manifest(out_dir, {digests[file] for file in decoded})
+    manifests["no-op"] = _timeless_manifest(out_dir, changed)
     for file in decoded:
         digests[file] = _decoded(env, out_dir, file)
-    return digests, manifest, usage
+    return digests, manifests, usage
 
 
 def main() -> int:
@@ -199,10 +203,10 @@ def main() -> int:
                 subprocess.run([sys.executable, "-B", "-c", GEN_ENTRY, name, str(seed),
                                 str(inputs)], env=gen_env, check=True)
                 config = _write_config(inputs, workload)
-                before, before_manifest, before_usage = _run(parent / "src", config,
-                                                             inputs / "out-parent", decoded)
-                after, after_manifest, after_usage = _run(ROOT / "src", config,
-                                                          inputs / "out-change", decoded)
+                before, before_manifests, before_usage = _run(parent / "src", config,
+                                                              inputs / "out-parent", decoded)
+                after, after_manifests, after_usage = _run(ROOT / "src", config,
+                                                           inputs / "out-change", decoded)
                 for file in sorted(before.keys() | after.keys()):
                     if before.get(file) != after.get(file):
                         where = ""
@@ -211,17 +215,19 @@ def main() -> int:
                                                               inputs / "out-change")
                         print(f"{name} seed {seed}: {file} differs from {args.parent}{where}")
                         return 1
-                if before_manifest != after_manifest:
-                    print(f"{name} seed {seed}: the no-op build's {MANIFESTS[0]} differs "
-                          f"from {args.parent}")
-                    return 1
+                for build, manifest in before_manifests.items():
+                    if json.dumps(manifest) != json.dumps(after_manifests[build]):
+                        print(f"{name} seed {seed}: the {build} build's {MANIFESTS[0]} "
+                              f"differs from {args.parent}")
+                        return 1
                 usage = "; ".join(
                     f"{command} {a[0]:.2f} -> {b[0]:.2f} s, {a[1]:.1f} -> {b[1]:.1f} MiB"
                     for command, a, b in zip(("build", "select"), before_usage, after_usage))
                 same = f"{len(after) - len(decoded)} files byte-identical"
                 if decoded:
                     same += f", {', '.join(decoded)} identical decoded"
-                print(f"{name} seed {seed}: {same}, no-op rebuild skipped both stages; {usage}")
+                print(f"{name} seed {seed}: {same}, cold and no-op build manifests identical, "
+                      f"no-op rebuild skipped both stages; {usage}")
     return 0
 
 

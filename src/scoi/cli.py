@@ -5,7 +5,8 @@ file operations.  Every build/select run writes a manifest with input and
 output digests; reruns with unchanged inputs skip completed build stages,
 and select and inspect refuse caches whose digests differ from the build
 manifest.  A digest is of the bytes the command parsed or wrote, hashed
-once, on a helper thread (``manifest.hashing``).
+once; a build hashes its input files, and the caches it may keep, on two
+threads before its first stage (``manifest.hash_files``).
 
 The numeric modules, and numpy with them, load at the first build stage
 that runs or when ``select``, ``inspect`` or ``bench`` starts.  A run that
@@ -36,7 +37,6 @@ from .manifest import (
     atomic_write,
     compact_json,
     hash_files,
-    hashing,
     read_manifest,
     remove_stale_temps,
     sha256_file,  # noqa: F401  unused; perfbench/traced.py wraps this name
@@ -132,40 +132,32 @@ def _run_stage(
     manifest: RunManifest,
     previous: dict | None,
     name: str,
-    inputs: Callable[[], dict[str, str]],
+    inputs: dict[str, str],
     outputs: dict[str, Path],
     files: dict[str, Digest],
     write: Callable[[], tuple[str, dict[str, Digest]]],
 ) -> dict[str, str]:
     """Record stage ``name`` as skipped if ``previous`` proves it current, else run it.
 
-    ``previous`` is the prior manifest if its record of the stage has the
-    stage's settings, else None.  ``inputs()`` maps names to digests; without
-    ``previous`` it is called only once the stage has run, so a cold build
-    hashes its inputs while it reads them.  ``outputs`` maps names to the
-    paths the stage writes and ``files`` holds the ``hash_files`` digests of
-    those ``previous`` lists.  ``write()`` writes the outputs and returns the
-    message printed before the stage's seconds, and the digests of the
-    bytes written by name.  Returns the output digests, verified or
-    written, so later stages take their inputs without hashing again.
+    ``inputs`` maps names to digests and settings, ``outputs`` names to the
+    paths the stage writes; ``files`` holds the ``hash_files`` digests of
+    the outputs ``previous`` may prove current.  ``write()`` writes the
+    outputs and returns the message printed before the stage's seconds, and
+    the digests of the bytes written by name.  Returns the output digests,
+    verified or written, so later stages take their inputs without hashing
+    again.
     """
     start = time.perf_counter()
-    known = inputs() if previous is not None else None
-    if known is not None and stage_is_current(previous, name, known, outputs, files):
+    if stage_is_current(previous, name, inputs, outputs, files):
         digests = previous["stages"][name]["outputs"]
-        manifest.record_stage(name, known, digests, 0.0, skipped=True)
+        manifest.record_stage(name, inputs, digests, 0.0, skipped=True)
         print(f"{name}: skipped (inputs unchanged)")
         return digests
-    try:
-        _bind_numeric()
-        message, written = write()
-    except Exception:
-        if known is None:  # an input that cannot be read fails first, as in a rebuild
-            inputs()
-        raise
+    _bind_numeric()
+    message, written = write()
     seconds = time.perf_counter() - start
     digests = {str(k): written[k].hexdigest() for k in outputs}
-    manifest.record_stage(name, known or inputs(), digests, seconds)
+    manifest.record_stage(name, inputs, digests, seconds)
     print(f"{name}: {message} ({seconds:.2f}s)")
     return digests
 
@@ -178,35 +170,6 @@ def cmd_build(config: RunConfig) -> int:
     remove_stale_temps(out_dir, {*(p.name for p in paths.values()), _BUILD_MANIFEST,
                                  *_SELECT_OUTPUTS})
     previous = read_manifest(out_dir / _BUILD_MANIFEST)
-    settings = {
-        "corpus": {
-            "max_tokens": str(config.max_tokens),
-            "filter_target": str(config.filter_target),
-            "fold_case": str(config.fold_case),
-            "strip_punctuation": str(config.strip_punctuation),
-            "tokenizer_version": str(TOKENIZER_VERSION),
-            "corpus_cache_version": str(CORPUS_CACHE_VERSION),
-        },
-        "polynomials": {"poly_cache_version": str(POLY_CACHE_VERSION)},
-    }
-    # The stages the previous run recorded with these settings may be
-    # current.  The inputs, and the caches of those stages up to the first
-    # whose settings differ, are hashed largest first on two threads: the
-    # helper's and this one while it waits on a digest.
-    stages = (previous or {}).get("stages", {})
-
-    def recorded(name: str) -> dict:
-        inputs = stages.get(name, {}).get("inputs")
-        return inputs if isinstance(inputs, dict) else {}
-
-    maybe = [name for name, values in settings.items() if values.items() <= recorded(name).items()]
-    listed = []
-    for name in settings:
-        if name not in maybe:
-            break
-        listed += [paths[key] for key in stages[name].get("outputs", {}) if key in paths]
-    files = hash_files([*(getattr(config, key) for key in INPUT_KEYS), *listed])
-    manifest = RunManifest(config.snapshot(), __version__)
     # (vocab, record ids, tree columns) per corpus cache, kept from ingest
     # for the polynomial stage.
     loaded: dict[str, tuple] = {}
@@ -249,25 +212,39 @@ def cmd_build(config: RunConfig) -> int:
             built += len(ids)
         return f"{built} built", written
 
-    def pick(*keys: str) -> dict[str, Path]:
-        return {key: paths[key] for key in keys}
-
-    def corpus_inputs() -> dict[str, str]:
-        return {**{key: files[str(getattr(config, key))].hexdigest() for key in INPUT_KEYS},
-                **settings["corpus"]}
-
-    def prior(name: str) -> dict | None:
-        return previous if name in maybe else None
-
-    caches = _run_stage(
-        manifest, prior("corpus"), "corpus", corpus_inputs, pick("corpus_cache", "test_cache"),
-        files, ingest,
+    # (name, outputs, writer, settings) per stage, in order: a stage's inputs
+    # are its settings and the five input files' digests or, after the
+    # first, the outputs of the stage before it.
+    stages = (
+        ("corpus", ("corpus_cache", "test_cache"), ingest, {
+            "max_tokens": str(config.max_tokens),
+            "filter_target": str(config.filter_target),
+            "fold_case": str(config.fold_case),
+            "strip_punctuation": str(config.strip_punctuation),
+            "tokenizer_version": str(TOKENIZER_VERSION),
+            "corpus_cache_version": str(CORPUS_CACHE_VERSION),
+        }),
+        ("polynomials", ("corpus_poly", "test_poly"), polynomials,
+         {"poly_cache_version": str(POLY_CACHE_VERSION)}),
     )
-    poly_inputs = {**caches, **settings["polynomials"]}
-    _run_stage(
-        manifest, prior("polynomials"), "polynomials", lambda: poly_inputs,
-        pick("corpus_poly", "test_poly"), files, polynomials,
-    )
+    # The inputs, and the caches of the stages the previous run recorded
+    # with these settings up to the first whose settings differ, are hashed
+    # largest first on two threads; no stale cache is read.
+    recorded = (previous or {}).get("stages", {})
+    listed = []
+    for name, _, _, settings in stages:
+        inputs = recorded.get(name, {}).get("inputs")
+        if not isinstance(inputs, dict) or not settings.items() <= inputs.items():
+            break
+        listed += [paths[key] for key in recorded[name].get("outputs", {}) if key in paths]
+    files = hash_files([*(getattr(config, key) for key in INPUT_KEYS), *listed])
+    digests = {key: files[str(getattr(config, key))].hexdigest() for key in INPUT_KEYS}
+    manifest = RunManifest(config.snapshot(), __version__)
+    for name, outputs, write, settings in stages:
+        digests = _run_stage(
+            manifest, previous, name, {**digests, **settings},
+            {key: paths[key] for key in outputs}, files, write,
+        )
     manifest.save(out_dir / _BUILD_MANIFEST)
     return 0
 
@@ -584,16 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with hashing():
-            if args.command == "build":
-                return cmd_build(_config_from_args(args))
-            if args.command == "select":
-                return cmd_select(_config_from_args(args))
-            if args.command == "bench":
-                return cmd_bench(args)
-            if args.command == "inspect":
-                config = _config_from_args(args)
-                return cmd_inspect(config, args.record, args.side, args.pool)
+        if args.command == "build":
+            return cmd_build(_config_from_args(args))
+        if args.command == "select":
+            return cmd_select(_config_from_args(args))
+        if args.command == "bench":
+            return cmd_bench(args)
+        if args.command == "inspect":
+            config = _config_from_args(args)
+            return cmd_inspect(config, args.record, args.side, args.pool)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ the only part allowed to differ between identical runs.
 Also holds the compact JSON line format of the cache headers and the
 selection files, the crash-safe write that every output goes through, and
 the SHA-256 digests of the bytes a command reads or writes; whole files
-are hashed on one helper thread.
+are hashed on two threads, the caller's and one joined before
+``hash_files`` returns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import re
 import threading
+from collections import deque
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from pathlib import Path
@@ -130,13 +132,12 @@ def remove_stale_temps(directory: Path, names: set[str]) -> None:
 # --- digests -----------------------------------------------------------------
 #
 # Hashing whole files is the one part of a run that gains from a second
-# thread: hashlib drops the GIL for buffers of 2 KiB and more.  While
-# ``hashing`` runs, one helper thread reads the files given to
-# ``hash_files``; it calls nothing that perfbench/traced.py wraps, because
-# its tracer keeps one span stack.
+# thread: hashlib drops the GIL for buffers of 2 KiB and more.  ``hash_files``
+# reads its files on the calling thread and on one helper thread, joined
+# before it returns.  The helper calls nothing that perfbench/traced.py
+# wraps, because its tracer keeps one span stack.
 
 _CHUNK = 1 << 16  # read size of a whole-file digest
-_helper: _Helper | None = None
 
 
 def _hash_file(path: Path | str, sha) -> None:
@@ -157,104 +158,35 @@ def sha256_file(path: Path | str) -> str:
 class Digest:
     """The SHA-256 of one file's bytes.
 
-    A digest from ``hash_files`` reads its whole file, on the helper thread
-    or on the first thread that asks for its value; ``hexdigest`` then
-    raises what the read raised, an ``OSError`` naming the file.  Any other
-    digest is fed the bytes a command parsed or wrote, in file order,
-    through ``update``, on the calling thread.
+    A digest from ``hash_files`` holds its whole file's; if reading the
+    file raised, ``hexdigest`` raises that, as a future's result would, so
+    a command reports it where it first needs the digest; an ``OSError``
+    names the file.  Any other digest is fed the bytes a command parsed or
+    wrote, in file order, through ``update``.
     """
 
     def __init__(self, path: Path | str):
         self.path = str(path)
         self._sha = hashlib.sha256()
-        self._claim: threading.Lock | None = None  # held while the whole file is read
-        self._read = False
-        self._error: OSError | None = None
+        self._error: Exception | None = None
 
     def update(self, data) -> None:
         self._sha.update(data)
 
     def hexdigest(self) -> str:
-        """The digest of the bytes given so far, or of the whole file."""
-        if self._claim is not None:
-            if _helper is not None:
-                _helper.help()
-            self._read_file(True)
-            if self._error is not None:
-                raise self._error
+        if self._error is not None:
+            raise self._error
         return self._sha.hexdigest()
-
-    def _read_file(self, wait: bool) -> None:
-        """Hash the whole file unless a thread has; without ``wait``, skip a
-        file that another thread is reading.  What the read raises is kept
-        before the claim is released, so a thread that waited on it sees it."""
-        if self._claim.acquire(blocking=wait):
-            try:
-                if not self._read:
-                    self._read = True
-                    _hash_file(self.path, self._sha)
-            except OSError as exc:
-                if exc.filename is None:
-                    exc.filename = self.path
-                self._error = exc
-            finally:
-                self._claim.release()
-
-
-class _Helper:
-    """The helper thread, started by the first ``hash_files``, and the
-    whole-file digests given to it, which it reads in order."""
-
-    def __init__(self):
-        self.files: list[Digest] = []
-        self._queued = threading.Semaphore(0)  # one release per file, one more to stop
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    def add(self, digests: Iterable[Digest]) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._work, name="scoi-digests", daemon=True)
-            self._thread.start()
-        for digest in digests:
-            self.files.append(digest)
-            self._queued.release()
-
-    def help(self) -> None:
-        """On a thread about to wait for a digest: hash the files that no
-        thread has taken yet, in order."""
-        for digest in self.files:
-            digest._read_file(False)
-
-    def _work(self) -> None:
-        taken = 0
-        while self._queued.acquire() and not self._closed:
-            self.files[taken]._read_file(False)
-            taken += 1
-
-    def close(self) -> None:
-        """Skip the files left and stop the thread."""
-        self._closed = True
-        if self._thread is not None:
-            self._queued.release()
-            self._thread.join()
-
-
-@contextmanager
-def hashing():
-    """Read the ``hash_files`` digests made inside on one helper thread,
-    stopped on exit."""
-    global _helper
-    _helper = helper = _Helper()
-    try:
-        yield
-    finally:
-        _helper = None
-        helper.close()
 
 
 def hash_files(paths: Iterable[Path | str]) -> dict[str, Digest]:
-    """Whole-file digests of ``paths``, by path string, queued largest first
-    for the helper thread and for any thread that waits on one of them."""
+    """Whole-file digests of ``paths``, by path string.
+
+    This thread and, for two files or more, one helper thread take the
+    files from one queue, largest first; the helper is joined before this
+    returns, even when this thread raises.  What a read raises is kept by
+    its digest.
+    """
 
     def size(path: str) -> int:
         try:
@@ -262,12 +194,33 @@ def hash_files(paths: Iterable[Path | str]) -> dict[str, Digest]:
         except OSError:  # hashing raises it, naming the file
             return -1
 
-    digests = {}
-    for path in sorted(dict.fromkeys(map(str, paths)), key=size, reverse=True):
-        digest = digests[path] = Digest(path)
-        digest._claim = threading.Lock()
-    if _helper is not None:
-        _helper.add(digests.values())
+    ordered = sorted(dict.fromkeys(map(str, paths)), key=size, reverse=True)
+    digests = {path: Digest(path) for path in ordered}
+    queue = deque(digests.values())
+
+    def work() -> None:
+        while True:
+            try:
+                digest = queue.popleft()
+            except IndexError:
+                return
+            try:
+                _hash_file(digest.path, digest._sha)
+            except Exception as exc:  # raised by ``hexdigest``
+                if isinstance(exc, OSError) and exc.filename is None:
+                    exc.filename = digest.path
+                digest._error = exc
+
+    if len(queue) < 2:
+        work()
+        return digests
+    thread = threading.Thread(target=work, name="scoi-digests")
+    thread.start()
+    try:
+        work()
+    finally:
+        queue.clear()  # an interrupted caller leaves the helper no more files
+        thread.join()
     return digests
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 
 from scoi.treepoly import (
     DependencyTree,
@@ -19,6 +21,15 @@ from scoi.treepoly import (
     encode_term,
     write_polynomial_cache,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that ends with a thread it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"
 
 
 def perfbench_gen():

@@ -1246,8 +1246,8 @@ def _short_switch_interval():
 
 class TestDigest:
     def test_two_threads_read_each_whole_file_once(self, tmp_path, monkeypatch):
-        # The helper and the waiting thread both take files from one list; a
-        # file claimed by both would be hashed twice into one digest.
+        # The helper and the calling thread both take files from one queue; a
+        # file taken by both would be hashed twice into one digest.
         rng = random.Random(12)
         paths = []
         for i in range(40):
@@ -1261,12 +1261,73 @@ class TestDigest:
 
         monkeypatch.setattr(scoi.manifest, "_hash_file", spy_hash_file)
         threads = threading.active_count()
-        with _short_switch_interval(), scoi.manifest.hashing():
+        with _short_switch_interval():
             digests = scoi.manifest.hash_files(paths)
-            values = {path: digests[str(path)].hexdigest() for path in paths}
         assert threading.active_count() == threads
+        values = {path: digests[str(path)].hexdigest() for path in paths}
         assert sorted(reads) == sorted(map(str, paths))
         assert values == {path: sha256_file(path) for path in paths}
+
+    @pytest.mark.parametrize("thread", ["caller", "helper"])
+    def test_an_error_leaves_no_thread_behind(self, tmp_path, monkeypatch, capsys, thread):
+        # The first file the chosen thread takes raises; the other thread
+        # holds its first file until then, so that each thread takes one.
+        # The error comes out of the failed file's digest, and only there.
+        paths = []
+        for i in range(6):
+            paths.append(tmp_path / f"f{i}")
+            paths[-1].write_bytes(bytes(1000 * (i + 1)))
+        real_hash_file, raised = scoi.manifest._hash_file, threading.Event()
+
+        def spy_hash_file(path, sha):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (thread == "caller"):
+                if not raised.is_set():
+                    raised.set()
+                    raise RuntimeError(f"cannot hash {path}")
+            else:
+                assert raised.wait(timeout=60)
+            real_hash_file(path, sha)
+
+        monkeypatch.setattr(scoi.manifest, "_hash_file", spy_hash_file)
+        threads = threading.active_count()
+        digests = scoi.manifest.hash_files(paths)
+        assert threading.active_count() == threads
+        failed = []
+        for path in paths:
+            try:
+                assert digests[str(path)].hexdigest() == sha256_file(path)
+            except RuntimeError as exc:
+                assert str(exc) == f"cannot hash {path}"
+                failed.append(path)
+        assert len(failed) == 1
+        assert "Exception in thread" not in capsys.readouterr().err
+
+    def test_fewer_than_two_files_start_no_thread(self, built, tmp_path, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(scoi.manifest.threading, "Thread", Spy)
+        paths = [tmp_path / "a", tmp_path / "b"]
+        for path in paths:
+            path.write_bytes(b"x")
+        for count, threads in ((0, 0), (1, 0), (2, 1)):
+            started.clear()
+            digests = scoi.manifest.hash_files(paths[:count])
+            assert [d.hexdigest() for d in digests.values()] == [
+                sha256_file(path) for path in paths[:count]]
+            assert len(started) == threads
+        # A no-op rebuild hashes its inputs and caches on two threads, and
+        # the stages' checks, which find every cache hashed, start none.
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        started.clear()
+        assert run("build", "--config", DEMO_CFG, "--out-dir", out) == 0
+        assert len(started) == 1
 
 
 class _UnreadableFile:
@@ -1285,66 +1346,86 @@ class _UnreadableFile:
         self._fh.close()
 
 
+def _located_exit_2(built, tmp_path, monkeypatch, capsys, case: str, reader: str) -> None:
+    """A no-op build whose victim file fails to hash, on the ``reader``
+    thread of ``hash_files``: ``"caller"`` or ``"helper"``."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(DEMO_CFG.parent, inputs)
+    config = inputs / DEMO_CFG.name
+    out = tmp_path / "out"
+    shutil.copytree(built, out)  # every stage current: the caches are hashed too
+    if case == "deleted-input":
+        victim = Path(load_config(config).corpus_conllu)
+        reason = os.strerror(errno.ENOENT)
+        real_require = scoi.cli._require_inputs
+
+        def require_then_delete(cfg):
+            real_require(cfg)
+            victim.unlink()
+
+        monkeypatch.setattr(scoi.cli, "_require_inputs", require_then_delete)
+    else:
+        victim = out / "test.bin"
+        reason = os.strerror(errno.EIO)
+        # Files go largest first, and each thread takes one before the other
+        # thread holds: a file after the first two is left to the reader.
+        cfg = load_config(config)
+        files = [*(Path(getattr(cfg, key)) for key in INPUT_KEYS),
+                 *scoi.cli._cache_paths(out).values()]
+        assert sum(p.stat().st_size > victim.stat().st_size for p in files) >= 2
+    real_open, real_hash_file = open, scoi.manifest._hash_file
+    opened_on, opened = [], threading.Event()
+
+    def spy_open(path, *args, **kwargs):
+        if Path(path) != victim:
+            return real_open(path, *args, **kwargs)
+        opened_on.append(threading.current_thread())
+        opened.set()
+        return _UnreadableFile(real_open(path, *args, **kwargs))
+
+    def spy_hash_file(path, sha):
+        # The other thread holds its first file until the reader has opened
+        # the victim.
+        on_caller = threading.current_thread() is threading.main_thread()
+        if Path(path) != victim and on_caller != (reader == "caller"):
+            assert opened.wait(timeout=60)
+        real_hash_file(path, sha)
+
+    monkeypatch.setattr(scoi.manifest, "open", spy_open, raising=False)
+    monkeypatch.setattr(scoi.manifest, "_hash_file", spy_hash_file)
+    threads = threading.active_count()
+    assert run("build", "--config", config, "--out-dir", out) == 2
+    assert threading.active_count() == threads
+    assert len(opened_on) == 1
+    assert (opened_on[0] is threading.main_thread()) == (reader == "caller")
+    err = capsys.readouterr().err
+    assert err == f"error: {victim}: {reason}\n"
+    assert "Exception in thread" not in err
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+
 class TestDigestHelperFailures:
-    """An ``OSError`` the digest helper thread meets reaches ``main`` as a
-    located exit 2, and the thread is gone when ``main`` returns."""
+    """An ``OSError`` met by either thread of ``hash_files`` reaches ``main``
+    as a located exit 2, and the helper thread is gone when ``main`` returns."""
 
     @pytest.mark.parametrize("case", ["deleted-input", "unreadable-cache"])
     def test_helper_error_is_a_located_exit_2(
         self, built, tmp_path, monkeypatch, capsys, case
     ):
-        inputs = tmp_path / "inputs"
-        shutil.copytree(DEMO_CFG.parent, inputs)
-        config = inputs / DEMO_CFG.name
-        out = tmp_path / "out"
-        shutil.copytree(built, out)  # every stage current: the digests are awaited first
-        if case == "deleted-input":
-            victim = Path(load_config(config).corpus_conllu)
-            reason = os.strerror(errno.ENOENT)
-            real_require = scoi.cli._require_inputs
+        _located_exit_2(built, tmp_path, monkeypatch, capsys, case, "helper")
 
-            def require_then_delete(cfg):
-                real_require(cfg)
-                victim.unlink()
-
-            monkeypatch.setattr(scoi.cli, "_require_inputs", require_then_delete)
-        else:
-            victim = out / "corpus.bin"
-            reason = os.strerror(errno.EIO)
-        real_open, real_hash_files = open, scoi.cli.hash_files
-        opened_on = []
-        taken = threading.Event()
-
-        def spy_open(path, *args, **kwargs):
-            if Path(path) != victim:
-                return real_open(path, *args, **kwargs)
-            opened_on.append(threading.current_thread())
-            taken.set()
-            return _UnreadableFile(real_open(path, *args, **kwargs))
-
-        def hash_files_then_wait(paths):
-            # This thread waits until the helper has taken the failing file.
-            digests = real_hash_files(paths)
-            assert taken.wait(timeout=60)
-            return digests
-
-        monkeypatch.setattr(scoi.manifest, "open", spy_open, raising=False)
-        monkeypatch.setattr(scoi.cli, "hash_files", hash_files_then_wait)
-        threads = threading.active_count()
-        assert run("build", "--config", config, "--out-dir", out) == 2
-        assert threading.active_count() == threads
-        assert len(opened_on) == 1 and opened_on[0] is not threading.main_thread()
-        err = capsys.readouterr().err
-        assert err == f"error: {victim}: {reason}\n"
-        assert "Exception in thread" not in err
-        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+    @pytest.mark.parametrize("case", ["deleted-input", "unreadable-cache"])
+    def test_caller_error_is_a_located_exit_2(
+        self, built, tmp_path, monkeypatch, capsys, case
+    ):
+        _located_exit_2(built, tmp_path, monkeypatch, capsys, case, "caller")
 
     def test_cold_build_reports_an_unreadable_input_before_a_malformed_one(
         self, tmp_path, monkeypatch, capsys
     ):
-        # A cold build awaits its input digests after ingest.  When ingest
-        # fails, an input that cannot be read is still reported first, as a
-        # rebuild, which awaits the digests before ingest, reports it.
+        # A cold build, like a rebuild, awaits its input digests before
+        # ingest: an input that cannot be read is reported, not the
+        # malformed one that ingest would meet first.
         inputs = tmp_path / "inputs"
         shutil.copytree(DEMO_CFG.parent, inputs)
         config = load_config(inputs / DEMO_CFG.name)
