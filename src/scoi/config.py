@@ -2,8 +2,9 @@
 
 This module is the one declaration of the allowed config values: the
 strategies, loop orders, coverage measures and DPP relevance norms, the
-BM25 parameters and the selection plan.  It imports no numpy, so parsing
-and checking a config loads none of the numeric modules.
+BM25 parameters and the selection plan.  ``RunConfig``'s fields are the
+config keys; a key's type follows from its default.  Importing this module
+evaluates no type hints and loads neither numpy nor ``dataclasses``.
 
 The file format is one ``key = value`` pair per line; ``#`` starts a
 comment; blank lines are skipped.  Relative paths are resolved against the
@@ -14,9 +15,8 @@ over file values, which keeps run manifests meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .prompts import PROMPT_STYLES, PromptTemplate
@@ -37,14 +37,12 @@ RELEVANCE_NORMS = ("reciprocal", "minmax")
 MEASURES = ("normalized-manhattan", "cosine")
 
 
-@dataclass(frozen=True)
-class Bm25Params:
+class Bm25Params(NamedTuple):
     k1: float = 1.5
     b: float = 0.75
 
 
-@dataclass
-class SelectionPlan:
+class SelectionPlan(NamedTuple):
     """Strategy choice and parameters governing one selection run."""
 
     strategy: str = "scoi"
@@ -74,8 +72,7 @@ class SelectionPlan:
             raise ValueError("dpp_lambda must be positive")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus_source: Path | None = None
     corpus_target: Path | None = None
     corpus_conllu: Path | None = None
@@ -144,25 +141,17 @@ class RunConfig:
 
     def snapshot(self) -> dict:
         """JSON-ready view for manifests; paths rendered as strings."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = str(value) if isinstance(value, Path) else value
-        return out
+        return {name: str(value) if isinstance(value, Path) else value
+                for name, value in zip(self._fields, self)}
 
 
-def _key_type(hint) -> type:
-    """``Path | None`` -> ``Path``; a plain type is its own key type."""
-    return next((arg for arg in get_args(hint) if arg is not type(None)), hint)
-
-
-_HINTS = get_type_hints(RunConfig)
-# Each config key and the type its values parse to, in declaration order.
-KEY_TYPES: dict[str, type] = {f.name: _key_type(_HINTS[f.name]) for f in fields(RunConfig)}
-# The input files ``build`` reads: path keys with no default.
-INPUT_KEYS = tuple(
-    f.name for f in fields(RunConfig) if KEY_TYPES[f.name] is Path and f.default is None
-)
+# Each key's type, in order: a path when the default is None or a path, else the default's.
+KEY_TYPES: dict[str, type] = {
+    name: Path if default is None or isinstance(default, Path) else type(default)
+    for name, default in RunConfig._field_defaults.items()
+}
+# The input files ``build`` reads: the keys whose default is None.
+INPUT_KEYS = tuple(name for name, default in RunConfig._field_defaults.items() if default is None)
 
 
 def coerce(name: str, kind: type, raw: str):

@@ -7,21 +7,31 @@ selection order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 PROMPT_STYLES = ("delimiter", "instruction")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class _Template(NamedTuple):
     style: str = "delimiter"
     source_language: str = "source"
     target_language: str = "target"
 
-    def __post_init__(self):
+
+class PromptTemplate(_Template):
+    """Refuses an unknown style when made, by ``_make`` and ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.style not in PROMPT_STYLES:
             raise ValueError(f"unknown prompt style {self.style!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def render_prompt(

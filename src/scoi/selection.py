@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -205,8 +204,7 @@ def _pool_scores(test, pool, plan: SelectionPlan, scores: PoolScores | None) -> 
     return scores
 
 
-@dataclass
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """Ordered selection plus per-step diagnostics for one test input."""
 
     test_id: int
@@ -216,13 +214,7 @@ class SelectionResult:
     flags: dict
 
     def to_record(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "strategy": self.strategy,
-            "selected": list(self.selected),
-            "steps": self.steps,
-            "flags": self.flags,
-        }
+        return {**self._asdict(), "selected": list(self.selected)}
 
 
 def _mode_for_position(strategy: str, order: str, position: int) -> str:

@@ -16,8 +16,8 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,8 +31,9 @@ import scoi.retrieval
 import scoi.selection
 import scoi.treepoly
 from scoi.cli import _config_from_args, build_parser, main
-from scoi.config import INPUT_KEYS, RunConfig, load_config
+from scoi.config import INPUT_KEYS, KEY_TYPES, Bm25Params, RunConfig, SelectionPlan, load_config
 from scoi.manifest import read_manifest, sha256_file
+from scoi.prompts import PromptTemplate
 from scoi.selection import STRATEGIES
 
 from conftest import perfbench_gen, write_poly_items
@@ -2033,7 +2034,14 @@ ALTERNATIVES = {
     "relevance_norm": "minmax",
     "prompt_style": "instruction",
 }
-CONFIG_FIELDS = fields(RunConfig)
+
+
+class ConfigField(NamedTuple):
+    name: str
+    default: object
+
+
+CONFIG_FIELDS = [ConfigField(*item) for item in RunConfig._field_defaults.items()]
 
 
 def _key_type(field) -> type:
@@ -2110,6 +2118,79 @@ class TestConfigKeys:
         from_spaced_flag = capsys.readouterr().err
         expected = f"error: {field.name}: expected a finite float, got {raw!r}\n"
         assert from_file == from_flag == from_spaced_flag == expected
+
+
+# Every config key and its type, in declaration order, as the dataclass
+# declaration with type hints gave them.
+PINNED_KEY_TYPES = [
+    ("corpus_source", Path),
+    ("corpus_target", Path),
+    ("corpus_conllu", Path),
+    ("test_source", Path),
+    ("test_conllu", Path),
+    ("out_dir", Path),
+    ("strategy", str),
+    ("k", int),
+    ("order", str),
+    ("measure", str),
+    ("pool_size", int),
+    ("dpp_lambda", float),
+    ("relevance_norm", str),
+    ("seed", int),
+    ("max_tokens", int),
+    ("filter_target", bool),
+    ("fold_case", bool),
+    ("strip_punctuation", bool),
+    ("workers", int),
+    ("prompt_style", str),
+    ("source_language", str),
+    ("target_language", str),
+    ("bm25_k1", float),
+    ("bm25_b", float),
+]
+
+
+class TestOneDeclaration:
+    """RunConfig's fields declare the config keys; their types and the input
+    keys follow from the defaults."""
+
+    def test_keys_their_types_and_the_input_keys(self):
+        assert list(RunConfig._fields) == [name for name, _ in PINNED_KEY_TYPES]
+        assert list(KEY_TYPES.items()) == PINNED_KEY_TYPES
+        assert INPUT_KEYS == (
+            "corpus_source", "corpus_target", "corpus_conllu", "test_source", "test_conllu"
+        )
+
+    def test_value_types_keep_their_keyword_defaults(self):
+        assert list(Bm25Params()._asdict().items()) == [("k1", 1.5), ("b", 0.75)]
+        assert list(SelectionPlan()._asdict().items()) == [
+            ("strategy", "scoi"), ("k", 4), ("order", "syntax-first"),
+            ("measure", "normalized-manhattan"), ("pool_size", 100), ("dpp_lambda", 0.5),
+            ("relevance_norm", "reciprocal"), ("rng_seed", 0),
+        ]
+        assert list(PromptTemplate()._asdict().items()) == [
+            ("style", "delimiter"), ("source_language", "source"), ("target_language", "target"),
+        ]
+        assert SelectionPlan(k=2, rng_seed=7) == SelectionPlan(
+            "scoi", 2, "syntax-first", "normalized-manhattan", 100, 0.5, "reciprocal", 7
+        )
+        assert PromptTemplate(target_language="English") == PromptTemplate(
+            "delimiter", "source", "English"
+        )
+        for make in (lambda: PromptTemplate(style="markdown"),
+                     lambda: PromptTemplate()._replace(style="markdown")):
+            with pytest.raises(ValueError, match="unknown prompt style 'markdown'"):
+                make()
+        docs = [
+            scoi.corpus.ExampleRecord(i, " ".join(tokens), "", tuple(tokens),
+                                      scoi.coverage.TokenBag.from_tokens(tokens))
+            for i, tokens in enumerate((["a", "b"], ["a"], ["c", "a", "a"]))
+        ]
+        index = scoi.retrieval.build_index(docs)
+        scorer = index.scorer(Bm25Params(k1=1.2, b=0.5))
+        assert index.scorer(Bm25Params(1.2, 0.5)) is scorer
+        assert index.scorer(Bm25Params()) is index.scorer(Bm25Params(k1=1.5, b=0.75))
+        assert index.scorer(Bm25Params()) is not scorer
 
 
 def _readme_defaults() -> dict[str, str]:
@@ -2200,7 +2281,8 @@ NUMERIC_MODULES = ("numpy", *sorted(
 
 # Runs ``scoi.cli.main`` in a fresh interpreter and reports, as its last line
 # of output, the exit code, the scipy modules loaded by the end, whether
-# ``scoi.bench`` was imported, and which of NUMERIC_MODULES were loaded.
+# ``scoi.bench`` was imported, which of NUMERIC_MODULES were loaded, and
+# every module loaded by the end.
 _IMPORT_PROBE = """
 import json, sys
 import scoi.cli
@@ -2212,7 +2294,7 @@ except SystemExit as exc:  # --help and --version
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 numeric = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
 print(json.dumps({"exit": code, "scipy": scipy, "bench": "scoi.bench" in sys.modules,
-                  "numeric": numeric}))
+                  "numeric": numeric, "modules": sorted(sys.modules)}))
 """
 
 
@@ -2355,6 +2437,34 @@ class TestNumpyImportBoundary:
         assert report["exit"] == 0
         assert "scoi.treepoly" in report["numeric"]
         assert sha256_file(out / "test.poly.bin") == sha256_file(built / "test.poly.bin")
+
+
+# What a bare interpreter has loaded before any scoi import.
+_BARE = "import sys; print(*sys.modules)"
+# Start-up work a command should not pay for: ``dataclasses`` (which loads
+# ``inspect``) only declared small value types.
+STARTUP_FREE = {"dataclasses", "inspect"}
+
+
+class TestStartupImports:
+    """``import scoi.cli`` and a no-op ``build`` load neither ``dataclasses``
+    nor ``inspect`` beyond what a bare interpreter has already loaded."""
+
+    def test_bare_import_of_the_cli_adds_neither_module(self):
+        bare = set(_fresh_python("-c", _BARE).stdout.split())
+        loaded = set(_fresh_python("-c", "import scoi.cli; " + _BARE).stdout.split())
+        assert "scoi.config" in loaded - bare
+        assert (loaded - bare) & STARTUP_FREE == set()
+
+    def test_a_no_op_build_adds_neither_module(self, built, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(built, out)
+        bare = set(_fresh_python("-c", _BARE).stdout.split())
+        report = _fresh_cli("build", "--config", DEMO_CFG, "--out-dir", out)
+        assert report["exit"] == 0
+        assert all(stage["skipped"] for stage in
+                   read_manifest(out / "build-manifest.json")["stages"].values())
+        assert (set(report["modules"]) - bare) & STARTUP_FREE == set()
 
 
 class TestLazyNames:

@@ -517,7 +517,7 @@ class TestPoolScores:
             corpus_ids = [r.id for r in corpus]
             for strategy in STRATEGIES:
                 plan = SelectionPlan(strategy=strategy, k=rng.randint(1, 6), measure=measure)
-                plan.pool_size = max(plan.k, len(pool))
+                plan = plan._replace(pool_size=max(plan.k, len(pool)))
                 got = run_strategy(test, columns.ranked, plan, index=index,
                                    corpus_ids=corpus_ids, scores=columns)
                 want = run_strategy(test, pool, plan, index=index, corpus_ids=corpus_ids)

@@ -104,3 +104,11 @@ def test_only_the_manifest_module_hashes_or_starts_threads():
     assert {name: sorted(m for m in found if m.startswith("concurrent.futures"))
             for name, found in imports.items()
             if any(m.startswith("concurrent.futures") for m in found)} == {}
+
+
+def test_only_the_bench_module_imports_dataclasses_or_inspect():
+    # Both add start-up time to every command; only scoi bench may use them.
+    imports = {path.name: _imported_modules(path) for path in (REPO / "src" / "scoi").glob("*.py")}
+    assert "dataclasses" in imports["bench.py"]
+    assert {name: sorted(found & {"dataclasses", "inspect"}) for name, found in imports.items()
+            if name != "bench.py" and found & {"dataclasses", "inspect"}} == {}
