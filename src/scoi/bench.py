@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def fit_loglog_slope(sizes: list[int], values: list[int]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     q: int
     t: int
     nodes: int
@@ -113,8 +112,7 @@ class BenchRow:
     term_ratio: float | None
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     budget: int
     rows: list[BenchRow]
     slopes: dict[str, dict[str, float | None]]
@@ -122,7 +120,7 @@ class BenchReport:
     def to_json(self) -> str:
         payload = {
             "budget": self.budget,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [row._asdict() for row in self.rows],
             "slopes": self.slopes,
         }
         return json.dumps(payload, indent=2) + "\n"

@@ -421,7 +421,8 @@ def cmd_bench(args) -> int:
     sys.stdout.write(report.to_table())
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write(report.to_json())
         print(f"report written to {args.out}")
     return 0
 

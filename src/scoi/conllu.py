@@ -11,9 +11,10 @@ array: ``np.flatnonzero`` finds its lines and tabs, and ID and HEAD are read
 as ASCII digits.  The word IDs of a block must be 1, 2, ..., n in order, as
 CoNLL-U numbers them, so a token's parent is HEAD - 1 and nothing is sorted.
 Each DEPREL's fixed-width key (its length, then its bytes as 64-bit words)
-is hashed into one uint64 and grouped with ``np.unique``; every key is
-checked against its group's first before new labels go into the vocabulary,
-in first-seen order.  ``first_bad_tree`` checks every tree at once.
+is hashed into one uint64 by ``columns.row_hashes`` and grouped with
+``np.unique``; every key is checked against its group's first before new
+labels go into the vocabulary, in first-seen order.  ``first_bad_tree``
+checks every tree at once.
 
 The scan vouches for a whole chunk or for none of it.  A chunk that is not
 UTF-8, or that has a line led by a whitespace byte, a short row, an ID or HEAD
@@ -34,8 +35,9 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
+from .columns import offsets_from_sizes, row_hashes
 from .errors import DataError, MalformedTreeError
-from .treepoly import ROOT, DependencyTree, LabelVocabulary, first_bad_tree, offsets_from_sizes
+from .treepoly import ROOT, DependencyTree, LabelVocabulary, first_bad_tree
 
 _CHUNK_BYTES = 1 << 20
 _HEAD_COL = 6
@@ -50,21 +52,11 @@ _KEY_BYTES = 64
 # w bytes wide.
 _WORD_MASKS = np.array([[(1 << 8 * min(max(w - 8 * j, 0), 8)) - 1 for w in range(_KEY_BYTES + 1)]
                         for j in range(_KEY_BYTES // 8)], np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # an odd multiplier for the DEPREL key hash
 # First bytes of the UTF-8 forms of the characters ``str.strip()`` removes: a
 # line that starts with none of them is not blank, and a chunk with a
 # non-empty line that starts with one takes the per-line path.
 _SPACE_LEAD = np.zeros(256, bool)
 _SPACE_LEAD[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f \xc2\xe1\xe2\xe3")] = True
-
-
-def take_offsets(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries that items ``rows`` own under ``offsets``, in that order,
-    and the offsets over them: item ``rows[j]`` becomes item j."""
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes = offsets[rows + 1] - offsets[rows]
-    taken = offsets_from_sizes(sizes)
-    return np.repeat(offsets[rows] - taken[:-1], sizes) + np.arange(taken[-1]), taken
 
 
 class TreeColumns(Sequence):
@@ -196,14 +188,6 @@ def _digits(b: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarr
     return value, ok
 
 
-def _hash(keys: list[np.ndarray]) -> np.ndarray:
-    """One uint64 per string from its key words: equal keys hash equal."""
-    hashed = keys[0]
-    for key in keys[1:]:
-        hashed = hashed * _MIX + key  # wraps modulo 2**64
-    return hashed
-
-
 def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
             vocab: LabelVocabulary) -> np.ndarray | None:
     """Vocabulary ids of the UTF-8 strings ``b[start:start+width]``, none
@@ -218,7 +202,7 @@ def _intern(data: bytes, b: np.ndarray, start: np.ndarray, width: np.ndarray,
     words = np.ndarray(len(b) + _KEY_BYTES - 7, "<u8", padded, strides=(1,))
     keys = [width.astype(np.uint64)] + [
         words[start + 8 * j] & _WORD_MASKS[j, width] for j in range(-(-int(width.max()) // 8))]
-    distinct, group = np.unique(_hash(keys), return_inverse=True)
+    distinct, group = np.unique(row_hashes(keys, 0), return_inverse=True)
     first = np.full(len(distinct), len(start))  # return_index would need a stable sort
     np.minimum.at(first, group, np.arange(len(start)))
     # Each string must equal its group's first-seen one in every key word.

@@ -30,7 +30,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conllu import TreeColumns, load_conllu, take_offsets
+from .columns import (
+    offsets_fit,
+    offsets_from_sizes,
+    read_cache,
+    record_of,
+    take_offsets,
+    write_cache,
+)
+from .conllu import TreeColumns, load_conllu
 from .coverage import TokenBag
 from .errors import AlignmentError, DataError
 from .manifest import CORPUS_CACHE_VERSION, Digest
@@ -41,13 +49,8 @@ from .treepoly import (
     LabelVocabulary,
     Polynomial,
     first_bad_tree,
-    offsets_fit,
-    offsets_from_sizes,
-    read_cache,
-    record_of,
     simplified_polynomial,
     simplified_term_counter,  # noqa: F401  unused; perfbench/traced.py wraps this name
-    write_cache,
 )
 
 
@@ -231,8 +234,8 @@ def load_parallel_corpus(
     n_source, n_target = len(source[1]) - 1, len(target[1]) - 1
     if not (n_source == n_target == len(trees)):
         raise AlignmentError(
-            f"corpus misaligned: {n_source} source lines, {n_target} target "
-            f"lines, {len(trees)} parsed sentences"
+            f"{source_path}: corpus misaligned: {n_source} source lines, {n_target} target "
+            f"lines in {target_path}, {len(trees)} parsed sentences in {conllu_path}"
         )
     tokens = _tokenize_lines(source_path, source, fold_case, strip_punctuation)
     return CorpusColumns(vocab, tokens, {"source": source, "target": target}, trees)
@@ -250,7 +253,8 @@ def load_test_inputs(
     n = len(source[1]) - 1
     if n != len(trees):
         raise AlignmentError(
-            f"test inputs misaligned: {n} source lines, {len(trees)} parsed sentences"
+            f"{source_path}: test inputs misaligned: {n} source lines, "
+            f"{len(trees)} parsed sentences in {conllu_path}"
         )
     tokens = _tokenize_lines(source_path, source, fold_case, strip_punctuation)
     target = (np.zeros(0, np.uint8), np.zeros(n + 1, np.int64))
@@ -322,7 +326,7 @@ def attach_polynomials(records: Sequence[ExampleRecord], vocab: LabelVocabulary)
 
 # --- corpus cache ------------------------------------------------------------
 #
-# A ``treepoly.write_cache`` file whose header holds the tokenizer version, the
+# A ``columns.write_cache`` file whose header holds the tokenizer version, the
 # label vocabulary and the token list in first-seen order, with the segments of
 # _SEGMENTS in that order: the record ids, then per column its int64 offsets
 # (record i owns entries offsets[i]:offsets[i+1]) and its entries: source and

@@ -17,8 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .columns import pad_to
 from .config import MEASURES
-from .treepoly import Polynomial, TermVector, _pad_to, cdist, cityblock, manhattan, term_degree
+from .treepoly import Polynomial, TermVector, cdist, cityblock, manhattan, term_degree
 
 
 class TokenBag:
@@ -98,7 +99,7 @@ def similarity_matrix(x_mat: np.ndarray, pool_mat: np.ndarray, measure: str) -> 
     # breaks exact monotonicity under pool growth).  Clip rounding overshoot
     # to [0, 1].
     return np.clip(
-        1.0 - cdist(_pad_to(x_mat, width), _pad_to(pool_mat, width), "cosine"), 0.0, 1.0
+        1.0 - cdist(pad_to(x_mat, width), pad_to(pool_mat, width), "cosine"), 0.0, 1.0
     )
 
 

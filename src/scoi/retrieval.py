@@ -18,11 +18,10 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .columns import offsets_fit, offsets_from_sizes, read_cache, take_offsets, write_cache
 from .config import Bm25Params
-from .conllu import take_offsets
 from .coverage import TokenBag
 from .errors import DataError
-from .treepoly import offsets_fit, read_cache, write_cache
 
 if TYPE_CHECKING:
     from .corpus import ExampleRecord
@@ -159,11 +158,9 @@ def intern_tokens(records: Sequence["ExampleRecord"]) -> TokenColumn:
     flat = list(chain.from_iterable(token_lists))
     names = list(dict.fromkeys(flat))
     index = dict(zip(names, range(len(names))))
-    offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, token_lists), np.int64, len(records)), out=offsets[1:])
     return TokenColumn(
         np.fromiter((r.id for r in records), np.int64, len(records)),
-        offsets,
+        offsets_from_sizes(list(map(len, token_lists))),
         np.fromiter(map(index.__getitem__, flat), np.int32, len(flat)),
         names,
     )
@@ -283,7 +280,7 @@ def word_matrix(
 # --- index persistence -------------------------------------------------------
 #
 # The pipeline saves no index: ``select`` derives it from the corpus cache.
-# A ``treepoly.write_cache`` file whose header holds the token list in postings
+# A ``columns.write_cache`` file whose header holds the token list in postings
 # order, with five segments: ids, lengths, posting offsets, concatenated
 # posting rows, concatenated posting tfs.  An index always saves to one digest.
 

@@ -22,10 +22,10 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .columns import take_offsets
 from .config import Bm25Params, SelectionPlan
 # Declared with the other config values; also importable from here.
 from .config import ORDERS, RELEVANCE_NORMS, STRATEGIES  # noqa: F401
-from .conllu import take_offsets
 from .coverage import occurrence_sum, similarity_matrix
 from .retrieval import (
     InvertedIndex,

@@ -24,27 +24,27 @@ The build computes the polynomial cache from tree columns instead
 parent's plus one of its own label, so pointer doubling over the parent
 map sums every root-to-node path in ceil(log2(depth)) whole-array rounds.
 It works on batches of whole trees of at most ``_BATCH_NODES`` nodes,
-finds each batch's rows among the distinct rows seen so far by a 64-bit
-hash, checked word for word, and keeps only the distinct rows and one id
-per node.  The distinct rows, ranked in canonical order, become the
-cache's term table, which every record's term ids index.  Canonical order
-is the order of ``_sort_keys``, which ``canonical_terms`` sorts by too.
+finds each batch's rows among the distinct rows seen so far by their
+``columns.row_hashes``, checked word for word, and keeps only the distinct
+rows and one id per node.  The distinct rows, ranked in canonical order,
+become the cache's term table, which every record's term ids index.
+Canonical order is the order of ``_sort_keys``, which ``canonical_terms``
+sorts by too.  The cache is a ``columns.write_cache`` file.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import warnings
 from collections import Counter
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .columns import (
+    offsets_fit, offsets_from_sizes, pad_to, read_cache, record_of, row_hashes, write_cache,
+)
 from .errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
-from .manifest import POLY_CACHE_VERSION, Digest, DigestReader, atomic_write, compact_json
+from .manifest import POLY_CACHE_VERSION, Digest
 
 ROOT = -1
 
@@ -415,7 +415,7 @@ class Polynomial:
         other_mat, other_counts = other.rows()
         width = max(mat.shape[1], other_mat.shape[1])
         return np.array_equal(counts, other_counts) and np.array_equal(
-            _pad_to(mat, width), _pad_to(other_mat, width)
+            pad_to(mat, width), pad_to(other_mat, width)
         )
 
     def __repr__(self) -> str:
@@ -701,97 +701,10 @@ def polynomial_distance(p: Polynomial, q: Polynomial) -> float:
     return total / (p.n_terms + q.n_terms)
 
 
-# --- cache files ------------------------------------------------------------
-
-
-def write_cache(path, header: dict, segments: Iterable[np.ndarray]) -> Digest:
-    """Write a cache file through ``atomic_write``: ``header`` as one compact
-    JSON line, then each array as ``np.save`` writes it in C order (``.npy``
-    version 1.0), from its own buffer, with no joined copy.  Returns the
-    ``Digest`` of the bytes written."""
-    with atomic_write(path, "wb") as fh:
-        fh.write(compact_json(header).encode("utf-8") + b"\n")
-        for segment in segments:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": segment.dtype.str, "fortran_order": False, "shape": segment.shape})
-            fh.write(np.ascontiguousarray(segment).reshape(-1).view(np.uint8))
-    return fh.digest
-
-
-def read_cache(
-    path, fmt: str, version: int, what: str, lists: tuple[str, ...], names: Iterable[str],
-    digest: Digest | None = None,
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and the read-only segments, one per name in order, of a
-    ``write_cache`` file.  The file is read once; every byte of it goes to
-    ``digest`` if one is given, the bytes parsed as they are read.
-
-    A header line that is not a JSON object with ``format`` ``fmt``, ``version``
-    ``version`` and a list under each key of ``lists`` is a ``DataError`` naming
-    ``path`` as a ``what``.  So is a segment whose header does not parse as a
-    ``.npy`` version 1.0 header, or claims objects, sub-arrays, Fortran order
-    or more bytes than the file has left; that message names the segment.
-    """
-    with open(path, "rb") as fh:
-        reader = fh if digest is None else DigestReader(fh, digest)
-        try:
-            header = json.loads(reader.readline())
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != fmt:
-            raise DataError(f"{path}: not a {what}")
-        if header.get("version") != version:
-            raise DataError(f"{path}: unsupported {what} version {header.get('version')}")
-        for key in lists:
-            if not isinstance(header.get(key), list):
-                raise DataError(f"{path}: header has no {key} list")
-        size = os.fstat(fh.fileno()).st_size
-        segments = {}
-        for name in names:
-            where = f"{path}: corrupt array segment ({name}: "
-            try:
-                with warnings.catch_warnings():
-                    # numpy warns when it reads a header only after repairing it.
-                    warnings.simplefilter("error")
-                    if np.lib.format.read_magic(reader) != (1, 0):
-                        raise ValueError("not a version 1.0 .npy header")
-                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(reader)
-            # numpy's header parser fails in more ways than ValueError: a corrupt
-            # header dict can reach its tokenizer, which raises TokenError.
-            except Exception as exc:
-                raise DataError(f"{where}{exc})") from None
-            count, left = math.prod(shape), size - fh.tell()
-            if fortran_order or dtype.hasobject or dtype.shape or min(shape, default=0) < 0 or (
-                count * dtype.itemsize > left
-            ):
-                order = " in Fortran order" if fortran_order else ""
-                raise DataError(f"{where}{dtype} of shape {shape}{order}, {left} bytes left)")
-            segments[name] = segment = np.empty(shape, dtype)
-            got = reader.readinto(segment.reshape(-1).view(np.uint8))
-            if got != segment.nbytes:  # the file shrank while it was read
-                raise DataError(f"{where}{dtype} of shape {shape}, {got} bytes read)")
-            segment.flags.writeable = False
-        if digest is not None:  # bytes after the last segment count towards the digest
-            reader.read()
-    return header, segments
-
-
-def offsets_fit(offsets: np.ndarray, n: int, size: int) -> bool:
-    """Whether ``offsets`` can split ``size`` entries among ``n`` records:
-    int64, ``n + 1`` long, from 0 to ``size``, nondecreasing."""
-    return (offsets.dtype == np.int64 and offsets.shape == (n + 1,) and offsets[0] == 0
-            and offsets[-1] == size and not (np.diff(offsets) < 0).any())
-
-
-def record_of(ids: np.ndarray, offsets: np.ndarray, entry) -> int:
-    """The id of the record owning ``entry``: ``ids[i]`` owns ``offsets[i]:offsets[i+1]``."""
-    return int(ids[int(offsets.searchsorted(entry, "right")) - 1])
-
-
 # --- polynomial cache -------------------------------------------------------
 #
-# A ``write_cache`` file whose header holds the label vocabulary, with five
-# segments:
+# A ``columns.write_cache`` file whose header holds the label vocabulary, with
+# five segments:
 #   table    the distinct exponent rows of all records, of width len(labels),
 #            in strictly increasing canonical order, in the narrowest
 #            unsigned type that holds the largest term count (uint8, uint16
@@ -821,23 +734,6 @@ _BATCH_NODES = 1 << 14
 # Seeds of the row hash that ``simplified_rows`` tries; each is a fresh
 # 64-bit hash, and a collision under one makes it try the next.
 _HASH_SEEDS = 4
-# splitmix64's finalizer multipliers.
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-
-
-def _row_hashes(words: np.ndarray, seed: int) -> np.ndarray:
-    """One uint64 per row of the uint64 matrix ``words``, equal for equal
-    rows: each word is xored in and mixed by xor-shift-multiply steps."""
-    hashes = np.full(len(words), np.uint64(seed))
-    for word in words.T:
-        hashes ^= word
-        for shift, mix in zip((30, 27), _MIX):
-            hashes ^= hashes >> np.uint64(shift)
-            hashes *= mix
-        hashes ^= hashes >> np.uint64(31)
-    return hashes
-
-
 def _batches(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
     """(start, end) of consecutive batches of whole trees: trees
     ``start:end`` hold at most ``_BATCH_NODES`` nodes, or are one tree."""
@@ -879,7 +775,7 @@ def _distinct_rows(
         rows[np.arange(n), labels[a:a + n]] = 1
         _jump(anc, int(sizes[start:end].max()), rows)
         words = rows[:n].view(np.uint64)
-        hashes, group = np.unique(_row_hashes(words, seed), return_inverse=True)
+        hashes, group = np.unique(row_hashes(words.T, seed), return_inverse=True)
         at = known.searchsorted(hashes)
         hit = at < len(known)
         hit[hit] = known[at[hit]] == hashes[hit]
@@ -927,11 +823,9 @@ def simplified_rows(
     else:
         raise RuntimeError(f"term rows share a 64-bit hash under each of {_HASH_SEEDS} seeds")
     rows, node_ids = distinct
-    # The rows are distinct, so their canonical ranks are their table ids.
-    order = _canonical_order(rows)
-    table = rows.take(order, axis=0)
-    rank = np.empty(len(order), np.int64)
-    rank[order] = np.arange(len(order))
+    # The rows are distinct, so the table holds them all and a node's term id
+    # is its row's rank.
+    table, rank = _canonical_table(rows)
     n_rows = max(len(table), 1)
     # The leading 0 of ``distinct`` makes its cumulative sum the term offsets.
     terms, counts = [np.zeros(0, np.int32)], [np.zeros(0, dtype)]
@@ -983,20 +877,6 @@ def write_polynomial_cache(
     ))
 
 
-def offsets_from_sizes(sizes) -> np.ndarray:
-    """int64 offsets: item i owns entries ``offsets[i]:offsets[i+1]``."""
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
-
-
-def _pad_to(mat: np.ndarray, width: int) -> np.ndarray:
-    """``mat`` with zero columns appended up to ``width``."""
-    if mat.shape[1] == width:
-        return mat
-    return np.pad(mat, ((0, 0), (0, width - mat.shape[1])))
-
-
 class PolyColumns(NamedTuple):
     """A polynomial cache's columns: record ``ids[i]`` owns the term ids
     ``terms`` and the ``counts`` at ``offsets[i]:offsets[i+1]``.  A term id
@@ -1017,7 +897,7 @@ class PolyColumns(NamedTuple):
         parts = [poly.rows() for poly in polys]
         width = max((mat.shape[1] for mat, _ in parts), default=0)
         rows = np.concatenate(
-            [np.zeros((0, width), np.uint8), *(_pad_to(mat, width) for mat, _ in parts)]
+            [np.zeros((0, width), np.uint8), *(pad_to(mat, width) for mat, _ in parts)]
         )
         counts = np.concatenate([np.zeros(0, np.int64), *(counts for _, counts in parts)])
         offsets = offsets_from_sizes([len(mat) for mat, _ in parts])

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import signal
 import subprocess
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import scoi.cli
+import scoi.columns
 import scoi.conllu
 import scoi.corpus
 import scoi.coverage
@@ -488,7 +490,7 @@ class TestBuildHashing:
             opened.append(Path(path).resolve())
             return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(scoi.treepoly, "open", spy_open, raising=False)
+        monkeypatch.setattr(scoi.columns, "open", spy_open, raising=False)
         made, reads = spy_digests(monkeypatch)
         args = ("--config", DEMO_CFG, "--out-dir", out)
         assert run("build" if command != "select" else "select", *args) == 0
@@ -1011,6 +1013,59 @@ class TestSeededCorruption:
                 else:
                     assert code == 2, where
                     assert re.match(rf"(data )?error: {re.escape(str(out))}/[^ /]+: ", err), where
+
+
+def _line_mutations(data: bytes, rng: random.Random) -> list[tuple[str, bytes]]:
+    """Labelled mutated copies of ``data``: a line duplicated, a line dropped,
+    a span of bytes deleted, and a tab, CR, NUL and 0xFF byte each inserted,
+    at seeded places."""
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    mutations = [(f"line {i + 1} duplicated", b"".join(lines[:i + 1] + lines[i:]))]
+    i = rng.randrange(len(lines))
+    mutations.append((f"line {i + 1} dropped", b"".join(lines[:i] + lines[i + 1:])))
+    start = rng.randrange(len(data))
+    end = min(len(data), start + rng.randrange(1, 200))
+    mutations.append((f"bytes {start}:{end} deleted", data[:start] + data[end:]))
+    for value in b"\t\r\x00\xff":
+        i = rng.randrange(len(data) + 1)
+        mutations.append((f"byte {value} inserted at {i}", data[:i] + bytes([value]) + data[i:]))
+    return mutations
+
+
+DEMO_INPUTS = ("corpus.src", "corpus.tgt", "corpus.conllu", "test.src", "test.conllu")
+
+
+class TestSeededInputMutation:
+    """Every seeded mutation of a demo input makes build exit 2 with one
+    located error line, no traceback and no temp file, or exit 0, after
+    which select of every strategy exits 0."""
+
+    @pytest.mark.parametrize("name", DEMO_INPUTS)
+    def test_mutation_exits_2_located_or_selects(self, tmp_path, capsys, name):
+        demo = tmp_path / "demo"
+        shutil.copytree(DEMO_CFG.parent, demo)
+        config = demo / DEMO_CFG.name
+        path = demo / name
+        original = path.read_bytes()
+        rng = random.Random(f"seeded-input-mutation:{name}")
+        mutations = _seeded_mutations(original, rng) + _line_mutations(original, rng)
+        for n, (label, mutated) in enumerate(mutations):
+            path.write_bytes(mutated)
+            out = tmp_path / f"out{n}"
+            where = f"{name}, {label}"
+            code = run("build", "--config", config, "--out-dir", out)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, where
+            assert [p.name for p in out.glob("*") if p.name.endswith(".tmp")] == [], where
+            if code == 0:
+                code = run("select", "--config", config, "--out-dir", out, "--strategy", "all")
+                assert code == 0, (where, capsys.readouterr().err)
+            else:
+                assert code == 2, where
+                assert re.fullmatch(rf"(data )?error: {re.escape(str(demo))}/[^ /]+: .*\n", err), (
+                    where, err)
+            capsys.readouterr()
 
 
 class TestBuildManifestCheck:
@@ -1771,6 +1826,28 @@ class TestBenchCommand:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["budget"] == 10000
         assert len(payload["rows"]) == 2
+
+    def test_a_failed_report_write_keeps_the_old_report(self, tmp_path):
+        # The child may write files of at most 256 bytes, and a write past
+        # that fails with EFBIG instead of killing it with SIGXFSZ.
+        report = tmp_path / "report.json"
+        old = '{"budget": 1, "rows": [], "slopes": {}}\n'
+        report.write_text(old, encoding="utf-8")
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (256, 256))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_ENTRY, "bench", "--t", "2", "--q", "1", "--out", report],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {report}: File too large\n"
+        assert report.read_text(encoding="utf-8") == old
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--t", "2,x", "'x' is not a positive integer"),

@@ -485,8 +485,8 @@ def test_a_hash_collision_takes_the_per_line_path(tmp_path):
         expected = columns(path)
     assert spy.call_count == 0
     assert len(expected[0]) == len(labels)  # every label shares the forced hash
-    constant = lambda keys: np.zeros(len(keys[0]), np.uint64)  # noqa: E731
-    with mock.patch.object(conllu, "_hash", constant), \
+    constant = lambda keys, seed: np.zeros(len(keys[0]), np.uint64)  # noqa: E731
+    with mock.patch.object(conllu, "row_hashes", constant), \
          mock.patch.object(conllu, "_parse_lines", wraps=conllu._parse_lines) as spy:
         assert columns(path) == expected
     assert spy.call_count == 1

@@ -360,8 +360,8 @@ class TestColumnarIngest:
             lines = _read_lines_oracle(src.read_bytes()), _read_lines_oracle(tgt.read_bytes())
             if not len(lines[0]) == len(lines[1]) == len(trees):
                 raise AlignmentError(
-                    f"corpus misaligned: {len(lines[0])} source lines, {len(lines[1])} "
-                    f"target lines, {len(trees)} parsed sentences"
+                    f"{src}: corpus misaligned: {len(lines[0])} source lines, {len(lines[1])} "
+                    f"target lines in {tgt}, {len(trees)} parsed sentences in {conllu}"
                 )
             records = _records_oracle(src, *lines, trees, *flags)
             kept = [

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from scipy.spatial.distance import cdist
 
+import scoi.columns
 import scoi.treepoly
+from scoi.columns import read_cache, write_cache
 from scoi.errors import DataError, MalformedTreeError, TermExplosionError, UnknownLabelError
 from scoi.manifest import Digest, sha256_file
 from scoi.treepoly import (
@@ -27,12 +29,10 @@ from scoi.treepoly import (
     manhattan,
     original_polynomial,
     polynomial_distance,
-    read_cache,
     read_polynomial_cache,
     simplified_polynomial,
     simplified_rows,
     simplified_term_counter,
-    write_cache,
     write_polynomial_cache,
 )
 
@@ -502,21 +502,21 @@ class TestSimplifiedRows:
             np.cumsum([0] + [t.n for t in trees]),
         )
         expected = simplified_rows(*columns, 5)
-        real = scoi.treepoly._row_hashes
+        real = scoi.treepoly.row_hashes
         seeds = []
 
-        def weak(words, seed):
+        def weak(columns, seed):
             seeds.append(seed)
-            return real(words, seed) * np.uint64(seed >= colliding_seeds)
+            return real(columns, seed) * np.uint64(seed >= colliding_seeds)
 
-        monkeypatch.setattr(scoi.treepoly, "_row_hashes", weak)
+        monkeypatch.setattr(scoi.treepoly, "row_hashes", weak)
         got = simplified_rows(*columns, 5)
         assert sorted(set(seeds)) == list(range(colliding_seeds + 1))
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_collisions_under_every_seed_are_an_error(self, monkeypatch):
-        monkeypatch.setattr(scoi.treepoly, "_row_hashes", lambda words, seed: words[:, 0] * 0)
+        monkeypatch.setattr(scoi.treepoly, "row_hashes", lambda columns, seed: columns[0] * 0)
         columns = _forest_arrays([0, 1], [-1, 0], [0, 2])
         with pytest.raises(RuntimeError, match="share a 64-bit hash under each of 4 seeds"):
             simplified_rows(*columns, 2)
@@ -1139,14 +1139,14 @@ class TestCacheFile:
         # Larger than the reader's buffer, so the cut is seen by the read.
         path = tmp_path / "cache.bin"
         write_cache(path, {"format": "test", "version": 1, "names": []}, [np.zeros(100_000, "u1")])
-        real_fstat = scoi.treepoly.os.fstat
+        real_fstat = scoi.columns.os.fstat
 
         def fstat_then_cut(fd):
             size = real_fstat(fd)
             path.write_bytes(path.read_bytes()[:-10])
             return size
 
-        monkeypatch.setattr(scoi.treepoly.os, "fstat", fstat_then_cut)
+        monkeypatch.setattr(scoi.columns.os, "fstat", fstat_then_cut)
         with pytest.raises(DataError) as err:
             read_cache(path, "test", 1, "test cache", ("names",), ["segment0"])
         assert str(err.value) == (f"{path}: corrupt array segment (segment0: uint8 of shape "
